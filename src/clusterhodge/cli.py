@@ -1,24 +1,28 @@
 """Command-line interface.
 
-Subcommands: hodge, pointcount, e1, ss, indcomplex, check.  Exit codes:
-0 success, 1 a consistency check failed, 2 invalid input.  Output is
-deterministic; --format selects text, json or tsv.  --jobs (or the
-CLUSTERHODGE_JOBS variable) fans the per-weight work of `hodge` out to
-worker processes.
+Subcommands and the flags each one takes:
+
+    hodge      --input M [--format F] [--s S]
+    pointcount --input M [--format F] [--q PRIME]
+    e1         --input M [--format F] [--s S]
+    ss         --input M [--format F] [--s S] [--max-page R]
+    indcomplex --graph G [--format F]
+    check      --input M [--format F]
+
+Exit codes: 0 success, 1 a consistency check failed, 2 invalid input, bad
+flags included, with a JSON diagnostic on stderr.  Output is deterministic;
+--format selects text, json or tsv.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
-from .counts import consistency_suite, point_count_poly
+from .counts import _is_prime, consistency_suite, point_count_poly
 from .errors import ConsistencyError, InputError
-from .exchange import ExtendedExchangeMatrix, RankClass, rank_class, validate
+from .exchange import ExtendedExchangeMatrix
 from .filtration import (
     build_filtered,
     e1_page,
@@ -26,114 +30,68 @@ from .filtration import (
     spectral_sequence,
 )
 from .graphs import reduced_cohomology, independence_complex
-from .gysin import GysinBuilder, HodgeTable, hodge_table
+from .gysin import HodgeTable, hodge_table
 from .io import load_graph, load_matrix
 
 
-@dataclass
-class RunConfig:
-    command: str
-    input: str | None = None
-    graph: str | None = None
-    format: str = "text"
-    s: int | None = None
-    q: int | None = None
-    max_page: int | None = None
-    jobs: int = 1
-    seed: int | None = None
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as invalid input instead of exiting."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
+_SUBCOMMANDS = [
+    ("hodge", "mixed Hodge table of the cluster variety", ["--input", "--s"]),
+    ("pointcount", "counting polynomial over finite fields", ["--input", "--q"]),
+    ("e1", "first page of the filtration spectral sequence", ["--input", "--s"]),
+    ("ss", "pages of the filtration spectral sequence", ["--input", "--s", "--max-page"]),
+    ("indcomplex", "reduced cohomology of a graph's independence complex", ["--graph"]),
+    ("check", "run the consistency suite", ["--input"]),
+]
+
+_FLAGS = {
+    "--input": dict(required=True, help="path to an exchange-matrix file"),
+    "--graph": dict(required=True, help="path to a graph file"),
+    "--s": dict(type=int, help="restrict to one weight"),
+    "--q": dict(type=int, help="evaluate at a prime q"),
+    "--max-page": dict(type=int),
+}
 
 
 def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="clusterhodge",
         description="Mixed Hodge numbers and point counts of acyclic cluster varieties",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in [
-        ("hodge", "mixed Hodge table of the cluster variety"),
-        ("pointcount", "counting polynomial over finite fields"),
-        ("e1", "first page of the filtration spectral sequence"),
-        ("ss", "pages of the filtration spectral sequence"),
-        ("indcomplex", "reduced cohomology of a graph's independence complex"),
-        ("check", "run the consistency suite"),
-    ]:
+    for name, helptext, flags in _SUBCOMMANDS:
         p = sub.add_parser(name, help=helptext)
-        p.add_argument("--input", help="path to an exchange-matrix file")
-        p.add_argument("--graph", help="path to a graph file")
-        p.add_argument(
-            "--format", choices=["text", "json", "tsv"], default="text"
-        )
-        p.add_argument("--s", type=int, default=None, help="restrict to one weight")
-        p.add_argument("--q", type=int, default=None, help="evaluate at a prime q")
-        p.add_argument("--max-page", type=int, default=None)
-        p.add_argument("--jobs", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--format", choices=["text", "json", "tsv"], default="text")
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
-def _config(args) -> RunConfig:
-    jobs = args.jobs
-    if jobs is None:
-        jobs = int(os.environ.get("CLUSTERHODGE_JOBS", "1"))
-    if args.q is not None:
-        from .counts import _is_prime
+def _weights(args: argparse.Namespace, matrix: ExtendedExchangeMatrix) -> list[int]:
+    """The weight given by --s, or every weight 0..d."""
+    if args.s is None:
+        return list(range(matrix.d + 1))
+    if not 0 <= args.s <= matrix.d:
+        raise InputError(f"--s {args.s} outside [0, {matrix.d}]")
+    return [args.s]
 
-        if not _is_prime(args.q):
-            raise InputError(f"--q {args.q} is not prime")
-    return RunConfig(
-        command=args.command,
-        input=args.input,
-        graph=args.graph,
-        format=args.format,
-        s=args.s,
-        q=args.q,
-        max_page=args.max_page,
-        jobs=max(1, jobs),
-        seed=args.seed,
+
+def cmd_hodge(args: argparse.Namespace) -> int:
+    matrix = load_matrix(args.input)
+    weights = _weights(args, matrix)
+    full = hodge_table(matrix)
+    table = HodgeTable(
+        matrix.n, matrix.m, {k: v for k, v in full.dims.items() if k[1] in weights}
     )
-
-
-def _need_matrix(config: RunConfig) -> ExtendedExchangeMatrix:
-    if not config.input:
-        raise InputError("this command needs --input MATRIX_FILE")
-    return load_matrix(config.input)
-
-
-def _hodge_slice(payload) -> dict:
-    rows, s = payload
-    n = len(rows[0])
-    matrix = validate(rows, n, len(rows) - n)
-    builder = GysinBuilder(matrix)
-    cx = builder.complex_for_s(s)
-    return {s: cx.cohomology_dims()}
-
-
-def cmd_hodge(config: RunConfig) -> int:
-    matrix = _need_matrix(config)
-    if config.s is not None or config.jobs == 1 or rank_class(matrix) is not RankClass.REALLY_FULL_RANK:
-        table = hodge_table(matrix)
-        if config.s is not None:
-            table = HodgeTable(
-                matrix.n,
-                matrix.m,
-                {k: v for k, v in table.dims.items() if k[1] == config.s},
-            )
-    else:
-        rows = [list(r) for r in matrix.rows]
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            parts = pool.map(
-                _hodge_slice, [(rows, s) for s in range(matrix.d + 1)]
-            )
-        dims: dict[tuple[int, int], int] = {}
-        for part in parts:
-            for s, per_p in part.items():
-                for p, h in per_p.items():
-                    dims[(p + s, s)] = dims.get((p + s, s), 0) + h
-        table = HodgeTable(matrix.n, matrix.m, dims)
-        table.check_lefschetz()
-    if config.format == "json":
+    if args.format == "json":
         print(json.dumps(table.to_json_dict(), sort_keys=True))
-    elif config.format == "tsv":
+    elif args.format == "tsv":
         print(table.to_tsv())
     else:
         print(table.to_tsv())
@@ -151,19 +109,21 @@ def _xy_polynomial(table: HodgeTable) -> str:
     return " + ".join(terms) if terms else "0"
 
 
-def cmd_pointcount(config: RunConfig) -> int:
-    matrix = _need_matrix(config)
+def cmd_pointcount(args: argparse.Namespace) -> int:
+    if args.q is not None and not _is_prime(args.q):
+        raise InputError(f"--q {args.q} is not prime")
+    matrix = load_matrix(args.input)
     result = point_count_poly(matrix)
     payload = {
         "polynomial": result.polynomial.render(),
         "coefficients": list(result.polynomial.coefficients),
         "modulus": result.modulus,
     }
-    if config.q is not None:
-        payload["value_at_q"] = result(config.q)
-    if config.format == "json":
+    if args.q is not None:
+        payload["value_at_q"] = result(args.q)
+    if args.format == "json":
         print(json.dumps(payload, sort_keys=True))
-    elif config.format == "tsv":
+    elif args.format == "tsv":
         print("degree\tcoefficient")
         for i, c in enumerate(result.polynomial.coefficients):
             print(f"{i}\t{c}")
@@ -171,21 +131,21 @@ def cmd_pointcount(config: RunConfig) -> int:
         print(payload["polynomial"])
         if result.modulus > 1:
             print(f"valid for primes q = 1 mod {2 * result.modulus}")
-        if config.q is not None:
-            print(f"value at q={config.q}: {payload['value_at_q']}")
+        if args.q is not None:
+            print(f"value at q={args.q}: {payload['value_at_q']}")
     return 0
 
 
-def cmd_e1(config: RunConfig) -> int:
-    matrix = _need_matrix(config)
-    weights = [config.s] if config.s is not None else list(range(matrix.d + 1))
+def cmd_e1(args: argparse.Namespace) -> int:
+    matrix = load_matrix(args.input)
+    weights = _weights(args, matrix)
     rows = []
     for s in weights:
         page = e1_page(matrix, s)
         for (e, f), v in sorted(page.entries.items()):
             if v:
                 rows.append((e, f, s, v))
-    if config.format == "json":
+    if args.format == "json":
         print(
             json.dumps(
                 [{"e": e, "f": f, "s": s, "dim": v} for e, f, s, v in rows]
@@ -195,7 +155,7 @@ def cmd_e1(config: RunConfig) -> int:
     print("e\tf\ts\tdim")
     for e, f, s, v in rows:
         print(f"{e}\t{f}\t{s}\t{v}")
-    if config.format == "text":
+    if args.format == "text":
         # bivariate coefficient tables sum dim * x^s y^e, one per antidiagonal
         by_t: dict[int, dict[tuple[int, int], int]] = {}
         for e, f, s, v in rows:
@@ -212,19 +172,19 @@ def cmd_e1(config: RunConfig) -> int:
     return 0
 
 
-def cmd_ss(config: RunConfig) -> int:
-    matrix = _need_matrix(config)
-    weights = [config.s] if config.s is not None else list(range(matrix.d + 1))
+def cmd_ss(args: argparse.Namespace) -> int:
+    matrix = load_matrix(args.input)
+    weights = _weights(args, matrix)
     records = []
     collapses = []
     payload = []
     for s in weights:
         fc = build_filtered(matrix, s)
-        pages = spectral_sequence(fc, max_page=config.max_page)
+        pages = spectral_sequence(fc, max_page=args.max_page)
         for page in pages:
             for (e, f), v in sorted(page.entries.items()):
                 records.append((page.r, e, f, s, v))
-            if config.format == "json":
+            if args.format == "json":
                 payload.append(
                     {
                         "s": s,
@@ -249,34 +209,32 @@ def cmd_ss(config: RunConfig) -> int:
                     }
                 )
         collapses.append((s, observed_collapse_page(pages)))
-    if config.format == "json":
+    if args.format == "json":
         print(json.dumps(payload))
         return 0
     print("r\te\tf\ts\tdim")
     for rec in records:
         print("\t".join(str(x) for x in rec))
-    if config.format == "text":
+    if args.format == "text":
         for s, page in collapses:
             print(f"# weight s={s}: no differentials observed from page {page} on")
     return 0
 
 
-def cmd_indcomplex(config: RunConfig) -> int:
-    if not config.graph:
-        raise InputError("indcomplex needs --graph GRAPH_FILE")
-    graph = load_graph(config.graph)
+def cmd_indcomplex(args: argparse.Namespace) -> int:
+    graph = load_graph(args.graph)
     cohom = reduced_cohomology(independence_complex(graph))
-    if config.format == "json":
+    if args.format == "json":
         print(json.dumps({"dims": {str(k): v for k, v in sorted(cohom.dims.items())}}))
     else:
         print("H~: " + str(dict(sorted(cohom.dims.items()))))
     return 0
 
 
-def cmd_check(config: RunConfig) -> int:
-    matrix = _need_matrix(config)
+def cmd_check(args: argparse.Namespace) -> int:
+    matrix = load_matrix(args.input)
     report = consistency_suite(matrix)
-    if config.format == "json":
+    if args.format == "json":
         print(
             json.dumps(
                 [
@@ -301,10 +259,9 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
-        config = _config(args)
-        return _COMMANDS[config.command](config)
+        args = _parser().parse_args(argv)
+        return _COMMANDS[args.command](args)
     except InputError as exc:
         print(
             json.dumps({"error": type(exc).__name__, "detail": str(exc)}),

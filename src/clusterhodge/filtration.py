@@ -39,8 +39,8 @@ from .graphs import (
     mv_delta,
     reduced_cohomology,
 )
-from .gysin import CochainComplexQ, GysinBuilder
-from .linalg import Echelon, nullspace, solve_in_span
+from .gysin import GysinBuilder
+from .linalg import CochainComplexQ, Echelon, nullspace, solve_in_span
 
 
 # ---------------------------------------------------------------------------
@@ -372,10 +372,6 @@ def observed_collapse_page(pages: list[SpectralSequencePage]) -> int:
         else:
             break
     return r
-
-
-def infinity_entries(pages: list[SpectralSequencePage]) -> dict[tuple[int, int], int]:
-    return dict(pages[-1].entries)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,10 @@
 Vertices are 0-based ints.  Faces of a simplicial complex are bitmasks over
 the ambient vertex set.  Reduced cohomology follows the convention that the
 complex {empty set} has a one-dimensional H~^{-1} and every nonempty complex
-has H~^{-1} = 0; cochains on r-faces are functions on sorted vertex tuples
-with the usual alternating-sum coboundary.
+has H~^{-1} = 0.  Cohomology is computed from the augmented cochain complex,
+built as a ``linalg.CochainComplexQ`` whose position p holds the faces with
+p vertices (so it carries H~^{p-1}); the Mayer-Vietoris connecting maps take
+their cocycle representatives from that same complex.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from fractions import Fraction
 
 from .errors import CycleTooSmall, NotAForest, NotAnEdge, VertexInX
 from .exterior import bits
-from .linalg import Echelon, nullspace, rank, solve_in_span
+from .linalg import CochainComplexQ
 
 
 @dataclass(frozen=True)
@@ -190,90 +192,31 @@ class ReducedCohomology:
         return isinstance(other, ReducedCohomology) and self.dims == other.dims
 
 
-def _coboundary(cx: SimplicialComplex, r: int) -> list[dict[int, Fraction]]:
-    """Matrix of d: C^r -> C^{r+1} in the sorted-face bases (rows=targets)."""
-    sources = cx.faces_of_dim(r)
-    targets = cx.faces_of_dim(r + 1)
-    src_index = {f: i for i, f in enumerate(sources)}
-    rows = []
-    for f in targets:
-        row: dict[int, Fraction] = {}
-        for pos, v in enumerate(bits(f)):
-            sub = f & ~(1 << v)
-            j = src_index.get(sub)
-            if j is not None:
-                row[j] = Fraction((-1) ** pos)
-        rows.append(row)
-    return rows
+def augmented_cochain_complex(cx: SimplicialComplex) -> CochainComplexQ:
+    """The augmented cochain complex of cx, with faces as labels.
+
+    Position p holds the faces with p vertices in ascending mask order, so it
+    carries H~^{p-1}; the differential sends a face F to the sum over v with
+    F u {v} a face of (-1)^{#F below v} (F u {v}).  The complex {empty set}
+    is the single position 0, where H~^{-1} is one-dimensional.
+    """
+    labels = [cx.faces_of_dim(p - 1) for p in range(cx.dimension() + 2)]
+    columns = []
+    for p in range(len(labels) - 1):
+        index = {f: c for c, f in enumerate(labels[p])}
+        cols: list[dict[int, int]] = [{} for _ in labels[p]]
+        for r, g in enumerate(labels[p + 1]):
+            for below, v in enumerate(bits(g)):
+                c = index.get(g & ~(1 << v))
+                if c is not None:
+                    cols[c][r] = -1 if below & 1 else 1
+        columns.append(cols)
+    return CochainComplexQ(labels, columns)
 
 
 def reduced_cohomology(cx: SimplicialComplex) -> ReducedCohomology:
-    if cx.faces == frozenset({0}):
-        return ReducedCohomology({-1: 1})
-    dims: dict[int, int] = {}
-    top = cx.dimension()
-    ranks = {}
-    for r in range(-1, top + 1):
-        ranks[r] = rank(_coboundary(cx, r))
-    for r in range(0, top + 1):
-        n_faces = len(cx.faces_of_dim(r))
-        h = n_faces - ranks[r] - ranks[r - 1]
-        if h:
-            dims[r] = h
-    return ReducedCohomology(dims)
-
-
-class CohomologyBasis:
-    """Explicit cocycle representatives of H~^r and coordinates mod coboundaries."""
-
-    def __init__(self, cx: SimplicialComplex, r: int):
-        self.complex = cx
-        self.r = r
-        self.faces = cx.faces_of_dim(r)
-        if r == -1:
-            # the empty face is the single basis cochain
-            self.faces = [0] if 0 in cx.faces else []
-        n = len(self.faces)
-        d_out = _coboundary(cx, r) if r >= 0 else _coboundary_from_empty(cx)
-        cocycles = nullspace(d_out, n)
-        if r - 1 == -1:
-            boundary_cols = _coboundary_from_empty(cx)
-        elif r - 1 >= 0:
-            boundary_cols = _coboundary(cx, r - 1)
-        else:
-            boundary_cols = []
-        # images of the previous coboundary, as vectors over the r-faces
-        images: list[dict[int, Fraction]] = []
-        n_prev = 0
-        if r - 1 == -1:
-            n_prev = 1 if 0 in cx.faces else 0
-        elif r - 1 >= 0:
-            n_prev = len(cx.faces_of_dim(r - 1))
-        for j in range(n_prev):
-            images.append({i: row[j] for i, row in enumerate(boundary_cols) if row.get(j)})
-        ech = Echelon()
-        for v in images:
-            ech.add(v)
-        self._span = images
-        self.representatives = []
-        for z in cocycles:
-            if ech.add(z) is not None:
-                self.representatives.append(z)
-
-    @property
-    def dim(self) -> int:
-        return len(self.representatives)
-
-    def coordinates(self, cocycle: dict[int, Fraction]) -> list[Fraction]:
-        coeffs = solve_in_span(self.representatives + self._span, cocycle)
-        if coeffs is None:
-            raise ValueError("vector is not a cocycle of this complex")
-        return coeffs[: len(self.representatives)]
-
-
-def _coboundary_from_empty(cx: SimplicialComplex) -> list[dict[int, Fraction]]:
-    """The augmentation C^{-1} -> C^0 (a single column of ones)."""
-    return [{0: Fraction(1)} for _ in cx.faces_of_dim(0)]
+    dims = augmented_cochain_complex(cx).cohomology_dims()
+    return ReducedCohomology({p - 1: h for p, h in dims.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -424,29 +367,29 @@ def mv_delta(graph: Graph, x_mask: int, a: int, b: int) -> dict[int, list[list[F
         raise NotAnEdge(f"({a}, {b}) is not an edge")
     if x_mask >> a & 1 or x_mask >> b & 1:
         raise VertexInX("a and b must lie outside X")
-    small = independence_complex_on(graph, x_mask)
-    big = independence_complex_on(graph, x_mask | 1 << a | 1 << b)
-    small_h = reduced_cohomology(small)
+    small = augmented_cochain_complex(independence_complex_on(graph, x_mask))
+    big = augmented_cochain_complex(
+        independence_complex_on(graph, x_mask | 1 << a | 1 << b)
+    )
     out: dict[int, list[list[Fraction]]] = {}
-    for r in sorted(small_h.dims):
-        src = CohomologyBasis(small, r)
-        dst = CohomologyBasis(big, r + 1)
+    for p in sorted(small.cohomology_dims()):
+        src = small.cohomology_basis(p)
+        dst = big.cohomology_basis(p + 1)
+        big_faces = big.labels[p + 1] if p + 1 < big.positions else []
+        small_faces = {f: i for i, f in enumerate(small.labels[p])}
         cols = []
-        big_faces = {f: i for i, f in enumerate(big.faces_of_dim(r + 1))}
-        small_faces = {f: i for i, f in enumerate(src.faces)}
         for rep in src.representatives:
             eta: dict[int, Fraction] = {}
-            for f, i in big_faces.items():
+            for i, f in enumerate(big_faces):
                 if not (f >> a & 1):
                     continue
-                sub = f & ~(1 << a)
-                j = small_faces.get(sub)
+                j = small_faces.get(f & ~(1 << a))
                 if j is None or not rep.get(j):
                     continue
                 sign = -1 if ((f >> (a + 1)).bit_count() & 1) else 1
                 eta[i] = rep[j] * sign
             cols.append(dst.coordinates(eta))
-        out[r] = [[cols[j][i] for j in range(len(cols))] for i in range(dst.dim)]
+        out[p - 1] = [[cols[j][i] for j in range(len(cols))] for i in range(dst.dim)]
     return out
 
 

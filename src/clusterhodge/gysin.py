@@ -48,105 +48,10 @@ from .exchange import (
 )
 from .exterior import ExteriorForm, bits, wedge_all, wedge_sign
 from .graphs import anticliques
-from .linalg import Echelon, nullspace, rank, solve_in_span
+from .linalg import CochainComplexQ, Echelon, solve_in_span
 from .poly import IntPolynomial
 
 Label = tuple[int, int]  # (anticlique mask, A mask)
-
-
-# ---------------------------------------------------------------------------
-# complexes of based rational vector spaces
-
-
-@dataclass
-class CochainComplexQ:
-    """Positions 0..P with labeled bases; differentials stored column-wise.
-
-    ``columns[p][c]`` is the image of basis vector c of position p as a
-    sparse vector over the basis of position p+1.
-    """
-
-    labels: list[list[Label]]
-    columns: list[list[dict[int, Fraction | int]]]
-
-    def dim(self, p: int) -> int:
-        if 0 <= p < len(self.labels):
-            return len(self.labels[p])
-        return 0
-
-    @property
-    def positions(self) -> int:
-        return len(self.labels)
-
-    def differential_rank(self, p: int) -> int:
-        if not (0 <= p < len(self.columns)):
-            return 0
-        return rank(self.columns[p])
-
-    def verify_d2(self) -> None:
-        for p in range(len(self.columns) - 1):
-            nxt = self.columns[p + 1]
-            for col in self.columns[p]:
-                acc: dict[int, Fraction | int] = {}
-                for mid, coeff in col.items():
-                    for row, c2 in nxt[mid].items():
-                        w = acc.get(row, 0) + coeff * c2
-                        if w:
-                            acc[row] = w
-                        else:
-                            acc.pop(row, None)
-                if acc:
-                    raise ConsistencyError("differential does not square to zero")
-
-    def cohomology_dims(self) -> dict[int, int]:
-        out = {}
-        ranks = [self.differential_rank(p) for p in range(self.positions)]
-        for p in range(self.positions):
-            prev = ranks[p - 1] if p > 0 else 0
-            h = self.dim(p) - ranks[p] - prev
-            if h:
-                out[p] = h
-        return out
-
-    def rows_at(self, p: int) -> list[dict[int, Fraction | int]]:
-        """The differential out of position p, as rows over its basis."""
-        rows: list[dict[int, Fraction | int]] = [dict() for _ in range(self.dim(p + 1))]
-        if 0 <= p < len(self.columns):
-            for c, col in enumerate(self.columns[p]):
-                for r, v in col.items():
-                    rows[r][c] = v
-        return rows
-
-    def cohomology_basis(self, p: int) -> "CohomologyClasses":
-        return CohomologyClasses(self, p)
-
-
-class CohomologyClasses:
-    """Cocycle representatives of H^p with coordinates modulo coboundaries."""
-
-    def __init__(self, cx: CochainComplexQ, p: int):
-        self.p = p
-        cocycles = nullspace(cx.rows_at(p), cx.dim(p))
-        images = []
-        if p >= 1:
-            for col in cx.columns[p - 1]:
-                if col:
-                    images.append(col)
-        ech = Echelon()
-        for v in images:
-            ech.add(v)
-        self._span = images
-        self.representatives = [z for z in cocycles if ech.add(z) is not None]
-
-    @property
-    def dim(self) -> int:
-        return len(self.representatives)
-
-    def coordinates(self, vector) -> list[Fraction]:
-        coeffs = solve_in_span(self.representatives + self._span, vector)
-        if coeffs is None:
-            raise ValueError("vector is not a cocycle at this position")
-        return coeffs[: len(self.representatives)]
 
 
 # ---------------------------------------------------------------------------
@@ -580,7 +485,8 @@ def hodge_table(matrix: ExtendedExchangeMatrix, check: bool = True) -> HodgeTabl
     The trivial character runs over all anticliques; a nontrivial character
     chi contributes the subcomplex over anticliques containing J(chi), which
     is empty unless J(chi) is an anticlique.  Contributions from characters
-    with equal support coincide, so they are cached by support.
+    with equal support coincide, so each support is computed once and
+    weighted by its number of characters.
     """
     if not is_acyclic(matrix):
         raise NotAcyclic("the quiver has an oriented cycle")
@@ -588,39 +494,27 @@ def hodge_table(matrix: ExtendedExchangeMatrix, check: bool = True) -> HodgeTabl
     if rc is RankClass.NOT_FULL_RANK:
         raise NotFullRank("matrix is not of full rank")
     builder = GysinBuilder(matrix)
-    dims: dict[tuple[int, int], int] = {}
-
-    def accumulate(family_masks):
-        for s in range(matrix.d + 1):
-            cx = builder.complex_for_s(s, family_masks, check=check)
-            for p, h in cx.cohomology_dims().items():
-                key = (p + s, s)
-                dims[key] = dims.get(key, 0) + h
-
-    full_family = [list(level) for level in builder.family.by_cardinality]
-    if rc is RankClass.REALLY_FULL_RANK:
-        accumulate(full_family)
-    else:
+    # characters per anticlique support; really full rank leaves only the
+    # trivial character, whose support 0 selects the whole family
+    support_multiplicity = {0: 1}
+    if rc is not RankClass.REALLY_FULL_RANK:
         group = CharacterGroup(matrix)
-        support_multiplicity: dict[int, int] = {}
+        support_multiplicity = {}
         for chi in group.elements():
             j_mask = _mask_of(group.support(chi))
             if builder.graph.is_independent(j_mask):
                 support_multiplicity[j_mask] = support_multiplicity.get(j_mask, 0) + 1
-        for j_mask, mult in sorted(support_multiplicity.items()):
-            family = [
-                [i for i in level if i & j_mask == j_mask]
-                for level in builder.family.by_cardinality
-            ]
-            partial: dict[tuple[int, int], int] = {}
-            for s in range(matrix.d + 1):
-                cx = builder.complex_for_s(s, family, check=check)
-                for p, h in cx.cohomology_dims().items():
-                    key = (p + s, s)
-                    partial[key] = partial.get(key, 0) + h
-            for key, v in partial.items():
-                dims[key] = dims.get(key, 0) + v * mult
-
+    dims: dict[tuple[int, int], int] = {}
+    for j_mask, mult in sorted(support_multiplicity.items()):
+        family = [
+            [i for i in level if i & j_mask == j_mask]
+            for level in builder.family.by_cardinality
+        ]
+        for s in range(matrix.d + 1):
+            cx = builder.complex_for_s(s, family, check=check)
+            for p, h in cx.cohomology_dims().items():
+                key = (p + s, s)
+                dims[key] = dims.get(key, 0) + h * mult
     table = HodgeTable(matrix.n, matrix.m, {k: v for k, v in dims.items() if v})
     if check:
         table.check_weak_support()

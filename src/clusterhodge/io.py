@@ -25,24 +25,35 @@ def _strip_comments(text: str) -> list[str]:
     return lines
 
 
+def _ints(line: str) -> list[int]:
+    try:
+        return [int(tok) for tok in line.split()]
+    except ValueError:
+        raise ShapeMismatch(f"non-integer token in line {line!r}") from None
+
+
 def parse_matrix_text(text: str) -> ExtendedExchangeMatrix:
     lines = _strip_comments(text)
     if not lines:
         raise ShapeMismatch("empty matrix file")
-    head = lines[0].split()
+    head = _ints(lines[0])
     if len(head) != 2:
         raise ShapeMismatch("first line must be 'n m'")
-    n, m = int(head[0]), int(head[1])
-    rows = [[int(tok) for tok in line.split()] for line in lines[1:]]
+    n, m = head
+    rows = [_ints(line) for line in lines[1:]]
     return validate(rows, n, m)
 
 
 def parse_matrix_json(text: str) -> ExtendedExchangeMatrix:
-    data = json.loads(text)
     try:
-        return validate(data["rows"], int(data["n"]), int(data["m"]))
+        data = json.loads(text, parse_float=int)  # rejects float entries
+        n, m = int(data["n"]), int(data["m"])
+        rows = [[int(v) for v in row] for row in data["rows"]]
     except KeyError as missing:
-        raise ShapeMismatch(f"matrix JSON lacks key {missing}")
+        raise ShapeMismatch(f"matrix JSON lacks key {missing}") from None
+    except (TypeError, ValueError) as exc:  # json.JSONDecodeError included
+        raise ShapeMismatch(f"malformed matrix JSON: {exc}") from None
+    return validate(rows, n, m)
 
 
 def parse_matrix(text: str) -> ExtendedExchangeMatrix:
@@ -67,13 +78,15 @@ def parse_graph_text(text: str) -> Graph:
     lines = _strip_comments(text)
     if not lines:
         raise ShapeMismatch("empty graph file")
-    v = int(lines[0].split()[0])
+    v = _ints(lines[0])[0]
+    if v < 0:
+        raise ShapeMismatch(f"negative vertex count {v}")
     pairs = []
     for line in lines[1:]:
-        toks = line.split()
+        toks = _ints(line)
         if len(toks) != 2:
             raise ShapeMismatch(f"bad edge line: {line!r}")
-        a, b = int(toks[0]), int(toks[1])
+        a, b = toks
         if not (1 <= a <= v and 1 <= b <= v) or a == b:
             raise ShapeMismatch(f"edge ({a}, {b}) outside 1..{v}")
         pairs.append((a - 1, b - 1))

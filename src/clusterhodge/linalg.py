@@ -9,7 +9,10 @@ Matrices come in two flavours here:
 
 Rank computations run fraction-free on arbitrary-precision integers after
 clearing denominators row by row; pivots are chosen to limit fill-in and
-entry growth.  The Smith normal form keeps all four transformation matrices
+entry growth.  ``CochainComplexQ`` is the one cochain-complex type of the
+package (Gysin complexes, graded pieces and simplicial cochains alike), and
+``CohomologyClasses`` its cocycle representatives modulo coboundaries.
+The Smith normal form keeps all four transformation matrices
 (S = P*A*Q together with the inverses of P and Q) because character lifts
 need explicit saturation bases, not just invariant factors.
 """
@@ -19,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+
+from .errors import ConsistencyError
 
 Row = dict[int, Fraction | int]
 
@@ -172,6 +177,97 @@ def solve_in_span(vectors: list[Row], target: Row) -> list[Fraction] | None:
     for c, v in red.items():
         coeffs[c - size] = -v
     return coeffs
+
+
+# ---------------------------------------------------------------------------
+# cochain complexes of based rational vector spaces
+
+
+@dataclass
+class CochainComplexQ:
+    """Positions 0..P with labeled bases; differentials stored column-wise.
+
+    ``columns[p][c]`` is the image of basis vector c of position p as a
+    sparse vector over the basis of position p+1.  Labels are opaque to the
+    linear algebra: Gysin complexes label by (anticlique, A) mask pairs,
+    simplicial cochain complexes by faces.
+    """
+
+    labels: list[list]
+    columns: list[list[Row]]
+
+    def dim(self, p: int) -> int:
+        if 0 <= p < len(self.labels):
+            return len(self.labels[p])
+        return 0
+
+    @property
+    def positions(self) -> int:
+        return len(self.labels)
+
+    def differential_rank(self, p: int) -> int:
+        if not (0 <= p < len(self.columns)):
+            return 0
+        return rank(self.columns[p])
+
+    def verify_d2(self) -> None:
+        for p in range(len(self.columns) - 1):
+            nxt = self.columns[p + 1]
+            for col in self.columns[p]:
+                acc: Row = {}
+                for mid, coeff in col.items():
+                    for row, c2 in nxt[mid].items():
+                        w = acc.get(row, 0) + coeff * c2
+                        if w:
+                            acc[row] = w
+                        else:
+                            acc.pop(row, None)
+                if acc:
+                    raise ConsistencyError("differential does not square to zero")
+
+    def cohomology_dims(self) -> dict[int, int]:
+        out = {}
+        ranks = [self.differential_rank(p) for p in range(self.positions)]
+        for p in range(self.positions):
+            prev = ranks[p - 1] if p > 0 else 0
+            h = self.dim(p) - ranks[p] - prev
+            if h:
+                out[p] = h
+        return out
+
+    def rows_at(self, p: int) -> list[Row]:
+        """The differential out of position p, as rows over its basis."""
+        rows: list[Row] = [dict() for _ in range(self.dim(p + 1))]
+        if 0 <= p < len(self.columns):
+            for c, col in enumerate(self.columns[p]):
+                for r, v in col.items():
+                    rows[r][c] = v
+        return rows
+
+    def cohomology_basis(self, p: int) -> "CohomologyClasses":
+        return CohomologyClasses(self, p)
+
+
+class CohomologyClasses:
+    """Cocycle representatives of H^p with coordinates modulo coboundaries."""
+
+    def __init__(self, cx: CochainComplexQ, p: int):
+        self.p = p
+        cocycles = nullspace(cx.rows_at(p), cx.dim(p))
+        incoming = cx.columns[p - 1] if 0 < p <= len(cx.columns) else []
+        self._span = [col for col in incoming if col]
+        _, grew = rank_relative(self._span, cocycles)
+        self.representatives = [cocycles[i] for i in grew]
+
+    @property
+    def dim(self) -> int:
+        return len(self.representatives)
+
+    def coordinates(self, vector: Row) -> list[Fraction]:
+        coeffs = solve_in_span(self.representatives + self._span, vector)
+        if coeffs is None:
+            raise ValueError("vector is not a cocycle at this position")
+        return coeffs[: len(self.representatives)]
 
 
 # ---------------------------------------------------------------------------

@@ -136,7 +136,39 @@ def test_missing_input_is_exit_2(capsys):
     assert main(["hodge"]) == 2
 
 
-def test_jobs_flag_fanout(edge_file, capsys):
-    assert main(["hodge", "--input", edge_file, "--jobs", "2", "--format", "tsv"]) == 0
-    out = capsys.readouterr().out.strip().splitlines()
-    assert out[1:] == ["0\t0\t1", "1\t1\t2", "2\t2\t2", "3\t3\t2", "4\t4\t1"]
+@pytest.mark.parametrize(
+    "command, flag, text",
+    [
+        ("hodge", "--input", "2 2\n0 1\n-1 x\n1 0\n0 1\n"),
+        ("hodge", "--input", '{"n": 2, "m": 2, "rows": [[0, 1]'),
+        ("hodge", "--input", '{"n": 1, "m": 1, "rows": [[0], [1.5]]}'),
+        ("indcomplex", "--graph", "six\n1 2\n"),
+        ("indcomplex", "--graph", "-2\n"),
+    ],
+    ids=["bad-token", "bad-json", "float-in-json", "bad-graph-header", "negative-graph-header"],
+)
+def test_bad_file_contents_are_exit_2(tmp_path, capsys, command, flag, text):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    assert main([command, flag, str(path)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ShapeMismatch"
+
+
+@pytest.mark.parametrize("command", ["hodge", "e1", "ss"])
+@pytest.mark.parametrize("s", ["99", "-1"])
+def test_weight_out_of_range_is_exit_2(edge_file, capsys, command, s):
+    assert main([command, "--input", edge_file, "--s", s]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "InputError"
+
+
+@pytest.mark.parametrize(
+    "extra", [["--jobs", "2"], ["--format", "yaml"]], ids=["removed-flag", "bad-format"]
+)
+def test_bad_flags_are_exit_2(edge_file, capsys, extra):
+    assert main(["hodge", "--input", edge_file] + extra) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "InputError"
