@@ -23,7 +23,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .graphs import Graph
-from .linalg import SmithNormalForm, rank, smith_normal_form
+from .linalg import Echelon, SmithNormalForm, smith_normal_form
 
 
 @dataclass(frozen=True)
@@ -446,15 +446,14 @@ def reduce_character(
             for r in range(matrix.d)
             if r >= matrix.n or (r not in k_set and r not in j_set)
         ]
-        current = rank([dict(enumerate(r)) for r in rows])
+        ech = Echelon()
+        for r in rows:
+            ech.add(dict(enumerate(r)))
         for cand in candidates:
-            if len(rows) == total_rows or current == nk:
+            if len(rows) == total_rows or ech.rank == nk:
                 break
-            trial = rows + [cand]
-            rk = rank([dict(enumerate(r)) for r in trial])
-            if rk > current:
+            if ech.add(dict(enumerate(cand))) is not None:
                 rows.append(cand)
-                current = rk
     while len(rows) < total_rows:
         rows.append([0] * nk)
     reduced = validate(rows, nk, total_rows - nk)

@@ -40,7 +40,7 @@ from .graphs import (
     reduced_cohomology,
 )
 from .gysin import GysinBuilder
-from .linalg import CochainComplexQ, Echelon, nullspace, solve_in_span
+from .linalg import CochainComplexQ, nullspace, rank_relative, solve_in_span
 
 
 # ---------------------------------------------------------------------------
@@ -281,11 +281,8 @@ class _Engine:
         """(representatives, denominator spanning set) for E_r^{e, k-e}."""
         z = self._z_basis(e, k, r)
         den = self._d_span(e, k, r)
-        ech = Echelon()
-        for v in den:
-            ech.add(v)
-        reps = [vec for vec in z if ech.add(vec) is not None]
-        return reps, den
+        _, grew = rank_relative(den, z)
+        return [z[i] for i in grew], den
 
     def apply_d(self, k: int, vec: dict[int, Fraction]) -> dict[int, Fraction]:
         out: dict[int, Fraction] = {}
@@ -447,6 +444,7 @@ def e1_page(matrix: ExtendedExchangeMatrix, s: int) -> E1Page:
                 blk.append(E1Block(tuple(bits(d_mask)), tuple(bits(e_mask)), h))
 
     diffs: dict[tuple[int, int], list[list[Fraction]]] = {}
+    deltas: dict[tuple[int, int, int], dict[int, list[list[Fraction]]]] = {}
     for (d_mask, e_mask, e, f), (offset, h) in positions.items():
         target_pos = (e + 1, f)
         if entries.get(target_pos, 0) == 0:
@@ -464,7 +462,9 @@ def e1_page(matrix: ExtendedExchangeMatrix, s: int) -> E1Page:
                 if key2 not in positions:
                     continue
                 offset2, h2 = positions[key2]
-                block = mv_delta(graph, x_mask, a, b).get(r)
+                if (x_mask, a, b) not in deltas:
+                    deltas[(x_mask, a, b)] = mv_delta(graph, x_mask, a, b)
+                block = deltas[(x_mask, a, b)].get(r)
                 if block is None:
                     continue
                 flips = (

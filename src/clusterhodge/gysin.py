@@ -90,6 +90,7 @@ class GysinBuilder:
         self.graph = underlying_graph(matrix)
         self.family = anticliques(self.graph)
         self._n_of: dict[int, tuple[int, ...]] = {}
+        self._basis: dict[int, GModuleBasis] = {}
         self._pi: dict[int, dict[int, ExteriorForm]] = {}
         self._alphas = [self._alpha(j) for j in range(matrix.n)]
         self._wedge_cache: dict[int, ExteriorForm] = {}
@@ -146,6 +147,9 @@ class GysinBuilder:
             raise NotAnticlique(f"{sorted(bits(i_mask))} is not an anticlique")
 
     def basis(self, i_mask: int) -> GModuleBasis:
+        cached = self._basis.get(i_mask)
+        if cached is not None:
+            return cached
         self.require_anticlique(i_mask)
         n_rows = self.choose_n(i_mask)
         n_mask = 0
@@ -160,9 +164,11 @@ class GysinBuilder:
                     m |= 1 << t
                 masks.append(m)
         masks.sort()
-        return GModuleBasis(
+        result = GModuleBasis(
             tuple(bits(i_mask)), n_rows, tuple(masks), self.matrix.n, self.matrix.m
         )
+        self._basis[i_mask] = result
+        return result
 
     def theta_form(self, a_mask: int, i_mask: int) -> ExteriorForm:
         """theta(A, I) expanded in the ambient dlog monomial basis."""

@@ -7,11 +7,12 @@ Matrices come in two flavours here:
 * dense: a list of lists of ints (used by the Smith normal form, where the
   unimodular transforms are dense anyway).
 
-Rank computations run fraction-free on arbitrary-precision integers after
-clearing denominators row by row; pivots are chosen to limit fill-in and
-entry growth.  ``CochainComplexQ`` is the one cochain-complex type of the
-package (Gysin complexes, graded pieces and simplicial cochains alike), and
-``CohomologyClasses`` its cocycle representatives modulo coboundaries.
+All sparse elimination is ``Echelon``'s, fraction-free over the integers;
+``rank``, ``rank_relative``, ``nullspace`` and ``solve_in_span`` drive it
+and read answers over Q off its integer rows.  ``CochainComplexQ`` is the
+one cochain-complex type of the package (Gysin complexes, graded pieces and
+simplicial cochains alike), and ``CohomologyClasses`` its cocycle
+representatives modulo coboundaries.
 The Smith normal form keeps all four transformation matrices
 (S = P*A*Q together with the inverses of P and Q) because character lifts
 need explicit saturation bases, not just invariant factors.
@@ -21,106 +22,89 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import ConsistencyError
 
 Row = dict[int, Fraction | int]
 
 
-def _scaled_int_row(row: Row) -> dict[int, int]:
-    """Clear denominators and divide by the content; rank is unaffected."""
-    denom = 1
-    for v in row.values():
-        if isinstance(v, Fraction):
-            denom = denom * v.denominator // gcd(denom, v.denominator)
-    ints = {c: int(v * denom) for c, v in row.items() if v}
-    if not ints:
-        return {}
-    g = 0
-    for v in ints.values():
-        g = gcd(g, v)
-    return {c: v // g for c, v in ints.items()}
-
-
-def rank(rows: list[Row]) -> int:
-    """Rank of a sparse matrix, by fraction-free Gaussian elimination."""
-    work = [_scaled_int_row(r) for r in rows]
-    work = [r for r in work if r]
-    rk = 0
-    while work:
-        # Cheapest pivot row first; within it, the sparsest column.
-        counts: dict[int, int] = {}
-        for r in work:
-            for c in r:
-                counts[c] = counts.get(c, 0) + 1
-        best = min(range(len(work)), key=lambda i: (len(work[i]), min(work[i])))
-        prow = work.pop(best)
-        pcol = min(prow, key=lambda c: (counts[c], c))
-        pval = prow[pcol]
-        rk += 1
-        nxt = []
-        for r in work:
-            v = r.get(pcol)
-            if v is None:
-                nxt.append(r)
-                continue
-            new = {}
-            g = 0
-            for c in r.keys() | prow.keys():
-                w = r.get(c, 0) * pval - prow.get(c, 0) * v
-                if w:
-                    new[c] = w
-                    g = gcd(g, w)
-            if new:
-                if g > 1:
-                    new = {c: w // g for c, w in new.items()}
-                nxt.append(new)
-        work = nxt
-    return rk
+def _primitive(row: Row) -> dict[int, int]:
+    """Clear denominators and divide by the content; the span is unaffected."""
+    denom = lcm(*(v.denominator for v in row.values() if isinstance(v, Fraction)))
+    ints = {
+        c: v.numerator * (denom // v.denominator) if isinstance(v, Fraction) else v * denom
+        for c, v in row.items()
+        if v
+    }
+    g = gcd(*ints.values())
+    if g > 1:
+        ints = {c: v // g for c, v in ints.items()}
+    return ints
 
 
 class Echelon:
-    """Incremental reduced echelon form over Q for sparse rows.
+    """Incremental row echelon form of sparse rows, fraction-free over Z.
 
-    Stores pivot rows normalized to leading coefficient 1, keyed by pivot
-    column.  Used for rank-relative-to-a-span computations and for solving
-    small exact systems.
+    Rows over Q enter with their denominators cleared.  Each step replaces
+    ``row`` by ``row*piv[c] - piv*row[c]`` and divides out the content, so a
+    reduced row is an integer multiple of its reduction over Q.  Pivot rows
+    are primitive with a positive leading entry, keyed by leading column;
+    which rows are dependent depends only on the insertion order.
     """
 
     def __init__(self) -> None:
-        self.pivots: dict[int, dict[int, Fraction]] = {}
+        self.pivots: dict[int, dict[int, int]] = {}
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
-    def reduce(self, row: Row) -> dict[int, Fraction]:
-        out = {c: Fraction(v) for c, v in row.items() if v}
+    def reduce(self, row: Row) -> dict[int, int]:
+        """Primitive multiple of row minus pivot rows, with no pivot at its lead.
+
+        Empty when the row lies in the span of the pivot rows.
+        """
+        out = _primitive(row)
         while out:
             c = min(out)
             piv = self.pivots.get(c)
             if piv is None:
                 return out
-            coef = out[c]
-            for pc, pv in piv.items():
-                w = out.get(pc, Fraction(0)) - coef * pv
+            a, b = piv[c], out[c]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            if a != 1:
+                out = {k: v * a for k, v in out.items()}
+            for k, v in piv.items():
+                w = out.get(k, 0) - b * v
                 if w:
-                    out[pc] = w
+                    out[k] = w
                 else:
-                    out.pop(pc, None)
+                    del out[k]
+            g = gcd(*out.values())
+            if g > 1:
+                out = {k: v // g for k, v in out.items()}
         return out
 
-    def add(self, row: Row) -> dict[int, Fraction] | None:
-        """Insert a row; return its reduction, or None if dependent."""
+    def add(self, row: Row) -> dict[int, int] | None:
+        """Insert a row; return its pivot row, or None if dependent."""
         red = self.reduce(row)
         if not red:
             return None
         c = min(red)
-        lead = red[c]
-        norm = {k: v / lead for k, v in red.items()}
-        self.pivots[c] = norm
-        return norm
+        if red[c] < 0:
+            red = {k: -v for k, v in red.items()}
+        self.pivots[c] = red
+        return red
+
+
+def rank(rows: list[Row]) -> int:
+    """Rank of a sparse matrix."""
+    ech = Echelon()
+    for r in rows:
+        ech.add(r)
+    return ech.rank
 
 
 def rank_relative(base: list[Row], extra: list[Row]) -> tuple[int, list[int]]:
@@ -140,7 +124,8 @@ def nullspace(rows: list[Row], ncols: int) -> list[dict[int, Fraction]]:
 
     Works on the column vectors of the matrix, augmented past position
     ``len(rows)`` with an identity marker; a column combination that kills
-    the left block is a kernel vector, read off from the markers.
+    the left block is a kernel vector, read off from the markers and scaled
+    to leading coefficient 1.
     """
     shift = len(rows)
     ech = Echelon()
@@ -149,8 +134,8 @@ def nullspace(rows: list[Row], ncols: int) -> list[dict[int, Fraction]]:
         vec: Row = {i: row[c] for i, row in enumerate(rows) if row.get(c)}
         vec[shift + c] = 1
         red = ech.add(vec)
-        if red is not None and min(red) >= shift:
-            kernel.append({k - shift: v for k, v in red.items()})
+        if red is not None and (lead := min(red)) >= shift:
+            kernel.append({k - shift: Fraction(v, red[lead]) for k, v in red.items()})
     return kernel
 
 
@@ -158,24 +143,25 @@ def solve_in_span(vectors: list[Row], target: Row) -> list[Fraction] | None:
     """Coefficients expressing target as a combination of vectors, or None.
 
     The returned list has one coefficient per input vector (zeros included).
+    Every vector, and the target, carries a marker column of its own; the
+    target's marker holds the factor its integer reduction was scaled by.
     """
-    size = 0
-    for v in vectors:
-        if v:
-            size = max(size, max(v) + 1)
-    if target:
-        size = max(size, max(target) + 1)
+    size = max((max(v) + 1 for v in (*vectors, target) if v), default=0)
     ech = Echelon()
     for i, v in enumerate(vectors):
-        row = {c: Fraction(x) for c, x in v.items() if x}
-        row[size + i] = Fraction(1)
+        row = dict(v)
+        row[size + i] = 1
         ech.add(row)
-    red = ech.reduce(dict(target))
-    if any(c < size for c in red):
+    marker = size + len(vectors)
+    row = dict(target)
+    row[marker] = 1
+    red = ech.reduce(row)
+    if min(red) < size:
         return None
+    scale = red.pop(marker)
     coeffs = [Fraction(0)] * len(vectors)
     for c, v in red.items():
-        coeffs[c - size] = -v
+        coeffs[c - size] = Fraction(-v, scale)
     return coeffs
 
 

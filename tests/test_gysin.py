@@ -13,12 +13,14 @@ from clusterhodge.errors import (
 )
 from clusterhodge.exchange import (
     CharacterGroup,
+    is_acyclic,
+    mutate,
     principal_from_graph,
     principal_matrix,
     validate,
 )
 from clusterhodge.exterior import ExteriorForm, bits
-from clusterhodge.graphs import Graph, path_graph, star_graph
+from clusterhodge.graphs import Graph, cycle_graph, path_graph, star_graph
 from clusterhodge.gysin import (
     GysinBuilder,
     alpha,
@@ -367,6 +369,42 @@ def test_frozen_block_change_of_basis_invariance():
     transformed = mat_mul(u, [list(r) for r in m.rows])
     m2 = validate(transformed, 2, 2)
     assert hodge_table(m).dims == hodge_table(m2).dims
+
+
+def test_mutation_between_acyclic_seeds_keeps_the_table():
+    rng = random.Random(2021)
+    cases = 0
+    while cases < 60:
+        m = random_acyclic_matrix(rng, n_max=4, m_max=4)
+        for k in range(m.n):
+            m2 = mutate(m, k)
+            if is_acyclic(m2):
+                assert hodge_table(m).dims == hodge_table(m2).dims, (m.rows, k)
+                cases += 1
+
+
+def test_disjoint_union_table_is_kunneth_product():
+    # principal coefficients: the variety of G + H is the product of theirs
+    cases = [
+        (path_graph(2), path_graph(1)),
+        (path_graph(3), path_graph(2)),
+        (star_graph(3), cycle_graph(3)),
+        (path_graph(2), path_graph(2)),
+    ]
+    for g, h in cases:
+        shift = g.n_vertices
+        union = Graph.from_edges(
+            shift + h.n_vertices,
+            list(g.edges) + [(u + shift, v + shift) for u, v in h.edges],
+        )
+        tg = hodge_table(principal_from_graph(g)).dims
+        th = hodge_table(principal_from_graph(h)).dims
+        product: dict[tuple[int, int], int] = {}
+        for (k1, s1), a in tg.items():
+            for (k2, s2), b in th.items():
+                key = (k1 + k2, s1 + s2)
+                product[key] = product.get(key, 0) + a * b
+        assert hodge_table(principal_from_graph(union)).dims == product
 
 
 def test_isolated_vertex_shift():

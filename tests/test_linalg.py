@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd, lcm
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +25,29 @@ small_matrices = st.integers(1, 5).flatmap(
     )
 )
 
+# rational entries, zeros drawn often: a kernel that truncated Fractions or
+# mishandled explicit zeros would disagree with the integer SNF below
+entries = st.one_of(
+    st.just(0),
+    st.integers(-9, 9),
+    st.fractions(min_value=-9, max_value=9, max_denominator=7),
+)
+rational_matrices = st.integers(1, 5).flatmap(
+    lambda r: st.integers(1, 5).flatmap(
+        lambda c: st.lists(
+            st.lists(entries, min_size=c, max_size=c),
+            min_size=r,
+            max_size=r,
+        )
+    )
+)
+
+
+def _cleared(row):
+    """The row times the lcm of its denominators, as ints."""
+    denom = lcm(*(Fraction(v).denominator for v in row))
+    return [int(Fraction(v) * denom) for v in row]
+
 
 @given(small_matrices)
 @settings(max_examples=120, deadline=None)
@@ -42,12 +66,20 @@ def test_snf_reconstructs_and_is_unimodular(mat):
         assert a > 0 and b % a == 0
 
 
-@given(small_matrices)
+@given(rational_matrices)
 @settings(max_examples=80, deadline=None)
 def test_snf_rank_matches_elimination(mat):
-    snf = smith_normal_form(mat)
+    snf = smith_normal_form([_cleared(r) for r in mat])
     rows = [dict(enumerate(r)) for r in mat]
     assert snf.rank == rank(rows)
+    ech = Echelon()
+    for r in rows:
+        ech.add(r)
+    assert ech.rank == snf.rank
+    for c, piv in ech.pivots.items():
+        assert min(piv) == c and piv[c] > 0
+        assert all(type(v) is int and v for v in piv.values())
+        assert gcd(*piv.values()) == 1
 
 
 def test_rank_examples():
@@ -57,7 +89,7 @@ def test_rank_examples():
     assert rank([{0: Fraction(1, 2)}, {1: 3}]) == 2
 
 
-@given(small_matrices)
+@given(rational_matrices)
 @settings(max_examples=60, deadline=None)
 def test_nullspace_vectors_annihilate(mat):
     rows = [dict(enumerate(r)) for r in mat]
@@ -75,6 +107,23 @@ def test_solve_in_span_round_trip():
     coeffs = solve_in_span(vectors, target)
     assert coeffs == [2, 1]
     assert solve_in_span(vectors, {2: 1}) is None
+
+
+@given(rational_matrices, st.lists(entries, min_size=5, max_size=5))
+@settings(max_examples=60, deadline=None)
+def test_solve_in_span_round_trip_random(mat, weights):
+    vectors = [{c: v for c, v in enumerate(r) if v} for r in mat]
+    ncols = len(mat[0])
+    target = {}
+    for w, vec in zip(weights, vectors):
+        for c, v in vec.items():
+            target[c] = target.get(c, 0) + w * v
+    coeffs = solve_in_span(vectors, target)
+    assert coeffs is not None and len(coeffs) == len(vectors)
+    for c in range(ncols):
+        got = sum(k * vec.get(c, 0) for k, vec in zip(coeffs, vectors))
+        assert got == target.get(c, 0)
+    assert solve_in_span(vectors, {ncols: 1}) is None
 
 
 def test_rank_relative_tracks_new_rows():
