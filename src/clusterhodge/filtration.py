@@ -14,6 +14,9 @@ the subquotient formula
 
 by exact linear algebra, keeping explicit coset representatives so that the
 induced differentials of degree (r, 1-r) are computable matrices.
+F^{e+1} is spanned by basis vectors, so modulo it an entry is one
+``linalg.Quotient`` of the projected Z_r by the projected d F^{e-r+1}: one
+echelon picks its representatives and solves every differential into it.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from .graphs import (
     reduced_cohomology,
 )
 from .gysin import GysinBuilder
-from .linalg import CochainComplexQ, nullspace, rank_relative, solve_in_span
+from .linalg import CochainComplexQ, Quotient, nullspace
 
 
 # ---------------------------------------------------------------------------
@@ -234,15 +237,20 @@ class SpectralSequencePage:
 
 
 class _Engine:
+    """Pages of one filtered complex, each entry E_r^{e, k-e} modulo F^{e+1}.
+
+    The entry's ``Quotient`` reduces the projected d(F^{e-r+1} V_{k-1}) once,
+    picks the projected Z_r vectors independent modulo it (representatives
+    are their unprojected originals) and gives the coefficients of every
+    projected d z landing in the entry.  Quotients live for one ``page``.
+    """
+
     def __init__(self, fc: FilteredComplexQ):
         self.cx = fc.complex
         self.levels = fc.levels
         self.lo, self.hi = fc.level_range()
         self._rows = [self.cx.rows_at(p) for p in range(self.cx.positions)]
         self._z_cache: dict[tuple[int, int, int], list[dict[int, Fraction]]] = {}
-
-    def level(self, k: int, idx: int) -> int:
-        return self.levels[k][idx]
 
     def _z_basis(self, e: int, k: int, r: int) -> list[dict[int, Fraction]]:
         """{x in F^e V_k : d x in F^{e+r}}, as vectors over the V_k basis."""
@@ -251,11 +259,11 @@ class _Engine:
         cached = self._z_cache.get(key)
         if cached is not None:
             return cached
-        allowed = [i for i in range(self.cx.dim(k)) if self.level(k, i) >= e]
+        allowed = [i for i in range(self.cx.dim(k)) if self.levels[k][i] >= e]
         pos = {i: c for c, i in enumerate(allowed)}
         rows = []
         for ridx, row in enumerate(self._rows[k] if k < len(self._rows) else []):
-            if self.level(k + 1, ridx) >= cap:
+            if self.levels[k + 1][ridx] >= cap:
                 continue
             filtered = {pos[c]: v for c, v in row.items() if c in pos}
             if filtered:
@@ -265,24 +273,22 @@ class _Engine:
         self._z_cache[key] = out
         return out
 
-    def _d_span(self, e: int, k: int, r: int) -> list[dict[int, Fraction | int]]:
-        """Spanning set of F^{e+1} V_k + d(F^{e-r+1} V_{k-1})."""
-        span: list[dict[int, Fraction | int]] = [
-            {i: 1} for i in range(self.cx.dim(k)) if self.level(k, i) >= e + 1
-        ]
-        floor = e - r + 1
-        if k - 1 >= 0 and k - 1 < len(self.cx.columns):
-            for c, col in enumerate(self.cx.columns[k - 1]):
-                if col and self.level(k - 1, c) >= floor:
-                    span.append(col)
-        return span
+    def _below(self, k: int, e: int, vec: dict) -> dict:
+        """vec modulo F^e: the coordinates of level below e."""
+        lv = self.levels[k]
+        return {i: v for i, v in vec.items() if lv[i] < e}
 
-    def entry_data(self, e: int, k: int, r: int):
-        """(representatives, denominator spanning set) for E_r^{e, k-e}."""
+    def entry_data(self, e: int, k: int, r: int) -> tuple[list, Quotient]:
+        """Representatives of E_r^{e, k-e} and the quotient echelon that chose them."""
         z = self._z_basis(e, k, r)
-        den = self._d_span(e, k, r)
-        _, grew = rank_relative(den, z)
-        return [z[i] for i in grew], den
+        incoming = self.cx.columns[k - 1] if 0 < k <= len(self.cx.columns) else []
+        base = [
+            self._below(k, e + 1, col)
+            for c, col in enumerate(incoming)
+            if self.levels[k - 1][c] >= e - r + 1
+        ]
+        quot = Quotient(base, [self._below(k, e + 1, v) for v in z])
+        return [z[i] for i in quot.chosen], quot
 
     def apply_d(self, k: int, vec: dict[int, Fraction]) -> dict[int, Fraction]:
         out: dict[int, Fraction] = {}
@@ -298,41 +304,31 @@ class _Engine:
 
     def page(self, r: int, with_differentials: bool = True) -> SpectralSequencePage:
         entries: dict[tuple[int, int], int] = {}
-        reps_at: dict[tuple[int, int], list[dict[int, Fraction]]] = {}
-        den_at: dict[tuple[int, int], list] = {}
+        at: dict[tuple[int, int], tuple[list, Quotient]] = {}
         for k in range(self.cx.positions):
-            levels_here = sorted({self.level(k, i) for i in range(self.cx.dim(k))})
-            for e in levels_here:
-                reps, den = self.entry_data(e, k, r)
+            for e in sorted(set(self.levels[k])):
+                reps, _ = at[(e, k)] = self.entry_data(e, k, r)
                 if reps:
                     entries[(e, k - e)] = len(reps)
-                reps_at[(e, k)] = reps
-                den_at[(e, k)] = den
         diffs: dict[tuple[int, int], list[list[Fraction]]] = {}
         if with_differentials:
-            for (e, k), reps in reps_at.items():
+            for (e, k), (reps, _) in list(at.items()):
                 if not reps:
                     continue
                 te, tk = e + r, k + 1
-                if (te, tk) in reps_at:
-                    treps, tden = reps_at[(te, tk)], den_at[(te, tk)]
-                else:
-                    treps, tden = self.entry_data(te, tk, r)
+                if (te, tk) not in at:
+                    at[(te, tk)] = self.entry_data(te, tk, r)
+                treps, target = at[(te, tk)]
                 if not treps:
                     continue
                 mat = [[Fraction(0)] * len(reps) for _ in range(len(treps))]
-                nonzero = False
                 for cidx, z in enumerate(reps):
-                    dz = self.apply_d(k, z)
-                    if not dz:
-                        continue
-                    coeffs = solve_in_span(treps + tden, dz)
+                    dz = self._below(tk, te + 1, self.apply_d(k, z))
+                    coeffs = target.coordinates(dz)
                     assert coeffs is not None, "dz must land in the target entry"
-                    for ridx in range(len(treps)):
-                        if coeffs[ridx]:
-                            mat[ridx][cidx] = coeffs[ridx]
-                            nonzero = True
-                if nonzero:
+                    for ridx, c in enumerate(coeffs):
+                        mat[ridx][cidx] = c
+                if any(map(any, mat)):
                     diffs[(e, k - e)] = mat
         return SpectralSequencePage(r, entries, diffs)
 
@@ -477,13 +473,12 @@ def e1_page(matrix: ExtendedExchangeMatrix, s: int) -> E1Page:
                     + f
                 )
                 scale = matrix.rows[b][a] * (-1 if flips & 1 else 1)
-                mat = diffs.setdefault(
-                    (e, f),
-                    [
+                mat = diffs.get((e, f))
+                if mat is None:
+                    mat = diffs[(e, f)] = [
                         [Fraction(0)] * entries[(e, f)]
                         for _ in range(entries[target_pos])
-                    ],
-                )
+                    ]
                 for i in range(h2):
                     for jj in range(h):
                         if block[i][jj]:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import comb
 
@@ -70,10 +71,16 @@ class GModuleBasis:
     def dimension(self) -> int:
         return len(self.basis_index)
 
+    @cached_property
+    def _by_degree(self) -> dict[int, list[int]]:
+        out: dict[int, list[int]] = {}
+        for a in self.basis_index:
+            out.setdefault(a.bit_count(), []).append(a)
+        return out
+
     def masks_of_degree(self, s: int) -> list[int]:
-        k = len(self.anticlique)
-        want = s - k
-        return [a for a in self.basis_index if a.bit_count() == want]
+        """Admissible A masks of weight s, ascending; callers must not mutate it."""
+        return self._by_degree.get(s - len(self.anticlique), [])
 
 
 class GysinBuilder:

@@ -9,10 +9,11 @@ Matrices come in two flavours here:
 
 All sparse elimination is ``Echelon``'s, fraction-free over the integers;
 ``rank``, ``rank_relative``, ``nullspace`` and ``solve_in_span`` drive it
-and read answers over Q off its integer rows.  ``CochainComplexQ`` is the
-one cochain-complex type of the package (Gysin complexes, graded pieces and
-simplicial cochains alike), and ``CohomologyClasses`` its cocycle
-representatives modulo coboundaries.
+and read answers over Q off its integer rows; ``Quotient`` reduces a span
+once and then answers each "representatives modulo it" query in one step.
+``CochainComplexQ`` is the one cochain-complex type of the package (Gysin
+complexes, graded pieces and simplicial cochains alike), and
+``CohomologyClasses`` the ``Quotient`` of its cocycles by coboundaries.
 The Smith normal form keeps all four transformation matrices
 (S = P*A*Q together with the inverses of P and Q) because character lifts
 need explicit saturation bases, not just invariant factors.
@@ -31,12 +32,8 @@ Row = dict[int, Fraction | int]
 
 def _primitive(row: Row) -> dict[int, int]:
     """Clear denominators and divide by the content; the span is unaffected."""
-    denom = lcm(*(v.denominator for v in row.values() if isinstance(v, Fraction)))
-    ints = {
-        c: v.numerator * (denom // v.denominator) if isinstance(v, Fraction) else v * denom
-        for c, v in row.items()
-        if v
-    }
+    denom = lcm(*(v.denominator for v in row.values()))
+    ints = {c: v.numerator * (denom // v.denominator) for c, v in row.items() if v}
     g = gcd(*ints.values())
     if g > 1:
         ints = {c: v // g for c, v in ints.items()}
@@ -128,10 +125,14 @@ def nullspace(rows: list[Row], ncols: int) -> list[dict[int, Fraction]]:
     to leading coefficient 1.
     """
     shift = len(rows)
+    cols: list[Row] = [{} for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for c, v in row.items():
+            if v and c < ncols:
+                cols[c][i] = v
     ech = Echelon()
     kernel = []
-    for c in range(ncols):
-        vec: Row = {i: row[c] for i, row in enumerate(rows) if row.get(c)}
+    for c, vec in enumerate(cols):
         vec[shift + c] = 1
         red = ech.add(vec)
         if red is not None and (lead := min(red)) >= shift:
@@ -163,6 +164,43 @@ def solve_in_span(vectors: list[Row], target: Row) -> list[Fraction] | None:
     for c, v in red.items():
         coeffs[c - size] = Fraction(-v, scale)
     return coeffs
+
+
+class Quotient:
+    """Representatives of span(candidates) modulo span(base), with coordinates.
+
+    One ``Echelon`` takes the base rows, then, in order, each candidate that
+    is independent modulo everything before it, tagged with a marker column
+    of its own past the ambient ``width``; ``chosen`` lists those candidates.
+    A candidate reduced against marker-carrying pivots picks up their
+    markers, so it is independent only if a column below ``width`` is left.
+    """
+
+    def __init__(self, base: list[Row], candidates: list[Row]):
+        self.width = max((max(v) + 1 for v in (*base, *candidates) if v), default=0)
+        self._ech = Echelon()
+        for row in filter(None, base):
+            self._ech.add(row)
+        self.chosen: list[int] = []
+        for i, cand in enumerate(candidates):
+            red = self._ech.reduce({**cand, self.width + len(self.chosen): 1})
+            if min(red) < self.width:
+                self._ech.add(red)
+                self.chosen.append(i)
+
+    def coordinates(self, vector: Row) -> list[Fraction] | None:
+        """c with vector - sum_j c_j cand[chosen[j]] in span(base), else None."""
+        if any(v for c, v in vector.items() if c >= self.width):
+            return None
+        marker = self.width + len(self.chosen)
+        red = self._ech.reduce({**vector, marker: 1})
+        if min(red) < self.width:
+            return None
+        scale = red.pop(marker)
+        coeffs = [Fraction(0)] * len(self.chosen)
+        for c, v in red.items():
+            coeffs[c - self.width] = Fraction(-v, scale)
+        return coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -241,19 +279,18 @@ class CohomologyClasses:
         self.p = p
         cocycles = nullspace(cx.rows_at(p), cx.dim(p))
         incoming = cx.columns[p - 1] if 0 < p <= len(cx.columns) else []
-        self._span = [col for col in incoming if col]
-        _, grew = rank_relative(self._span, cocycles)
-        self.representatives = [cocycles[i] for i in grew]
+        self._quotient = Quotient(incoming, cocycles)
+        self.representatives = [cocycles[i] for i in self._quotient.chosen]
 
     @property
     def dim(self) -> int:
         return len(self.representatives)
 
     def coordinates(self, vector: Row) -> list[Fraction]:
-        coeffs = solve_in_span(self.representatives + self._span, vector)
+        coeffs = self._quotient.coordinates(vector)
         if coeffs is None:
             raise ValueError("vector is not a cocycle at this position")
-        return coeffs[: len(self.representatives)]
+        return coeffs
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from clusterhodge.linalg import (
     Echelon,
+    Quotient,
     identity,
     mat_mul,
     nullspace,
@@ -139,3 +140,83 @@ def test_echelon_rank():
     assert ech.add({0: 1, 1: 1}) is not None
     assert ech.add({0: 2, 1: 2}) is None
     assert ech.rank == 1
+
+
+def _combine(pairs):
+    """sum of w * vec over (w, vec) pairs, as a sparse row."""
+    out = {}
+    for w, vec in pairs:
+        for c, v in vec.items():
+            out[c] = out.get(c, 0) + w * v
+    return {c: v for c, v in out.items() if v}
+
+
+@st.composite
+def quotient_problems(draw):
+    """(base, candidates, weights) over a common width, explicit zeros kept.
+
+    Candidates past the drawn ones are combinations of earlier candidates and
+    base rows: they reduce to nothing but markers, so an independence test
+    that only asks for a nonempty reduced row would choose them.
+    """
+    ncols = draw(st.integers(1, 5))
+    row = st.lists(entries, min_size=ncols, max_size=ncols).map(
+        lambda r: dict(enumerate(r))
+    )
+    base = draw(st.lists(row, max_size=3))
+    cands = draw(st.lists(row, min_size=1, max_size=3))
+    for _ in range(draw(st.integers(1, 3))):
+        # a combination of members before its own position and base rows
+        pos = draw(st.integers(0, len(cands)))
+        pool = cands[:pos] + base
+        if pool:
+            picks = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
+            weights = draw(st.lists(entries, min_size=len(picks), max_size=len(picks)))
+            cands.insert(pos, _combine(zip(weights, picks)))
+    weights = draw(st.lists(entries, min_size=len(cands) + len(base),
+                            max_size=len(cands) + len(base)))
+    return ncols, base, cands, weights
+
+
+@given(quotient_problems())
+@settings(max_examples=150, deadline=None)
+def test_quotient_chooses_a_basis_modulo_the_base(problem):
+    ncols, base, cands, _ = problem
+    quot = Quotient(base, cands)
+    chosen = [cands[i] for i in quot.chosen]
+    assert quot.chosen == sorted(set(quot.chosen))
+    assert rank(base + chosen) == rank(base) + len(chosen)
+    for i, cand in enumerate(cands):
+        if i not in quot.chosen:
+            assert rank(base + chosen + [cand]) == rank(base + chosen)
+    # greedy: a candidate is chosen exactly when it grows the earlier span
+    for i in quot.chosen:
+        assert rank(base + cands[: i + 1]) > rank(base + cands[:i])
+
+
+@given(quotient_problems())
+@settings(max_examples=150, deadline=None)
+def test_quotient_coordinates_round_trip(problem):
+    ncols, base, cands, weights = problem
+    quot = Quotient(base, cands)
+    target = _combine(zip(weights, cands + base))
+    coeffs = quot.coordinates(target)
+    assert coeffs is not None and len(coeffs) == len(quot.chosen)
+    assert all(type(c) is Fraction for c in coeffs)
+    rest = _combine([(1, target)] + [(-c, cands[i]) for c, i in zip(coeffs, quot.chosen)])
+    assert rank(base + [rest]) == rank(base)
+    # outside the span: a unit vector that grows it, or a column past them all
+    span = base + cands
+    for c in range(ncols):
+        if rank(span + [{c: 1}]) > rank(span):
+            assert quot.coordinates({**target, c: target.get(c, 0) + 1}) is None
+    assert quot.coordinates({ncols: 1}) is None
+
+
+def test_quotient_examples():
+    # the second candidate reduces to marker entries only: not chosen
+    quot = Quotient([{0: 1}], [{0: 2, 1: 1}, {0: 1, 1: 3}, {1: 2}, {2: 1}])
+    assert quot.chosen == [0, 3]
+    assert quot.coordinates({0: 5, 1: 4, 2: -1}) == [4, -1]
+    assert quot.coordinates({0: 1}) == [0, 0]
+    assert Quotient([], []).coordinates({}) == []
