@@ -53,7 +53,10 @@ _SUBCOMMANDS = [
 _FLAGS = {
     "--input": dict(required=True, help="path to an exchange-matrix file"),
     "--graph": dict(required=True, help="path to a graph file"),
-    "--s": dict(type=int, help="restrict to one weight"),
+    "--s": dict(
+        type=int,
+        help="print only weight S (hodge still computes and checks every weight)",
+    ),
     "--q": dict(type=int, help="evaluate at a prime q"),
     "--max-page": dict(type=int),
 }
@@ -85,6 +88,7 @@ def _weights(args: argparse.Namespace, matrix: ExtendedExchangeMatrix) -> list[i
 def cmd_hodge(args: argparse.Namespace) -> int:
     matrix = load_matrix(args.input)
     weights = _weights(args, matrix)
+    # every weight is computed: the checks pair weight s with d - s and need d
     full = hodge_table(matrix)
     table = HodgeTable(
         matrix.n, matrix.m, {k: v for k, v in full.dims.items() if k[1] in weights}

@@ -22,6 +22,7 @@ from .errors import (
     NotSkewSymmetric,
     ShapeMismatch,
 )
+from .exterior import mask_of
 from .graphs import Graph
 from .linalg import Echelon, SmithNormalForm, smith_normal_form
 
@@ -328,10 +329,7 @@ class CharacterGroup:
         """X*(I) as a subgroup of X*; I must be an anticlique of the quiver graph."""
         idx = tuple(sorted(int(i) for i in anticlique))
         g = graph if graph is not None else underlying_graph(self.matrix)
-        mask = 0
-        for i in idx:
-            mask |= 1 << i
-        if not g.is_independent(mask):
+        if not g.is_independent(mask_of(idx)):
             raise NotAnticlique(f"{idx} is not an anticlique")
         if not idx:
             identity = self.character_from_coords([0] * len(self._nontrivial))
@@ -419,11 +417,7 @@ def reduce_character(
         raise NotAcyclic("character reduction needs an acyclic quiver")
     group = CharacterGroup(matrix)
     j_set = sorted(group.support(chi))
-    g = underlying_graph(matrix)
-    j_mask = 0
-    for i in j_set:
-        j_mask |= 1 << i
-    if not g.is_independent(j_mask):
+    if not underlying_graph(matrix).is_independent(mask_of(j_set)):
         return ZERO_COMPLEX
     kappa = len(j_set)
     k_set = [

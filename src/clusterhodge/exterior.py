@@ -4,6 +4,11 @@ A wedge monomial is a subset of generator indices stored as an int bitmask;
 the monomial means the wedge of its generators in increasing index order.
 Coefficients are ints or Fractions.  All products carry the Koszul sign
 counted by inversions, and repeated generators annihilate.
+
+The same masks encode every vertex and row subset of the package:
+``bits`` lists a mask's members in increasing order, ``mask_of`` builds
+the mask of an iterable of indices, and ``submasks`` enumerates every
+subset of a mask.
 """
 
 from __future__ import annotations
@@ -33,6 +38,24 @@ def bits(mask: int) -> list[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
+
+
+def mask_of(indices) -> int:
+    """The bitmask with exactly the given indices set."""
+    mask = 0
+    for i in indices:
+        mask |= 1 << int(i)
+    return mask
+
+
+def submasks(mask: int):
+    """Every submask of mask, the mask itself first and 0 last."""
+    sub = mask
+    while True:
+        yield sub
+        if sub == 0:
+            return
+        sub = (sub - 1) & mask
 
 
 class ExteriorForm:

@@ -36,7 +36,7 @@ from .exchange import (
     rank_class,
     underlying_graph,
 )
-from .exterior import bits
+from .exterior import bits, submasks
 from .graphs import (
     independence_complex_on,
     mv_delta,
@@ -156,7 +156,7 @@ def graded_pieces(
             x_mask = e_mask & ~d_mask
             # anticliques of the induced subgraph, by size
             ants: list[list[int]] = [[] for _ in range(x_mask.bit_count() + 1)]
-            for i_mask in _submasks(x_mask):
+            for i_mask in submasks(x_mask):
                 if graph.is_independent(i_mask):
                     ants[i_mask.bit_count()].append(i_mask)
             for level in ants:
@@ -205,15 +205,6 @@ def _masks_of_size(n: int, k: int):
         for v in combo:
             m |= 1 << v
         yield m
-
-
-def _submasks(mask: int):
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
 
 
 # ---------------------------------------------------------------------------
@@ -432,12 +423,10 @@ def e1_page(matrix: ExtendedExchangeMatrix, s: int) -> E1Page:
             for deg, h in dims_of(x_mask).items():
                 e, f = esize, deg + 1 - esize
                 entries[(e, f)] = entries.get((e, f), 0) + h
-                blk = blocks.setdefault((e, f), [])
-                positions[(d_mask, e_mask, e, f)] = (
-                    sum(b.dim for b in blk),
-                    h,
+                positions[(d_mask, e_mask, e, f)] = (entries[(e, f)] - h, h)
+                blocks.setdefault((e, f), []).append(
+                    E1Block(tuple(bits(d_mask)), tuple(bits(e_mask)), h)
                 )
-                blk.append(E1Block(tuple(bits(d_mask)), tuple(bits(e_mask)), h))
 
     diffs: dict[tuple[int, int], list[list[Fraction]]] = {}
     deltas: dict[tuple[int, int, int], dict[int, list[list[Fraction]]]] = {}

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import CycleTooSmall, NotAForest, NotAnEdge, VertexInX
-from .exterior import bits
+from .exterior import bits, submasks
 from .linalg import CochainComplexQ
 
 
@@ -154,24 +154,15 @@ class SimplicialComplex:
 
 
 def independence_complex(graph: Graph) -> SimplicialComplex:
-    return SimplicialComplex(
-        graph.n_vertices,
-        frozenset(m for m in range(1 << graph.n_vertices) if graph.is_independent(m)),
-    )
+    return independence_complex_on(graph, (1 << graph.n_vertices) - 1)
 
 
 def independence_complex_on(graph: Graph, vertex_mask: int) -> SimplicialComplex:
     """Independence complex of the induced subgraph, keeping ambient labels."""
-    faces = []
-    verts = bits(vertex_mask)
-    for size in range(len(verts) + 1):
-        for combo in itertools.combinations(verts, size):
-            m = 0
-            for v in combo:
-                m |= 1 << v
-            if graph.is_independent(m):
-                faces.append(m)
-    return SimplicialComplex(graph.n_vertices, frozenset(faces))
+    return SimplicialComplex(
+        graph.n_vertices,
+        frozenset(filter(graph.is_independent, submasks(vertex_mask))),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ composite is checked to square to zero.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -47,9 +46,9 @@ from .exchange import (
     reduce_character,
     underlying_graph,
 )
-from .exterior import ExteriorForm, bits, wedge_all, wedge_sign
+from .exterior import ExteriorForm, bits, mask_of, submasks, wedge_sign
 from .graphs import anticliques
-from .linalg import CochainComplexQ, Echelon, solve_in_span
+from .linalg import CochainComplexQ, Echelon, Quotient
 from .poly import IntPolynomial
 
 Label = tuple[int, int]  # (anticlique mask, A mask)
@@ -82,9 +81,14 @@ class GModuleBasis:
         """Admissible A masks of weight s, ascending; callers must not mutate it."""
         return self._by_degree.get(s - len(self.anticlique), [])
 
+    @cached_property
+    def row_mask(self) -> int:
+        """N(I) as a row mask."""
+        return mask_of(self.row_selection)
+
 
 class GysinBuilder:
-    """Shared caches for one exchange matrix: bases, substitutions, blocks.
+    """Shared caches for one exchange matrix: row selections, bases, substitutions.
 
     Construction does not insist on full rank; a rank-deficient matrix
     surfaces as ColumnsDependent the moment some anticlique needs a row
@@ -99,26 +103,10 @@ class GysinBuilder:
         self._n_of: dict[int, tuple[int, ...]] = {}
         self._basis: dict[int, GModuleBasis] = {}
         self._pi: dict[int, dict[int, ExteriorForm]] = {}
-        self._alphas = [self._alpha(j) for j in range(matrix.n)]
-        self._wedge_cache: dict[int, ExteriorForm] = {}
-
-    # -- one-forms ---------------------------------------------------------
-
-    def _alpha(self, j: int) -> ExteriorForm:
-        return ExteriorForm(
-            {1 << r: self.matrix.rows[r][j] for r in range(self.matrix.d)}
-        )
+        self._alphas = [alpha(matrix, j) for j in range(matrix.n)]
 
     def alpha(self, j: int) -> ExteriorForm:
         return self._alphas[j]
-
-    def alpha_wedge(self, i_mask: int) -> ExteriorForm:
-        """wedge of alpha_i over i in the mask, in increasing order."""
-        cached = self._wedge_cache.get(i_mask)
-        if cached is None:
-            cached = wedge_all([self._alphas[i] for i in bits(i_mask)])
-            self._wedge_cache[i_mask] = cached
-        return cached
 
     # -- row selections and bases -------------------------------------------
 
@@ -159,66 +147,49 @@ class GysinBuilder:
             return cached
         self.require_anticlique(i_mask)
         n_rows = self.choose_n(i_mask)
-        n_mask = 0
-        for r in n_rows:
-            n_mask |= 1 << r
-        allowed = [t for t in range(self.matrix.d) if not ((i_mask | n_mask) >> t & 1)]
-        masks = []
-        for size in range(len(allowed) + 1):
-            for combo in itertools.combinations(allowed, size):
-                m = 0
-                for t in combo:
-                    m |= 1 << t
-                masks.append(m)
-        masks.sort()
+        allowed = ((1 << self.matrix.d) - 1) & ~(i_mask | mask_of(n_rows))
         result = GModuleBasis(
-            tuple(bits(i_mask)), n_rows, tuple(masks), self.matrix.n, self.matrix.m
+            tuple(bits(i_mask)),
+            n_rows,
+            tuple(sorted(submasks(allowed))),
+            self.matrix.n,
+            self.matrix.m,
         )
         self._basis[i_mask] = result
         return result
-
-    def theta_form(self, a_mask: int, i_mask: int) -> ExteriorForm:
-        """theta(A, I) expanded in the ambient dlog monomial basis."""
-        return ExteriorForm.monomial(a_mask).wedge(self.alpha_wedge(i_mask))
 
     # -- substitution of dlog x_t for t in N(J) ------------------------------
 
     def _pi_table(self, j_mask: int) -> dict[int, ExteriorForm]:
         """For t in N(J): dlog x_t modulo the span of the alpha_i, i in J.
 
-        Writing dlog x_t in the basis {alpha_i} + {dlog x_r : r free}, the
-        alpha components die against the full alpha wedge of G^J, so only the
-        free-dlog part is kept.
+        The alpha_i (zero on the rows of the anticlique J) and the free
+        dlog x_r (r outside J and N(J)) form a basis, so one ``Quotient`` with
+        the alphas as base and the free units as candidates writes every
+        dlog x_t in it.  The alpha components die against the full alpha
+        wedge of G^J, so only the free-dlog part is kept; integral
+        coefficients are stored as ints.
         """
         cached = self._pi.get(j_mask)
         if cached is not None:
             return cached
-        j_list = bits(j_mask)
-        n_rows = self.choose_n(j_mask)
-        n_mask = 0
-        for r in n_rows:
-            n_mask |= 1 << r
-        ambient = [r for r in range(self.matrix.d) if not (j_mask >> r & 1)]
-        free = [r for r in ambient if not (n_mask >> r & 1)]
-        # column vectors of the change of basis, over the ambient rows
-        columns: list[dict[int, int]] = []
-        for r in free:
-            columns.append({ambient.index(r): 1})
-        for i in j_list:
-            columns.append(
-                {
-                    pos: self.matrix.rows[r][i]
-                    for pos, r in enumerate(ambient)
-                    if self.matrix.rows[r][i]
-                }
-            )
+        basis = self.basis(j_mask)
+        rows, d = self.matrix.rows, self.matrix.d
+        free = [r for r in range(d) if not ((j_mask | basis.row_mask) >> r & 1)]
+        alphas = [
+            {r: rows[r][i] for r in range(d) if rows[r][i]} for i in basis.anticlique
+        ]
+        quot = Quotient(alphas, [{r: 1} for r in free])
         table = {}
-        for t in n_rows:
-            target = {ambient.index(t): 1}
-            coeffs = solve_in_span(columns, target)
-            assert coeffs is not None, "N(J) selection must make S a basis"
+        for t in basis.row_selection:
+            coeffs = quot.coordinates({t: 1})
+            assert coeffs is not None, "N(J) must complete the alphas to a basis"
             table[t] = ExteriorForm(
-                {1 << free[pos]: coeffs[pos] for pos in range(len(free)) if coeffs[pos]}
+                {
+                    1 << free[quot.chosen[k]]: c.numerator if c.denominator == 1 else c
+                    for k, c in enumerate(coeffs)
+                    if c
+                }
             )
         self._pi[j_mask] = table
         return table
@@ -237,15 +208,13 @@ class GysinBuilder:
         cached substitution table.
         """
         j_mask_new = i_mask | (1 << j)
-        self.require_anticlique(j_mask_new)
         src = self.basis(i_mask).masks_of_degree(s)
-        dst = self.basis(j_mask_new).masks_of_degree(s)
+        target = self.basis(j_mask_new)
+        dst = target.masks_of_degree(s)
         dst_index = {a: r for r, a in enumerate(dst)}
         k = i_mask.bit_count()
         pi = self._pi_table(j_mask_new)
-        n_mask_new = 0
-        for r in self.choose_n(j_mask_new):
-            n_mask_new |= 1 << r
+        n_mask_new = target.row_mask
         cols = []
         for a_mask in src:
             col: dict[int, Fraction | int] = {}
@@ -305,8 +274,6 @@ class GysinBuilder:
                     new_mask = i_mask | (1 << j)
                     if new_mask == i_mask or new_mask not in members:
                         continue
-                    if not self.graph.is_independent(new_mask):
-                        continue
                     eps = -1 if (i_mask & ((1 << j) - 1)).bit_count() & 1 else 1
                     dst_off = offsets[p + 1][new_mask]
                     src, _, block = self.rho_columns(i_mask, j, s)
@@ -338,25 +305,18 @@ def alpha(matrix: ExtendedExchangeMatrix, j: int) -> ExteriorForm:
 
 def choose_N(matrix: ExtendedExchangeMatrix, anticlique) -> tuple[int, ...]:
     builder = GysinBuilder(matrix)
-    mask = _mask_of(anticlique)
+    mask = mask_of(anticlique)
     builder.require_anticlique(mask)
     return builder.choose_n(mask)
 
 
 def basis_G_I(matrix: ExtendedExchangeMatrix, anticlique) -> GModuleBasis:
-    return GysinBuilder(matrix).basis(_mask_of(anticlique))
+    return GysinBuilder(matrix).basis(mask_of(anticlique))
 
 
 def rho(matrix: ExtendedExchangeMatrix, anticlique, j: int, s: int):
     """Matrix of rho from the degree-s slice of G^I to G^{I u {j}}."""
-    return GysinBuilder(matrix).rho_columns(_mask_of(anticlique), j, s)
-
-
-def _mask_of(vertices) -> int:
-    mask = 0
-    for v in vertices:
-        mask |= 1 << int(v)
-    return mask
+    return GysinBuilder(matrix).rho_columns(mask_of(anticlique), j, s)
 
 
 def build_gysin_complex(
@@ -514,7 +474,7 @@ def hodge_table(matrix: ExtendedExchangeMatrix, check: bool = True) -> HodgeTabl
         group = CharacterGroup(matrix)
         support_multiplicity = {}
         for chi in group.elements():
-            j_mask = _mask_of(group.support(chi))
+            j_mask = mask_of(group.support(chi))
             if builder.graph.is_independent(j_mask):
                 support_multiplicity[j_mask] = support_multiplicity.get(j_mask, 0) + 1
     dims: dict[tuple[int, int], int] = {}
@@ -564,7 +524,7 @@ def gsv_form(matrix: ExtendedExchangeMatrix, component) -> ExteriorForm:
     mutable indices and all frozen indices.
     """
     graph = underlying_graph(matrix)
-    comp_mask = _mask_of(component)
+    comp_mask = mask_of(component)
     if comp_mask not in graph.components():
         raise NotConnected(f"{sorted(bits(comp_mask))} is not a connected component")
     verts = bits(comp_mask)
@@ -599,12 +559,9 @@ def edge_class_cochain(
     builder = builder or GysinBuilder(matrix)
     i_mask = 1 << b
     basis = builder.basis(i_mask)
-    n_mask = 0
-    for r in basis.row_selection:
-        n_mask |= 1 << r
     index = {m: i for i, m in enumerate(basis.masks_of_degree(2))}
     vector: dict[int, Fraction | int] = {}
-    if 1 << a & n_mask:
+    if basis.row_mask >> a & 1:
         pi = builder._pi_table(i_mask)[a]
         for mask, coeff in pi.terms.items():
             vector[index[mask]] = coeff
@@ -616,5 +573,5 @@ def edge_class_cochain(
             break
         offset += len(builder.basis(m).masks_of_degree(2))
     placed = {offset + i: v for i, v in vector.items()}
-    form = builder.theta_form(1 << a, i_mask)
+    form = ExteriorForm.monomial(1 << a).wedge(builder.alpha(b))
     return EdgeClassCochain(a, b, form, placed)

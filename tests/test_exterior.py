@@ -1,7 +1,14 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clusterhodge.exterior import ExteriorForm, bits, wedge_all, wedge_sign
+from clusterhodge.exterior import (
+    ExteriorForm,
+    bits,
+    mask_of,
+    submasks,
+    wedge_all,
+    wedge_sign,
+)
 
 forms = st.dictionaries(
     st.integers(0, 63), st.integers(-4, 4), max_size=4
@@ -46,3 +53,11 @@ def test_wedge_all_orders_monomials():
 
 def test_bits_ascending():
     assert bits(0b101001) == [0, 3, 5]
+
+
+@given(st.integers(0, 1023))
+def test_mask_of_and_submasks(mask):
+    assert mask_of(bits(mask)) == mask
+    subs = list(submasks(mask))
+    assert subs[0] == mask and subs[-1] == 0
+    assert sorted(subs) == [m for m in range(mask + 1) if m & ~mask == 0]

@@ -34,7 +34,7 @@ from clusterhodge.gysin import (
     rho,
     standard_poincare,
 )
-from clusterhodge.linalg import Echelon, mat_mul
+from clusterhodge.linalg import Echelon, mat_mul, rank
 from clusterhodge.poly import IntPolynomial
 
 from conftest import corpus, full_rank_corpus, random_acyclic_matrix
@@ -355,6 +355,52 @@ def test_rational_matrix_frozen_rescale_preserves_complex():
             b0.complex_for_s(s).cohomology_dims()
             == b1.complex_for_s(s).cohomology_dims()
         )
+
+
+def test_substitution_table_writes_n_rows_over_free_rows_modulo_alphas():
+    # pi[t] = dlog x_t modulo the alpha_i of J, written over the free rows
+    from fractions import Fraction
+
+    from clusterhodge.exchange import validate_rational
+
+    z4 = principal_from_graph(star_graph(4))
+    frozen_2i = [[2 if i == j else 0 for j in range(4)] for i in range(4)]
+    cases = [
+        validate_rational(
+            [[0, 1], [-1, 0], [Fraction(1, 2), 0], [0, Fraction(1, 3)]], 2, 2
+        ),
+        validate(z4.top_block() + frozen_2i, 4, 4),
+    ]
+    rng = random.Random(515)
+    cases += [random_acyclic_matrix(rng, 4, 4) for _ in range(40)]
+    for m in cases:
+        builder = GysinBuilder(m)
+        for j_mask in builder.family.all_masks():
+            basis = builder.basis(j_mask)
+            alphas = [
+                {r: m.rows[r][i] for r in range(m.d) if m.rows[r][i]}
+                for i in basis.anticlique
+            ]
+            pi = builder._pi_table(j_mask)
+            assert sorted(pi) == list(basis.row_selection)
+            for t, form in pi.items():
+                residual = {t: 1}
+                for mask, c in form.terms.items():
+                    (r,) = bits(mask)
+                    assert not j_mask >> r & 1 and r not in basis.row_selection
+                    assert type(c) is int or c.denominator != 1, (m.rows, j_mask, t)
+                    residual[r] = -c
+                assert rank(alphas + [residual]) == rank(alphas), (m.rows, j_mask, t)
+
+
+def test_principal_complexes_have_integer_entries():
+    for graph in [path_graph(4), star_graph(4), cycle_graph(4)]:
+        m = principal_from_graph(graph)
+        builder = GysinBuilder(m)
+        for s in range(m.d + 1):
+            for cols in builder.complex_for_s(s).columns:
+                for col in cols:
+                    assert all(type(v) is int for v in col.values()), (graph, s)
 
 
 def test_frozen_block_change_of_basis_invariance():
