@@ -12,6 +12,7 @@ nothing about anticliques.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from math import comb, gcd
 
 from .errors import NotAcyclic, NotFullRank, NotPrincipal, TooLarge
@@ -84,56 +85,64 @@ def _is_prime(q: int) -> bool:
     return True
 
 
+def _over_guard(matrix: ExtendedExchangeMatrix, q: int) -> bool:
+    """True when the nominal q^(2n) (q-1)^m tuples exceed the enumeration guard."""
+    return q ** (2 * matrix.n) * (q - 1) ** matrix.m > ENUMERATION_GUARD
+
+
 def brute_force_count(matrix: ExtendedExchangeMatrix, q: int) -> int:
     """Count points of the exchange-equation model over F_q, q prime.
 
     A point is (x_1..x_n, x'_1..x'_n, y_1..y_m) with y_i nonzero and
     x_j x'_j = prod x_i^{[B~_ij]+} + prod x_i^{[-B~_ij]+} for every j.  The
-    x'_j are eliminated: for x_j nonzero there is exactly one solution, for
-    x_j = 0 there are q when the right side vanishes and none otherwise.
+    points are grouped by the set Z of mutable x_j that vanish.  Off Z the
+    x'_j are determined, so only the equations j in Z constrain a point, and
+    for j in Z the x'_j are free (q choices each) exactly when the right
+    side vanishes.  Those equations read only the coordinates i with
+    B~_ij nonzero, so for each Z the nonzero values of the read coordinates
+    outside Z are enumerated, Z held at 0, every equation in Z is evaluated
+    literally, and each solution counts q^|Z| (q-1)^u, u being the number of
+    nonzero coordinates no equation in Z reads.  Nothing here uses
+    anticliques or characters.
     """
     if not is_acyclic(matrix):
         raise NotAcyclic("the exchange-equation model needs an acyclic seed")
     if not _is_prime(q):
         raise ValueError(f"{q} is not prime")
-    n, m, d = matrix.n, matrix.m, matrix.d
-    if q ** (2 * n) * (q - 1) ** m > ENUMERATION_GUARD:
+    if _over_guard(matrix, q):
         raise TooLarge(f"q={q} exceeds the {ENUMERATION_GUARD} tuple guard")
-    pos_exp = [[max(matrix.rows[i][j], 0) for i in range(d)] for j in range(n)]
-    neg_exp = [[max(-matrix.rows[i][j], 0) for i in range(d)] for j in range(n)]
+    n, d, rows = matrix.n, matrix.d, matrix.rows
     total = 0
-    coords = [0] * d
-
-    def rhs(j: int) -> int:
-        a = b = 1
-        for i in range(d):
-            pe, ne = pos_exp[j][i], neg_exp[j][i]
-            if pe:
-                a = a * pow(coords[i], pe, q) % q
-            if ne:
-                b = b * pow(coords[i], ne, q) % q
-        return (a + b) % q
-
-    def recurse(i: int):
-        nonlocal total
-        if i == d:
-            ways = 1
-            for j in range(n):
-                if coords[j]:
-                    continue
-                if rhs(j) == 0:
-                    ways *= q
-                else:
-                    return
-            total += ways
-            return
-        lo = 0 if i < n else 1
-        for v in range(lo, q):
-            coords[i] = v
-            recurse(i + 1)
-        coords[i] = 0
-
-    recurse(0)
+    for z_mask in range(1 << n):
+        zeros = bits(z_mask)
+        read = sorted(
+            {i for j in zeros for i in range(d) if rows[i][j] and not z_mask >> i & 1}
+        )
+        # slot 0 holds the value 0 of every coordinate in Z, slot 1 + t the
+        # value of read[t]
+        slot = {i: 1 + t for t, i in enumerate(read)}
+        equations = [
+            (
+                [(slot.get(i, 0), rows[i][j]) for i in range(d) if rows[i][j] > 0],
+                [(slot.get(i, 0), -rows[i][j]) for i in range(d) if rows[i][j] < 0],
+            )
+            for j in zeros
+        ]
+        solutions = 0
+        for values in product(range(1, q), repeat=len(read)):
+            coords = (0,) + values
+            for pos, neg in equations:
+                a = b = 1
+                for t, e in pos:
+                    a = a * pow(coords[t], e, q)
+                for t, e in neg:
+                    b = b * pow(coords[t], e, q)
+                if (a + b) % q:
+                    break
+            else:
+                solutions += 1
+        unread = d - len(zeros) - len(read)
+        total += q ** len(zeros) * (q - 1) ** unread * solutions
     return total
 
 
@@ -325,7 +334,7 @@ def consistency_suite(matrix: ExtendedExchangeMatrix) -> SuiteReport:
             continue
         if (q - 1) % (2 * counted.modulus):
             continue
-        if q ** (2 * matrix.n) * (q - 1) ** matrix.m > ENUMERATION_GUARD:
+        if _over_guard(matrix, q):
             break
         primes.append(q)
     if primes:

@@ -10,6 +10,7 @@ then one ``u w`` edge per line.
 from __future__ import annotations
 
 import json
+import sys
 
 from .errors import ShapeMismatch
 from .exchange import ExtendedExchangeMatrix, validate
@@ -25,11 +26,30 @@ def _strip_comments(text: str) -> list[str]:
     return lines
 
 
+ECHO_CHARS = 60
+
+
+def _echo(line: str) -> str:
+    """The line for a diagnostic, cut to its first ECHO_CHARS characters."""
+    if len(line) <= ECHO_CHARS:
+        return repr(line)
+    return f"{line[:ECHO_CHARS]!r}... ({len(line)} characters)"
+
+
 def _ints(line: str) -> list[int]:
-    try:
-        return [int(tok) for tok in line.split()]
-    except ValueError:
-        raise ShapeMismatch(f"non-integer token in line {line!r}") from None
+    out = []
+    for tok in line.split():
+        try:
+            out.append(int(tok))
+        except ValueError:
+            digits = tok[1:] if tok[0] in "+-" else tok
+            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+            if limit and digits.isdecimal() and len(digits) > limit:
+                reason = f"integer token longer than {limit} digits"
+            else:
+                reason = "non-integer token"
+            raise ShapeMismatch(f"{reason} in line {_echo(line)}") from None
+    return out
 
 
 def parse_matrix_text(text: str) -> ExtendedExchangeMatrix:
@@ -85,7 +105,7 @@ def parse_graph_text(text: str) -> Graph:
     for line in lines[1:]:
         toks = _ints(line)
         if len(toks) != 2:
-            raise ShapeMismatch(f"bad edge line: {line!r}")
+            raise ShapeMismatch(f"bad edge line: {_echo(line)}")
         a, b = toks
         if not (1 <= a <= v and 1 <= b <= v) or a == b:
             raise ShapeMismatch(f"edge ({a}, {b}) outside 1..{v}")

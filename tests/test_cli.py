@@ -155,6 +155,26 @@ def test_bad_file_contents_are_exit_2(tmp_path, capsys, command, flag, text):
     assert err["error"] == "ShapeMismatch"
 
 
+@pytest.mark.parametrize(
+    "command, flag, text",
+    [
+        ("hodge", "--input", "1 1\n0\n" + "7" * 5000 + "\n"),
+        ("indcomplex", "--graph", "3\n1 " + "2" * 5000 + "\n"),
+    ],
+    ids=["matrix", "graph"],
+)
+def test_oversized_integer_token_is_exit_2(tmp_path, capsys, command, flag, text):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    assert main([command, flag, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "ShapeMismatch"
+    assert err["detail"].startswith("integer token longer than 4300 digits in line ")
+    assert len(err["detail"]) < 200
+
+
 @pytest.mark.parametrize("command", ["hodge", "e1", "ss"])
 @pytest.mark.parametrize("s", ["99", "-1"])
 def test_weight_out_of_range_is_exit_2(edge_file, capsys, command, s):

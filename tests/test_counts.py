@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
 from clusterhodge.errors import NotAcyclic, NotPrincipal, TooLarge
 from clusterhodge.counts import (
+    ENUMERATION_GUARD,
     brute_force_count,
     closed_form_s_le_3,
     consistency_suite,
@@ -10,11 +13,17 @@ from clusterhodge.counts import (
     point_count_poly,
 )
 from clusterhodge.exchange import principal_from_graph, validate
-from clusterhodge.graphs import Graph, cycle_graph, path_graph, star_graph
+from clusterhodge.graphs import (
+    Graph,
+    connected_graphs,
+    cycle_graph,
+    path_graph,
+    star_graph,
+)
 from clusterhodge.gysin import hodge_table
 from clusterhodge.poly import IntPolynomial
 
-from conftest import corpus
+from conftest import corpus, random_acyclic_matrix
 
 M01 = validate([[0], [1]], 1, 1)
 M22 = validate([[0, 2], [-2, 0]], 2, 0)
@@ -62,6 +71,83 @@ def test_brute_force_examples():
     assert point_count_poly(edge)(3) == 40
 
 
+def _literal_count(matrix, q):
+    """Walk every tuple of F_q^n x (F_q^*)^m and solve for the x'_j.
+
+    A point with x_j nonzero has one x'_j; with x_j = 0 it has q when the
+    right side of the exchange equation vanishes and none otherwise.
+    """
+    n, d = matrix.n, matrix.d
+    pos_exp = [[max(matrix.rows[i][j], 0) for i in range(d)] for j in range(n)]
+    neg_exp = [[max(-matrix.rows[i][j], 0) for i in range(d)] for j in range(n)]
+    total = 0
+    coords = [0] * d
+
+    def rhs(j):
+        a = b = 1
+        for i in range(d):
+            pe, ne = pos_exp[j][i], neg_exp[j][i]
+            if pe:
+                a = a * pow(coords[i], pe, q) % q
+            if ne:
+                b = b * pow(coords[i], ne, q) % q
+        return (a + b) % q
+
+    def recurse(i):
+        nonlocal total
+        if i == d:
+            ways = 1
+            for j in range(n):
+                if coords[j]:
+                    continue
+                if rhs(j) == 0:
+                    ways *= q
+                else:
+                    return
+            total += ways
+            return
+        lo = 0 if i < n else 1
+        for v in range(lo, q):
+            coords[i] = v
+            recurse(i + 1)
+        coords[i] = 0
+
+    recurse(0)
+    return total
+
+
+def _scaled_frozen(matrix, scale):
+    rows = [list(r) for r in matrix.rows]
+    for i in range(matrix.n, matrix.d):
+        rows[i] = [scale * v for v in rows[i]]
+    return validate(rows, matrix.n, matrix.m)
+
+
+LITERAL_TUPLES_MAX = 60_000
+
+
+def test_brute_force_matches_literal_enumeration():
+    matrices = [
+        principal_from_graph(g) for v in range(1, 5) for g in connected_graphs(v)
+    ]
+    matrices.append(_scaled_frozen(principal_from_graph(star_graph(4)), 2))
+    rng = random.Random(6)
+    matrices += [random_acyclic_matrix(rng, 4, 3) for _ in range(64)]
+    compared = 0
+    for matrix in matrices:
+        for q in (2, 3, 5, 7):
+            if q**matrix.n * (q - 1) ** matrix.m > LITERAL_TUPLES_MAX:
+                continue
+            assert brute_force_count(matrix, q) == _literal_count(matrix, q), (
+                matrix.rows,
+                q,
+            )
+            compared += 1
+    for q in (5, 13):
+        assert brute_force_count(M22, q) == _literal_count(M22, q)
+    assert compared > 200
+
+
 def test_brute_force_weighted_congruence():
     pc = point_count_poly(M22)
     for q in (5, 13):
@@ -78,6 +164,21 @@ def test_brute_force_guard_and_validation():
     cyc = validate([[0, 1, -1], [-1, 0, 1], [1, -1, 0]], 3, 0)
     with pytest.raises(NotAcyclic):
         brute_force_count(cyc, 3)
+
+
+def test_brute_force_guard_boundary():
+    p4 = principal_from_graph(path_graph(4))  # n = m = 4
+    assert 5**8 * 4**4 == ENUMERATION_GUARD
+    assert brute_force_count(p4, 5) == point_count_poly(p4)(5)
+    with pytest.raises(TooLarge, match="q=7 exceeds the 100000000 tuple guard"):
+        brute_force_count(p4, 7)
+
+
+def test_suite_brute_force_primes_for_p3():
+    report = consistency_suite(principal_from_graph(path_graph(3)))
+    checks = {c.name: c for c in report.checks}
+    assert checks["brute-force point counts"].status == "PASS"
+    assert checks["brute-force point counts"].detail == "q in [3, 5, 7]"
 
 
 def test_interpolation_recovers_polynomial():
