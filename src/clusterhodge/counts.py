@@ -6,7 +6,12 @@ affine k-space times a torus of dimension n+m-2k, weighted by the number of
 components |X*(I)|; the weighted formula is valid at primes q = 1 mod 2N
 where N is the common exponent of the groups X*(I).  The brute-force oracle
 counts solutions of the defining exchange equations directly and knows
-nothing about anticliques.
+nothing about anticliques.  It sums over the set Z of vanishing mutable
+coordinates: only the equations j in Z constrain a point with that zero set,
+so it enumerates just the nonzero coordinates those equations read,
+evaluates each equation literally on them, and counts every other
+coordinate by its number of values (q for x'_j with j in Z, q-1 for an
+unread nonzero coordinate).
 """
 
 from __future__ import annotations
