@@ -58,7 +58,10 @@ _FLAGS = {
         help="print only weight S (hodge still computes and checks every weight)",
     ),
     "--q": dict(type=int, help="evaluate at a prime q"),
-    "--max-page": dict(type=int),
+    "--max-page": dict(
+        type=int,
+        help="print pages E_0..E_R only (default: up to stabilization)",
+    ),
 }
 
 
@@ -177,6 +180,8 @@ def cmd_e1(args: argparse.Namespace) -> int:
 
 
 def cmd_ss(args: argparse.Namespace) -> int:
+    if args.max_page is not None and args.max_page < 0:
+        raise InputError(f"--max-page {args.max_page} is negative")
     matrix = load_matrix(args.input)
     weights = _weights(args, matrix)
     records = []

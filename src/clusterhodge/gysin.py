@@ -90,7 +90,9 @@ class GModuleBasis:
 class GysinBuilder:
     """Shared caches for one exchange matrix: row selections, bases, substitutions.
 
-    Construction does not insist on full rank; a rank-deficient matrix
+    The residue map has one writer, ``_rho_into``: ``complex_for_s`` has it
+    fill each differential block by block, and ``rho_columns`` returns one
+    block on its own.  Construction does not insist on full rank; a rank-deficient matrix
     surfaces as ColumnsDependent the moment some anticlique needs a row
     selection that does not exist.  The complex-level entry points enforce
     their own rank preconditions.
@@ -196,45 +198,77 @@ class GysinBuilder:
 
     # -- residue blocks ------------------------------------------------------
 
+    def _rho_into(
+        self,
+        cols: list[dict[int, Fraction | int]],
+        i_mask: int,
+        j: int,
+        s: int,
+        src_off: int,
+        dst_off: int,
+        eps: int,
+    ) -> None:
+        """Add eps * rho, from the degree-s slice of G^I to G^{I u j}, into cols.
+
+        Column ``src_off + c`` of ``cols`` receives the image of the c-th
+        source mask, its rows shifted by ``dst_off``; each entry is written
+        once, so the row range must be empty in those columns.  A masks that
+        avoid j map to zero and are skipped.  Otherwise dlog x_j is extracted
+        with its Koszul sign, alpha_j joins the alpha wedge at its sorted
+        position, and each leftover dlog x_t with t in N(J) is replaced by
+        its substitution pi[t], a combination of free dlog's, expanded term
+        by term in increasing t over integer (mask, coefficient) pairs.
+        """
+        j_bit = 1 << j
+        src = self.basis(i_mask).masks_of_degree(s)
+        target = self.basis(i_mask | j_bit)
+        dst_index = {a: r for r, a in enumerate(target.masks_of_degree(s))}
+        pi = self._pi_table(i_mask | j_bit)
+        n_mask_new = target.row_mask
+        parity = i_mask.bit_count() + (i_mask >> (j + 1)).bit_count()
+        for c, a_mask in enumerate(src):
+            if not a_mask & j_bit:
+                continue
+            sign = -eps if (parity + (a_mask >> (j + 1)).bit_count()) & 1 else eps
+            a0 = a_mask ^ j_bit
+            subs = a0 & n_mask_new
+            col = cols[src_off + c]
+            if not subs:
+                col[dst_off + dst_index[a0]] = sign
+                continue
+            # e_{A0} = interleave * e_{A0 minus subs} ^ e_subs
+            rest = a0 ^ subs
+            terms = {rest: sign * wedge_sign(rest, subs)}
+            while subs:
+                t_bit = subs & -subs
+                subs ^= t_bit
+                nxt: dict[int, Fraction | int] = {}
+                for m1, c1 in terms.items():
+                    for bit, c2 in pi[t_bit.bit_length() - 1].terms.items():
+                        if m1 & bit:
+                            continue
+                        v = -(c1 * c2) if (m1 & -bit).bit_count() & 1 else c1 * c2
+                        m = m1 | bit
+                        w = nxt.get(m, 0) + v
+                        if w:
+                            nxt[m] = w
+                        else:
+                            nxt.pop(m, None)
+                terms = nxt
+            for mask, v in terms.items():
+                col[dst_off + dst_index[mask]] = v
+
     def rho_columns(
         self, i_mask: int, j: int, s: int
     ) -> tuple[list[int], list[int], list[dict[int, Fraction | int]]]:
         """The matrix of rho from the degree-s slice of G^I to G^{I u j}.
 
-        Returns (source masks, target masks, columns).  Basis elements whose
-        A avoids j map to zero; otherwise dlog x_j is extracted with its
-        Koszul sign, alpha_j joins the alpha wedge at its sorted position,
-        and any leftover dlog x_t with t in N(J) is rewritten through the
-        cached substitution table.
+        Returns (source masks, target masks, columns); see ``_rho_into``.
         """
-        j_mask_new = i_mask | (1 << j)
         src = self.basis(i_mask).masks_of_degree(s)
-        target = self.basis(j_mask_new)
-        dst = target.masks_of_degree(s)
-        dst_index = {a: r for r, a in enumerate(dst)}
-        k = i_mask.bit_count()
-        pi = self._pi_table(j_mask_new)
-        n_mask_new = target.row_mask
-        cols = []
-        for a_mask in src:
-            col: dict[int, Fraction | int] = {}
-            if a_mask >> j & 1:
-                above_in_a = (a_mask >> (j + 1)).bit_count()
-                above_in_i = (i_mask >> (j + 1)).bit_count()
-                sign = -1 if (k + above_in_a + above_in_i) & 1 else 1
-                a0 = a_mask & ~(1 << j)
-                subs = a0 & n_mask_new
-                if not subs:
-                    col[dst_index[a0]] = sign
-                else:
-                    # e_{A0} = interleave * e_{A0 minus subs} ^ e_subs
-                    sign *= wedge_sign(a0 & ~subs, subs)
-                    form = ExteriorForm.monomial(a0 & ~subs, sign)
-                    for t in bits(subs):
-                        form = form.wedge(pi[t])
-                    for mask, coeff in form.terms.items():
-                        col[dst_index[mask]] = coeff
-            cols.append(col)
+        dst = self.basis(i_mask | (1 << j)).masks_of_degree(s)
+        cols: list[dict[int, Fraction | int]] = [dict() for _ in src]
+        self._rho_into(cols, i_mask, j, s, 0, 0, 1)
         return src, dst, cols
 
     # -- full complexes ------------------------------------------------------
@@ -248,7 +282,8 @@ class GysinBuilder:
         (defaults to all of them); the family must contain, with any I and
         any J = I u {j}, both intermediates of every two-step extension it
         supports, which holds for the full family and for the up-sets used
-        by character components.
+        by character components.  The block from I to I u {j} fills the
+        rows of I u {j}, so blocks for different j never overlap.
         """
         if family_masks is None:
             family_masks = [list(level) for level in self.family.by_cardinality]
@@ -276,17 +311,7 @@ class GysinBuilder:
                         continue
                     eps = -1 if (i_mask & ((1 << j) - 1)).bit_count() & 1 else 1
                     dst_off = offsets[p + 1][new_mask]
-                    src, _, block = self.rho_columns(i_mask, j, s)
-                    for c, col in enumerate(block):
-                        if not col:
-                            continue
-                        target = cols[src_off + c]
-                        for r, v in col.items():
-                            w = target.get(dst_off + r, 0) + eps * v
-                            if w:
-                                target[dst_off + r] = w
-                            else:
-                                target.pop(dst_off + r, None)
+                    self._rho_into(cols, i_mask, j, s, src_off, dst_off, eps)
             columns.append(cols)
         cx = CochainComplexQ(labels, columns)
         if check:
@@ -460,6 +485,9 @@ def hodge_table(matrix: ExtendedExchangeMatrix, check: bool = True) -> HodgeTabl
     is empty unless J(chi) is an anticlique.  Contributions from characters
     with equal support coincide, so each support is computed once and
     weighted by its number of characters.
+
+    Every complex is checked for d^2 = 0 before it is ranked, since the
+    ranks rely on it; ``check`` adds the checks of the finished table.
     """
     if not is_acyclic(matrix):
         raise NotAcyclic("the quiver has an oriented cycle")
@@ -484,7 +512,8 @@ def hodge_table(matrix: ExtendedExchangeMatrix, check: bool = True) -> HodgeTabl
             for level in builder.family.by_cardinality
         ]
         for s in range(matrix.d + 1):
-            cx = builder.complex_for_s(s, family, check=check)
+            # clearing ranks exactly only when d^2 = 0: verify it always
+            cx = builder.complex_for_s(s, family)
             for p, h in cx.cohomology_dims().items():
                 key = (p + s, s)
                 dims[key] = dims.get(key, 0) + h * mult

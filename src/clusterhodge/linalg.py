@@ -12,8 +12,10 @@ All sparse elimination is ``Echelon``'s, fraction-free over the integers;
 and read answers over Q off its integer rows; ``Quotient`` reduces a span
 once and then answers each "representatives modulo it" query in one step.
 ``CochainComplexQ`` is the one cochain-complex type of the package (Gysin
-complexes, graded pieces and simplicial cochains alike), and
-``CohomologyClasses`` the ``Quotient`` of its cocycles by coboundaries.
+complexes, graded pieces and simplicial cochains alike); its
+``cohomology_dims`` ranks the differentials in order with clearing, which
+needs d^2 = 0.  ``CohomologyClasses`` is the ``Quotient`` of its cocycles
+by coboundaries.
 The Smith normal form keeps all four transformation matrices
 (S = P*A*Q together with the inverses of P and Q) because character lifts
 need explicit saturation bases, not just invariant factors.
@@ -229,11 +231,6 @@ class CochainComplexQ:
     def positions(self) -> int:
         return len(self.labels)
 
-    def differential_rank(self, p: int) -> int:
-        if not (0 <= p < len(self.columns)):
-            return 0
-        return rank(self.columns[p])
-
     def verify_d2(self) -> None:
         for p in range(len(self.columns) - 1):
             nxt = self.columns[p + 1]
@@ -250,13 +247,27 @@ class CochainComplexQ:
                     raise ConsistencyError("differential does not square to zero")
 
     def cohomology_dims(self) -> dict[int, int]:
+        """dim H^p for every p with nonzero cohomology; needs d^2 = 0.
+
+        Ranks are taken with clearing (Chen-Kerber 2011): the echelon of
+        d_{p-1} holds coboundaries, one led by each of its pivot keys c, so
+        column c of d_p lies in the span of the columns after it and is
+        skipped.  The columns left are the h^p dependent ones plus one per
+        pivot of d_p.  That is exact only when d_p d_{p-1} = 0; callers whose
+        differentials are not square-zero by construction verify it first.
+        """
         out = {}
-        ranks = [self.differential_rank(p) for p in range(self.positions)]
+        cleared: dict[int, dict[int, int]] = {}
         for p in range(self.positions):
-            prev = ranks[p - 1] if p > 0 else 0
-            h = self.dim(p) - ranks[p] - prev
+            ech = Echelon()
+            if p < len(self.columns):
+                for c, col in enumerate(self.columns[p]):
+                    if c not in cleared:
+                        ech.add(col)
+            h = self.dim(p) - ech.rank - len(cleared)
             if h:
                 out[p] = h
+            cleared = ech.pivots
         return out
 
     def rows_at(self, p: int) -> list[Row]:

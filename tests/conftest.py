@@ -84,3 +84,27 @@ def corpus() -> list[ExtendedExchangeMatrix]:
 
 def full_rank_corpus() -> list[ExtendedExchangeMatrix]:
     return [validate(rows, n, m) for rows, n, m in FULL_RANK_ROWS]
+
+
+def assembly_corpus() -> list[ExtendedExchangeMatrix]:
+    """Principal quivers of every graph with at most 5 vertices, the star Z_4
+    with frozen block 2I, a rational frozen rescale, and 20 seeded random
+    acyclic matrices: the inputs on which Gysin assembly and cohomology
+    ranks are compared with their references."""
+    from fractions import Fraction
+
+    from clusterhodge.exchange import principal_from_graph, validate_rational
+    from clusterhodge.graphs import all_graphs, star_graph
+
+    out = [principal_from_graph(g) for v in range(1, 6) for g in all_graphs(v)]
+    z4 = principal_from_graph(star_graph(4))
+    frozen_2i = [[2 if i == j else 0 for j in range(4)] for i in range(4)]
+    out.append(validate(z4.top_block() + frozen_2i, 4, 4))
+    out.append(
+        validate_rational(
+            [[0, 1], [-1, 0], [Fraction(1, 2), 0], [0, Fraction(1, 3)]], 2, 2
+        )
+    )
+    rng = random.Random(515)
+    out += [random_acyclic_matrix(rng, 4, 4) for _ in range(20)]
+    return out

@@ -192,3 +192,32 @@ def test_bad_flags_are_exit_2(edge_file, capsys, extra):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err)["error"] == "InputError"
+
+
+def test_negative_max_page_is_exit_2(edge_file, capsys):
+    assert main(["ss", "--input", edge_file, "--max-page", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err == {"error": "InputError", "detail": "--max-page -1 is negative"}
+
+
+def test_check_exits_1_when_d_squared_fails(tmp_path, capsys, monkeypatch):
+    from clusterhodge.gysin import GysinBuilder
+
+    path = tmp_path / "p3.mat"
+    path.write_text("3 3\n0 1 0\n-1 0 1\n0 -1 0\n1 0 0\n0 1 0\n0 0 1\n")
+    original = GysinBuilder._rho_into
+
+    def unsigned(self, cols, i_mask, j, s, src_off, dst_off, eps):
+        # without the block sign the square {} -> {0}, {2} -> {0, 2} fails
+        original(self, cols, i_mask, j, s, src_off, dst_off, 1)
+
+    monkeypatch.setattr(GysinBuilder, "_rho_into", unsigned)
+    assert main(["check", "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "ConsistencyError",
+        "detail": "differential does not square to zero",
+    }

@@ -5,6 +5,7 @@ import pytest
 
 from clusterhodge.errors import (
     ColumnsDependent,
+    ConsistencyError,
     NotAcyclic,
     NotConnected,
     NotFullRank,
@@ -13,13 +14,15 @@ from clusterhodge.errors import (
 )
 from clusterhodge.exchange import (
     CharacterGroup,
+    RankClass,
     is_acyclic,
     mutate,
     principal_from_graph,
     principal_matrix,
+    rank_class,
     validate,
 )
-from clusterhodge.exterior import ExteriorForm, bits
+from clusterhodge.exterior import ExteriorForm, bits, mask_of, wedge_sign
 from clusterhodge.graphs import Graph, cycle_graph, path_graph, star_graph
 from clusterhodge.gysin import (
     GysinBuilder,
@@ -37,7 +40,7 @@ from clusterhodge.gysin import (
 from clusterhodge.linalg import Echelon, mat_mul, rank
 from clusterhodge.poly import IntPolynomial
 
-from conftest import corpus, full_rank_corpus, random_acyclic_matrix
+from conftest import assembly_corpus, corpus, full_rank_corpus, random_acyclic_matrix
 
 M01 = validate([[0], [1]], 1, 1)
 M22 = validate([[0, 2], [-2, 0]], 2, 0)
@@ -492,3 +495,132 @@ def test_degenerate_shapes():
     torus = validate([[], []], 0, 2)
     assert hodge_table(torus).dims == {(0, 0): 1, (1, 1): 2, (2, 2): 1}
     assert build_gysin_complex(torus, 1).cohomology_dims() == {0: 2}
+
+
+# ---------------------------------------------------------------------------
+# reference assembly: the residue blocks as ExteriorForm products
+
+
+def _reference_rho_columns(builder, i_mask, j, s):
+    """rho from the degree-s slice of G^I to G^{I u j}, one ExteriorForm per column."""
+    j_mask_new = i_mask | (1 << j)
+    src = builder.basis(i_mask).masks_of_degree(s)
+    target = builder.basis(j_mask_new)
+    dst = target.masks_of_degree(s)
+    dst_index = {a: r for r, a in enumerate(dst)}
+    k = i_mask.bit_count()
+    pi = builder._pi_table(j_mask_new)
+    n_mask_new = target.row_mask
+    cols = []
+    for a_mask in src:
+        col = {}
+        if a_mask >> j & 1:
+            above_in_a = (a_mask >> (j + 1)).bit_count()
+            above_in_i = (i_mask >> (j + 1)).bit_count()
+            sign = -1 if (k + above_in_a + above_in_i) & 1 else 1
+            a0 = a_mask & ~(1 << j)
+            subs = a0 & n_mask_new
+            if not subs:
+                col[dst_index[a0]] = sign
+            else:
+                sign *= wedge_sign(a0 & ~subs, subs)
+                form = ExteriorForm.monomial(a0 & ~subs, sign)
+                for t in bits(subs):
+                    form = form.wedge(pi[t])
+                for mask, coeff in form.terms.items():
+                    col[dst_index[mask]] = coeff
+        cols.append(col)
+    return src, dst, cols
+
+
+def _reference_columns(builder, s, family_masks):
+    """The differentials of the weight-s complex, blocks accumulated one by one."""
+    members = {m for level in family_masks for m in level}
+    offsets = []
+    for level in family_masks:
+        offset, size = {}, 0
+        for i_mask in sorted(level):
+            offset[i_mask] = size
+            size += len(builder.basis(i_mask).masks_of_degree(s))
+        offsets.append((offset, size))
+    columns = []
+    for p in range(len(family_masks) - 1):
+        cols = [dict() for _ in range(offsets[p][1])]
+        for i_mask in family_masks[p]:
+            src_off = offsets[p][0][i_mask]
+            for j in range(builder.matrix.n):
+                new_mask = i_mask | (1 << j)
+                if new_mask == i_mask or new_mask not in members:
+                    continue
+                eps = -1 if (i_mask & ((1 << j) - 1)).bit_count() & 1 else 1
+                dst_off = offsets[p + 1][0][new_mask]
+                _, _, block = _reference_rho_columns(builder, i_mask, j, s)
+                for c, col in enumerate(block):
+                    target = cols[src_off + c]
+                    for r, v in col.items():
+                        w = target.get(dst_off + r, 0) + eps * v
+                        if w:
+                            target[dst_off + r] = w
+                        else:
+                            target.pop(dst_off + r, None)
+        columns.append(cols)
+    return columns
+
+
+def _typed(columns):
+    """Columns with each entry paired with its type, so int 1 != Fraction(1)."""
+    return [[{r: (type(v), v) for r, v in col.items()} for col in cols] for cols in columns]
+
+
+def _support_families(builder):
+    """The anticlique families hodge_table assembles: all, and each character support."""
+    families = [[list(level) for level in builder.family.by_cardinality]]
+    if rank_class(builder.matrix) is RankClass.FULL_RANK:
+        group = CharacterGroup(builder.matrix)
+        supports = {mask_of(group.support(chi)) for chi in group.elements()}
+        for j_mask in sorted(supports - {0}):
+            if builder.graph.is_independent(j_mask):
+                families.append(
+                    [
+                        [i for i in level if i & j_mask == j_mask]
+                        for level in builder.family.by_cardinality
+                    ]
+                )
+    return families
+
+
+def test_assembly_matches_exterior_form_reference():
+    for m in assembly_corpus():
+        builder = GysinBuilder(m)
+        for s in range(m.d + 1):
+            for family in _support_families(builder):
+                cx = builder.complex_for_s(s, family)
+                want = _reference_columns(builder, s, family)
+                assert _typed(cx.columns) == _typed(want), (m.rows, s)
+                labels = [
+                    [(i, a) for i in sorted(level) for a in builder.basis(i).masks_of_degree(s)]
+                    for level in family
+                ]
+                assert cx.labels == labels, (m.rows, s)
+            for i_mask in builder.family.all_masks():
+                for j in range(m.n):
+                    j_mask = i_mask | (1 << j)
+                    if j_mask == i_mask or not builder.graph.is_independent(j_mask):
+                        continue
+                    got = builder.rho_columns(i_mask, j, s)
+                    want = _reference_rho_columns(builder, i_mask, j, s)
+                    assert got[:2] == want[:2], (m.rows, i_mask, j, s)
+                    assert _typed([got[2]]) == _typed([want[2]]), (m.rows, i_mask, j, s)
+
+
+def test_hodge_table_verifies_d2_without_table_checks(monkeypatch):
+    # dropping the block sign (-1)^{#{i in I : i < j}} breaks d^2 = 0
+    m = principal_from_graph(path_graph(3))
+    original = GysinBuilder._rho_into
+
+    def unsigned(self, cols, i_mask, j, s, src_off, dst_off, eps):
+        original(self, cols, i_mask, j, s, src_off, dst_off, 1)
+
+    monkeypatch.setattr(GysinBuilder, "_rho_into", unsigned)
+    with pytest.raises(ConsistencyError, match="square to zero"):
+        hodge_table(m, check=False)

@@ -1,10 +1,14 @@
+import itertools
 from fractions import Fraction
 from math import gcd, lcm
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clusterhodge.graphs import all_graphs, augmented_cochain_complex, independence_complex
+from clusterhodge.gysin import GysinBuilder
 from clusterhodge.linalg import (
+    CochainComplexQ,
     Echelon,
     Quotient,
     identity,
@@ -15,6 +19,8 @@ from clusterhodge.linalg import (
     smith_normal_form,
     solve_in_span,
 )
+
+from conftest import assembly_corpus
 
 small_matrices = st.integers(1, 5).flatmap(
     lambda r: st.integers(1, 5).flatmap(
@@ -220,3 +226,97 @@ def test_quotient_examples():
     assert quot.coordinates({0: 5, 1: 4, 2: -1}) == [4, -1]
     assert quot.coordinates({0: 1}) == [0, 0]
     assert Quotient([], []).coordinates({}) == []
+
+
+# ---------------------------------------------------------------------------
+# cohomology with clearing against plain ranks
+
+
+def _plain_dims(cx):
+    """dim H^p as dim - rank(d_p) - rank(d_{p-1}), every rank taken in full."""
+    ranks = [rank(cols) for cols in cx.columns]
+    ranks += [0] * (cx.positions - len(ranks))
+    out = {}
+    for p in range(cx.positions):
+        h = cx.dim(p) - ranks[p] - (ranks[p - 1] if p else 0)
+        if h:
+            out[p] = h
+    return out
+
+
+def test_clearing_matches_plain_ranks_on_gysin_complexes():
+    for m in assembly_corpus():
+        builder = GysinBuilder(m)
+        for s in range(m.d + 1):
+            cx = builder.complex_for_s(s)
+            assert cx.cohomology_dims() == _plain_dims(cx), (m.rows, s)
+
+
+def test_clearing_matches_plain_ranks_on_independence_complexes():
+    for v in range(1, 6):
+        for graph in all_graphs(v):
+            cx = augmented_cochain_complex(independence_complex(graph))
+            assert cx.cohomology_dims() == _plain_dims(cx), graph.edges
+
+
+@st.composite
+def cochain_complexes(draw):
+    """A random rational complex with d^2 = 0, and its cohomology dimensions.
+
+    Position p is the sum of h_p copies of Q with zero differential and the
+    two ends of b_{p-1} and b_p copies of Q -> Q, in a basis scrambled by
+    random row operations T_p; d_p becomes T_{p+1} d_p T_p^{-1}.  Every
+    ordered pair of rows gets an operation, so scrambled rows are dense.
+    """
+    positions = draw(st.integers(1, 4))
+    h = draw(st.lists(st.integers(0, 2), min_size=positions, max_size=positions))
+    b = draw(st.lists(st.integers(0, 3), min_size=positions - 1, max_size=positions - 1))
+    b.append(0)
+    rnd = draw(st.randoms(use_true_random=False))
+
+    def nonzero():
+        return Fraction(rnd.choice([-1, 1]) * rnd.randint(1, 9), rnd.randint(1, 7))
+
+    dims = [h[p] + (b[p - 1] if p else 0) + b[p] for p in range(positions)]
+    scrambles = []
+    for dim in dims:
+        t = [[Fraction(v) for v in row] for row in identity(dim)]
+        t_inv = [row[:] for row in t]
+        for i, j in itertools.permutations(range(dim), 2):
+            # row i of t plus c row j, column j of t_inv minus c column i
+            c = nonzero()
+            t[i] = [v + c * w for v, w in zip(t[i], t[j])]
+            for row in t_inv:
+                row[j] -= c * row[i]
+        for i in range(dim):
+            # row i of t times c, column i of t_inv over c
+            c = nonzero()
+            t[i] = [v * c for v in t[i]]
+            for row in t_inv:
+                row[i] /= c
+        scrambles.append((t, t_inv))
+    columns = []
+    for p in range(positions - 1):
+        d = [[Fraction(0)] * dims[p] for _ in range(dims[p + 1])]
+        for k in range(b[p]):
+            src = h[p] + (b[p - 1] if p else 0) + k
+            d[h[p + 1] + k][src] = nonzero()
+        d = _mat_mul_q(scrambles[p + 1][0], _mat_mul_q(d, scrambles[p][1]))
+        columns.append(
+            [{r: d[r][c] for r in range(dims[p + 1]) if d[r][c]} for c in range(dims[p])]
+        )
+    cx = CochainComplexQ([list(range(dim)) for dim in dims], columns)
+    return cx, {p: v for p, v in enumerate(h) if v}
+
+
+def _mat_mul_q(a, b):
+    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)]
+            for row in a] if b and b[0] else [[] for _ in a]
+
+
+@given(cochain_complexes())
+@settings(max_examples=150, deadline=None)
+def test_clearing_matches_plain_ranks_on_random_complexes(drawn):
+    cx, want = drawn
+    cx.verify_d2()
+    assert cx.cohomology_dims() == _plain_dims(cx) == want
