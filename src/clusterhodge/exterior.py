@@ -20,12 +20,15 @@ Coeff = Fraction | int
 
 def wedge_sign(left: int, right: int) -> int:
     """Sign of e_left ^ e_right relative to e_{left|right}; masks disjoint."""
-    parity = 0
-    while right:
-        low = right & -right
-        parity += (left & -low).bit_count()  # members of left above low
-        right ^= low
-    return -1 if parity & 1 else 1
+    sign = 1
+    t = right
+    while t:
+        low = t & -t
+        bit = low.bit_length() - 1
+        if (left >> (bit + 1)).bit_count() & 1:
+            sign = -sign
+        t ^= low
+    return sign
 
 
 def bits(mask: int) -> list[int]:

@@ -46,7 +46,7 @@ from .exchange import (
     reduce_character,
     underlying_graph,
 )
-from .exterior import ExteriorForm, bits, mask_of, submasks, wedge_sign
+from .exterior import ExteriorForm, bits, mask_of, submasks
 from .graphs import anticliques
 from .linalg import CochainComplexQ, Echelon, Quotient
 from .poly import IntPolynomial
@@ -116,7 +116,10 @@ class GysinBuilder:
         """Row set N(I) with B~_{N(I),I} invertible and fewest mutable rows.
 
         Frozen rows are offered to the greedy rank test first; by the matroid
-        exchange property this minimizes the mutable share.
+        exchange property this minimizes the mutable share.  The row order
+        is the same for every anticlique, and rows independent on the
+        columns of I stay independent on those of I u {j}, so N(I u {j})
+        is N(I) plus one row.
         """
         cached = self._n_of.get(i_mask)
         if cached is not None:
@@ -214,49 +217,39 @@ class GysinBuilder:
         source mask, its rows shifted by ``dst_off``; each entry is written
         once, so the row range must be empty in those columns.  A masks that
         avoid j map to zero and are skipped.  Otherwise dlog x_j is extracted
-        with its Koszul sign, alpha_j joins the alpha wedge at its sorted
-        position, and each leftover dlog x_t with t in N(J) is replaced by
-        its substitution pi[t], a combination of free dlog's, expanded term
-        by term in increasing t over integer (mask, coefficient) pairs.
+        with its Koszul sign and alpha_j joins the alpha wedge at its sorted
+        position.  A avoids N(I), and N(J) is N(I) plus one row t (see
+        ``choose_n``), so at most dlog x_t is left over from N(J); it is
+        replaced by its substitution pi[t], a combination of free dlog's,
+        written term by term as integer (mask, coefficient) pairs.
         """
         j_bit = 1 << j
         src = self.basis(i_mask).masks_of_degree(s)
         target = self.basis(i_mask | j_bit)
         dst_index = {a: r for r, a in enumerate(target.masks_of_degree(s))}
-        pi = self._pi_table(i_mask | j_bit)
-        n_mask_new = target.row_mask
+        t_bit = target.row_mask & ~self.basis(i_mask).row_mask
+        assert t_bit.bit_count() == 1, "N(I u j) must be N(I) plus one row"
+        pi_t = self._pi_table(i_mask | j_bit)[t_bit.bit_length() - 1].terms
         parity = i_mask.bit_count() + (i_mask >> (j + 1)).bit_count()
         for c, a_mask in enumerate(src):
             if not a_mask & j_bit:
                 continue
             sign = -eps if (parity + (a_mask >> (j + 1)).bit_count()) & 1 else eps
             a0 = a_mask ^ j_bit
-            subs = a0 & n_mask_new
             col = cols[src_off + c]
-            if not subs:
+            if not a0 & t_bit:
                 col[dst_off + dst_index[a0]] = sign
                 continue
-            # e_{A0} = interleave * e_{A0 minus subs} ^ e_subs
-            rest = a0 ^ subs
-            terms = {rest: sign * wedge_sign(rest, subs)}
-            while subs:
-                t_bit = subs & -subs
-                subs ^= t_bit
-                nxt: dict[int, Fraction | int] = {}
-                for m1, c1 in terms.items():
-                    for bit, c2 in pi[t_bit.bit_length() - 1].terms.items():
-                        if m1 & bit:
-                            continue
-                        v = -(c1 * c2) if (m1 & -bit).bit_count() & 1 else c1 * c2
-                        m = m1 | bit
-                        w = nxt.get(m, 0) + v
-                        if w:
-                            nxt[m] = w
-                        else:
-                            nxt.pop(m, None)
-                terms = nxt
-            for mask, v in terms.items():
-                col[dst_off + dst_index[mask]] = v
+            # e_{A0} = (-1)^{#A0 above t} e_rest ^ dlog x_t, then dlog x_t -> pi[t]
+            rest = a0 ^ t_bit
+            if (rest & -t_bit).bit_count() & 1:
+                sign = -sign
+            for bit, c2 in pi_t.items():
+                if not rest & bit:
+                    v = sign * c2
+                    col[dst_off + dst_index[rest | bit]] = (
+                        -v if (rest & -bit).bit_count() & 1 else v
+                    )
 
     def rho_columns(
         self, i_mask: int, j: int, s: int

@@ -103,6 +103,18 @@ def test_choose_n_minimality_exhaustive():
                 assert sum(1 for r in chosen if r < m.n) == best
 
 
+def test_choose_n_grows_by_one_row():
+    # the residue writer substitutes at most the one row N(I u j) adds
+    for m in assembly_corpus() + full_rank_corpus():
+        builder = GysinBuilder(m)
+        for i_mask in builder.family.all_masks():
+            for j in range(m.n):
+                j_mask = i_mask | (1 << j)
+                if j_mask != i_mask and builder.graph.is_independent(j_mask):
+                    added = set(builder.choose_n(j_mask)) - set(builder.choose_n(i_mask))
+                    assert len(added) == 1, (m.rows, i_mask, j)
+
+
 def test_choose_n_columns_dependent():
     bad = validate([[0, 0], [0, 0], [1, 1]], 2, 1)
     with pytest.raises(ColumnsDependent):
