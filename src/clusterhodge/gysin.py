@@ -92,10 +92,10 @@ class GysinBuilder:
 
     The residue map has one writer, ``_rho_into``: ``complex_for_s`` has it
     fill each differential block by block, and ``rho_columns`` returns one
-    block on its own.  Construction does not insist on full rank; a rank-deficient matrix
-    surfaces as ColumnsDependent the moment some anticlique needs a row
-    selection that does not exist.  The complex-level entry points enforce
-    their own rank preconditions.
+    block on its own.  Construction does not insist on full rank; a
+    rank-deficient matrix surfaces as ColumnsDependent the moment some
+    anticlique needs a row selection that does not exist.  The
+    complex-level entry points enforce their own rank preconditions.
     """
 
     def __init__(self, matrix: ExtendedExchangeMatrix):
@@ -224,14 +224,13 @@ class GysinBuilder:
         written term by term as integer (mask, coefficient) pairs.
         """
         j_bit = 1 << j
-        src = self.basis(i_mask).masks_of_degree(s)
-        target = self.basis(i_mask | j_bit)
+        source, target = self.basis(i_mask), self.basis(i_mask | j_bit)
         dst_index = {a: r for r, a in enumerate(target.masks_of_degree(s))}
-        t_bit = target.row_mask & ~self.basis(i_mask).row_mask
+        t_bit = target.row_mask & ~source.row_mask
         assert t_bit.bit_count() == 1, "N(I u j) must be N(I) plus one row"
         pi_t = self._pi_table(i_mask | j_bit)[t_bit.bit_length() - 1].terms
         parity = i_mask.bit_count() + (i_mask >> (j + 1)).bit_count()
-        for c, a_mask in enumerate(src):
+        for c, a_mask in enumerate(source.masks_of_degree(s)):
             if not a_mask & j_bit:
                 continue
             sign = -eps if (parity + (a_mask >> (j + 1)).bit_count()) & 1 else eps
