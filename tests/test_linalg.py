@@ -301,17 +301,12 @@ def cochain_complexes(draw):
         for k in range(b[p]):
             src = h[p] + (b[p - 1] if p else 0) + k
             d[h[p + 1] + k][src] = nonzero()
-        d = _mat_mul_q(scrambles[p + 1][0], _mat_mul_q(d, scrambles[p][1]))
+        d = mat_mul(scrambles[p + 1][0], mat_mul(d, scrambles[p][1]))
         columns.append(
             [{r: d[r][c] for r in range(dims[p + 1]) if d[r][c]} for c in range(dims[p])]
         )
     cx = CochainComplexQ([list(range(dim)) for dim in dims], columns)
     return cx, {p: v for p, v in enumerate(h) if v}
-
-
-def _mat_mul_q(a, b):
-    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)]
-            for row in a] if b and b[0] else [[] for _ in a]
 
 
 @given(cochain_complexes())
