@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import product
 from math import comb, gcd
 
-from .errors import NotAcyclic, NotFullRank, NotPrincipal, TooLarge
+from .errors import InputError, NotAcyclic, NotFullRank, NotPrincipal, TooLarge
 from .exchange import (
     CharacterGroup,
     ExtendedExchangeMatrix,
@@ -79,14 +79,35 @@ def point_count_poly(matrix: ExtendedExchangeMatrix) -> PointCountResult:
     return PointCountResult(total, modulus)
 
 
+# Miller-Rabin with the prime bases up to 37 has no strong pseudoprime below
+# this bound (Sorenson and Webster, Math. Comp. 86 (2017)), so it is exact there
+PRIME_TEST_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+PRIME_TEST_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(q: int) -> bool:
+    """Deterministic Miller-Rabin; q at or above PRIME_TEST_BOUND is refused."""
+    if q >= PRIME_TEST_BOUND:
+        raise InputError(
+            f"q={q} is not below {PRIME_TEST_BOUND}, where the primality test is exact"
+        )
     if q < 2:
         return False
-    f = 2
-    while f * f <= q:
-        if q % f == 0:
+    for a in PRIME_TEST_BASES:
+        if q % a == 0:
+            return q == a
+    r = ((q - 1) & (1 - q)).bit_length() - 1  # q - 1 = 2^r * odd
+    odd = (q - 1) >> r
+    for a in PRIME_TEST_BASES:
+        x = pow(a, odd, q)
+        if x == 1 or x == q - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % q
+            if x == q - 1:
+                break
+        else:
             return False
-        f += 1
     return True
 
 
@@ -206,34 +227,44 @@ def graph_stats(graph: Graph) -> GraphStats:
 # closed forms for weights s <= 3
 
 
-def closed_form_s_le_3(matrix: ExtendedExchangeMatrix) -> dict[tuple[int, int], int]:
-    """dims(k, s) for s in {0,1,2,3} from the graph-statistic formulas.
+def small_weight_entries(
+    matrix: ExtendedExchangeMatrix,
+) -> dict[int, dict[tuple[int, int], int]]:
+    """E_s^{e,f} at weights s = 2 and 3 from the graph-statistic formulas.
 
-    Principal coefficients only.  The (4,3) entry is the sum of the ranks of
-    H^1 of the vertex-deleted graphs and the stabilized corner term
+    Principal coefficients only; zero entries are left out.  At weight 3 the
+    (3,-2) entry is the stabilized corner term
     sum C(d_i, 2) - triangles - sum e_i - isolated.
     """
     if not is_principal(matrix):
         raise NotPrincipal("the small-weight formulas assume principal coefficients")
-    graph = underlying_graph(matrix)
-    stats = graph_stats(graph)
-    n = matrix.n
-    ell, ell1, h1 = stats.components, stats.isolated, stats.h1
-    out = {
-        (0, 0): 1,
-        (1, 1): n,
-        (2, 2): comb(n, 2) + ell,
-        (3, 2): h1,
-        (3, 3): comb(n, 3) + n * ell - ell1,
-        (4, 3): (
-            n * h1
-            - sum(d - e - 1 for d, e in zip(stats.degrees, stats.e_increments))
-            + sum(comb(d, 2) for d in stats.degrees)
+    stats = graph_stats(underlying_graph(matrix))
+    n, ell, ell1, h1 = matrix.n, stats.components, stats.isolated, stats.h1
+    pages = {
+        2: {(0, 0): comb(n, 2), (1, -1): ell, (2, -1): h1},
+        3: {
+            (0, 0): comb(n, 3),
+            (1, -1): n * ell - ell1,
+            (2, -1): n * h1
+            - sum(d - e - 1 for d, e in zip(stats.degrees, stats.e_increments)),
+            (3, -2): sum(comb(d, 2) for d in stats.degrees)
             - stats.triangles
             - sum(stats.e_increments)
-            - ell1
-        ),
+            - ell1,
+        },
     }
+    return {s: {k: v for k, v in page.items() if v} for s, page in pages.items()}
+
+
+def closed_form_s_le_3(matrix: ExtendedExchangeMatrix) -> dict[tuple[int, int], int]:
+    """dims(k, s) for s <= 3: 1, n, and the small-weight entries summed along k.
+
+    E_s^{e,f} adds to dims(s + e + f, s).  Principal coefficients only.
+    """
+    out = {(0, 0): 1, (1, 1): matrix.n}
+    for s, page in small_weight_entries(matrix).items():
+        for (e, f), v in page.items():
+            out[(s + e + f, s)] = out.get((s + e + f, s), 0) + v
     return {k: v for k, v in out.items() if v}
 
 

@@ -37,12 +37,6 @@ class ExtendedExchangeMatrix:
     def d(self) -> int:
         return self.n + self.m
 
-    def entry(self, i: int, j: int) -> int:
-        return self.rows[i][j]
-
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(r[j] for r in self.rows)
-
     def top_block(self) -> list[list[int]]:
         return [list(r) for r in self.rows[: self.n]]
 
@@ -175,10 +169,6 @@ def rank_class(matrix: ExtendedExchangeMatrix) -> RankClass:
     return RankClass.FULL_RANK
 
 
-def is_full_rank(matrix: ExtendedExchangeMatrix) -> bool:
-    return rank_class(matrix) is not RankClass.NOT_FULL_RANK
-
-
 @dataclass(frozen=True)
 class FiniteAbelianGroup:
     """Invariant-factor presentation d_1 | d_2 | ... with every d_i >= 2."""
@@ -224,10 +214,6 @@ class Character:
 
     coords: tuple[int, ...]  # residue per invariant factor > 1
     lift: tuple[int, ...]  # a representative z in B~ Q^n cap Z^{n+m}
-
-    @property
-    def is_identity(self) -> bool:
-        return all(c == 0 for c in self.coords)
 
 
 @dataclass(frozen=True)

@@ -67,10 +67,6 @@ class ExteriorForm:
         self.terms = {m: c for m, c in (terms or {}).items() if c}
 
     @classmethod
-    def zero(cls) -> "ExteriorForm":
-        return cls()
-
-    @classmethod
     def one(cls) -> "ExteriorForm":
         return cls({0: 1})
 
@@ -125,13 +121,6 @@ class ExteriorForm:
 
     def degree_part(self, d: int) -> "ExteriorForm":
         return ExteriorForm({m: c for m, c in self.terms.items() if m.bit_count() == d})
-
-    def is_homogeneous(self) -> bool:
-        degrees = {m.bit_count() for m in self.terms}
-        return len(degrees) <= 1
-
-    def coefficient(self, mask: int) -> Coeff:
-        return self.terms.get(mask, 0)
 
     def __repr__(self) -> str:
         if not self.terms:

@@ -24,8 +24,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
+from .counts import small_weight_entries
 from .errors import ConsistencyError, NotAcyclic, NotPrincipal, NotReallyFullRank
 from .exchange import (
     ExtendedExchangeMatrix,
@@ -36,8 +36,9 @@ from .exchange import (
     rank_class,
     underlying_graph,
 )
-from .exterior import bits, submasks
+from .exterior import bits, mask_of
 from .graphs import (
+    augmented_cochain_complex,
     independence_complex_on,
     mv_delta,
     reduced_cohomology,
@@ -124,87 +125,69 @@ class GradedPiece:
     d_set: tuple[int, ...]
     e_set: tuple[int, ...]
     weight: int
-    complex: CochainComplexQ  # position p = |I|, basis = anticliques I of E \ D
+    complex: CochainComplexQ  # position p: the Gysin labels (I, A) with |I| = p
 
     def cohomology_dims(self) -> dict[int, int]:
         return self.complex.cohomology_dims()
 
 
-def graded_pieces(
-    matrix: ExtendedExchangeMatrix, s: int, verify: bool = True
-) -> list[GradedPiece]:
+def graded_pieces(matrix: ExtendedExchangeMatrix, s: int) -> list[GradedPiece]:
     """The direct summands gr G(D, E) of the associated graded at weight s.
 
-    The piece for (D, E) is the reduced cochain complex of the independence
-    complex of the induced subgraph on E minus D, shifted by one, with C
-    determined as E minus I.  When ``verify`` is set, each piece's cohomology
-    is checked against the graph-topology computation.
+    Read off the filtered Gysin complex: the label (I, A) lies in the piece
+    with D = the frozen part of A as mutable indices and E = (A cap mutable)
+    u I, whose level |E| is the label's, and a piece keeps the entries that
+    preserve the level (the single +-1 entries from (I, A) to (I u j, A - j),
+    j not in D).  A piece must be the augmented cochain complex of the
+    independence complex of E minus D: the anticliques I at position p are
+    its faces with p vertices, and the cohomology agrees, or ConsistencyError.
     """
-    if not is_principal(matrix):
-        raise NotPrincipal("graded pieces need principal coefficients")
-    if not is_acyclic(matrix):
-        raise NotAcyclic("the quiver has an oriented cycle")
+    fc = build_filtered(matrix, s)
+    cx, n = fc.complex, matrix.n
+    labels: dict[tuple[int, int], list[list[tuple[int, int]]]] = {}
+    where = {}  # Gysin label -> (piece key, index at its position)
+    for p, position in enumerate(cx.labels):
+        for i_mask, a_mask in position:
+            key = (a_mask >> n, (a_mask & ((1 << n) - 1)) | i_mask)
+            piece = labels.setdefault(key, [])
+            piece += [[] for _ in range(p + 1 - len(piece))]
+            where[(i_mask, a_mask)] = key, len(piece[p])
+            piece[p].append((i_mask, a_mask))
+    columns = {
+        key: [[{} for _ in position] for position in piece[:-1]]
+        for key, piece in labels.items()
+    }
+    for p, cols in enumerate(cx.columns):
+        for c, col in enumerate(cols):
+            key, cc = where[cx.labels[p][c]]
+            for r, v in col.items():
+                if fc.levels[p + 1][r] == fc.levels[p][c]:
+                    key2, rr = where[cx.labels[p + 1][r]]
+                    if key2 != key:
+                        raise ConsistencyError("level-preserving entry between pieces")
+                    columns[key][p][cc][rr] = v
     graph = underlying_graph(matrix)
-    n = matrix.n
     pieces = []
-    for d_mask in range(1 << n):
-        dsize = d_mask.bit_count()
-        esize = s - dsize
-        if esize < 0 or esize > n:
-            continue
-        for e_mask in _masks_of_size(n, esize):
-            x_mask = e_mask & ~d_mask
-            # anticliques of the induced subgraph, by size
-            ants: list[list[int]] = [[] for _ in range(x_mask.bit_count() + 1)]
-            for i_mask in submasks(x_mask):
-                if graph.is_independent(i_mask):
-                    ants[i_mask.bit_count()].append(i_mask)
-            for level in ants:
-                level.sort()
-            while len(ants) > 1 and not ants[-1]:
-                ants.pop()
-            labels = [[(i, e_mask & ~i) for i in level] for level in ants]
-            columns = []
-            for p in range(len(ants) - 1):
-                index_next = {i: r for r, i in enumerate(ants[p + 1])}
-                cols = []
-                for i_mask in ants[p]:
-                    col = {}
-                    c_mask = e_mask & ~i_mask
-                    for c in bits(c_mask & ~d_mask):
-                        new = i_mask | (1 << c)
-                        r = index_next.get(new)
-                        if r is None:
-                            continue
-                        below = (i_mask & ((1 << c) - 1)).bit_count()
-                        col[r] = -1 if below & 1 else 1
-                    cols.append(col)
-                columns.append(cols)
-            piece = GradedPiece(
-                tuple(bits(d_mask)),
-                tuple(bits(e_mask)),
-                s,
-                CochainComplexQ(labels, columns),
+    for d_mask, e_mask in sorted(labels, key=lambda k: (k[0], bits(k[1]))):
+        key = (d_mask, e_mask)
+        piece = GradedPiece(
+            tuple(bits(d_mask)),
+            tuple(bits(e_mask)),
+            s,
+            CochainComplexQ(labels[key], columns[key]),
+        )
+        faces = augmented_cochain_complex(
+            independence_complex_on(graph, e_mask & ~d_mask)
+        )
+        if [[i for i, _ in pos] for pos in labels[key]] != faces.labels or (
+            piece.cohomology_dims() != faces.cohomology_dims()
+        ):
+            raise ConsistencyError(
+                f"graded piece ({piece.d_set}, {piece.e_set}) "
+                "disagrees with the independence complex"
             )
-            if verify:
-                expected = reduced_cohomology(independence_complex_on(graph, x_mask))
-                got = piece.cohomology_dims()
-                shifted = {p - 1: h for p, h in got.items()}
-                if shifted != expected.dims:
-                    raise ConsistencyError(
-                        f"graded piece ({piece.d_set}, {piece.e_set}) "
-                        "disagrees with the independence complex"
-                    )
-            pieces.append(piece)
+        pieces.append(piece)
     return pieces
-
-
-def _masks_of_size(n: int, k: int):
-    for combo in itertools.combinations(range(n), k):
-        m = 0
-        for v in combo:
-            m |= 1 << v
-        yield m
 
 
 # ---------------------------------------------------------------------------
@@ -363,19 +346,11 @@ def observed_collapse_page(pages: list[SpectralSequencePage]) -> int:
 
 
 @dataclass
-class E1Block:
-    d_set: tuple[int, ...]
-    e_set: tuple[int, ...]
-    dim: int
-
-
-@dataclass
 class E1Page:
     """E_1 of the filtration at one weight, built from graph cohomology."""
 
     weight: int
     entries: dict[tuple[int, int], int]
-    blocks: dict[tuple[int, int], list[E1Block]]
     differentials: dict[tuple[int, int], list[list[Fraction]]]
 
 
@@ -411,22 +386,18 @@ def e1_page(matrix: ExtendedExchangeMatrix, s: int) -> E1Page:
         return got
 
     entries: dict[tuple[int, int], int] = {}
-    blocks: dict[tuple[int, int], list[E1Block]] = {}
     positions: dict[tuple[int, int, int, int], tuple[int, int]] = {}
     for d_mask in range(1 << n):
         dsize = d_mask.bit_count()
         esize = s - dsize
         if esize < 0 or esize > n:
             continue
-        for e_mask in _masks_of_size(n, esize):
+        for e_mask in map(mask_of, itertools.combinations(range(n), esize)):
             x_mask = e_mask & ~d_mask
             for deg, h in dims_of(x_mask).items():
                 e, f = esize, deg + 1 - esize
                 entries[(e, f)] = entries.get((e, f), 0) + h
                 positions[(d_mask, e_mask, e, f)] = (entries[(e, f)] - h, h)
-                blocks.setdefault((e, f), []).append(
-                    E1Block(tuple(bits(d_mask)), tuple(bits(e_mask)), h)
-                )
 
     diffs: dict[tuple[int, int], list[list[Fraction]]] = {}
     deltas: dict[tuple[int, int, int], dict[int, list[list[Fraction]]]] = {}
@@ -472,7 +443,7 @@ def e1_page(matrix: ExtendedExchangeMatrix, s: int) -> E1Page:
                     for jj in range(h):
                         if block[i][jj]:
                             mat[offset2 + i][offset + jj] += scale * block[i][jj]
-    return E1Page(s, entries, blocks, diffs)
+    return E1Page(s, entries, diffs)
 
 
 # ---------------------------------------------------------------------------
@@ -499,42 +470,11 @@ def _page_entries(matrix: ExtendedExchangeMatrix, s: int, r: int):
 
 def e2_report_s2(matrix: ExtendedExchangeMatrix) -> PageReport:
     """E_2 at weight 2 against the closed graph formulas."""
-    from .counts import graph_stats
-
-    stats = graph_stats(underlying_graph(matrix))
-    n = matrix.n
-    expected = {}
-    if comb(n, 2):
-        expected[(0, 0)] = comb(n, 2)
-    if stats.components:
-        expected[(1, -1)] = stats.components
-    if stats.h1:
-        expected[(2, -1)] = stats.h1
+    expected = small_weight_entries(matrix)[2]
     return PageReport(2, 2, _page_entries(matrix, 2, 2), expected)
 
 
 def e3_report_s3(matrix: ExtendedExchangeMatrix) -> PageReport:
     """E_3 at weight 3 against the closed graph formulas."""
-    from .counts import graph_stats
-
-    graph = underlying_graph(matrix)
-    stats = graph_stats(graph)
-    n = matrix.n
-    expected = {}
-    if comb(n, 3):
-        expected[(0, 0)] = comb(n, 3)
-    v = n * stats.components - stats.isolated
-    if v:
-        expected[(1, -1)] = v
-    v = n * stats.h1 - sum(d - e - 1 for d, e in zip(stats.degrees, stats.e_increments))
-    if v:
-        expected[(2, -1)] = v
-    v = (
-        sum(comb(d, 2) for d in stats.degrees)
-        - stats.triangles
-        - sum(stats.e_increments)
-        - stats.isolated
-    )
-    if v:
-        expected[(3, -2)] = v
+    expected = small_weight_entries(matrix)[3]
     return PageReport(3, 3, _page_entries(matrix, 3, 3), expected)

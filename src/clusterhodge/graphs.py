@@ -176,9 +176,6 @@ class ReducedCohomology:
     def dim(self, r: int) -> int:
         return self.dims.get(r, 0)
 
-    def total(self) -> int:
-        return sum(self.dims.values())
-
     def __eq__(self, other):
         return isinstance(other, ReducedCohomology) and self.dims == other.dims
 

@@ -105,10 +105,6 @@ class GysinBuilder:
         self._n_of: dict[int, tuple[int, ...]] = {}
         self._basis: dict[int, GModuleBasis] = {}
         self._pi: dict[int, dict[int, ExteriorForm]] = {}
-        self._alphas = [alpha(matrix, j) for j in range(matrix.n)]
-
-    def alpha(self, j: int) -> ExteriorForm:
-        return self._alphas[j]
 
     # -- row selections and bases -------------------------------------------
 
@@ -266,7 +262,7 @@ class GysinBuilder:
     # -- full complexes ------------------------------------------------------
 
     def complex_for_s(
-        self, s: int, family_masks: list[list[int]] | None = None, check: bool = True
+        self, s: int, family_masks: list[list[int]] | None = None
     ) -> CochainComplexQ:
         """The weight-s slice over a downward-compatible anticlique family.
 
@@ -275,7 +271,8 @@ class GysinBuilder:
         any J = I u {j}, both intermediates of every two-step extension it
         supports, which holds for the full family and for the up-sets used
         by character components.  The block from I to I u {j} fills the
-        rows of I u {j}, so blocks for different j never overlap.
+        rows of I u {j}, so blocks for different j never overlap.  The
+        complex is checked to square to zero.
         """
         if family_masks is None:
             family_masks = [list(level) for level in self.family.by_cardinality]
@@ -306,8 +303,7 @@ class GysinBuilder:
                     self._rho_into(cols, i_mask, j, s, src_off, dst_off, eps)
             columns.append(cols)
         cx = CochainComplexQ(labels, columns)
-        if check:
-            cx.verify_d2()
+        cx.verify_d2()
         return cx
 
 
@@ -336,9 +332,7 @@ def rho(matrix: ExtendedExchangeMatrix, anticlique, j: int, s: int):
     return GysinBuilder(matrix).rho_columns(mask_of(anticlique), j, s)
 
 
-def build_gysin_complex(
-    matrix: ExtendedExchangeMatrix, s: int, check: bool = True
-) -> CochainComplexQ:
+def build_gysin_complex(matrix: ExtendedExchangeMatrix, s: int) -> CochainComplexQ:
     """Weight-s Gysin complex of a really-full-rank acyclic matrix."""
     if not is_acyclic(matrix):
         raise NotAcyclic("the quiver has an oriented cycle")
@@ -351,7 +345,7 @@ def build_gysin_complex(
         )
     if not 0 <= s <= matrix.d:
         raise ValueError(f"weight s={s} outside [0, {matrix.d}]")
-    return GysinBuilder(matrix).complex_for_s(s, check=check)
+    return GysinBuilder(matrix).complex_for_s(s)
 
 
 @dataclass(frozen=True)
@@ -373,7 +367,7 @@ class CharacterComplex:
 
 
 def build_character_complex(
-    matrix: ExtendedExchangeMatrix, chi: Character, s: int, check: bool = True
+    matrix: ExtendedExchangeMatrix, chi: Character, s: int
 ) -> CharacterComplex:
     """The chi-component of the weight-s complex, via the support reduction."""
     reduced = reduce_character(matrix, chi)
@@ -382,7 +376,7 @@ def build_character_complex(
     kappa, small = reduced.kappa, reduced.matrix
     if s - kappa < 0 or s - kappa > small.d:
         return CharacterComplex(kappa, s, small, None)
-    cx = GysinBuilder(small).complex_for_s(s - kappa, check=check)
+    cx = GysinBuilder(small).complex_for_s(s - kappa)
     return CharacterComplex(kappa, s, small, cx)
 
 
@@ -594,5 +588,5 @@ def edge_class_cochain(
             break
         offset += len(builder.basis(m).masks_of_degree(2))
     placed = {offset + i: v for i, v in vector.items()}
-    form = ExteriorForm.monomial(1 << a).wedge(builder.alpha(b))
+    form = ExteriorForm.monomial(1 << a).wedge(alpha(builder.matrix, b))
     return EdgeClassCochain(a, b, form, placed)

@@ -98,7 +98,10 @@ def parse_graph_text(text: str) -> Graph:
     lines = _strip_comments(text)
     if not lines:
         raise ShapeMismatch("empty graph file")
-    v = _ints(lines[0])[0]
+    head = _ints(lines[0])
+    if len(head) != 1:
+        raise ShapeMismatch("first line must be the vertex count")
+    v = head[0]
     if v < 0:
         raise ShapeMismatch(f"negative vertex count {v}")
     pairs = []

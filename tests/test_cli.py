@@ -104,6 +104,16 @@ def test_cmd_pointcount_rejects_composite_q(edge_file, capsys):
     assert main(["pointcount", "--input", edge_file, "--q", "4"]) == 2
 
 
+def test_cmd_pointcount_large_q(edge_file, capsys):
+    # 2^61 - 1 is prime; a 26-digit q is past the exact primality test
+    assert main(["pointcount", "--input", edge_file, "--q", str(2**61 - 1)]) == 0
+    assert f"value at q={2**61 - 1}: " in capsys.readouterr().out
+    assert main(["pointcount", "--input", edge_file, "--q", "1" + "0" * 25]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "InputError"
+
+
 def test_cmd_indcomplex(tmp_path, capsys):
     path = tmp_path / "c6.g"
     path.write_text(C6)
@@ -144,8 +154,16 @@ def test_missing_input_is_exit_2(capsys):
         ("hodge", "--input", '{"n": 1, "m": 1, "rows": [[0], [1.5]]}'),
         ("indcomplex", "--graph", "six\n1 2\n"),
         ("indcomplex", "--graph", "-2\n"),
+        ("indcomplex", "--graph", "3 4\n1 2\n"),
     ],
-    ids=["bad-token", "bad-json", "float-in-json", "bad-graph-header", "negative-graph-header"],
+    ids=[
+        "bad-token",
+        "bad-json",
+        "float-in-json",
+        "bad-graph-header",
+        "negative-graph-header",
+        "two-int-graph-header",
+    ],
 )
 def test_bad_file_contents_are_exit_2(tmp_path, capsys, command, flag, text):
     path = tmp_path / "input.txt"

@@ -2,9 +2,11 @@ import random
 
 import pytest
 
-from clusterhodge.errors import NotAcyclic, NotPrincipal, TooLarge
+from clusterhodge.errors import InputError, NotAcyclic, NotPrincipal, TooLarge
 from clusterhodge.counts import (
     ENUMERATION_GUARD,
+    PRIME_TEST_BOUND,
+    _is_prime,
     brute_force_count,
     closed_form_s_le_3,
     consistency_suite,
@@ -172,6 +174,20 @@ def test_brute_force_guard_boundary():
     assert brute_force_count(p4, 5) == point_count_poly(p4)(5)
     with pytest.raises(TooLarge, match="q=7 exceeds the 100000000 tuple guard"):
         brute_force_count(p4, 7)
+
+
+def test_is_prime_matches_trial_division():
+    def trial(q):
+        return q >= 2 and all(q % f for f in range(2, int(q**0.5) + 1))
+
+    assert all(_is_prime(q) == trial(q) for q in range(-3, 10**5))
+    # a Carmichael number and strong pseudoprimes to the bases up to 7 and 11
+    for q in (561, 3215031751, 2152302898747):
+        assert not _is_prime(q)
+    assert _is_prime(2**31 - 1) and _is_prime(2**61 - 1)
+    assert not _is_prime((2**61 - 1) * (2**19 - 1))
+    with pytest.raises(InputError):
+        _is_prime(PRIME_TEST_BOUND)
 
 
 def test_suite_brute_force_primes_for_p3():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from clusterhodge.errors import NotPrincipal, NotReallyFullRank
+from clusterhodge.errors import ConsistencyError, NotPrincipal, NotReallyFullRank
 from clusterhodge.exchange import principal_from_graph, validate
 from clusterhodge.filtration import (
     FilteredComplexQ,
@@ -55,13 +55,49 @@ def test_filtration_contains_edge_class_at_level_two():
 
 
 def test_graded_pieces_match_independence_complexes():
-    # the verify flag raises on any mismatch; run it over several graphs
+    # graded_pieces raises on any mismatch; run it over several graphs
     for graph in [path_graph(3), TRIANGLE, star_graph(4)]:
         m = principal_from_graph(graph)
         for s in range(m.d + 1):
-            pieces = graded_pieces(m, s, verify=True)
+            pieces = graded_pieces(m, s)
             for piece in pieces:
                 piece.complex.verify_d2()
+
+
+def test_graded_pieces_are_the_level_preserving_entries():
+    # each piece holds exactly the entries of the filtered complex between
+    # its own labels that keep the level, and together they hold them all
+    for graph in [path_graph(3), TRIANGLE, star_graph(4), cycle_graph(4)]:
+        m = principal_from_graph(graph)
+        for s in range(m.d + 1):
+            fc = build_filtered(m, s)
+            cx = fc.complex
+            want = {}
+            for p, cols in enumerate(cx.columns):
+                for c, col in enumerate(cols):
+                    for r, v in col.items():
+                        if fc.levels[p + 1][r] == fc.levels[p][c]:
+                            want[(cx.labels[p][c], cx.labels[p + 1][r])] = v
+            got = {}
+            for piece in graded_pieces(m, s):
+                pc = piece.complex
+                for p, cols in enumerate(pc.columns):
+                    for c, col in enumerate(cols):
+                        for r, v in col.items():
+                            key = (pc.labels[p][c], pc.labels[p + 1][r])
+                            assert key not in got
+                            got[key] = v
+            assert got == want, (sorted(graph.edges), s)
+
+
+def test_graded_pieces_refuse_a_wrong_differential(monkeypatch):
+    # a residue writer that writes nothing leaves d^2 = 0 and the levels
+    # intact, but the graded cohomology no longer matches the graph
+    m = principal_from_graph(path_graph(3))
+    monkeypatch.setattr(GysinBuilder, "_rho_into", lambda self, *args: None)
+    build_filtered(m, 2)
+    with pytest.raises(ConsistencyError, match="independence complex"):
+        graded_pieces(m, 2)
 
 
 def test_graded_pieces_examples():
@@ -85,7 +121,7 @@ def test_graded_pieces_assemble_page_zero():
         pages = spectral_sequence(fc, max_page=0)
         page0 = pages[0]
         assembled: dict[tuple[int, int], int] = {}
-        for piece in graded_pieces(m, s, verify=False):
+        for piece in graded_pieces(m, s):
             e = len(piece.e_set)
             for p in range(piece.complex.positions):
                 d = piece.complex.dim(p)
