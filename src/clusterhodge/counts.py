@@ -79,9 +79,9 @@ def point_count_poly(matrix: ExtendedExchangeMatrix) -> PointCountResult:
     return PointCountResult(total, modulus)
 
 
-# Miller-Rabin with the prime bases up to 37 has no strong pseudoprime below
-# this bound (Sorenson and Webster, Math. Comp. 86 (2017)), so it is exact there
-PRIME_TEST_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin with the prime bases up to 41 is exact below psi_13 (Sorenson
+# and Webster, Math. Comp. 86 (2017)); without 41 only below psi_12 ~ 3.2e23
+PRIME_TEST_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PRIME_TEST_BOUND = 3_317_044_064_679_887_385_961_981
 
 

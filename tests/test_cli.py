@@ -102,6 +102,9 @@ def test_cmd_pointcount(edge_file, capsys):
 
 def test_cmd_pointcount_rejects_composite_q(edge_file, capsys):
     assert main(["pointcount", "--input", edge_file, "--q", "4"]) == 2
+    # psi_12: a strong pseudoprime to every prime base up to 37
+    q = str(399165290221 * 798330580441)
+    assert main(["pointcount", "--input", edge_file, "--q", q]) == 2
 
 
 def test_cmd_pointcount_large_q(edge_file, capsys):

@@ -181,8 +181,9 @@ def test_is_prime_matches_trial_division():
         return q >= 2 and all(q % f for f in range(2, int(q**0.5) + 1))
 
     assert all(_is_prime(q) == trial(q) for q in range(-3, 10**5))
-    # a Carmichael number and strong pseudoprimes to the bases up to 7 and 11
-    for q in (561, 3215031751, 2152302898747):
+    # a Carmichael number and strong pseudoprimes to the bases up to 7, 11
+    # and 37 (the last is psi_12 = 399165290221 * 798330580441)
+    for q in (561, 3215031751, 2152302898747, 318665857834031151167461):
         assert not _is_prime(q)
     assert _is_prime(2**31 - 1) and _is_prime(2**61 - 1)
     assert not _is_prime((2**61 - 1) * (2**19 - 1))
