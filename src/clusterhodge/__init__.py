@@ -30,7 +30,6 @@ from .graphs import (
     closed_form_cycle,
     closed_form_path,
     forest_homotopy,
-    independence_complex,
     mv_delta,
     reduced_cohomology,
 )

@@ -29,7 +29,7 @@ from .filtration import (
     observed_collapse_page,
     spectral_sequence,
 )
-from .graphs import reduced_cohomology, independence_complex
+from .graphs import anticliques, reduced_cohomology
 from .gysin import HodgeTable, hodge_table
 from .io import load_graph, load_matrix
 
@@ -232,7 +232,7 @@ def cmd_ss(args: argparse.Namespace) -> int:
 
 def cmd_indcomplex(args: argparse.Namespace) -> int:
     graph = load_graph(args.graph)
-    cohom = reduced_cohomology(independence_complex(graph))
+    cohom = reduced_cohomology(anticliques(graph))
     if args.format == "json":
         print(json.dumps({"dims": {str(k): v for k, v in sorted(cohom.dims.items())}}))
     else:

@@ -37,12 +37,7 @@ from .exchange import (
     underlying_graph,
 )
 from .exterior import bits, mask_of
-from .graphs import (
-    augmented_cochain_complex,
-    independence_complex_on,
-    mv_delta,
-    reduced_cohomology,
-)
+from .graphs import anticliques, augmented_cochain_complex, mv_delta, reduced_cohomology
 from .gysin import GysinBuilder
 from .linalg import CochainComplexQ, Quotient, nullspace
 
@@ -124,7 +119,6 @@ def build_filtered(
 class GradedPiece:
     d_set: tuple[int, ...]
     e_set: tuple[int, ...]
-    weight: int
     complex: CochainComplexQ  # position p: the Gysin labels (I, A) with |I| = p
 
     def cohomology_dims(self) -> dict[int, int]:
@@ -139,8 +133,8 @@ def graded_pieces(matrix: ExtendedExchangeMatrix, s: int) -> list[GradedPiece]:
     u I, whose level |E| is the label's, and a piece keeps the entries that
     preserve the level (the single +-1 entries from (I, A) to (I u j, A - j),
     j not in D).  A piece must be the augmented cochain complex of the
-    independence complex of E minus D: the anticliques I at position p are
-    its faces with p vertices, and the cohomology agrees, or ConsistencyError.
+    anticliques of E minus D: the anticliques I at position p are the family's
+    level p, and the cohomology agrees, or ConsistencyError.
     """
     fc = build_filtered(matrix, s)
     cx, n = fc.complex, matrix.n
@@ -173,12 +167,9 @@ def graded_pieces(matrix: ExtendedExchangeMatrix, s: int) -> list[GradedPiece]:
         piece = GradedPiece(
             tuple(bits(d_mask)),
             tuple(bits(e_mask)),
-            s,
             CochainComplexQ(labels[key], columns[key]),
         )
-        faces = augmented_cochain_complex(
-            independence_complex_on(graph, e_mask & ~d_mask)
-        )
+        faces = augmented_cochain_complex(anticliques(graph, e_mask & ~d_mask))
         if [[i for i, _ in pos] for pos in labels[key]] != faces.labels or (
             piece.cohomology_dims() != faces.cohomology_dims()
         ):
@@ -349,7 +340,6 @@ def observed_collapse_page(pages: list[SpectralSequencePage]) -> int:
 class E1Page:
     """E_1 of the filtration at one weight, built from graph cohomology."""
 
-    weight: int
     entries: dict[tuple[int, int], int]
     differentials: dict[tuple[int, int], list[list[Fraction]]]
 
@@ -381,7 +371,7 @@ def e1_page(matrix: ExtendedExchangeMatrix, s: int) -> E1Page:
     def dims_of(x_mask: int) -> dict[int, int]:
         got = cohom.get(x_mask)
         if got is None:
-            got = reduced_cohomology(independence_complex_on(graph, x_mask)).dims
+            got = reduced_cohomology(anticliques(graph, x_mask)).dims
             cohom[x_mask] = got
         return got
 
@@ -443,7 +433,7 @@ def e1_page(matrix: ExtendedExchangeMatrix, s: int) -> E1Page:
                     for jj in range(h):
                         if block[i][jj]:
                             mat[offset2 + i][offset + jj] += scale * block[i][jj]
-    return E1Page(s, entries, diffs)
+    return E1Page(entries, diffs)
 
 
 # ---------------------------------------------------------------------------
@@ -452,8 +442,6 @@ def e1_page(matrix: ExtendedExchangeMatrix, s: int) -> E1Page:
 
 @dataclass
 class PageReport:
-    weight: int
-    page: int
     computed: dict[tuple[int, int], int]
     expected: dict[tuple[int, int], int]
 
@@ -471,10 +459,10 @@ def _page_entries(matrix: ExtendedExchangeMatrix, s: int, r: int):
 def e2_report_s2(matrix: ExtendedExchangeMatrix) -> PageReport:
     """E_2 at weight 2 against the closed graph formulas."""
     expected = small_weight_entries(matrix)[2]
-    return PageReport(2, 2, _page_entries(matrix, 2, 2), expected)
+    return PageReport(_page_entries(matrix, 2, 2), expected)
 
 
 def e3_report_s3(matrix: ExtendedExchangeMatrix) -> PageReport:
     """E_3 at weight 3 against the closed graph formulas."""
     expected = small_weight_entries(matrix)[3]
-    return PageReport(3, 3, _page_entries(matrix, 3, 3), expected)
+    return PageReport(_page_entries(matrix, 3, 3), expected)

@@ -1,12 +1,16 @@
-"""Graphs, independence complexes and their rational reduced cohomology.
+"""Graphs, their independent sets and the rational reduced cohomology of
+independence complexes.
 
-Vertices are 0-based ints.  Faces of a simplicial complex are bitmasks over
-the ambient vertex set.  Reduced cohomology follows the convention that the
-complex {empty set} has a one-dimensional H~^{-1} and every nonempty complex
-has H~^{-1} = 0.  Cohomology is computed from the augmented cochain complex,
-built as a ``linalg.CochainComplexQ`` whose position p holds the faces with
-p vertices (so it carries H~^{p-1}); the Mayer-Vietoris connecting maps take
-their cocycle representatives from that same complex.
+Vertices are 0-based ints and vertex sets are bitmasks over the ambient
+vertex set.  ``anticliques`` is the one enumerator of independent sets, and
+complexes are built from its ``AnticliqueFamily``, whose sets are the faces
+of the independence complex.  Reduced cohomology follows the convention
+that the complex {empty set} has a one-dimensional H~^{-1} and every
+nonempty complex has H~^{-1} = 0.  Cohomology is computed from the
+augmented cochain complex, built as a ``linalg.CochainComplexQ`` whose
+position p holds the faces with p vertices (so it carries H~^{p-1}); the
+Mayer-Vietoris connecting maps take their cocycle representatives from that
+same complex.
 """
 
 from __future__ import annotations
@@ -15,8 +19,8 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import CycleTooSmall, NotAForest, NotAnEdge, VertexInX
-from .exterior import bits, submasks
+from .errors import CycleTooSmall, NotAForest, NotAnEdge, TooLarge, VertexInX
+from .exterior import bits
 from .linalg import CochainComplexQ
 
 
@@ -105,7 +109,7 @@ def complete_graph(v: int) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# anticliques and independence complexes
+# anticliques
 
 
 @dataclass(frozen=True)
@@ -120,49 +124,45 @@ class AnticliqueFamily:
     def all_masks(self) -> list[int]:
         return [m for level in self.by_cardinality for m in level]
 
-
-def anticliques(graph: Graph) -> AnticliqueFamily:
-    levels: list[list[int]] = [[] for _ in range(graph.n_vertices + 1)]
-    for mask in range(1 << graph.n_vertices):
-        if graph.is_independent(mask):
-            levels[mask.bit_count()].append(mask)
-    while len(levels) > 1 and not levels[-1]:
-        levels.pop()
-    return AnticliqueFamily(tuple(tuple(lv) for lv in levels))
-
-
-@dataclass(frozen=True)
-class SimplicialComplex:
-    """Faces as bitmasks; always contains the empty face."""
-
-    n_vertices: int
-    faces: frozenset[int]
-
-    def __post_init__(self):
-        if 0 not in self.faces:
-            raise ValueError("a simplicial complex contains the empty face")
-
-    def faces_of_dim(self, r: int) -> list[int]:
-        return sorted(f for f in self.faces if f.bit_count() == r + 1)
-
-    def dimension(self) -> int:
-        return max(f.bit_count() for f in self.faces) - 1
-
     def euler_characteristic_reduced(self) -> int:
         """sum over faces of (-1)^dim, including the empty face."""
-        return sum((-1) ** (f.bit_count() + 1) for f in self.faces)
+        return sum((-1) ** (p + 1) * n for p, n in enumerate(self.sizes()))
 
 
-def independence_complex(graph: Graph) -> SimplicialComplex:
-    return independence_complex_on(graph, (1 << graph.n_vertices) - 1)
+ANTICLIQUE_GUARD = 2**18  # independent sets one enumeration may produce
 
 
-def independence_complex_on(graph: Graph, vertex_mask: int) -> SimplicialComplex:
-    """Independence complex of the induced subgraph, keeping ambient labels."""
-    return SimplicialComplex(
-        graph.n_vertices,
-        frozenset(filter(graph.is_independent, submasks(vertex_mask))),
-    )
+def anticliques(graph: Graph, vertex_mask: int | None = None) -> AnticliqueFamily:
+    """Independent sets of the subgraph induced on vertex_mask (default: all).
+
+    Masks keep the ambient labels.  Each set of size p + 1 is a set of size p
+    grown by one vertex above its highest and adjacent to none of its
+    members, so the cost follows the number of sets; past ANTICLIQUE_GUARD
+    sets the enumeration stops with TooLarge.
+    """
+    if vertex_mask is None:
+        vertex_mask = (1 << graph.n_vertices) - 1
+    levels = [(0,)]
+    frontier = [(0, vertex_mask)]  # (set, the vertices that may extend it)
+    produced = 1
+    while True:
+        grown = []
+        for mask, free in frontier:
+            while free:
+                low = free & -free
+                free ^= low
+                grown.append((mask | low, free & ~graph.adjacency[low.bit_length() - 1]))
+            if produced + len(grown) > ANTICLIQUE_GUARD:
+                raise TooLarge(
+                    f"more than {ANTICLIQUE_GUARD} independent sets in a "
+                    f"{graph.n_vertices}-vertex graph"
+                )
+        if not grown:
+            return AnticliqueFamily(tuple(levels))
+        produced += len(grown)
+        grown.sort()
+        levels.append(tuple(mask for mask, _ in grown))
+        frontier = grown
 
 
 # ---------------------------------------------------------------------------
@@ -176,19 +176,16 @@ class ReducedCohomology:
     def dim(self, r: int) -> int:
         return self.dims.get(r, 0)
 
-    def __eq__(self, other):
-        return isinstance(other, ReducedCohomology) and self.dims == other.dims
 
+def augmented_cochain_complex(family: AnticliqueFamily) -> CochainComplexQ:
+    """The augmented cochain complex of an independence complex.
 
-def augmented_cochain_complex(cx: SimplicialComplex) -> CochainComplexQ:
-    """The augmented cochain complex of cx, with faces as labels.
-
-    Position p holds the faces with p vertices in ascending mask order, so it
+    Position p holds the faces with p vertices, the family's level p, so it
     carries H~^{p-1}; the differential sends a face F to the sum over v with
     F u {v} a face of (-1)^{#F below v} (F u {v}).  The complex {empty set}
     is the single position 0, where H~^{-1} is one-dimensional.
     """
-    labels = [cx.faces_of_dim(p - 1) for p in range(cx.dimension() + 2)]
+    labels = [list(level) for level in family.by_cardinality]
     columns = []
     for p in range(len(labels) - 1):
         index = {f: c for c, f in enumerate(labels[p])}
@@ -202,8 +199,8 @@ def augmented_cochain_complex(cx: SimplicialComplex) -> CochainComplexQ:
     return CochainComplexQ(labels, columns)
 
 
-def reduced_cohomology(cx: SimplicialComplex) -> ReducedCohomology:
-    dims = augmented_cochain_complex(cx).cohomology_dims()
+def reduced_cohomology(family: AnticliqueFamily) -> ReducedCohomology:
+    dims = augmented_cochain_complex(family).cohomology_dims()
     return ReducedCohomology({p - 1: h for p, h in dims.items()})
 
 
@@ -355,10 +352,8 @@ def mv_delta(graph: Graph, x_mask: int, a: int, b: int) -> dict[int, list[list[F
         raise NotAnEdge(f"({a}, {b}) is not an edge")
     if x_mask >> a & 1 or x_mask >> b & 1:
         raise VertexInX("a and b must lie outside X")
-    small = augmented_cochain_complex(independence_complex_on(graph, x_mask))
-    big = augmented_cochain_complex(
-        independence_complex_on(graph, x_mask | 1 << a | 1 << b)
-    )
+    small = augmented_cochain_complex(anticliques(graph, x_mask))
+    big = augmented_cochain_complex(anticliques(graph, x_mask | 1 << a | 1 << b))
     out: dict[int, list[list[Fraction]]] = {}
     for p in sorted(small.cohomology_dims()):
         src = small.cohomology_basis(p)

@@ -20,10 +20,10 @@ from clusterhodge.exchange import (
 from clusterhodge.filtration import build_filtered, e1_page, spectral_sequence
 from clusterhodge.graphs import (
     all_graphs,
+    anticliques,
     connected_graphs,
     cycle_graph,
     forests,
-    independence_complex,
     closed_form_cycle,
     closed_form_path,
     forest_homotopy,
@@ -182,13 +182,13 @@ def test_criterion_8_independence_complex_oracles():
     ok = True
     # paths: a path with k edges has k+1 vertices
     for edges in range(1, 9):
-        direct = reduced_cohomology(independence_complex(path_graph(edges + 1)))
+        direct = reduced_cohomology(anticliques(path_graph(edges + 1)))
         ok &= closed_form_path(edges).cohomology().dims == direct.dims
     for m in range(3, 10):
-        direct = reduced_cohomology(independence_complex(cycle_graph(m)))
+        direct = reduced_cohomology(anticliques(cycle_graph(m)))
         ok &= closed_form_cycle(m).dims == direct.dims
     for forest in forests(9):
-        direct = reduced_cohomology(independence_complex(forest))
+        direct = reduced_cohomology(anticliques(forest))
         ok &= forest_homotopy(forest).cohomology().dims == direct.dims
     elapsed = time.time() - t0
     ok &= elapsed < 10

@@ -124,6 +124,16 @@ def test_cmd_indcomplex(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "H~: {1: 2}"
 
 
+def test_cmd_indcomplex_too_large_is_exit_2(tmp_path, capsys):
+    # an edgeless 30-vertex graph has 2^30 independent sets
+    path = tmp_path / "v30.g"
+    path.write_text("30\n")
+    assert main(["indcomplex", "--graph", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "TooLarge"
+
+
 def test_cmd_e1_and_ss(edge_file, capsys):
     assert main(["e1", "--input", edge_file, "--s", "2"]) == 0
     out = capsys.readouterr().out

@@ -2,8 +2,9 @@ import itertools
 
 import pytest
 
-from clusterhodge.errors import CycleTooSmall, NotAForest, NotAnEdge, VertexInX
+from clusterhodge.errors import CycleTooSmall, NotAForest, NotAnEdge, TooLarge, VertexInX
 from clusterhodge.graphs import (
+    ANTICLIQUE_GUARD,
     CONTRACTIBLE,
     Graph,
     Sphere,
@@ -17,7 +18,6 @@ from clusterhodge.graphs import (
     cycle_graph,
     forest_homotopy,
     forests,
-    independence_complex,
     join,
     mv_delta,
     path_graph,
@@ -44,15 +44,36 @@ def test_anticliques_downward_closed():
             assert sub in members
 
 
+def test_anticliques_match_definition():
+    # every submask of the vertex mask that is independent, grouped by size
+    for v in range(6):
+        for g in all_graphs(v):
+            for mask in range(1 << v):
+                levels = [[] for _ in range(mask.bit_count() + 1)]
+                for sub in range(1 << v):
+                    if sub & ~mask == 0 and g.is_independent(sub):
+                        levels[sub.bit_count()].append(sub)
+                expected = tuple(tuple(sorted(lv)) for lv in levels if lv)
+                assert anticliques(g, mask).by_cardinality == expected, (g.edges, mask)
+    # P_20 has Fibonacci F_22 independent sets
+    assert sum(anticliques(path_graph(20)).sizes()) == 17711
+
+
+def test_anticliques_guard():
+    assert sum(anticliques(Graph.from_edges(18, [])).sizes()) == ANTICLIQUE_GUARD
+    with pytest.raises(TooLarge):
+        anticliques(Graph.from_edges(19, []))
+
+
 def test_reduced_cohomology_conventions():
     # the complex {empty set} alone carries H~^{-1}
-    assert reduced_cohomology(independence_complex(Graph.from_edges(0, []))).dims == {-1: 1}
+    assert reduced_cohomology(anticliques(Graph.from_edges(0, []))).dims == {-1: 1}
     # a single vertex is contractible
-    assert reduced_cohomology(independence_complex(path_graph(1))).dims == {}
+    assert reduced_cohomology(anticliques(path_graph(1))).dims == {}
     # I(P5 on 5 vertices) ~ S^1  (path of length 4 = 3*1+1)
-    assert reduced_cohomology(independence_complex(path_graph(5))).dims == {1: 1}
+    assert reduced_cohomology(anticliques(path_graph(5))).dims == {1: 1}
     # I(C6) ~ S^1 v S^1
-    assert reduced_cohomology(independence_complex(cycle_graph(6))).dims == {1: 2}
+    assert reduced_cohomology(anticliques(cycle_graph(6))).dims == {1: 2}
 
 
 def test_closed_form_path_examples():
@@ -66,7 +87,7 @@ def test_closed_form_path_examples():
 def test_closed_form_path_matches_direct():
     # a path with k edges has k+1 vertices
     for edges in range(1, 9):
-        direct = reduced_cohomology(independence_complex(path_graph(edges + 1)))
+        direct = reduced_cohomology(anticliques(path_graph(edges + 1)))
         assert closed_form_path(edges).cohomology().dims == direct.dims
 
 
@@ -80,7 +101,7 @@ def test_closed_form_cycle_examples():
 
 def test_closed_form_cycle_matches_direct():
     for m in range(3, 10):
-        direct = reduced_cohomology(independence_complex(cycle_graph(m)))
+        direct = reduced_cohomology(anticliques(cycle_graph(m)))
         assert closed_form_cycle(m).dims == direct.dims
 
 
@@ -94,7 +115,7 @@ def test_forest_homotopy_examples():
 
 def test_forest_homotopy_matches_direct_up_to_9():
     for forest in forests(9):
-        expected = reduced_cohomology(independence_complex(forest)).dims
+        expected = reduced_cohomology(anticliques(forest)).dims
         assert forest_homotopy(forest).cohomology().dims == expected
 
 
@@ -118,7 +139,7 @@ def test_vanishing_bound_exhaustive_m_le_6():
             g = Graph.from_edges(
                 v, [p for k, p in enumerate(pairs) if edge_bits >> k & 1]
             )
-            dims = reduced_cohomology(independence_complex(g)).dims
+            dims = reduced_cohomology(anticliques(g)).dims
             for r, h in dims.items():
                 if h:
                     assert r <= v / 2 - 1 or (v == 0 and r == -1)
@@ -127,7 +148,7 @@ def test_vanishing_bound_exhaustive_m_le_6():
 def test_join_additivity_poincare():
     # for disconnected G, the shifted Poincare polynomial multiplies
     def shifted_poly(g):
-        dims = reduced_cohomology(independence_complex(g)).dims
+        dims = reduced_cohomology(anticliques(g)).dims
         out = [0] * (g.n_vertices + 2)
         for r, h in dims.items():
             out[r + 1] = h
@@ -158,7 +179,7 @@ def test_join_additivity_poincare():
 
 def test_euler_characteristic():
     for g in all_graphs(5)[:12] + [cycle_graph(6), star_graph(5)]:
-        cx = independence_complex(g)
+        cx = anticliques(g)
         dims = reduced_cohomology(cx).dims
         homological = sum((-1) ** r * h for r, h in dims.items())
         # include H~^{-1} of the empty complex through the dims themselves
@@ -202,7 +223,7 @@ def test_mv_delta_is_cochain_map_into_cocycles():
 
 
 def test_cohomology_basis_coordinates_roundtrip():
-    cx = augmented_cochain_complex(independence_complex(cycle_graph(6)))
+    cx = augmented_cochain_complex(anticliques(cycle_graph(6)))
     basis = cx.cohomology_basis(2)  # H~^1 sits at position 2
     assert basis.dim == 2
     for i, rep in enumerate(basis.representatives):
