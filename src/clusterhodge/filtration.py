@@ -5,28 +5,34 @@ mutable indices, I an anticlique avoiding both) carries the filtration level
 |C| + |I|, which the differential never decreases.  The associated graded
 splits over pairs (D, E = C u I) into shifted independence-complex cochain
 complexes, so the first page of the filtration spectral sequence is
-assembled from reduced cohomology of induced subgraphs; the engine here
-computes any page of any finitely filtered rational complex directly from
-the subquotient formula
+assembled from reduced cohomology of induced subgraphs.
 
-    E_r^{e,f} = Z_r / (F^{e+1} + d F^{e-r+1})  meet  Z_r,
-    Z_r = {x in F^e : d x in F^{e+r}},
-
-by exact linear algebra, keeping explicit coset representatives so that the
-induced differentials of degree (r, 1-r) are computable matrices.
-F^{e+1} is spanned by basis vectors, so modulo it an entry is one
-``linalg.Quotient`` of the projected Z_r by the projected d F^{e-r+1}: one
-echelon picks its representatives and solves every differential into it.
+Every page of any finitely filtered rational complex comes from one
+reduction of its differentials in filtration order, as in persistence
+(Zomorodian-Carlsson 2005), with clearing (Chen-Kerber 2011).  Each pivot
+pairs a cell c with a cell t one position up, across the gap
+level(t) - level(c) >= 0.  In the reduced basis (the Barannikov normal
+form) the entry E_r^{e,k-e} is spanned by the cells of level e at position
+k that are unpaired or paired across a gap of at least r, and d_r is the
+partial identity on the pairs whose gap is exactly r (Basu-Parida,
+Expositiones Math. 2017).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .counts import small_weight_entries
-from .errors import ConsistencyError, NotAcyclic, NotPrincipal, NotReallyFullRank
+from .errors import (
+    ConsistencyError,
+    NotAcyclic,
+    NotPrincipal,
+    NotReallyFullRank,
+    TooLarge,
+)
 from .exchange import (
     ExtendedExchangeMatrix,
     RankClass,
@@ -39,7 +45,7 @@ from .exchange import (
 from .exterior import bits, mask_of
 from .graphs import anticliques, augmented_cochain_complex, mv_delta, reduced_cohomology
 from .gysin import GysinBuilder
-from .linalg import CochainComplexQ, Quotient, nullspace
+from .linalg import CochainComplexQ, Echelon
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +188,7 @@ def graded_pieces(matrix: ExtendedExchangeMatrix, s: int) -> list[GradedPiece]:
 
 
 # ---------------------------------------------------------------------------
-# the spectral-sequence engine
+# the spectral sequence from one filtered reduction
 
 
 @dataclass
@@ -201,101 +207,78 @@ class SpectralSequencePage:
         )
 
 
-class _Engine:
-    """Pages of one filtered complex, each entry E_r^{e, k-e} modulo F^{e+1}.
+def _pairs(fc: FilteredComplexQ) -> list[tuple[int, int, int, int]]:
+    """(k, c, t, gap) for every pivot of the filtered reduction.
 
-    The entry's ``Quotient`` reduces the projected d(F^{e-r+1} V_{k-1}) once,
-    picks the projected Z_r vectors independent modulo it (representatives
-    are their unprojected originals) and gives the coefficients of every
-    projected d z landing in the entry.  Quotients live for one ``page``.
+    The cells of each position are ordered by level descending, ties by
+    index.  The columns of d_k enter one ``Echelon`` in that order, each row
+    of position k+1 keyed by its place in the reversed order, so the
+    smallest key is the lowest level and an echelon lead is persistence's
+    "low": the pair joins column c to the row t it leads, with gap
+    level(t) - level(c).  A column whose cell is the low of a pair of
+    d_{k-1} is skipped (clearing, exact only when d^2 = 0).
     """
-
-    def __init__(self, fc: FilteredComplexQ):
-        self.cx = fc.complex
-        self.levels = fc.levels
-        self.lo, self.hi = fc.level_range()
-        self._rows = [self.cx.rows_at(p) for p in range(self.cx.positions)]
-        self._z_cache: dict[tuple[int, int, int], list[dict[int, Fraction]]] = {}
-
-    def _z_basis(self, e: int, k: int, r: int) -> list[dict[int, Fraction]]:
-        """{x in F^e V_k : d x in F^{e+r}}, as vectors over the V_k basis."""
-        cap = min(e + r, self.hi + 1)
-        key = (e, k, cap)
-        cached = self._z_cache.get(key)
-        if cached is not None:
-            return cached
-        allowed = [i for i in range(self.cx.dim(k)) if self.levels[k][i] >= e]
-        pos = {i: c for c, i in enumerate(allowed)}
-        rows = []
-        for ridx, row in enumerate(self._rows[k] if k < len(self._rows) else []):
-            if self.levels[k + 1][ridx] >= cap:
+    cx, levels = fc.complex, fc.levels
+    order = [
+        sorted(range(cx.dim(k)), key=lambda i: (-levels[k][i], i))
+        for k in range(cx.positions)
+    ]
+    pairs = []
+    cleared: set[int] = set()
+    for k, cols in enumerate(cx.columns):
+        by_key = order[k + 1][::-1]
+        key = [0] * len(by_key)
+        for j, cell in enumerate(by_key):
+            key[cell] = j
+        ech = Echelon()
+        paired = set()
+        for c in order[k]:
+            if c in cleared:
                 continue
-            filtered = {pos[c]: v for c, v in row.items() if c in pos}
-            if filtered:
-                rows.append(filtered)
-        kernel = nullspace(rows, len(allowed))
-        out = [{allowed[c]: v for c, v in vec.items()} for vec in kernel]
-        self._z_cache[key] = out
-        return out
+            pivot = ech.add({key[r]: v for r, v in cols[c].items()})
+            if pivot is not None:
+                t = by_key[min(pivot)]
+                gap = levels[k + 1][t] - levels[k][c]
+                if gap < 0:
+                    raise ConsistencyError("differential lowers the level")
+                pairs.append((k, c, t, gap))
+                paired.add(t)
+        cleared = paired
+    return pairs
 
-    def _below(self, k: int, e: int, vec: dict) -> dict:
-        """vec modulo F^e: the coordinates of level below e."""
-        lv = self.levels[k]
-        return {i: v for i, v in vec.items() if lv[i] < e}
 
-    def entry_data(self, e: int, k: int, r: int) -> tuple[list, Quotient]:
-        """Representatives of E_r^{e, k-e} and the quotient echelon that chose them."""
-        z = self._z_basis(e, k, r)
-        incoming = self.cx.columns[k - 1] if 0 < k <= len(self.cx.columns) else []
-        base = [
-            self._below(k, e + 1, col)
-            for c, col in enumerate(incoming)
-            if self.levels[k - 1][c] >= e - r + 1
-        ]
-        quot = Quotient(base, [self._below(k, e + 1, v) for v in z])
-        return [z[i] for i in quot.chosen], quot
+def _page(
+    fc: FilteredComplexQ,
+    gaps: list[list[int | None]],
+    pairs: list[tuple[int, int, int, int]],
+    r: int,
+    with_differentials: bool,
+) -> SpectralSequencePage:
+    """E_r: the cells unpaired or paired across a gap of at least r.
 
-    def apply_d(self, k: int, vec: dict[int, Fraction]) -> dict[int, Fraction]:
-        out: dict[int, Fraction] = {}
-        if k < len(self.cx.columns):
-            for c, coeff in vec.items():
-                for rr, v in self.cx.columns[k][c].items():
-                    w = out.get(rr, 0) + coeff * v
-                    if w:
-                        out[rr] = w
-                    else:
-                        out.pop(rr, None)
-        return out
-
-    def page(self, r: int, with_differentials: bool = True) -> SpectralSequencePage:
-        entries: dict[tuple[int, int], int] = {}
-        at: dict[tuple[int, int], tuple[list, Quotient]] = {}
-        for k in range(self.cx.positions):
-            for e in sorted(set(self.levels[k])):
-                reps, _ = at[(e, k)] = self.entry_data(e, k, r)
-                if reps:
-                    entries[(e, k - e)] = len(reps)
-        diffs: dict[tuple[int, int], list[list[Fraction]]] = {}
-        if with_differentials:
-            for (e, k), (reps, _) in list(at.items()):
-                if not reps:
-                    continue
-                te, tk = e + r, k + 1
-                if (te, tk) not in at:
-                    at[(te, tk)] = self.entry_data(te, tk, r)
-                treps, target = at[(te, tk)]
-                if not treps:
-                    continue
-                mat = [[Fraction(0)] * len(reps) for _ in range(len(treps))]
-                for cidx, z in enumerate(reps):
-                    dz = self._below(tk, te + 1, self.apply_d(k, z))
-                    coeffs = target.coordinates(dz)
-                    assert coeffs is not None, "dz must land in the target entry"
-                    for ridx, c in enumerate(coeffs):
-                        mat[ridx][cidx] = c
-                if any(map(any, mat)):
-                    diffs[(e, k - e)] = mat
-        return SpectralSequencePage(r, entries, diffs)
+    Each entry's basis is its surviving cells in index order, and d_r is
+    the partial identity on the pairs whose gap is exactly r.
+    """
+    basis: dict[tuple[int, int], dict[int, int]] = {}
+    for k, cells in enumerate(fc.levels):
+        for cell, (e, gap) in enumerate(zip(cells, gaps[k])):
+            if gap is None or gap >= r:
+                spot = basis.setdefault((e, k), {})
+                spot[cell] = len(spot)
+    entries = {(e, k - e): len(spot) for (e, k), spot in basis.items()}
+    diffs: dict[tuple[int, int], list[list[Fraction]]] = {}
+    zero, one = Fraction(0), Fraction(1)
+    if with_differentials:
+        for k, c, t, gap in pairs:
+            if gap != r:
+                continue
+            e = fc.levels[k][c]
+            source, target = basis[(e, k)], basis[(e + r, k + 1)]
+            mat = diffs.get((e, k - e))
+            if mat is None:
+                mat = diffs[(e, k - e)] = [[zero] * len(source) for _ in target]
+            mat[target[t]][source[c]] = one
+    return SpectralSequencePage(r, entries, diffs)
 
 
 def spectral_sequence(
@@ -308,17 +291,22 @@ def spectral_sequence(
 
     Stabilization is declared at r = (max level - min level) + 1 whatever the
     observed differentials do; the returned list always reaches that page (or
-    ``max_page`` if smaller).  Every page is computed directly from the
-    subquotient formula, so ``only`` may cherry-pick page indices (negative
-    indices count from stabilization; -1 is E_infinity).
+    ``max_page`` if smaller).  Every page is read off the same pairs, so
+    ``only`` may cherry-pick page indices (negative indices count from
+    stabilization; -1 is E_infinity).  Raises ConsistencyError when d^2 != 0
+    or a pair lowers the level.
     """
-    engine = _Engine(fc)
-    r_stab = engine.hi - engine.lo + 1
-    last = r_stab if max_page is None else min(max_page, r_stab)
+    fc.complex.verify_d2()
+    pairs = _pairs(fc)
+    gaps: list[list[int | None]] = [[None] * len(cells) for cells in fc.levels]
+    for k, c, t, gap in pairs:
+        gaps[k][c] = gaps[k + 1][t] = gap
+    lo, hi = fc.level_range()
+    last = hi - lo + 1 if max_page is None else min(max_page, hi - lo + 1)
     wanted = range(last + 1)
     if only is not None:
         wanted = sorted({r if r >= 0 else last + 1 + r for r in only})
-    return [engine.page(r, with_differentials) for r in wanted]
+    return [_page(fc, gaps, pairs, r, with_differentials) for r in wanted]
 
 
 def observed_collapse_page(pages: list[SpectralSequencePage]) -> int:
@@ -334,6 +322,9 @@ def observed_collapse_page(pages: list[SpectralSequencePage]) -> int:
 
 # ---------------------------------------------------------------------------
 # E_1 assembled independently from independence complexes
+
+
+E1_SUMMAND_GUARD = 2**18  # (D, E) summands one e1_page may assemble
 
 
 @dataclass
@@ -356,16 +347,23 @@ def e1_page(matrix: ExtendedExchangeMatrix, s: int) -> E1Page:
 
         (-1)^{|D| + 1 + [b > a] + #{D > a} + #{E-a > b} + e + f},
 
-    so with that scalar the assembled matrices agree with the engine's
-    first-page differential up to a basis change of each summand (in
-    particular rankwise), not only dimensionwise.
+    so with that scalar the assembled matrices agree with the first-page
+    differential of ``spectral_sequence`` up to a basis change of each
+    summand (in particular rankwise), not only dimensionwise.  Past
+    E1_SUMMAND_GUARD summands, C(2n, s) of them, the page is refused with
+    TooLarge before anything is built.
     """
     if not is_principal(matrix):
         raise NotPrincipal("the filtration needs principal coefficients")
     if not is_acyclic(matrix):
         raise NotAcyclic("the quiver has an oriented cycle")
-    graph = underlying_graph(matrix)
     n = matrix.n
+    if math.comb(2 * n, s) > E1_SUMMAND_GUARD:
+        raise TooLarge(
+            f"more than {E1_SUMMAND_GUARD} (D, E) summands at weight {s} "
+            f"of a rank-{n} quiver"
+        )
+    graph = underlying_graph(matrix)
     cohom: dict[int, dict[int, int]] = {}
 
     def dims_of(x_mask: int) -> dict[int, int]:
@@ -377,11 +375,13 @@ def e1_page(matrix: ExtendedExchangeMatrix, s: int) -> E1Page:
 
     entries: dict[tuple[int, int], int] = {}
     positions: dict[tuple[int, int, int, int], tuple[int, int]] = {}
-    for d_mask in range(1 << n):
-        dsize = d_mask.bit_count()
-        esize = s - dsize
-        if esize < 0 or esize > n:
-            continue
+    d_masks = sorted(
+        mask_of(d_set)
+        for dsize in range(max(s - n, 0), min(s, n) + 1)
+        for d_set in itertools.combinations(range(n), dsize)
+    )
+    for d_mask in d_masks:
+        esize = s - d_mask.bit_count()
         for e_mask in map(mask_of, itertools.combinations(range(n), esize)):
             x_mask = e_mask & ~d_mask
             for deg, h in dims_of(x_mask).items():
@@ -452,8 +452,7 @@ class PageReport:
 
 def _page_entries(matrix: ExtendedExchangeMatrix, s: int, r: int):
     fc = build_filtered(matrix, s)
-    engine = _Engine(fc)
-    return engine.page(r, with_differentials=False).entries
+    return spectral_sequence(fc, with_differentials=False, only=[r])[0].entries
 
 
 def e2_report_s2(matrix: ExtendedExchangeMatrix) -> PageReport:

@@ -1,14 +1,19 @@
 import json
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from clusterhodge.cli import main
+from clusterhodge.exchange import principal_from_graph
+from clusterhodge.graphs import path_graph
 from clusterhodge.io import (
     parse_graph_text,
     parse_matrix,
     parse_matrix_text,
     render_matrix_text,
 )
+from clusterhodge.linalg import rank
 
 EDGE_PRINCIPAL = """\
 # principal coefficients for one exchange arrow
@@ -134,6 +139,21 @@ def test_cmd_indcomplex_too_large_is_exit_2(tmp_path, capsys):
     assert json.loads(captured.err)["error"] == "TooLarge"
 
 
+def test_cmd_e1_guard_on_principal_p30(tmp_path, capsys):
+    # weight 1 has C(60, 1) = 60 (D, E) summands; weight 30 has C(60, 30)
+    path = tmp_path / "p30.mat"
+    path.write_text(render_matrix_text(principal_from_graph(path_graph(30))))
+    assert main(["e1", "--input", str(path), "--s", "1", "--format", "tsv"]) == 0
+    assert capsys.readouterr().out == "e\tf\ts\tdim\n0\t0\t1\t30\n"
+    assert main(["e1", "--input", str(path), "--s", "30"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "TooLarge",
+        "detail": "more than 262144 (D, E) summands at weight 30 of a rank-30 quiver",
+    }
+
+
 def test_cmd_e1_and_ss(edge_file, capsys):
     assert main(["e1", "--input", edge_file, "--s", "2"]) == 0
     out = capsys.readouterr().out
@@ -252,3 +272,34 @@ def test_check_exits_1_when_d_squared_fails(tmp_path, capsys, monkeypatch):
         "error": "ConsistencyError",
         "detail": "differential does not square to zero",
     }
+
+
+SS_PIN = Path(__file__).parent / "data" / "ss_pin"
+
+
+def _differential_ranks(page) -> dict[tuple[int, int], int]:
+    ranks = {}
+    for d in page["differentials"]:
+        rows: dict[int, dict[int, Fraction]] = {}
+        for i, j, val in d["triplets"]:
+            rows.setdefault(i, {})[j] = Fraction(val)
+        ranks[(d["e"], d["f"])] = rank(list(rows.values()))
+    return ranks
+
+
+@pytest.mark.parametrize("name", ["p3", "z4"], ids=["path-3", "star-4"])
+def test_ss_output_is_pinned(capsys, name):
+    # principal P_3 and the 4-star, all weights: text and tsv byte for byte;
+    # the json differentials depend on the basis, so only their ranks
+    matrix = str(SS_PIN / f"{name}.mat")
+    for fmt in ("text", "tsv"):
+        assert main(["ss", "--input", matrix, "--format", fmt]) == 0
+        assert capsys.readouterr().out == (SS_PIN / f"{name}.{fmt}").read_text()
+    assert main(["ss", "--input", matrix, "--format", "json"]) == 0
+    got = json.loads(capsys.readouterr().out)
+    want = json.loads((SS_PIN / f"{name}.json").read_text())
+    assert [(p["s"], p["r"], p["entries"]) for p in got] == [
+        (p["s"], p["r"], p["entries"]) for p in want
+    ]
+    for page, ref in zip(got, want):
+        assert _differential_ranks(page) == _differential_ranks(ref), (page["s"], page["r"])
