@@ -43,7 +43,7 @@ from .exchange import (
     underlying_graph,
 )
 from .exterior import bits, mask_of
-from .graphs import anticliques, augmented_cochain_complex, mv_delta, reduced_cohomology
+from .graphs import _InducedComplexes, anticliques, augmented_cochain_complex, mv_delta
 from .gysin import GysinBuilder
 from .linalg import CochainComplexQ, Echelon
 
@@ -349,9 +349,12 @@ def e1_page(matrix: ExtendedExchangeMatrix, s: int) -> E1Page:
 
     so with that scalar the assembled matrices agree with the first-page
     differential of ``spectral_sequence`` up to a basis change of each
-    summand (in particular rankwise), not only dimensionwise.  Past
-    E1_SUMMAND_GUARD summands, C(2n, s) of them, the page is refused with
-    TooLarge before anything is built.
+    summand (in particular rankwise), not only dimensionwise.  One
+    ``_InducedComplexes`` serves the call: each independence complex of an
+    induced subgraph is built once, for its dims and for every ``mv_delta``
+    block that needs its classes, and a disconnected one gets its dims by
+    the join rule.  Past E1_SUMMAND_GUARD summands, C(2n, s) of them, the
+    page is refused with TooLarge before anything is built.
     """
     if not is_principal(matrix):
         raise NotPrincipal("the filtration needs principal coefficients")
@@ -364,28 +367,16 @@ def e1_page(matrix: ExtendedExchangeMatrix, s: int) -> E1Page:
             f"of a rank-{n} quiver"
         )
     graph = underlying_graph(matrix)
-    cohom: dict[int, dict[int, int]] = {}
-
-    def dims_of(x_mask: int) -> dict[int, int]:
-        got = cohom.get(x_mask)
-        if got is None:
-            got = reduced_cohomology(anticliques(graph, x_mask)).dims
-            cohom[x_mask] = got
-        return got
-
+    induced = _InducedComplexes(graph)
+    sizes = range(max(s - n, 0), min(s, n) + 1)
+    masks = {k: list(map(mask_of, itertools.combinations(range(n), k))) for k in sizes}
     entries: dict[tuple[int, int], int] = {}
     positions: dict[tuple[int, int, int, int], tuple[int, int]] = {}
-    d_masks = sorted(
-        mask_of(d_set)
-        for dsize in range(max(s - n, 0), min(s, n) + 1)
-        for d_set in itertools.combinations(range(n), dsize)
-    )
-    for d_mask in d_masks:
+    for d_mask in sorted(m for k in sizes for m in masks[k]):
         esize = s - d_mask.bit_count()
-        for e_mask in map(mask_of, itertools.combinations(range(n), esize)):
-            x_mask = e_mask & ~d_mask
-            for deg, h in dims_of(x_mask).items():
-                e, f = esize, deg + 1 - esize
+        for e_mask in masks[esize]:
+            for p, h in induced.dims(e_mask & ~d_mask).items():
+                e, f = esize, p - esize
                 entries[(e, f)] = entries.get((e, f), 0) + h
                 positions[(d_mask, e_mask, e, f)] = (entries[(e, f)] - h, h)
 
@@ -409,7 +400,7 @@ def e1_page(matrix: ExtendedExchangeMatrix, s: int) -> E1Page:
                     continue
                 offset2, h2 = positions[key2]
                 if (x_mask, a, b) not in deltas:
-                    deltas[(x_mask, a, b)] = mv_delta(graph, x_mask, a, b)
+                    deltas[(x_mask, a, b)] = mv_delta(graph, x_mask, a, b, memo=induced)
                 block = deltas[(x_mask, a, b)].get(r)
                 if block is None:
                     continue
@@ -429,10 +420,12 @@ def e1_page(matrix: ExtendedExchangeMatrix, s: int) -> E1Page:
                         [Fraction(0)] * entries[(e, f)]
                         for _ in range(entries[target_pos])
                     ]
+                # a = D - D2 and b = E2 - E, so each pair of summands has
+                # exactly one block and its entries are written once
                 for i in range(h2):
                     for jj in range(h):
                         if block[i][jj]:
-                            mat[offset2 + i][offset + jj] += scale * block[i][jj]
+                            mat[offset2 + i][offset + jj] = scale * block[i][jj]
     return E1Page(entries, diffs)
 
 

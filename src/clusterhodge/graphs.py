@@ -10,7 +10,10 @@ nonempty complex has H~^{-1} = 0.  Cohomology is computed from the
 augmented cochain complex, built as a ``linalg.CochainComplexQ`` whose
 position p holds the faces with p vertices (so it carries H~^{p-1}); the
 Mayer-Vietoris connecting maps take their cocycle representatives from that
-same complex.
+same complex.  ``_InducedComplexes`` keeps those complexes, their dims and
+their classes per vertex mask for one computation, so each is built once;
+the dims of a disconnected induced subgraph come from its components by the
+join rule (positions add, dims multiply), without a complex of its own.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from fractions import Fraction
 
 from .errors import CycleTooSmall, NotAForest, NotAnEdge, TooLarge, VertexInX
 from .exterior import bits
-from .linalg import CochainComplexQ
+from .linalg import CochainComplexQ, CohomologyClasses
 
 
 @dataclass(frozen=True)
@@ -66,21 +69,22 @@ class Graph:
         ]
         return Graph.from_edges(len(verts), pairs)
 
-    def components(self) -> list[int]:
-        """Connected components as vertex masks, sorted by lowest vertex."""
-        seen = 0
+    def components(self, vertex_mask: int | None = None) -> list[int]:
+        """Components of the subgraph induced on vertex_mask (default: all).
+
+        Vertex masks keep the ambient labels, sorted by lowest vertex.
+        """
+        rest = (1 << self.n_vertices) - 1 if vertex_mask is None else vertex_mask
         comps = []
-        for v in range(self.n_vertices):
-            if seen >> v & 1:
-                continue
-            comp = 1 << v
-            frontier = [v]
+        while rest:
+            comp = frontier = rest & -rest
             while frontier:
-                u = frontier.pop()
-                for w in bits(self.adjacency[u] & ~comp):
-                    comp |= 1 << w
-                    frontier.append(w)
-            seen |= comp
+                reach = 0
+                for v in bits(frontier):
+                    reach |= self.adjacency[v]
+                frontier = reach & rest & ~comp
+                comp |= frontier
+            rest &= ~comp
             comps.append(comp)
         return comps
 
@@ -202,6 +206,64 @@ def augmented_cochain_complex(family: AnticliqueFamily) -> CochainComplexQ:
 def reduced_cohomology(family: AnticliqueFamily) -> ReducedCohomology:
     dims = augmented_cochain_complex(family).cohomology_dims()
     return ReducedCohomology({p - 1: h for p, h in dims.items()})
+
+
+def _join_dims(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """Cohomology dims of a join, by augmented position: positions add and
+    dims multiply (Kunneth for the tensor product of augmented complexes)."""
+    out: dict[int, int] = {}
+    for p, h in a.items():
+        for q, k in b.items():
+            out[p + q] = out.get(p + q, 0) + h * k
+    return dict(sorted(out.items()))
+
+
+class _InducedComplexes:
+    """The independence complexes of one graph's induced subgraphs, by vertex mask.
+
+    For each mask it keeps the augmented cochain complex of
+    ``anticliques(graph, mask)``, its ``cohomology_dims`` and the
+    ``CohomologyClasses`` of each position asked for, each made at most once.
+    The independence complex of a disjoint union is the join of its parts'
+    (Jonsson, LNM 1928), so a mask whose induced subgraph is disconnected gets
+    its dims from its components, and its own complex is built only when its
+    classes are asked for.  An instance lives for one computation; nothing is
+    cached across calls.
+    """
+
+    def __init__(self, graph: Graph):
+        self.graph = graph
+        self._complexes: dict[int, CochainComplexQ] = {}
+        self._dims: dict[int, dict[int, int]] = {}
+        self._classes: dict[tuple[int, int], CohomologyClasses] = {}
+
+    def complex(self, mask: int) -> CochainComplexQ:
+        cx = self._complexes.get(mask)
+        if cx is None:
+            cx = self._complexes[mask] = augmented_cochain_complex(
+                anticliques(self.graph, mask)
+            )
+        return cx
+
+    def dims(self, mask: int) -> dict[int, int]:
+        """dim H at each augmented position p (H~^{p-1}), ascending, nonzero only."""
+        dims = self._dims.get(mask)
+        if dims is None:
+            parts = self.graph.components(mask)
+            if len(parts) == 1:
+                dims = self.complex(mask).cohomology_dims()
+            else:
+                dims = {0: 1}  # the complex {empty set}, the unit of the join
+                for part in parts:
+                    dims = _join_dims(dims, self.dims(part))
+            self._dims[mask] = dims
+        return dims
+
+    def classes(self, mask: int, p: int) -> CohomologyClasses:
+        got = self._classes.get((mask, p))
+        if got is None:
+            got = self._classes[(mask, p)] = self.complex(mask).cohomology_basis(p)
+        return got
 
 
 # ---------------------------------------------------------------------------
@@ -339,25 +401,36 @@ def _delete(graph: Graph, drop: set[int]) -> Graph:
 # the Mayer-Vietoris connecting map
 
 
-def mv_delta(graph: Graph, x_mask: int, a: int, b: int) -> dict[int, list[list[Fraction]]]:
+def mv_delta(
+    graph: Graph,
+    x_mask: int,
+    a: int,
+    b: int,
+    *,
+    memo: _InducedComplexes | None = None,
+) -> dict[int, list[list[Fraction]]]:
     """Connecting maps H~^r(I(X)) -> H~^{r+1}(I(X u {a,b})) for all r.
 
     (a, b) must be an edge of the ambient graph and a, b must lie outside X;
     the cover is I(X u {a,b}) = I(X u a) u I(X u b).  On cochains the map
     sends psi to eta with eta(F) = psi(F minus a) when a is in F (a ordered
     last) and 0 otherwise.  Returns {r: matrix}, rows indexed by the chosen
-    basis of H~^{r+1} of the larger complex.
+    basis of H~^{r+1} of the larger complex.  Both complexes and their bases
+    come from ``memo``, the induced complexes of ``graph`` (a fresh one if
+    None), so callers that share one build each complex once.
     """
     if not graph.has_edge(a, b):
         raise NotAnEdge(f"({a}, {b}) is not an edge")
     if x_mask >> a & 1 or x_mask >> b & 1:
         raise VertexInX("a and b must lie outside X")
-    small = augmented_cochain_complex(anticliques(graph, x_mask))
-    big = augmented_cochain_complex(anticliques(graph, x_mask | 1 << a | 1 << b))
+    if memo is None:
+        memo = _InducedComplexes(graph)
+    big_mask = x_mask | 1 << a | 1 << b
     out: dict[int, list[list[Fraction]]] = {}
-    for p in sorted(small.cohomology_dims()):
-        src = small.cohomology_basis(p)
-        dst = big.cohomology_basis(p + 1)
+    for p in memo.dims(x_mask):
+        small, big = memo.complex(x_mask), memo.complex(big_mask)
+        src = memo.classes(x_mask, p)
+        dst = memo.classes(big_mask, p + 1)
         big_faces = big.labels[p + 1] if p + 1 < big.positions else []
         small_faces = {f: i for i, f in enumerate(small.labels[p])}
         cols = []

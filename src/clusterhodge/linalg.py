@@ -23,7 +23,7 @@ need explicit saturation bases, not just invariant factors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -221,6 +221,7 @@ class CochainComplexQ:
 
     labels: list[list]
     columns: list[list[Row]]
+    _d2_verified: bool = field(default=False, init=False, compare=False, repr=False)
 
     def dim(self, p: int) -> int:
         if 0 <= p < len(self.labels):
@@ -232,6 +233,14 @@ class CochainComplexQ:
         return len(self.labels)
 
     def verify_d2(self) -> None:
+        """Raise ConsistencyError unless d^2 = 0.
+
+        A complex that passed records it in ``_d2_verified``, so a repeat call
+        (``spectral_sequence`` on a complex that ``complex_for_s`` already
+        checked) returns at once; a complex that failed is checked again.
+        """
+        if self._d2_verified:
+            return
         for p in range(len(self.columns) - 1):
             nxt = self.columns[p + 1]
             for col in self.columns[p]:
@@ -245,6 +254,7 @@ class CochainComplexQ:
                             acc.pop(row, None)
                 if acc:
                     raise ConsistencyError("differential does not square to zero")
+        self._d2_verified = True
 
     def cohomology_dims(self) -> dict[int, int]:
         """dim H^p for every p with nonzero cohomology; needs d^2 = 0.

@@ -303,3 +303,19 @@ def test_ss_output_is_pinned(capsys, name):
     ]
     for page, ref in zip(got, want):
         assert _differential_ranks(page) == _differential_ranks(ref), (page["s"], page["r"])
+
+
+E1_PIN = Path(__file__).parent / "data" / "e1_pin"
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [SS_PIN / "p3.mat", SS_PIN / "z4.mat", E1_PIN / "c5.mat"],
+    ids=["path-3", "star-4", "cycle-5"],
+)
+def test_e1_output_is_pinned(capsys, matrix):
+    # principal P_3, the 4-star and C_5, all weights: `e1` prints only dims,
+    # so every format is compared byte for byte (scripts/make_e1_pins.py)
+    for fmt in ("text", "json", "tsv"):
+        assert main(["e1", "--input", str(matrix), "--format", fmt]) == 0
+        assert capsys.readouterr().out == (E1_PIN / f"{matrix.stem}.{fmt}").read_text()

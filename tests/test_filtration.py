@@ -704,3 +704,57 @@ def test_reduction_matches_subquotient_oracle():
                         ), (where, spot)
                 cases += 1
     assert graphs == 52
+
+
+def test_e1_page_with_one_memo_equals_fresh_complexes(monkeypatch):
+    # e1_page shares one set of induced complexes between its dims and every
+    # mv_delta call; the page must equal, entry for entry, the one whose
+    # mv_delta calls each build their own complexes
+    import clusterhodge.filtration as filtration
+    import clusterhodge.graphs as graphs
+
+    inputs = [principal_from_graph(g) for v in range(1, 6) for g in connected_graphs(v)]
+    inputs.append(principal_from_graph(Graph.from_edges(5, [(0, 1), (2, 3), (3, 4)])))
+    shared = [e1_page(m, s) for m in inputs for s in range(m.d + 1)]
+    monkeypatch.setattr(
+        filtration,
+        "mv_delta",
+        lambda graph, x_mask, a, b, *, memo: graphs.mv_delta(graph, x_mask, a, b),
+    )
+    fresh = [e1_page(m, s) for m in inputs for s in range(m.d + 1)]
+    assert shared == fresh
+    assert all(
+        type(v) is Fraction
+        for page in shared
+        for mat in page.differentials.values()
+        for row in mat
+        for v in row
+    )
+
+
+def test_spectral_sequence_walks_d2_once_after_build_filtered(monkeypatch):
+    # complex_for_s verifies d^2 = 0; spectral_sequence's own check then
+    # returns without reading a differential again
+    original = CochainComplexQ.verify_d2
+    walks = []
+
+    class Reads(list):
+        touched = 0
+
+        def __getitem__(self, i):
+            Reads.touched += 1
+            return super().__getitem__(i)
+
+    def counting(cx):
+        columns, cx.columns = cx.columns, Reads(cx.columns)
+        Reads.touched = 0
+        try:
+            original(cx)
+        finally:
+            cx.columns = columns
+            walks.append(Reads.touched > 0)
+
+    monkeypatch.setattr(CochainComplexQ, "verify_d2", counting)
+    fc = build_filtered(principal_from_graph(path_graph(3)), 3)
+    spectral_sequence(fc)
+    assert walks == [True, False]

@@ -5,6 +5,7 @@ import pytest
 from clusterhodge.errors import CycleTooSmall, NotAForest, NotAnEdge, TooLarge, VertexInX
 from clusterhodge.graphs import (
     ANTICLIQUE_GUARD,
+    _InducedComplexes,
     CONTRACTIBLE,
     Graph,
     Sphere,
@@ -146,35 +147,51 @@ def test_vanishing_bound_exhaustive_m_le_6():
 
 
 def test_join_additivity_poincare():
-    # for disconnected G, the shifted Poincare polynomial multiplies
-    def shifted_poly(g):
-        dims = reduced_cohomology(anticliques(g)).dims
-        out = [0] * (g.n_vertices + 2)
-        for r, h in dims.items():
-            out[r + 1] = h
-        return out
+    # the independence complex of a disjoint union is the join of the parts':
+    # H~^r(I(G1 u G2)) = sum over r1 + r2 + 1 = r of H~^r1 (x) H~^r2, checked
+    # exactly on every pair of graphs with at most 3 vertices
+    small = [g for v in range(4) for g in all_graphs(v)]
+    for g1, g2 in itertools.product(small, repeat=2):
+        shift = g1.n_vertices
+        both = Graph.from_edges(
+            shift + g2.n_vertices,
+            list(g1.edges) + [(u + shift, v + shift) for u, v in g2.edges],
+        )
+        want: dict[int, int] = {}
+        for r1, h1 in reduced_cohomology(anticliques(g1)).dims.items():
+            for r2, h2 in reduced_cohomology(anticliques(g2)).dims.items():
+                want[r1 + r2 + 1] = want.get(r1 + r2 + 1, 0) + h1 * h2
+        assert reduced_cohomology(anticliques(both)).dims == want
 
-    def mul(a, b):
-        out = [0] * (len(a) + len(b))
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-        return out
 
-    cases = [
-        (path_graph(3), cycle_graph(3)),
-        (Graph.from_edges(2, [(0, 1)]), Graph.from_edges(2, [(0, 1)])),
-        (star_graph(3), path_graph(2)),
-    ]
-    for g1, g2 in cases:
-        pairs = [(u + 0, v + 0) for u, v in g1.edges]
-        pairs += [(u + g1.n_vertices, v + g1.n_vertices) for u, v in g2.edges]
-        both = Graph.from_edges(g1.n_vertices + g2.n_vertices, pairs)
-        lhs = shifted_poly(both)
-        rhs = mul(shifted_poly(g1), shifted_poly(g2))
-        assert lhs[: len(rhs)] == rhs[: len(lhs)] or [
-            c for c in lhs if c
-        ] == [c for c in rhs if c]
+def test_induced_dims_match_the_full_complex():
+    # dims of a disconnected mask come from its components by the join rule;
+    # on every mask of every graph with <= 5 vertices, and of K_3 u K_3 and
+    # K_4 u K_3 (whose components have more than one class each), dims and
+    # classes agree with the mask's own complex (the bowtie has two positions)
+    k3k3 = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]
+    k4k3 = list(itertools.combinations(range(4), 2)) + [(4, 5), (4, 6), (5, 6)]
+    extra = [Graph.from_edges(6, k3k3), Graph.from_edges(7, k4k3)]
+    for g in [g for v in range(1, 6) for g in all_graphs(v)] + extra:
+        induced = _InducedComplexes(g)
+        for mask in range(1 << g.n_vertices):
+            full = augmented_cochain_complex(anticliques(g, mask)).cohomology_dims()
+            assert induced.dims(mask) == full, (sorted(g.edges), mask)
+            for p, h in full.items():
+                classes = induced.classes(mask, p)
+                assert (classes.p, classes.dim) == (p, h)
+    # two disjoint edges: S^0 * S^0 = S^1, with no complex built for the union
+    induced = _InducedComplexes(path_graph(6))
+    assert induced.dims(0b110110) == {2: 1}
+    assert 0b110110 not in induced._complexes
+
+
+def test_components_of_an_induced_subgraph():
+    p6 = path_graph(6)
+    assert p6.components() == [0b111111]
+    assert p6.components(0b110110) == [0b000110, 0b110000]
+    assert p6.components(0b101010) == [0b000010, 0b001000, 0b100000]
+    assert p6.components(0) == []
 
 
 def test_euler_characteristic():

@@ -2,9 +2,11 @@ import itertools
 from fractions import Fraction
 from math import gcd, lcm
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clusterhodge.errors import ConsistencyError
 from clusterhodge.graphs import all_graphs, anticliques, augmented_cochain_complex
 from clusterhodge.gysin import GysinBuilder
 from clusterhodge.linalg import (
@@ -315,3 +317,11 @@ def test_clearing_matches_plain_ranks_on_random_complexes(drawn):
     cx, want = drawn
     cx.verify_d2()
     assert cx.cohomology_dims() == _plain_dims(cx) == want
+
+
+def test_verify_d2_raises_on_every_call():
+    # a failed check is not remembered as a pass
+    cx = CochainComplexQ([[0], [1], [2]], [[{0: 1}], [{0: 1}]])
+    for _ in range(3):
+        with pytest.raises(ConsistencyError, match="square to zero"):
+            cx.verify_d2()
