@@ -417,7 +417,8 @@ def mv_delta(
     last) and 0 otherwise.  Returns {r: matrix}, rows indexed by the chosen
     basis of H~^{r+1} of the larger complex.  Both complexes and their bases
     come from ``memo``, the induced complexes of ``graph`` (a fresh one if
-    None), so callers that share one build each complex once.
+    None), so callers that share one build each complex once; a memo of
+    another graph raises ValueError.
     """
     if not graph.has_edge(a, b):
         raise NotAnEdge(f"({a}, {b}) is not an edge")
@@ -425,6 +426,8 @@ def mv_delta(
         raise VertexInX("a and b must lie outside X")
     if memo is None:
         memo = _InducedComplexes(graph)
+    elif memo.graph is not graph:
+        raise ValueError("memo holds the induced complexes of another graph")
     big_mask = x_mask | 1 << a | 1 << b
     out: dict[int, list[list[Fraction]]] = {}
     for p in memo.dims(x_mask):

@@ -216,12 +216,13 @@ class CochainComplexQ:
     ``columns[p][c]`` is the image of basis vector c of position p as a
     sparse vector over the basis of position p+1.  Labels are opaque to the
     linear algebra: Gysin complexes label by (anticlique, A) mask pairs,
-    simplicial cochain complexes by faces.
+    simplicial cochain complexes by faces.  A complex is not changed in place
+    once built: ``verify_d2`` remembers which ``columns`` passed.
     """
 
     labels: list[list]
     columns: list[list[Row]]
-    _d2_verified: bool = field(default=False, init=False, compare=False, repr=False)
+    _d2_verified: list | None = field(default=None, init=False, compare=False, repr=False)
 
     def dim(self, p: int) -> int:
         if 0 <= p < len(self.labels):
@@ -235,11 +236,12 @@ class CochainComplexQ:
     def verify_d2(self) -> None:
         """Raise ConsistencyError unless d^2 = 0.
 
-        A complex that passed records it in ``_d2_verified``, so a repeat call
-        (``spectral_sequence`` on a complex that ``complex_for_s`` already
-        checked) returns at once; a complex that failed is checked again.
+        A complex that passed keeps its ``columns`` in ``_d2_verified``, so a
+        repeat call (``spectral_sequence`` on a complex that ``complex_for_s``
+        already checked) returns at once; a complex that failed, or whose
+        ``columns`` were since replaced, is checked again.
         """
-        if self._d2_verified:
+        if self._d2_verified is self.columns:
             return
         for p in range(len(self.columns) - 1):
             nxt = self.columns[p + 1]
@@ -254,7 +256,7 @@ class CochainComplexQ:
                             acc.pop(row, None)
                 if acc:
                     raise ConsistencyError("differential does not square to zero")
-        self._d2_verified = True
+        self._d2_verified = self.columns
 
     def cohomology_dims(self) -> dict[int, int]:
         """dim H^p for every p with nonzero cohomology; needs d^2 = 0.

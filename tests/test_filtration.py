@@ -734,7 +734,9 @@ def test_e1_page_with_one_memo_equals_fresh_complexes(monkeypatch):
 
 def test_spectral_sequence_walks_d2_once_after_build_filtered(monkeypatch):
     # complex_for_s verifies d^2 = 0; spectral_sequence's own check then
-    # returns without reading a differential again
+    # returns without reading a differential again.  Each position's columns
+    # are swapped for a counting copy in place, so cx.columns stays the list
+    # that passed.
     original = CochainComplexQ.verify_d2
     walks = []
 
@@ -745,13 +747,18 @@ def test_spectral_sequence_walks_d2_once_after_build_filtered(monkeypatch):
             Reads.touched += 1
             return super().__getitem__(i)
 
+        def __iter__(self):
+            Reads.touched += 1
+            return super().__iter__()
+
     def counting(cx):
-        columns, cx.columns = cx.columns, Reads(cx.columns)
+        plain = list(cx.columns)
+        cx.columns[:] = [Reads(cols) for cols in plain]
         Reads.touched = 0
         try:
             original(cx)
         finally:
-            cx.columns = columns
+            cx.columns[:] = plain
             walks.append(Reads.touched > 0)
 
     monkeypatch.setattr(CochainComplexQ, "verify_d2", counting)

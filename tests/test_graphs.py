@@ -229,6 +229,8 @@ def test_mv_delta_validation():
         mv_delta(g, 0, 0, 2)
     with pytest.raises(VertexInX):
         mv_delta(g, 0b001, 0, 1)
+    with pytest.raises(ValueError, match="another graph"):
+        mv_delta(g, 0, 0, 1, memo=_InducedComplexes(path_graph(3)))
 
 
 def test_mv_delta_is_cochain_map_into_cocycles():

@@ -325,3 +325,12 @@ def test_verify_d2_raises_on_every_call():
     for _ in range(3):
         with pytest.raises(ConsistencyError, match="square to zero"):
             cx.verify_d2()
+
+
+def test_verify_d2_checks_replaced_columns_again():
+    # a pass is remembered for the columns that passed, not for the complex
+    cx = CochainComplexQ([[0], [1], [2]], [[{0: 1}], [{}]])
+    cx.verify_d2()
+    cx.columns = [[{0: 1}], [{0: 1}]]
+    with pytest.raises(ConsistencyError, match="square to zero"):
+        cx.verify_d2()
