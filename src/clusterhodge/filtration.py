@@ -420,10 +420,12 @@ def e1_page(matrix: ExtendedExchangeMatrix, s: int) -> E1Page:
                         [Fraction(0)] * entries[(e, f)]
                         for _ in range(entries[target_pos])
                     ]
+                # a = D - D2 and b = E2 - E, so each pair of summands has
+                # exactly one block, and assignment saves a Fraction sum
                 for i in range(h2):
                     for jj in range(h):
                         if block[i][jj]:
-                            mat[offset2 + i][offset + jj] += scale * block[i][jj]
+                            mat[offset2 + i][offset + jj] = scale * block[i][jj]
     return E1Page(entries, diffs)
 
 

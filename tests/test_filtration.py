@@ -1,5 +1,7 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +30,7 @@ from clusterhodge.graphs import (
     star_graph,
 )
 from clusterhodge.gysin import CochainComplexQ, GysinBuilder, hodge_table
+from clusterhodge.io import load_matrix
 from clusterhodge.linalg import Quotient, nullspace, rank, rank_relative, solve_in_span
 
 from conftest import seeded_orientation
@@ -730,6 +733,31 @@ def test_e1_page_with_one_memo_equals_fresh_complexes(monkeypatch):
         for row in mat
         for v in row
     )
+
+
+E1_PIN = Path(__file__).parent / "data" / "e1_pin"
+
+
+def test_e1_differentials_are_pinned():
+    # every Fraction of the E_1 differentials, at every weight, as the
+    # summing write made them before blocks were written by assignment
+    # (scripts/make_e1_pins.py); a second block for one pair of summands
+    # would be overwritten, not added, and change an entry here
+    pinned = json.loads((E1_PIN / "differentials.json").read_text())
+    mats = {"p3": "../ss_pin/p3.mat", "z4": "../ss_pin/z4.mat", "c5": "c5.mat", "k3k2": "k3k2.mat"}
+    for name, rel in mats.items():
+        m = load_matrix(str(E1_PIN / rel))
+        got = []
+        for s in range(m.d + 1):
+            for (e, f), mat in sorted(e1_page(m, s).differentials.items()):
+                assert all(type(v) is Fraction for row in mat for v in row)
+                nonzero = [
+                    [i, j, str(v)] for i, row in enumerate(mat) for j, v in enumerate(row) if v
+                ]
+                got.append(
+                    {"s": s, "e": e, "f": f, "shape": [len(mat), len(mat[0])], "nonzero": nonzero}
+                )
+        assert got == pinned[name], name
 
 
 def test_spectral_sequence_walks_d2_once_after_build_filtered(monkeypatch):
