@@ -456,32 +456,28 @@ def mv_delta(
 # enumeration up to isomorphism (small vertex counts)
 
 
-def _canonical_edge_mask(v: int, edge_mask: int, pair_index: dict) -> int:
-    pairs = list(itertools.combinations(range(v), 2))
-    best = None
-    for perm in itertools.permutations(range(v)):
-        m = 0
-        for k, (i, j) in enumerate(pairs):
-            if edge_mask >> k & 1:
-                a, b = sorted((perm[i], perm[j]))
-                m |= 1 << pair_index[(a, b)]
-        if best is None or m < best:
-            best = m
-    return best
-
-
 def all_graphs(v: int) -> list[Graph]:
-    """All simple graphs on v vertices, one per isomorphism class."""
+    """All simple graphs on v vertices, one per isomorphism class.
+
+    Edge masks are walked in ascending order; the first mask of a class is
+    kept and its whole orbit under the v! vertex permutations is marked, so
+    each class is relabeled once and every other mask is one lookup.
+    """
     pairs = list(itertools.combinations(range(v), 2))
     pair_index = {p: k for k, p in enumerate(pairs)}
-    seen = set()
+    relabelings = [
+        [pair_index[(min(perm[i], perm[j]), max(perm[i], perm[j]))] for i, j in pairs]
+        for perm in itertools.permutations(range(v))
+    ]
+    seen = bytearray(1 << len(pairs))
     out = []
     for edge_mask in range(1 << len(pairs)):
-        canon = _canonical_edge_mask(v, edge_mask, pair_index)
-        if canon in seen:
+        if seen[edge_mask]:
             continue
-        seen.add(canon)
-        out.append(Graph.from_edges(v, [p for k, p in enumerate(pairs) if edge_mask >> k & 1]))
+        present = [k for k in range(len(pairs)) if edge_mask >> k & 1]
+        for image in relabelings:
+            seen[sum(1 << image[k] for k in present)] = 1
+        out.append(Graph.from_edges(v, [pairs[k] for k in present]))
     return out
 
 

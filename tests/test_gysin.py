@@ -1,5 +1,6 @@
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -636,3 +637,25 @@ def test_hodge_table_verifies_d2_without_table_checks(monkeypatch):
     monkeypatch.setattr(GysinBuilder, "_rho_into", unsigned)
     with pytest.raises(ConsistencyError, match="square to zero"):
         hodge_table(m, check=False)
+
+
+# ---------------------------------------------------------------------------
+# the committed table digest
+
+
+DIGEST = Path(__file__).parent / "data" / "table_digest.tsv"
+
+
+def test_hodge_tables_match_the_digest():
+    """Every table in tests/data/table_digest.tsv (scripts/make_table_digest.py:
+    principal matrices of the 112 connected 6-vertex graphs and 40 random
+    acyclic matrices, each line cross-checked when written) is recomputed."""
+    lines = DIGEST.read_text().splitlines()
+    assert len(lines) == 152
+    for line in lines:
+        key, want = line.split("\t")
+        shape, *rows = key.split(" ")
+        n, m = map(int, shape.split("x"))
+        matrix = validate([list(map(int, row.split(","))) for row in rows], n, m)
+        dims = sorted(hodge_table(matrix).dims.items())
+        assert " ".join(f"{k},{s}:{v}" for (k, s), v in dims) == want, key
