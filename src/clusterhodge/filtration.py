@@ -43,7 +43,7 @@ from .exchange import (
     underlying_graph,
 )
 from .exterior import bits, mask_of
-from .graphs import _InducedComplexes, anticliques, augmented_cochain_complex, mv_delta
+from .graphs import _InducedComplexes, mv_delta
 from .gysin import GysinBuilder
 from .linalg import CochainComplexQ, Echelon
 
@@ -140,7 +140,9 @@ def graded_pieces(matrix: ExtendedExchangeMatrix, s: int) -> list[GradedPiece]:
     preserve the level (the single +-1 entries from (I, A) to (I u j, A - j),
     j not in D).  A piece must be the augmented cochain complex of the
     anticliques of E minus D: the anticliques I at position p are the family's
-    level p, and the cohomology agrees, or ConsistencyError.
+    level p, and the cohomology agrees, or ConsistencyError.  Pieces of one
+    weight share their vertex masks, so one ``_InducedComplexes`` builds each
+    independence complex once.
     """
     fc = build_filtered(matrix, s)
     cx, n = fc.complex, matrix.n
@@ -166,7 +168,7 @@ def graded_pieces(matrix: ExtendedExchangeMatrix, s: int) -> list[GradedPiece]:
                     if key2 != key:
                         raise ConsistencyError("level-preserving entry between pieces")
                     columns[key][p][cc][rr] = v
-    graph = underlying_graph(matrix)
+    induced = _InducedComplexes(underlying_graph(matrix))
     pieces = []
     for d_mask, e_mask in sorted(labels, key=lambda k: (k[0], bits(k[1]))):
         key = (d_mask, e_mask)
@@ -175,9 +177,10 @@ def graded_pieces(matrix: ExtendedExchangeMatrix, s: int) -> list[GradedPiece]:
             tuple(bits(e_mask)),
             CochainComplexQ(labels[key], columns[key]),
         )
-        faces = augmented_cochain_complex(anticliques(graph, e_mask & ~d_mask))
-        if [[i for i, _ in pos] for pos in labels[key]] != faces.labels or (
-            piece.cohomology_dims() != faces.cohomology_dims()
+        x_mask = e_mask & ~d_mask
+        anticlique_labels = [[i for i, _ in pos] for pos in labels[key]]
+        if anticlique_labels != induced.complex(x_mask).labels or (
+            piece.cohomology_dims() != induced.dims(x_mask)
         ):
             raise ConsistencyError(
                 f"graded piece ({piece.d_set}, {piece.e_set}) "
@@ -389,11 +392,8 @@ def e1_page(matrix: ExtendedExchangeMatrix, s: int) -> E1Page:
         x_mask = e_mask & ~d_mask
         r = e + f - 1
         for a in bits(d_mask & e_mask):
-            for b in range(n):
-                if (d_mask | e_mask) >> b & 1:
-                    continue
-                if matrix.rows[b][a] == 0:
-                    continue
+            # the neighbours of a outside D u E: B~_{ba} != 0 exactly on edges
+            for b in bits(graph.adjacency[a] & ~(d_mask | e_mask)):
                 d2, e2 = d_mask & ~(1 << a), e_mask | (1 << b)
                 key2 = (d2, e2, e + 1, f)
                 if key2 not in positions:

@@ -14,6 +14,15 @@ Sign conventions: wedges are taken in increasing index order, rho extracts
 dlog x_j with the Koszul sign of moving it past higher indices, and the
 block from I to I u {j} is weighted by (-1)^{#{i in I : i < j}}.  The
 composite is checked to square to zero.
+
+Each residue block writes unit entries +-1 from (I, A) to (I u j, A - j),
+which keep the filtration level |A cap mutable| + |I|.  The sequential
+element matching along them (one mutable j at a time, ascending) is acyclic
+on every graded piece by Jonsson's Cluster Lemma when the coefficients are
+principal, and ``linalg.morse_reduce`` checks acyclicity on every input.
+``hodge_table`` therefore ranks the Morse complex of each weight slice
+(algebraic Morse theory, Skoldberg 2006), of about E_1 size, in place of
+the slice itself.
 """
 
 from __future__ import annotations
@@ -48,7 +57,7 @@ from .exchange import (
 )
 from .exterior import ExteriorForm, bits, mask_of, submasks
 from .graphs import anticliques
-from .linalg import CochainComplexQ, Echelon, Quotient
+from .linalg import CochainComplexQ, Echelon, Quotient, morse_reduce
 from .poly import IntPolynomial
 
 Label = tuple[int, int]  # (anticlique mask, A mask)
@@ -105,6 +114,7 @@ class GysinBuilder:
         self._n_of: dict[int, tuple[int, ...]] = {}
         self._basis: dict[int, GModuleBasis] = {}
         self._pi: dict[int, dict[int, ExteriorForm]] = {}
+        self._rows: dict[tuple[int, int], dict[int, int]] = {}
 
     # -- row selections and bases -------------------------------------------
 
@@ -197,6 +207,18 @@ class GysinBuilder:
 
     # -- residue blocks ------------------------------------------------------
 
+    def _rows_of(self, j_mask: int, s: int) -> dict[int, int]:
+        """The place of each admissible A mask of weight s in the basis of G^J.
+
+        Made once per (J, s) and kept until ``complex_for_s`` has written its
+        blocks: a weight-s complex reaches G^J from |J| anticliques.
+        """
+        rows = self._rows.get((j_mask, s))
+        if rows is None:
+            masks = self.basis(j_mask).masks_of_degree(s)
+            rows = self._rows[(j_mask, s)] = {a: r for r, a in enumerate(masks)}
+        return rows
+
     def _rho_into(
         self,
         cols: list[dict[int, Fraction | int]],
@@ -206,7 +228,7 @@ class GysinBuilder:
         src_off: int,
         dst_off: int,
         eps: int,
-    ) -> None:
+    ) -> list[int]:
         """Add eps * rho, from the degree-s slice of G^I to G^{I u j}, into cols.
 
         Column ``src_off + c`` of ``cols`` receives the image of the c-th
@@ -217,15 +239,20 @@ class GysinBuilder:
         position.  A avoids N(I), and N(J) is N(I) plus one row t (see
         ``choose_n``), so at most dlog x_t is left over from N(J); it is
         replaced by its substitution pi[t], a combination of free dlog's,
-        written term by term as integer (mask, coefficient) pairs.
+        written term by term as integer (mask, coefficient) pairs.  When
+        A - j avoids t the image is the single unit entry +-1 at
+        (I u j, A - j); the column and row of each such entry are returned in
+        the order written, as one flat list c0, r0, c1, r1, ... (no tuples
+        for the garbage collector to track).
         """
         j_bit = 1 << j
         source, target = self.basis(i_mask), self.basis(i_mask | j_bit)
-        dst_index = {a: r for r, a in enumerate(target.masks_of_degree(s))}
+        dst_index = self._rows_of(i_mask | j_bit, s)
         t_bit = target.row_mask & ~source.row_mask
         assert t_bit.bit_count() == 1, "N(I u j) must be N(I) plus one row"
         pi_t = self._pi_table(i_mask | j_bit)[t_bit.bit_length() - 1].terms
         parity = i_mask.bit_count() + (i_mask >> (j + 1)).bit_count()
+        units = []
         for c, a_mask in enumerate(source.masks_of_degree(s)):
             if not a_mask & j_bit:
                 continue
@@ -233,7 +260,9 @@ class GysinBuilder:
             a0 = a_mask ^ j_bit
             col = cols[src_off + c]
             if not a0 & t_bit:
-                col[dst_off + dst_index[a0]] = sign
+                row = dst_off + dst_index[a0]
+                col[row] = sign
+                units += src_off + c, row
                 continue
             # e_{A0} = (-1)^{#A0 above t} e_rest ^ dlog x_t, then dlog x_t -> pi[t]
             rest = a0 ^ t_bit
@@ -245,6 +274,7 @@ class GysinBuilder:
                     col[dst_off + dst_index[rest | bit]] = (
                         -v if (rest & -bit).bit_count() & 1 else v
                     )
+        return units
 
     def rho_columns(
         self, i_mask: int, j: int, s: int
@@ -271,8 +301,17 @@ class GysinBuilder:
         any J = I u {j}, both intermediates of every two-step extension it
         supports, which holds for the full family and for the up-sets used
         by character components.  The block from I to I u {j} fills the
-        rows of I u {j}, so blocks for different j never overlap.  The
-        complex is checked to square to zero.
+        rows of I u {j}, so blocks for different j never overlap, and each
+        column takes its blocks in ascending j whichever loop runs outside.
+        The complex is checked to square to zero.
+
+        It carries the sequential element matching of its unit entries, made
+        as the blocks are written, one mutable j at a time in ascending
+        order: a unit entry from (I, A) to (I u j, A - j) is matched when
+        both cells are still unmatched (the entries of one j never share a
+        cell).  These entries keep the filtration level, and on a graded
+        piece the matching is the sequential element matching of an
+        independence complex.
         """
         if family_masks is None:
             family_masks = [list(level) for level in self.family.by_cardinality]
@@ -289,20 +328,26 @@ class GysinBuilder:
                 ]
             labels.append(position_labels)
             offsets.append(offset)
-        columns = []
-        for p in range(len(labels) - 1):
-            cols: list[dict[int, Fraction | int]] = [dict() for _ in labels[p]]
-            for i_mask in family_masks[p]:
-                src_off = offsets[p][i_mask]
-                for j in range(self.matrix.n):
+        columns = [[{} for _ in labels[p]] for p in range(len(labels) - 1)]
+        matching: list[dict[int, int]] = [{} for _ in columns]
+        taken = [bytearray(len(pos)) for pos in labels]  # matched cells
+        for j in range(self.matrix.n):
+            for p, cols in enumerate(columns):
+                below, above, up = taken[p], taken[p + 1], matching[p]
+                for i_mask in family_masks[p]:
                     new_mask = i_mask | (1 << j)
                     if new_mask == i_mask or new_mask not in members:
                         continue
                     eps = -1 if (i_mask & ((1 << j) - 1)).bit_count() & 1 else 1
-                    dst_off = offsets[p + 1][new_mask]
-                    self._rho_into(cols, i_mask, j, s, src_off, dst_off, eps)
-            columns.append(cols)
-        cx = CochainComplexQ(labels, columns)
+                    src_off, dst_off = offsets[p][i_mask], offsets[p + 1][new_mask]
+                    units = self._rho_into(cols, i_mask, j, s, src_off, dst_off, eps)
+                    pairs = iter(units)
+                    for c, r in zip(pairs, pairs):
+                        if not (below[c] or above[r]):
+                            up[c] = r
+                            below[c] = above[r] = 1
+        self._rows.clear()
+        cx = CochainComplexQ(labels, columns, matching)
         cx.verify_d2()
         return cx
 
@@ -463,6 +508,17 @@ class HodgeTable:
         return "\n".join(lines)
 
 
+def _morse_dims(cx: CochainComplexQ) -> dict[int, int]:
+    """The cohomology dims of a complex that passed ``verify_d2``, ranked on
+    its Morse complex once that is checked for d^2 = 0 (clearing ranks
+    exactly only then) and for cx's Euler characteristic."""
+    morse = morse_reduce(cx)
+    morse.verify_d2()
+    if morse.euler_characteristic != cx.euler_characteristic:
+        raise ConsistencyError("the Morse complex changes the Euler characteristic")
+    return morse.cohomology_dims()
+
+
 def hodge_table(matrix: ExtendedExchangeMatrix, check: bool = True) -> HodgeTable:
     """Full mixed Hodge table, summed over all character components.
 
@@ -472,8 +528,11 @@ def hodge_table(matrix: ExtendedExchangeMatrix, check: bool = True) -> HodgeTabl
     with equal support coincide, so each support is computed once and
     weighted by its number of characters.
 
-    Every complex is checked for d^2 = 0 before it is ranked, since the
-    ranks rely on it; ``check`` adds the checks of the finished table.
+    Each complex is built in full and checked for d^2 = 0, then reduced
+    along its element matching (``linalg.morse_reduce``) to a complex of
+    about E_1 size with the same cohomology; that one is checked for
+    d^2 = 0 and for the full complex's Euler characteristic, and ranked.
+    ``check`` adds the checks of the finished table.
     """
     if not is_acyclic(matrix):
         raise NotAcyclic("the quiver has an oriented cycle")
@@ -498,9 +557,8 @@ def hodge_table(matrix: ExtendedExchangeMatrix, check: bool = True) -> HodgeTabl
             for level in builder.family.by_cardinality
         ]
         for s in range(matrix.d + 1):
-            # clearing ranks exactly only when d^2 = 0: verify it always
-            cx = builder.complex_for_s(s, family)
-            for p, h in cx.cohomology_dims().items():
+            # one weight's complexes at a time: each is dropped before the next
+            for p, h in _morse_dims(builder.complex_for_s(s, family)).items():
                 key = (p + s, s)
                 dims[key] = dims.get(key, 0) + h * mult
     table = HodgeTable(matrix.n, matrix.m, {k: v for k, v in dims.items() if v})

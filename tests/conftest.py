@@ -52,6 +52,42 @@ def seeded_orientation(graph: Graph, rng: random.Random, magnitudes=(1,)):
     return orientation, weights
 
 
+def matching_is_acyclic(cx) -> bool:
+    """A depth-first search, independent of ``linalg.morse_reduce``: no
+    directed cycle in the graph of cx's nonzero entries, each pointing up
+    from its column cell to its row cell, except that the entries of
+    ``cx.matching`` point down.  This is the acyclicity of the matching."""
+    succ: dict = {}
+    for p, cols in enumerate(cx.columns):
+        matched = cx.matching[p] if p < len(cx.matching) else {}
+        for c, col in enumerate(cols):
+            for r in col:
+                if matched.get(c) == r:
+                    succ.setdefault((p + 1, r), []).append((p, c))
+                else:
+                    succ.setdefault((p, c), []).append((p + 1, r))
+    done: set = set()
+    for root in succ:
+        if root in done:
+            continue
+        on_path = {root}
+        stack = [(root, iter(succ[root]))]
+        while stack:
+            node, it = stack[-1]
+            for nxt in it:
+                if nxt in on_path:
+                    return False
+                if nxt not in done:
+                    on_path.add(nxt)
+                    stack.append((nxt, iter(succ.get(nxt, ()))))
+                    break
+            else:
+                stack.pop()
+                on_path.discard(node)
+                done.add(node)
+    return True
+
+
 @pytest.fixture
 def rng():
     return random.Random(20240817)

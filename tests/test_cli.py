@@ -262,7 +262,7 @@ def test_check_exits_1_when_d_squared_fails(tmp_path, capsys, monkeypatch):
 
     def unsigned(self, cols, i_mask, j, s, src_off, dst_off, eps):
         # without the block sign the square {} -> {0}, {2} -> {0, 2} fails
-        original(self, cols, i_mask, j, s, src_off, dst_off, 1)
+        return original(self, cols, i_mask, j, s, src_off, dst_off, 1)
 
     monkeypatch.setattr(GysinBuilder, "_rho_into", unsigned)
     assert main(["check", "--input", str(path)]) == 1

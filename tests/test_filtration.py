@@ -101,7 +101,7 @@ def test_graded_pieces_refuse_a_wrong_differential(monkeypatch):
     # a residue writer that writes nothing leaves d^2 = 0 and the levels
     # intact, but the graded cohomology no longer matches the graph
     m = principal_from_graph(path_graph(3))
-    monkeypatch.setattr(GysinBuilder, "_rho_into", lambda self, *args: None)
+    monkeypatch.setattr(GysinBuilder, "_rho_into", lambda self, *args: [])
     build_filtered(m, 2)
     with pytest.raises(ConsistencyError, match="independence complex"):
         graded_pieces(m, 2)

@@ -24,7 +24,13 @@ from clusterhodge.exchange import (
     validate,
 )
 from clusterhodge.exterior import ExteriorForm, bits, mask_of, wedge_sign
-from clusterhodge.graphs import Graph, cycle_graph, path_graph, star_graph
+from clusterhodge.graphs import (
+    Graph,
+    connected_graphs,
+    cycle_graph,
+    path_graph,
+    star_graph,
+)
 from clusterhodge.gysin import (
     GysinBuilder,
     alpha,
@@ -38,10 +44,17 @@ from clusterhodge.gysin import (
     rho,
     standard_poincare,
 )
-from clusterhodge.linalg import Echelon, mat_mul, rank
+from clusterhodge.filtration import e1_page
+from clusterhodge.linalg import Echelon, mat_mul, morse_reduce, rank
 from clusterhodge.poly import IntPolynomial
 
-from conftest import assembly_corpus, corpus, full_rank_corpus, random_acyclic_matrix
+from conftest import (
+    assembly_corpus,
+    corpus,
+    full_rank_corpus,
+    matching_is_acyclic,
+    random_acyclic_matrix,
+)
 
 M01 = validate([[0], [1]], 1, 1)
 M22 = validate([[0, 2], [-2, 0]], 2, 0)
@@ -626,13 +639,59 @@ def test_assembly_matches_exterior_form_reference():
                     assert _typed([got[2]]) == _typed([want[2]]), (m.rows, i_mask, j, s)
 
 
+def _morse_corpus():
+    """Principal matrices of every connected graph with at most 5 vertices, 40
+    random acyclic matrices, and the star Z_6 with frozen block 2I, whose
+    character supports give sub-families."""
+    out = [principal_from_graph(g) for v in range(1, 6) for g in connected_graphs(v)]
+    rng = random.Random(1212)
+    out += [random_acyclic_matrix(rng, 5, 5) for _ in range(40)]
+    z6 = principal_from_graph(star_graph(6))
+    frozen_2i = [[2 if i == j else 0 for j in range(6)] for i in range(6)]
+    out.append(validate(z6.top_block() + frozen_2i, 6, 6))
+    return out
+
+
+def _morse_cases():
+    for m in _morse_corpus():
+        builder = GysinBuilder(m)
+        for family in _support_families(builder):
+            for s in range(m.d + 1):
+                yield m, s, builder.complex_for_s(s, family)
+
+
+def test_element_matching_is_acyclic():
+    for m, s, cx in _morse_cases():
+        for p, matched in enumerate(cx.matching):
+            assert len(set(matched.values())) == len(matched)
+            assert all(cx.columns[p][c][t] in (1, -1) for c, t in matched.items())
+        assert matching_is_acyclic(cx), (m.rows, s)
+
+
+def test_morse_path_dims_match_the_full_complex():
+    for m, s, cx in _morse_cases():
+        morse = morse_reduce(cx)
+        morse.verify_d2()
+        assert morse.euler_characteristic == cx.euler_characteristic
+        assert morse.cohomology_dims() == cx.cohomology_dims(), (m.rows, s)
+
+
+@pytest.mark.parametrize("graph", [path_graph(6), star_graph(6)], ids=["P6", "Z6"])
+def test_critical_cells_equal_e1_totals(graph):
+    m = principal_from_graph(graph)
+    builder = GysinBuilder(m)
+    for s in range(m.d + 1):
+        critical = sum(map(len, morse_reduce(builder.complex_for_s(s)).labels))
+        assert critical == sum(e1_page(m, s).entries.values()), s
+
+
 def test_hodge_table_verifies_d2_without_table_checks(monkeypatch):
     # dropping the block sign (-1)^{#{i in I : i < j}} breaks d^2 = 0
     m = principal_from_graph(path_graph(3))
     original = GysinBuilder._rho_into
 
     def unsigned(self, cols, i_mask, j, s, src_off, dst_off, eps):
-        original(self, cols, i_mask, j, s, src_off, dst_off, 1)
+        return original(self, cols, i_mask, j, s, src_off, dst_off, 1)
 
     monkeypatch.setattr(GysinBuilder, "_rho_into", unsigned)
     with pytest.raises(ConsistencyError, match="square to zero"):

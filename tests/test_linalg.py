@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -15,6 +16,7 @@ from clusterhodge.linalg import (
     Quotient,
     identity,
     mat_mul,
+    morse_reduce,
     nullspace,
     rank,
     rank_relative,
@@ -22,7 +24,7 @@ from clusterhodge.linalg import (
     solve_in_span,
 )
 
-from conftest import assembly_corpus
+from conftest import assembly_corpus, matching_is_acyclic
 
 small_matrices = st.integers(1, 5).flatmap(
     lambda r: st.integers(1, 5).flatmap(
@@ -334,3 +336,95 @@ def test_verify_d2_checks_replaced_columns_again():
     cx.columns = [[{0: 1}], [{0: 1}]]
     with pytest.raises(ConsistencyError, match="square to zero"):
         cx.verify_d2()
+
+
+# ---------------------------------------------------------------------------
+# Morse reduction
+
+
+def test_morse_reduce_collapses_a_simplex_to_its_cohomology():
+    # the augmented cochain complex of a full simplex on 3 vertices is exact;
+    # matching every face without vertex 0 to its cone leaves no cell
+    graph = all_graphs(3)[0]  # no edges: every subset is independent
+    faces = augmented_cochain_complex(anticliques(graph))
+    index = [{f: c for c, f in enumerate(pos)} for pos in faces.labels]
+    cones = [
+        {c: index[p + 1][f | 1] for f, c in index[p].items() if not f & 1}
+        for p in range(faces.positions - 1)
+    ]
+    cx = CochainComplexQ(faces.labels, faces.columns, cones)
+    morse = morse_reduce(cx)
+    assert [len(pos) for pos in morse.labels] == [0, 0, 0, 0]
+    assert cx.cohomology_dims() == {} == morse.cohomology_dims()
+
+
+def test_morse_reduce_sums_zig_zag_paths():
+    # c -> t1 <- x1 -> c' with d(c) = 2 t1, d(x1) = t1 - 3 c': the one path
+    # gives d(c) = 2 * (-1/1) * (-3) c' = 6 c'
+    cx = CochainComplexQ(
+        [["c", "x1"], ["t1", "c'"]], [[{0: 2}, {0: 1, 1: -3}]], [{1: 0}]
+    )
+    morse = morse_reduce(cx)
+    assert morse.labels == [["c"], ["c'"]]
+    assert morse.columns == [[{0: 6}]]
+
+
+@pytest.mark.parametrize("reached", [True, False])
+def test_morse_reduce_raises_on_a_cyclic_matching(reached):
+    # d(x1) = d(x2) = t1 + t2 with x1-t1 and x2-t2 matched: t1 -> t2 -> t1.
+    # Unreached, the cycle would still be wrong: the Morse complex would be
+    # the critical c alone, while H has dims {0: 2, 1: 1}.
+    d_c = {0: 1} if reached else {}
+    cx = CochainComplexQ(
+        [["c", "x1", "x2"], ["t1", "t2"]],
+        [[d_c, {0: 1, 1: 1}, {0: 1, 1: 1}]],
+        [{1: 0, 2: 1}],
+    )
+    assert not matching_is_acyclic(cx)
+    with pytest.raises(ConsistencyError, match="cycle"):
+        morse_reduce(cx)
+
+
+def test_morse_reduce_rejects_what_is_not_a_unit_matching():
+    cx = CochainComplexQ([["x"], ["t"], ["u"]], [[{0: 2}], [{}]], [{0: 0}])
+    with pytest.raises(ConsistencyError, match="unit"):
+        morse_reduce(cx)
+    cx = CochainComplexQ([["x"], ["t"], ["u"]], [[{0: 1}], [{0: 1}]], [{0: 0}, {0: 0}])
+    with pytest.raises(ConsistencyError, match="twice"):
+        morse_reduce(cx)
+
+
+def test_morse_reduce_on_random_matchings_of_independence_complexes():
+    # a random greedy matching of the +-1 entries: acyclic ones (by the
+    # test's own search) keep the cohomology, cyclic ones are refused
+    rnd = random.Random(7)
+    outcomes = {True: 0, False: 0}
+    for v in range(1, 6):
+        for graph in all_graphs(v):
+            faces = augmented_cochain_complex(anticliques(graph))
+            entries = [
+                (p, c, r)
+                for p, cols in enumerate(faces.columns)
+                for c, col in enumerate(cols)
+                for r in col
+            ]
+            for _ in range(6):
+                rnd.shuffle(entries)
+                taken = set()
+                matching = [{} for _ in faces.columns]
+                for p, c, r in entries:
+                    if (p, c) not in taken and (p + 1, r) not in taken:
+                        matching[p][c] = r
+                        taken |= {(p, c), (p + 1, r)}
+                cx = CochainComplexQ(faces.labels, faces.columns, matching)
+                acyclic = matching_is_acyclic(cx)
+                outcomes[acyclic] += 1
+                if acyclic:
+                    morse = morse_reduce(cx)
+                    morse.verify_d2()
+                    assert morse.euler_characteristic == cx.euler_characteristic
+                    assert morse.cohomology_dims() == cx.cohomology_dims(), graph.edges
+                else:
+                    with pytest.raises(ConsistencyError, match="cycle"):
+                        morse_reduce(cx)
+    assert outcomes[True] > 100 and outcomes[False] > 10, outcomes
