@@ -251,28 +251,32 @@ class GysinBuilder:
         t_bit = target.row_mask & ~source.row_mask
         assert t_bit.bit_count() == 1, "N(I u j) must be N(I) plus one row"
         pi_t = self._pi_table(i_mask | j_bit)[t_bit.bit_length() - 1].terms
+        terms = [(bit, -bit, c2) for bit, c2 in pi_t.items()]
         parity = i_mask.bit_count() + (i_mask >> (j + 1)).bit_count()
+        above_j, above_t = j + 1, -t_bit
         units = []
-        for c, a_mask in enumerate(source.masks_of_degree(s)):
+        c = src_off - 1
+        for a_mask in source.masks_of_degree(s):
+            c += 1
             if not a_mask & j_bit:
                 continue
-            sign = -eps if (parity + (a_mask >> (j + 1)).bit_count()) & 1 else eps
+            sign = -eps if (parity + (a_mask >> above_j).bit_count()) & 1 else eps
             a0 = a_mask ^ j_bit
-            col = cols[src_off + c]
+            col = cols[c]
             if not a0 & t_bit:
                 row = dst_off + dst_index[a0]
                 col[row] = sign
-                units += src_off + c, row
+                units += c, row
                 continue
             # e_{A0} = (-1)^{#A0 above t} e_rest ^ dlog x_t, then dlog x_t -> pi[t]
             rest = a0 ^ t_bit
-            if (rest & -t_bit).bit_count() & 1:
+            if (rest & above_t).bit_count() & 1:
                 sign = -sign
-            for bit, c2 in pi_t.items():
+            for bit, above_bit, c2 in terms:
                 if not rest & bit:
                     v = sign * c2
                     col[dst_off + dst_index[rest | bit]] = (
-                        -v if (rest & -bit).bit_count() & 1 else v
+                        -v if (rest & above_bit).bit_count() & 1 else v
                     )
         return units
 
