@@ -24,6 +24,7 @@ from clusterhodge.exchange import (
     validate,
 )
 from clusterhodge.exterior import ExteriorForm, bits, mask_of, wedge_sign
+from clusterhodge.filtration import e1_page
 from clusterhodge.graphs import (
     Graph,
     connected_graphs,
@@ -44,7 +45,6 @@ from clusterhodge.gysin import (
     rho,
     standard_poincare,
 )
-from clusterhodge.filtration import e1_page
 from clusterhodge.linalg import Echelon, mat_mul, morse_reduce, rank
 from clusterhodge.poly import IntPolynomial
 
@@ -662,8 +662,11 @@ def _morse_cases():
 
 def test_element_matching_is_acyclic():
     for m, s, cx in _morse_cases():
+        matched_down: set = set()  # cells of position p matched with one below
         for p, matched in enumerate(cx.matching):
-            assert len(set(matched.values())) == len(matched)
+            assert matched_down.isdisjoint(matched)
+            matched_down = set(matched.values())
+            assert len(matched_down) == len(matched)
             assert all(cx.columns[p][c][t] in (1, -1) for c, t in matched.items())
         assert matching_is_acyclic(cx), (m.rows, s)
 
