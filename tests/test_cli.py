@@ -319,3 +319,24 @@ def test_e1_output_is_pinned(capsys, matrix):
     for fmt in ("text", "json", "tsv"):
         assert main(["e1", "--input", str(matrix), "--format", fmt]) == 0
         assert capsys.readouterr().out == (E1_PIN / f"{matrix.stem}.{fmt}").read_text()
+
+
+CLI_PIN = Path(__file__).parent / "data" / "cli_pin"
+CLI_RUNS = [line.split("\t") for line in (CLI_PIN / "runs.tsv").read_text().splitlines()]
+
+
+@pytest.mark.parametrize("name", sorted({run[0] for run in CLI_RUNS}))
+def test_cli_output_is_pinned(capsys, name):
+    # hodge, check, pointcount --q 5 and the e1/ss runs the other pins lack,
+    # every format, byte for byte: stdout, the exit code, and stderr when
+    # that is nonzero (scripts/make_cli_pins.py cross-checks every table)
+    matrix = str(CLI_PIN / f"{name}.mat")
+    for _, command, fmt, code in (run for run in CLI_RUNS if run[0] == name):
+        extra = ["--q", "5"] if command == "pointcount" else []
+        got = main([command, "--input", matrix, "--format", fmt, *extra])
+        captured = capsys.readouterr()
+        stem = CLI_PIN / f"{name}.{command}.{fmt}"
+        assert got == int(code), stem.name
+        assert captured.out == Path(f"{stem}.out").read_text(), stem.name
+        if got:
+            assert captured.err == Path(f"{stem}.err").read_text(), stem.name
