@@ -8,8 +8,6 @@ from .exchange import (
     Quiver,
     RankClass,
     RationalExchangeMatrix,
-    character_group,
-    character_subgroup,
     cokernel_group,
     is_acyclic,
     mutate,
@@ -18,7 +16,6 @@ from .exchange import (
     quiver,
     rank_class,
     reduce_character,
-    support_J,
     underlying_graph,
     validate,
     validate_rational,
@@ -37,24 +34,18 @@ from .gysin import (
     GysinBuilder,
     HodgeTable,
     alpha,
-    basis_G_I,
     build_character_complex,
     build_gysin_complex,
-    choose_N,
     edge_class_cochain,
     gsv_form,
     hodge_table,
-    rho,
     standard_poincare,
 )
 from .filtration import (
     FilteredComplexQ,
     build_filtered,
     e1_page,
-    e2_report_s2,
-    e3_report_s3,
     graded_pieces,
-    principal_normalize,
     spectral_sequence,
 )
 from .counts import (

@@ -30,7 +30,7 @@ from .filtration import (
     spectral_sequence,
 )
 from .graphs import anticliques, reduced_cohomology
-from .gysin import HodgeTable, hodge_table
+from .gysin import GysinBuilder, HodgeTable, hodge_table
 from .io import load_graph, load_matrix
 
 
@@ -184,11 +184,14 @@ def cmd_ss(args: argparse.Namespace) -> int:
         raise InputError(f"--max-page {args.max_page} is negative")
     matrix = load_matrix(args.input)
     weights = _weights(args, matrix)
+    # size every weight before building the first
+    builder = GysinBuilder(matrix)
+    builder.require_cells(weights)
     records = []
     collapses = []
     payload = []
     for s in weights:
-        fc = build_filtered(matrix, s)
+        fc = build_filtered(matrix, s, builder)
         pages = spectral_sequence(fc, max_page=args.max_page)
         for page in pages:
             for (e, f), v in sorted(page.entries.items()):

@@ -349,18 +349,6 @@ class CharacterGroup:
         return CharacterSubgroup(idx, factors, frozenset(elems))
 
 
-def character_group(matrix: ExtendedExchangeMatrix) -> CharacterGroup:
-    return CharacterGroup(matrix)
-
-
-def character_subgroup(matrix: ExtendedExchangeMatrix, anticlique) -> CharacterSubgroup:
-    return CharacterGroup(matrix).subgroup(anticlique)
-
-
-def support_J(chi: Character, matrix: ExtendedExchangeMatrix) -> frozenset[int]:
-    return CharacterGroup(matrix).support(chi)
-
-
 # ---------------------------------------------------------------------------
 # reduction of a character component to a smaller plain complex
 

@@ -15,7 +15,8 @@ level(t) - level(c) >= 0.  In the reduced basis (the Barannikov normal
 form) the entry E_r^{e,k-e} is spanned by the cells of level e at position
 k that are unpaired or paired across a gap of at least r, and d_r is the
 partial identity on the pairs whose gap is exactly r (Basu-Parida,
-Expositiones Math. 2017).
+Expositiones Math. 2017).  ``spectral_sequence`` returns every page from
+E_0 to stabilization, each with its d_r.
 """
 
 from __future__ import annotations
@@ -25,21 +26,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .counts import small_weight_entries
-from .errors import (
-    ConsistencyError,
-    NotAcyclic,
-    NotPrincipal,
-    NotReallyFullRank,
-    TooLarge,
-)
+from .errors import ConsistencyError, NotAcyclic, NotPrincipal, TooLarge
 from .exchange import (
     ExtendedExchangeMatrix,
-    RankClass,
     is_acyclic,
     is_principal,
-    principal_matrix,
-    rank_class,
     underlying_graph,
 )
 from .exterior import bits, mask_of
@@ -70,29 +61,6 @@ class FilteredComplexQ:
                 for r, v in col.items():
                     if v and self.levels[p + 1][r] < self.levels[p][c]:
                         raise ConsistencyError("differential lowers the level")
-
-
-@dataclass(frozen=True)
-class PrincipalNormalization:
-    """B_prin with the torus-factor bookkeeping of the reduction.
-
-    The two-variable Poincare polynomials satisfy
-    P_source * (1+xy)^a = P_principal * (1+xy)^b.
-    """
-
-    source: ExtendedExchangeMatrix
-    principal: ExtendedExchangeMatrix
-    a: int
-    b: int
-
-
-def principal_normalize(matrix: ExtendedExchangeMatrix) -> PrincipalNormalization:
-    if rank_class(matrix) is not RankClass.REALLY_FULL_RANK:
-        raise NotReallyFullRank("principal reduction needs really full rank")
-    prin = principal_matrix(matrix.top_block())
-    a = max(matrix.n - matrix.m, 0)
-    b = max(matrix.m - matrix.n, 0)
-    return PrincipalNormalization(matrix, prin, a, b)
 
 
 def level_of_label(matrix: ExtendedExchangeMatrix, label) -> int:
@@ -255,7 +223,6 @@ def _page(
     gaps: list[list[int | None]],
     pairs: list[tuple[int, int, int, int]],
     r: int,
-    with_differentials: bool,
 ) -> SpectralSequencePage:
     """E_r: the cells unpaired or paired across a gap of at least r.
 
@@ -271,33 +238,28 @@ def _page(
     entries = {(e, k - e): len(spot) for (e, k), spot in basis.items()}
     diffs: dict[tuple[int, int], list[list[Fraction]]] = {}
     zero, one = Fraction(0), Fraction(1)
-    if with_differentials:
-        for k, c, t, gap in pairs:
-            if gap != r:
-                continue
-            e = fc.levels[k][c]
-            source, target = basis[(e, k)], basis[(e + r, k + 1)]
-            mat = diffs.get((e, k - e))
-            if mat is None:
-                mat = diffs[(e, k - e)] = [[zero] * len(source) for _ in target]
-            mat[target[t]][source[c]] = one
+    for k, c, t, gap in pairs:
+        if gap != r:
+            continue
+        e = fc.levels[k][c]
+        source, target = basis[(e, k)], basis[(e + r, k + 1)]
+        mat = diffs.get((e, k - e))
+        if mat is None:
+            mat = diffs[(e, k - e)] = [[zero] * len(source) for _ in target]
+        mat[target[t]][source[c]] = one
     return SpectralSequencePage(r, entries, diffs)
 
 
 def spectral_sequence(
-    fc: FilteredComplexQ,
-    max_page: int | None = None,
-    with_differentials: bool = True,
-    only: list[int] | None = None,
+    fc: FilteredComplexQ, max_page: int | None = None
 ) -> list[SpectralSequencePage]:
-    """Pages E_0, E_1, ... up to guaranteed stabilization.
+    """Pages E_0, E_1, ... up to guaranteed stabilization, each with its d_r.
 
     Stabilization is declared at r = (max level - min level) + 1 whatever the
     observed differentials do; the returned list always reaches that page (or
-    ``max_page`` if smaller).  Every page is read off the same pairs, so
-    ``only`` may cherry-pick page indices (negative indices count from
-    stabilization; -1 is E_infinity).  Raises ConsistencyError when d^2 != 0
-    or a pair lowers the level.
+    ``max_page`` if smaller), so its last page is E_infinity unless cut.
+    Every page is read off the same pairs.  Raises ConsistencyError when
+    d^2 != 0 or a pair lowers the level.
     """
     fc.complex.verify_d2()
     pairs = _pairs(fc)
@@ -306,10 +268,7 @@ def spectral_sequence(
         gaps[k][c] = gaps[k + 1][t] = gap
     lo, hi = fc.level_range()
     last = hi - lo + 1 if max_page is None else min(max_page, hi - lo + 1)
-    wanted = range(last + 1)
-    if only is not None:
-        wanted = sorted({r if r >= 0 else last + 1 + r for r in only})
-    return [_page(fc, gaps, pairs, r, with_differentials) for r in wanted]
+    return [_page(fc, gaps, pairs, r) for r in range(last + 1)]
 
 
 def observed_collapse_page(pages: list[SpectralSequencePage]) -> int:
@@ -427,34 +386,3 @@ def e1_page(matrix: ExtendedExchangeMatrix, s: int) -> E1Page:
                         if block[i][jj]:
                             mat[offset2 + i][offset + jj] = scale * block[i][jj]
     return E1Page(entries, diffs)
-
-
-# ---------------------------------------------------------------------------
-# page reports at small weight
-
-
-@dataclass
-class PageReport:
-    computed: dict[tuple[int, int], int]
-    expected: dict[tuple[int, int], int]
-
-    @property
-    def ok(self) -> bool:
-        return self.computed == self.expected
-
-
-def _page_entries(matrix: ExtendedExchangeMatrix, s: int, r: int):
-    fc = build_filtered(matrix, s)
-    return spectral_sequence(fc, with_differentials=False, only=[r])[0].entries
-
-
-def e2_report_s2(matrix: ExtendedExchangeMatrix) -> PageReport:
-    """E_2 at weight 2 against the closed graph formulas."""
-    expected = small_weight_entries(matrix)[2]
-    return PageReport(_page_entries(matrix, 2, 2), expected)
-
-
-def e3_report_s3(matrix: ExtendedExchangeMatrix) -> PageReport:
-    """E_3 at weight 3 against the closed graph formulas."""
-    expected = small_weight_entries(matrix)[3]
-    return PageReport(_page_entries(matrix, 3, 3), expected)

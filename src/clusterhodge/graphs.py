@@ -262,7 +262,7 @@ class _InducedComplexes:
     def classes(self, mask: int, p: int) -> CohomologyClasses:
         got = self._classes.get((mask, p))
         if got is None:
-            got = self._classes[(mask, p)] = self.complex(mask).cohomology_basis(p)
+            got = self._classes[(mask, p)] = CohomologyClasses(self.complex(mask), p)
         return got
 
 

@@ -27,6 +27,7 @@ the slice itself.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -42,6 +43,7 @@ from .errors import (
     NotFullRank,
     NotPrincipal,
     NotReallyFullRank,
+    TooLarge,
 )
 from .exchange import (
     Character,
@@ -61,6 +63,10 @@ from .linalg import CochainComplexQ, Echelon, Quotient, morse_reduce
 from .poly import IntPolynomial
 
 Label = tuple[int, int]  # (anticlique mask, A mask)
+
+# cells one weight slice may have: admits Z_10, P_10 and C_10 (at most
+# 1,577,396 cells), refuses P_11 (6,266,624 at its largest weight)
+GYSIN_CELL_GUARD = 2**21
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +174,35 @@ class GysinBuilder:
         )
         self._basis[i_mask] = result
         return result
+
+    def cells(self, s: int, family_masks: list[list[int]] | None = None) -> int:
+        """Cells of the weight-s slice over the family, counted before it is built.
+
+        An A mask of G^I at weight s has s - |I| members and avoids I and
+        the |I| rows of N(I), so the slice has the sum over I of
+        C(d - 2|I|, s - |I|) cells.
+        """
+        if family_masks is None:
+            family_masks = self.family.by_cardinality
+        d = self.matrix.d
+        return sum(
+            len(level) * comb(d - 2 * p, s - p)
+            for p, level in enumerate(family_masks)
+            if p <= s and 2 * p <= d  # a larger I has no N(I): basis() refuses it
+        )
+
+    def require_cells(
+        self, weights: Iterable[int], family_masks: list[list[int]] | None = None
+    ) -> None:
+        """Refuse with TooLarge, before anything is built, when the slice of
+        some weight would have more than GYSIN_CELL_GUARD cells."""
+        for s in weights:
+            cells = self.cells(s, family_masks)
+            if cells > GYSIN_CELL_GUARD:
+                raise TooLarge(
+                    f"the weight-{s} Gysin complex would have {cells} cells, "
+                    f"more than {GYSIN_CELL_GUARD}"
+                )
 
     # -- substitution of dlog x_t for t in N(J) ------------------------------
 
@@ -315,10 +350,12 @@ class GysinBuilder:
         both cells are still unmatched (the entries of one j never share a
         cell).  These entries keep the filtration level, and on a graded
         piece the matching is the sequential element matching of an
-        independence complex.
+        independence complex.  A slice of more than GYSIN_CELL_GUARD cells
+        is refused with TooLarge before anything is built.
         """
         if family_masks is None:
             family_masks = [list(level) for level in self.family.by_cardinality]
+        self.require_cells([s], family_masks)
         members = {m for level in family_masks for m in level}
         labels: list[list[Label]] = []
         offsets: list[dict[int, int]] = []
@@ -363,22 +400,6 @@ class GysinBuilder:
 def alpha(matrix: ExtendedExchangeMatrix, j: int) -> ExteriorForm:
     """The one-form sum_r B~_{rj} dlog x_r attached to a mutable index."""
     return ExteriorForm({1 << r: matrix.rows[r][j] for r in range(matrix.d)})
-
-
-def choose_N(matrix: ExtendedExchangeMatrix, anticlique) -> tuple[int, ...]:
-    builder = GysinBuilder(matrix)
-    mask = mask_of(anticlique)
-    builder.require_anticlique(mask)
-    return builder.choose_n(mask)
-
-
-def basis_G_I(matrix: ExtendedExchangeMatrix, anticlique) -> GModuleBasis:
-    return GysinBuilder(matrix).basis(mask_of(anticlique))
-
-
-def rho(matrix: ExtendedExchangeMatrix, anticlique, j: int, s: int):
-    """Matrix of rho from the degree-s slice of G^I to G^{I u {j}}."""
-    return GysinBuilder(matrix).rho_columns(mask_of(anticlique), j, s)
 
 
 def build_gysin_complex(matrix: ExtendedExchangeMatrix, s: int) -> CochainComplexQ:
@@ -536,7 +557,9 @@ def hodge_table(matrix: ExtendedExchangeMatrix, check: bool = True) -> HodgeTabl
     along its element matching (``linalg.morse_reduce``) to a complex of
     about E_1 size with the same cohomology; that one is checked for
     d^2 = 0 and for the full complex's Euler characteristic, and ranked.
-    ``check`` adds the checks of the finished table.
+    ``check`` adds the checks of the finished table.  Every weight is sized
+    before the first complex is built, and TooLarge refuses the table when
+    one would pass GYSIN_CELL_GUARD cells.
     """
     if not is_acyclic(matrix):
         raise NotAcyclic("the quiver has an oriented cycle")
@@ -544,6 +567,9 @@ def hodge_table(matrix: ExtendedExchangeMatrix, check: bool = True) -> HodgeTabl
     if rc is RankClass.NOT_FULL_RANK:
         raise NotFullRank("matrix is not of full rank")
     builder = GysinBuilder(matrix)
+    # every support family is an up-set inside the full family, so the full
+    # family's slices bound every complex built below
+    builder.require_cells(range(matrix.d + 1))
     # characters per anticlique support; really full rank leaves only the
     # trivial character, whose support 0 selects the whole family
     support_multiplicity = {0: 1}

@@ -8,9 +8,9 @@ Matrices come in two flavours here:
   unimodular transforms are dense anyway).
 
 All sparse elimination is ``Echelon``'s, fraction-free over the integers;
-``rank``, ``rank_relative``, ``nullspace`` and ``solve_in_span`` drive it
-and read answers over Q off its integer rows; ``Quotient`` reduces a span
-once and then answers each "representatives modulo it" query in one step.
+``rank``, ``nullspace`` and ``solve_in_span`` drive it and read answers
+over Q off its integer rows; ``Quotient`` reduces a span once and then
+answers each "representatives modulo it" query in one step.
 ``CochainComplexQ`` is the one cochain-complex type of the package (Gysin
 complexes, graded pieces and simplicial cochains alike); its
 ``cohomology_dims`` ranks the differentials in order with clearing, which
@@ -105,18 +105,6 @@ def rank(rows: list[Row]) -> int:
     for r in rows:
         ech.add(r)
     return ech.rank
-
-
-def rank_relative(base: list[Row], extra: list[Row]) -> tuple[int, list[int]]:
-    """rank(base+extra) - rank(base), plus indices of extra rows that grew it."""
-    ech = Echelon()
-    for r in base:
-        ech.add(r)
-    grew = []
-    for i, r in enumerate(extra):
-        if ech.add(r) is not None:
-            grew.append(i)
-    return len(grew), grew
 
 
 def nullspace(rows: list[Row], ncols: int) -> list[dict[int, Fraction]]:
@@ -302,9 +290,6 @@ class CochainComplexQ:
                     rows[r][c] = v
         return rows
 
-    def cohomology_basis(self, p: int) -> "CohomologyClasses":
-        return CohomologyClasses(self, p)
-
 
 _PENDING = object()  # marks a flow being computed
 _CHECKED = object()  # marks a matched target that no critical cell reaches
@@ -453,14 +438,6 @@ class CohomologyClasses:
 
 def identity(k: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-
-
-def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    cols = len(b[0]) if b else 0
-    return [
-        [sum(ar[k] * b[k][j] for k in range(len(b))) for j in range(cols)]
-        for ar in a
-    ]
 
 
 @dataclass(frozen=True)

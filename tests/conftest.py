@@ -4,6 +4,7 @@ import pytest
 
 from clusterhodge.exchange import ExtendedExchangeMatrix, validate
 from clusterhodge.graphs import Graph
+from clusterhodge.linalg import Echelon
 
 
 def random_acyclic_matrix(
@@ -86,6 +87,27 @@ def matching_is_acyclic(cx) -> bool:
                 on_path.discard(node)
                 done.add(node)
     return True
+
+
+def rank_relative(base: list[dict], extra: list[dict]) -> tuple[int, list[int]]:
+    """rank(base+extra) - rank(base), plus indices of extra rows that grew it."""
+    ech = Echelon()
+    for r in base:
+        ech.add(r)
+    grew = []
+    for i, r in enumerate(extra):
+        if ech.add(r) is not None:
+            grew.append(i)
+    return len(grew), grew
+
+
+def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    """The product of two dense integer matrices."""
+    cols = len(b[0]) if b else 0
+    return [
+        [sum(ar[k] * b[k][j] for k in range(len(b))) for j in range(cols)]
+        for ar in a
+    ]
 
 
 @pytest.fixture

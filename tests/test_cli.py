@@ -154,6 +154,20 @@ def test_cmd_e1_guard_on_principal_p30(tmp_path, capsys):
     }
 
 
+@pytest.mark.parametrize("command", ["hodge", "check", "ss"])
+def test_gysin_guard_on_principal_p14(tmp_path, capsys, command):
+    # 987 anticliques pass ANTICLIQUE_GUARD, but weight 6 has 2,532,608 cells
+    path = tmp_path / "p14.mat"
+    path.write_text(render_matrix_text(principal_from_graph(path_graph(14))))
+    assert main([command, "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "TooLarge",
+        "detail": "the weight-6 Gysin complex would have 2532608 cells, more than 2097152",
+    }
+
+
 def test_cmd_e1_and_ss(edge_file, capsys):
     assert main(["e1", "--input", edge_file, "--s", "2"]) == 0
     out = capsys.readouterr().out

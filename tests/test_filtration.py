@@ -7,18 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clusterhodge.errors import ConsistencyError, NotPrincipal, NotReallyFullRank
-from clusterhodge.exchange import principal_from_graph, validate
+from clusterhodge.counts import small_weight_entries
+from clusterhodge.errors import ConsistencyError, NotPrincipal
+from clusterhodge.exchange import principal_from_graph, principal_matrix, validate
 from clusterhodge.filtration import (
     FilteredComplexQ,
     SpectralSequencePage,
     build_filtered,
     e1_page,
-    e2_report_s2,
-    e3_report_s3,
     graded_pieces,
     observed_collapse_page,
-    principal_normalize,
     spectral_sequence,
 )
 from clusterhodge.graphs import (
@@ -31,9 +29,9 @@ from clusterhodge.graphs import (
 )
 from clusterhodge.gysin import CochainComplexQ, GysinBuilder, hodge_table
 from clusterhodge.io import load_matrix
-from clusterhodge.linalg import Quotient, nullspace, rank, rank_relative, solve_in_span
+from clusterhodge.linalg import Quotient, nullspace, rank, solve_in_span
 
-from conftest import seeded_orientation
+from conftest import rank_relative, seeded_orientation
 
 TRIANGLE = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
 
@@ -224,8 +222,7 @@ def test_reduction_reads_a_scrambled_barcode(barcode, rnd):
     cx = CochainComplexQ([list(range(len(lv))) for lv in levels], columns)
     fc = FilteredComplexQ(cx, levels)
     fc.verify_levels()
-    lo, hi = fc.level_range()
-    pages = spectral_sequence(fc, only=list(range(hi - lo + 3)))
+    pages = spectral_sequence(fc)
     for page in pages:
         entries: dict[tuple[int, int], int] = {}
         ranks: dict[tuple[int, int], int] = {}
@@ -281,8 +278,8 @@ def test_e1_double_computation_small():
         table = hodge_table(m)
         for s in range(m.d + 1):
             fc = build_filtered(m, s)
-            pages = spectral_sequence(fc, with_differentials=False, only=[1, -1])
-            engine_e1 = pages[0].entries
+            pages = spectral_sequence(fc)
+            engine_e1 = pages[1].entries
             independent = {
                 k: v for k, v in e1_page(m, s).entries.items() if v
             }
@@ -387,8 +384,9 @@ def test_e00_all_pages():
         total = 0
         for s in range(m.d + 1):
             fc = build_filtered(m, s)
-            pages = spectral_sequence(fc, with_differentials=False, only=[min(r, 10)])
-            total += pages[0].entry(0, 0)
+            pages = spectral_sequence(fc)
+            # E_r is the last page once r passes stabilization
+            total += pages[min(r, len(pages) - 1)].entry(0, 0)
         assert total == 2**m.n
 
 
@@ -403,20 +401,27 @@ def test_page_one_support():
 
 
 def test_e2_report_examples():
-    r = e2_report_s2(principal_from_graph(TRIANGLE))
-    assert r.ok and r.computed[(2, -1)] == 1
-    r = e2_report_s2(principal_from_graph(path_graph(4)))
-    assert r.ok and (2, -1) not in r.computed
-    r = e3_report_s3(principal_from_graph(star_graph(4)))
-    assert r.ok and r.computed[(3, -2)] == 1
+    # E_2 at weight 2 and E_3 at weight 3 against the closed graph formulas
+    def page(m, s):
+        computed = spectral_sequence(build_filtered(m, s))[s].entries
+        assert computed == small_weight_entries(m)[s]
+        return computed
+
+    assert page(principal_from_graph(TRIANGLE), 2)[(2, -1)] == 1
+    assert (2, -1) not in page(principal_from_graph(path_graph(4)), 2)
+    assert page(principal_from_graph(star_graph(4)), 3)[(3, -2)] == 1
 
 
 def test_principal_normalize():
+    # B_prin of a really-full-rank matrix with exponents a = max(n - m, 0)
+    # and b = max(m - n, 0) satisfies P_source (1+xy)^a = P_principal (1+xy)^b
+    def normalize(m):
+        return principal_matrix(m.top_block()), max(m.n - m.m, 0), max(m.m - m.n, 0)
+
     m = validate([[0], [1], [2]], 1, 2)
-    norm = principal_normalize(m)
-    assert norm.principal.rows == ((0,), (1,))
-    assert (norm.a, norm.b) == (0, 1)
-    # transfer: P_source * (1+xy)^a == P_principal * (1+xy)^b
+    principal, a, b = normalize(m)
+    assert principal.rows == ((0,), (1,))
+    assert (a, b) == (0, 1)
     def xy(table):
         return {k: v for k, v in table.dims.items() if v}
 
@@ -431,16 +436,13 @@ def test_principal_normalize():
         return out
 
     src = xy(hodge_table(m))
-    prin = xy(hodge_table(norm.principal))
-    assert mul_1xy(src, norm.a) == mul_1xy(prin, norm.b)
+    prin = xy(hodge_table(principal))
+    assert mul_1xy(src, a) == mul_1xy(prin, b)
 
     already = principal_from_graph(path_graph(2))
-    norm2 = principal_normalize(already)
-    assert (norm2.a, norm2.b) == (0, 0)
-    assert norm2.principal.rows == already.rows
-
-    with pytest.raises(NotReallyFullRank):
-        principal_normalize(validate([[0, 2], [-2, 0]], 2, 0))
+    principal2, a2, b2 = normalize(already)
+    assert (a2, b2) == (0, 0)
+    assert principal2.rows == already.rows
 
 
 def test_engine_converges_for_capped_filtrations():
@@ -456,7 +458,7 @@ def test_engine_converges_for_capped_filtrations():
             levels = [[min(l, cap) for l in pos] for pos in base.levels]
             fc = FilteredComplexQ(cx, levels)
             fc.verify_levels()
-            pages = spectral_sequence(fc, with_differentials=False, only=[-1])
+            pages = spectral_sequence(fc)
             for p in range(cx.positions):
                 total = sum(
                     v for (e, f), v in pages[-1].entries.items() if e + f == p
@@ -552,7 +554,7 @@ class _Engine:
                         out.pop(rr, None)
         return out
 
-    def page(self, r: int, with_differentials: bool = True) -> SpectralSequencePage:
+    def page(self, r: int) -> SpectralSequencePage:
         entries: dict[tuple[int, int], int] = {}
         at: dict[tuple[int, int], tuple[list, Quotient]] = {}
         for k in range(self.cx.positions):
@@ -561,25 +563,24 @@ class _Engine:
                 if reps:
                     entries[(e, k - e)] = len(reps)
         diffs: dict[tuple[int, int], list[list[Fraction]]] = {}
-        if with_differentials:
-            for (e, k), (reps, _) in list(at.items()):
-                if not reps:
-                    continue
-                te, tk = e + r, k + 1
-                if (te, tk) not in at:
-                    at[(te, tk)] = self.entry_data(te, tk, r)
-                treps, target = at[(te, tk)]
-                if not treps:
-                    continue
-                mat = [[Fraction(0)] * len(reps) for _ in range(len(treps))]
-                for cidx, z in enumerate(reps):
-                    dz = self._below(tk, te + 1, self.apply_d(k, z))
-                    coeffs = target.coordinates(dz)
-                    assert coeffs is not None, "dz must land in the target entry"
-                    for ridx, c in enumerate(coeffs):
-                        mat[ridx][cidx] = c
-                if any(map(any, mat)):
-                    diffs[(e, k - e)] = mat
+        for (e, k), (reps, _) in list(at.items()):
+            if not reps:
+                continue
+            te, tk = e + r, k + 1
+            if (te, tk) not in at:
+                at[(te, tk)] = self.entry_data(te, tk, r)
+            treps, target = at[(te, tk)]
+            if not treps:
+                continue
+            mat = [[Fraction(0)] * len(reps) for _ in range(len(treps))]
+            for cidx, z in enumerate(reps):
+                dz = self._below(tk, te + 1, self.apply_d(k, z))
+                coeffs = target.coordinates(dz)
+                assert coeffs is not None, "dz must land in the target entry"
+                for ridx, c in enumerate(coeffs):
+                    mat[ridx][cidx] = c
+            if any(map(any, mat)):
+                diffs[(e, k - e)] = mat
         return SpectralSequencePage(r, entries, diffs)
 
 

@@ -12,6 +12,7 @@ from clusterhodge.errors import (
     NotFullRank,
     NotPrincipal,
     NotReallyFullRank,
+    TooLarge,
 )
 from clusterhodge.exchange import (
     CharacterGroup,
@@ -33,25 +34,24 @@ from clusterhodge.graphs import (
     star_graph,
 )
 from clusterhodge.gysin import (
+    GYSIN_CELL_GUARD,
     GysinBuilder,
     alpha,
-    basis_G_I,
     build_character_complex,
     build_gysin_complex,
-    choose_N,
     edge_class_cochain,
     gsv_form,
     hodge_table,
-    rho,
     standard_poincare,
 )
-from clusterhodge.linalg import Echelon, mat_mul, morse_reduce, rank
+from clusterhodge.linalg import CohomologyClasses, Echelon, morse_reduce, rank
 from clusterhodge.poly import IntPolynomial
 
 from conftest import (
     assembly_corpus,
     corpus,
     full_rank_corpus,
+    mat_mul,
     matching_is_acyclic,
     random_acyclic_matrix,
 )
@@ -72,7 +72,7 @@ def test_alpha_examples():
     assert not alpha(zero_col, 1)
     # ... and basing G^I on the zero column fails downstream
     with pytest.raises(ColumnsDependent):
-        basis_G_I(zero_col, [1])
+        GysinBuilder(zero_col).basis(0b10)
 
 
 def test_choose_n_principal_is_identity_rows():
@@ -86,11 +86,13 @@ def test_choose_n_principal_is_identity_rows():
 
 
 def test_choose_n_why_principal_good():
-    assert choose_N(WHY, [0, 1]) == (3, 5)
+    builder = GysinBuilder(WHY)
+    builder.require_anticlique(0b011)
+    assert builder.choose_n(0b011) == (3, 5)
     # determinant check: rows {3,4} fail
     sub = [[WHY.rows[3][0], WHY.rows[3][1]], [WHY.rows[4][0], WHY.rows[4][1]]]
     assert sub[0][0] * sub[1][1] - sub[0][1] * sub[1][0] == 0
-    assert choose_N(WHY, []) == ()
+    assert builder.choose_n(0) == ()
 
 
 def test_choose_n_minimality_exhaustive():
@@ -131,13 +133,16 @@ def test_choose_n_grows_by_one_row():
 
 def test_choose_n_columns_dependent():
     bad = validate([[0, 0], [0, 0], [1, 1]], 2, 1)
+    builder = GysinBuilder(bad)
+    builder.require_anticlique(0b11)
     with pytest.raises(ColumnsDependent):
-        choose_N(bad, [0, 1])
+        builder.choose_n(0b11)
 
 
 def test_basis_dimensions():
-    assert basis_G_I(M01, []).dimension == 4  # full exterior algebra
-    b = basis_G_I(M01, [0])
+    builder = GysinBuilder(M01)
+    assert builder.basis(0).dimension == 4  # full exterior algebra
+    b = builder.basis(0b1)
     assert b.basis_index == (0,)
     assert b.masks_of_degree(1) == [0]
     for m in full_rank_corpus():
@@ -149,7 +154,7 @@ def test_basis_dimensions():
 
 def test_rho_examples():
     # rho on [[0],[1]]: dlog x_1 -> theta(empty, {0}) = alpha_0; dlog y_1 -> 0
-    src, dst, cols = rho(M01, [], 0, 1)
+    src, dst, cols = GysinBuilder(M01).rho_columns(0, 0, 1)
     assert src == [1 << 0, 1 << 1] and dst == [0]
     assert cols == [{0: 1}, {}]
 
@@ -325,7 +330,7 @@ def test_edge_classes_span_h1():
         m = principal_from_graph(graph)
         builder = GysinBuilder(m)
         cx = builder.complex_for_s(2)
-        classes = cx.cohomology_basis(1)
+        classes = CohomologyClasses(cx, 1)
         assert classes.dim == h1
         ech = Echelon()
         span = 0
@@ -514,6 +519,25 @@ def test_hodge_rejects_bad_input():
         hodge_table(validate([[0]], 1, 0))
 
 
+def test_cell_guard_admits_z10_and_refuses_before_building(monkeypatch):
+    # sized without building: Z_10's largest weight fits the budget; P_11's
+    # largest (weight 11, 6,266,624 cells) does not and is refused before any
+    # basis is built, and hodge_table stops at its first weight past it
+    z10 = GysinBuilder(principal_from_graph(star_graph(10)))
+    assert max(z10.cells(s) for s in range(21)) == 1_577_396 <= GYSIN_CELL_GUARD
+    p11 = GysinBuilder(principal_from_graph(path_graph(11)))
+    assert max(p11.cells(s) for s in range(23)) == p11.cells(11) == 6_266_624
+
+    def no_basis(self, i_mask):
+        raise AssertionError("a basis was built past the guard")
+
+    monkeypatch.setattr(GysinBuilder, "basis", no_basis)
+    with pytest.raises(TooLarge, match="weight-11 Gysin complex would have 6266624"):
+        p11.complex_for_s(11)
+    with pytest.raises(TooLarge, match="weight-8 Gysin complex would have 2449517"):
+        hodge_table(p11.matrix)
+
+
 def test_degenerate_shapes():
     # a point and a bare torus
     point = validate([], 0, 0)
@@ -621,6 +645,7 @@ def test_assembly_matches_exterior_form_reference():
         for s in range(m.d + 1):
             for family in _support_families(builder):
                 cx = builder.complex_for_s(s, family)
+                assert builder.cells(s, family) == sum(map(len, cx.labels))
                 want = _reference_columns(builder, s, family)
                 assert _typed(cx.columns) == _typed(want), (m.rows, s)
                 labels = [

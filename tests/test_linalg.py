@@ -15,16 +15,14 @@ from clusterhodge.linalg import (
     Echelon,
     Quotient,
     identity,
-    mat_mul,
     morse_reduce,
     nullspace,
     rank,
-    rank_relative,
     smith_normal_form,
     solve_in_span,
 )
 
-from conftest import assembly_corpus, matching_is_acyclic
+from conftest import assembly_corpus, mat_mul, matching_is_acyclic, rank_relative
 
 small_matrices = st.integers(1, 5).flatmap(
     lambda r: st.integers(1, 5).flatmap(
