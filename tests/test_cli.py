@@ -155,8 +155,15 @@ def test_cmd_e1_guard_on_principal_p30(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["hodge", "check", "ss"])
-def test_gysin_guard_on_principal_p14(tmp_path, capsys, command):
-    # 987 anticliques pass ANTICLIQUE_GUARD, but weight 6 has 2,532,608 cells
+def test_gysin_guard_on_principal_p14(tmp_path, capsys, monkeypatch, command):
+    # 987 anticliques pass ANTICLIQUE_GUARD, but weight 6 has 2,532,608 cells;
+    # every weight is sized before the first is built, so no basis is made
+    from clusterhodge.gysin import GysinBuilder
+
+    def no_basis(self, i_mask):
+        raise AssertionError("a basis was built before the guard refused")
+
+    monkeypatch.setattr(GysinBuilder, "basis", no_basis)
     path = tmp_path / "p14.mat"
     path.write_text(render_matrix_text(principal_from_graph(path_graph(14))))
     assert main([command, "--input", str(path)]) == 2
