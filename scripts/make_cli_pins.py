@@ -11,7 +11,9 @@ text, json and tsv formats.  A run writes its stdout to
 <name>.<command>.<format>.out, its stderr to <name>.<command>.<format>.err
 when the exit code is nonzero, and one line "name command format exit" to
 runs.tsv.  The `ss` json output prints d_r in the basis of the filtered
-reduction, so it pins that basis too.
+reduction of each weight's Morse complex, its pairs mapped back to the
+cells of the full complex and every matched pair joined with gap 0, so it
+pins that basis too.
 
 Every Hodge table is cross-checked before anything is written, with the
 checks of scripts/make_table_digest.py: curious Lefschetz and the table

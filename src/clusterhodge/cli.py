@@ -27,6 +27,7 @@ from .filtration import (
     build_filtered,
     e1_page,
     observed_collapse_page,
+    require_e1_summands,
     spectral_sequence,
 )
 from .graphs import anticliques, reduced_cohomology
@@ -146,6 +147,7 @@ def cmd_pointcount(args: argparse.Namespace) -> int:
 def cmd_e1(args: argparse.Namespace) -> int:
     matrix = load_matrix(args.input)
     weights = _weights(args, matrix)
+    require_e1_summands(matrix.n, weights)  # every weight before the first page
     rows = []
     for s in weights:
         page = e1_page(matrix, s)

@@ -6,9 +6,8 @@ Coefficients are ints or Fractions.  All products carry the Koszul sign
 counted by inversions, and repeated generators annihilate.
 
 The same masks encode every vertex and row subset of the package:
-``bits`` lists a mask's members in increasing order, ``mask_of`` builds
-the mask of an iterable of indices, and ``submasks`` enumerates every
-subset of a mask.
+``bits`` lists a mask's members in increasing order and ``mask_of`` builds
+the mask of an iterable of indices.
 """
 
 from __future__ import annotations
@@ -46,16 +45,6 @@ def mask_of(indices) -> int:
     for i in indices:
         mask |= 1 << int(i)
     return mask
-
-
-def submasks(mask: int):
-    """Every submask of mask, the mask itself first and 0 last."""
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
 
 
 class ExteriorForm:

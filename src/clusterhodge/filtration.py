@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,7 +36,7 @@ from .exchange import (
 )
 from .exterior import bits, mask_of
 from .graphs import _InducedComplexes, mv_delta
-from .gysin import GysinBuilder
+from .gysin import GysinBuilder, _checked_morse
 from .linalg import CochainComplexQ, Echelon
 
 
@@ -258,11 +259,29 @@ def spectral_sequence(
     Stabilization is declared at r = (max level - min level) + 1 whatever the
     observed differentials do; the returned list always reaches that page (or
     ``max_page`` if smaller), so its last page is E_infinity unless cut.
-    Every page is read off the same pairs.  Raises ConsistencyError when
-    d^2 != 0 or a pair lowers the level.
+
+    The reduction runs on the Morse complex of ``fc.complex`` along its
+    matching, which pairs cells of one level, so E_r is unchanged for
+    r >= 1 (Mischaikow-Nanda, DCG 2013); the Morse complex is checked for
+    d^2 = 0, for the full complex's Euler characteristic and for lowering
+    no level.  Its pairs are mapped back to the full complex's cells, and
+    every matched pair joins them with gap 0, so E_0 counts every cell and
+    d_0 holds the matched pairs too.  An empty matching leaves every cell
+    critical.  Every page is read off the same pairs, as partial identities
+    in the basis of that reduction.  Raises ConsistencyError when d^2 != 0,
+    a pair lowers the level or a matched pair changes it.
     """
-    fc.complex.verify_d2()
-    pairs = _pairs(fc)
+    morse, kept = _checked_morse(fc.complex)
+    reduced = FilteredComplexQ(
+        morse, [[lv[c] for c in cells] for lv, cells in zip(fc.levels, kept)]
+    )
+    reduced.verify_levels()
+    pairs = [(k, kept[k][c], kept[k + 1][t], gap) for k, c, t, gap in _pairs(reduced)]
+    for k, matched in enumerate(fc.complex.matching):
+        for c, t in matched.items():
+            if fc.levels[k + 1][t] != fc.levels[k][c]:
+                raise ConsistencyError("a matched pair changes the level")
+            pairs.append((k, c, t, 0))
     gaps: list[list[int | None]] = [[None] * len(cells) for cells in fc.levels]
     for k, c, t, gap in pairs:
         gaps[k][c] = gaps[k + 1][t] = gap
@@ -287,6 +306,18 @@ def observed_collapse_page(pages: list[SpectralSequencePage]) -> int:
 
 
 E1_SUMMAND_GUARD = 2**18  # (D, E) summands one e1_page may assemble
+
+
+def require_e1_summands(n: int, weights: Iterable[int]) -> None:
+    """Refuse with TooLarge, before anything is built, when the page of some
+    weight s of a rank-n quiver would have its C(2n, s) summands past
+    E1_SUMMAND_GUARD."""
+    for s in weights:
+        if math.comb(2 * n, s) > E1_SUMMAND_GUARD:
+            raise TooLarge(
+                f"more than {E1_SUMMAND_GUARD} (D, E) summands at weight {s} "
+                f"of a rank-{n} quiver"
+            )
 
 
 @dataclass
@@ -323,11 +354,7 @@ def e1_page(matrix: ExtendedExchangeMatrix, s: int) -> E1Page:
     if not is_acyclic(matrix):
         raise NotAcyclic("the quiver has an oriented cycle")
     n = matrix.n
-    if math.comb(2 * n, s) > E1_SUMMAND_GUARD:
-        raise TooLarge(
-            f"more than {E1_SUMMAND_GUARD} (D, E) summands at weight {s} "
-            f"of a rank-{n} quiver"
-        )
+    require_e1_summands(n, [s])
     graph = underlying_graph(matrix)
     induced = _InducedComplexes(graph)
     sizes = range(max(s - n, 0), min(s, n) + 1)

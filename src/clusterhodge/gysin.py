@@ -22,15 +22,17 @@ on every graded piece by Jonsson's Cluster Lemma when the coefficients are
 principal, and ``linalg.morse_reduce`` checks acyclicity on every input.
 ``hodge_table`` therefore ranks the Morse complex of each weight slice
 (algebraic Morse theory, Skoldberg 2006), of about E_1 size, in place of
-the slice itself.
+the slice itself, and ``filtration.spectral_sequence`` reduces it in
+filtration order.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 from .errors import (
@@ -57,9 +59,9 @@ from .exchange import (
     reduce_character,
     underlying_graph,
 )
-from .exterior import ExteriorForm, bits, mask_of, submasks
+from .exterior import ExteriorForm, bits, mask_of
 from .graphs import anticliques
-from .linalg import CochainComplexQ, Echelon, Quotient, morse_reduce
+from .linalg import CochainComplexQ, Echelon, morse_reduce
 from .poly import IntPolynomial
 
 Label = tuple[int, int]  # (anticlique mask, A mask)
@@ -77,29 +79,58 @@ GYSIN_CELL_GUARD = 2**21
 class GModuleBasis:
     anticlique: tuple[int, ...]
     row_selection: tuple[int, ...]  # N(I)
-    basis_index: tuple[int, ...]  # admissible A masks, ascending
-    n: int
-    m: int
+    allowed: int  # the dlog's an A mask may hold: those outside I and N(I)
+    _by_degree: dict[int, list[int]] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     @property
     def dimension(self) -> int:
-        return len(self.basis_index)
-
-    @cached_property
-    def _by_degree(self) -> dict[int, list[int]]:
-        out: dict[int, list[int]] = {}
-        for a in self.basis_index:
-            out.setdefault(a.bit_count(), []).append(a)
-        return out
+        return 1 << self.allowed.bit_count()
 
     def masks_of_degree(self, s: int) -> list[int]:
-        """Admissible A masks of weight s, ascending; callers must not mutate it."""
-        return self._by_degree.get(s - len(self.anticlique), [])
+        """The C(|allowed|, s - |I|) admissible A masks of weight s, ascending.
+
+        Enumerated on first use, one weight at a time; callers must not
+        mutate the list.  Combinations of the allowed bits taken from the
+        highest down come out in descending order, so the list is reversed.
+        """
+        k = s - len(self.anticlique)
+        masks = self._by_degree.get(k)
+        if masks is None:
+            top_down = [1 << r for r in reversed(bits(self.allowed))]
+            masks = list(map(sum, combinations(top_down, k))) if k >= 0 else []
+            masks.reverse()
+            self._by_degree[k] = masks
+        return masks
 
     @cached_property
     def row_mask(self) -> int:
         """N(I) as a row mask."""
         return mask_of(self.row_selection)
+
+
+def _inverse(mat: list[list]) -> list[list]:
+    """The inverse of an invertible square matrix over Q, by Gauss-Jordan.
+
+    Entries stay ints while every pivot is +-1, as on principal inputs.
+    """
+    k = len(mat)
+    aug = [list(row) + [int(i == j) for j in range(k)] for i, row in enumerate(mat)]
+    for col in range(k):
+        piv = next(r for r in range(col, k) if aug[r][col])
+        aug[col], aug[piv] = aug[piv], aug[col]
+        lead = aug[col][col]
+        if lead == -1:
+            aug[col] = [-v for v in aug[col]]
+        elif lead != 1:
+            aug[col] = [Fraction(v) / lead for v in aug[col]]
+        top = aug[col]
+        for r in range(k):
+            f = aug[r][col]
+            if r != col and f:
+                aug[r] = [a - f * b for a, b in zip(aug[r], top)]
+    return [row[k:] for row in aug]
 
 
 class GysinBuilder:
@@ -165,13 +196,7 @@ class GysinBuilder:
         self.require_anticlique(i_mask)
         n_rows = self.choose_n(i_mask)
         allowed = ((1 << self.matrix.d) - 1) & ~(i_mask | mask_of(n_rows))
-        result = GModuleBasis(
-            tuple(bits(i_mask)),
-            n_rows,
-            tuple(sorted(submasks(allowed))),
-            self.matrix.n,
-            self.matrix.m,
-        )
+        result = GModuleBasis(tuple(bits(i_mask)), n_rows, allowed)
         self._basis[i_mask] = result
         return result
 
@@ -209,34 +234,30 @@ class GysinBuilder:
     def _pi_table(self, j_mask: int) -> dict[int, ExteriorForm]:
         """For t in N(J): dlog x_t modulo the span of the alpha_i, i in J.
 
-        The alpha_i (zero on the rows of the anticlique J) and the free
-        dlog x_r (r outside J and N(J)) form a basis, so one ``Quotient`` with
-        the alphas as base and the free units as candidates writes every
-        dlog x_t in it.  The alpha components die against the full alpha
-        wedge of G^J, so only the free-dlog part is kept; integral
+        The alpha_i vanish on the rows of the anticlique J, and with the free
+        dlog x_r (r outside J and N(J)) they form a basis.  Writing
+        dlog x_t = sum_i c_i alpha_i + (free part) therefore asks for
+        B~_{N(J),J} c = e_t, which the exact inverse of that |J| x |J| block
+        solves for every t at once; the free dlog x_r then carries
+        -sum_i c_i B~_{r,i}.  The alpha components die against the full
+        alpha wedge of G^J, so only the free part is kept; integral
         coefficients are stored as ints.
         """
         cached = self._pi.get(j_mask)
         if cached is not None:
             return cached
         basis = self.basis(j_mask)
-        rows, d = self.matrix.rows, self.matrix.d
-        free = [r for r in range(d) if not ((j_mask | basis.row_mask) >> r & 1)]
-        alphas = [
-            {r: rows[r][i] for r in range(d) if rows[r][i]} for i in basis.anticlique
-        ]
-        quot = Quotient(alphas, [{r: 1} for r in free])
+        rows, cols, free = self.matrix.rows, basis.anticlique, bits(basis.allowed)
+        inverse = _inverse([[rows[t][i] for i in cols] for t in basis.row_selection])
         table = {}
-        for t in basis.row_selection:
-            coeffs = quot.coordinates({t: 1})
-            assert coeffs is not None, "N(J) must complete the alphas to a basis"
-            table[t] = ExteriorForm(
-                {
-                    1 << free[quot.chosen[k]]: c.numerator if c.denominator == 1 else c
-                    for k, c in enumerate(coeffs)
-                    if c
-                }
-            )
+        for k, t in enumerate(basis.row_selection):
+            c = [(row[k], i) for row, i in zip(inverse, cols) if row[k]]
+            terms = {}
+            for r in free:
+                v = -sum(ci * rows[r][i] for ci, i in c)
+                if v:
+                    terms[1 << r] = v.numerator if v.denominator == 1 else v
+            table[t] = ExteriorForm(terms)
         self._pi[j_mask] = table
         return table
 
@@ -533,15 +554,16 @@ class HodgeTable:
         return "\n".join(lines)
 
 
-def _morse_dims(cx: CochainComplexQ) -> dict[int, int]:
-    """The cohomology dims of a complex that passed ``verify_d2``, ranked on
-    its Morse complex once that is checked for d^2 = 0 (clearing ranks
-    exactly only then) and for cx's Euler characteristic."""
-    morse = morse_reduce(cx)
+def _checked_morse(cx: CochainComplexQ) -> tuple[CochainComplexQ, list[list[int]]]:
+    """``morse_reduce`` of cx, with the checks every caller needs: d^2 = 0 on
+    cx and on its Morse complex (clearing ranks exactly only then) and the
+    same Euler characteristic on both."""
+    cx.verify_d2()
+    morse, kept = morse_reduce(cx)
     morse.verify_d2()
     if morse.euler_characteristic != cx.euler_characteristic:
         raise ConsistencyError("the Morse complex changes the Euler characteristic")
-    return morse.cohomology_dims()
+    return morse, kept
 
 
 def hodge_table(matrix: ExtendedExchangeMatrix, check: bool = True) -> HodgeTable:
@@ -588,7 +610,8 @@ def hodge_table(matrix: ExtendedExchangeMatrix, check: bool = True) -> HodgeTabl
         ]
         for s in range(matrix.d + 1):
             # one weight's complexes at a time: each is dropped before the next
-            for p, h in _morse_dims(builder.complex_for_s(s, family)).items():
+            morse, _ = _checked_morse(builder.complex_for_s(s, family))
+            for p, h in morse.cohomology_dims().items():
                 key = (p + s, s)
                 dims[key] = dims.get(key, 0) + h * mult
     table = HodgeTable(matrix.n, matrix.m, {k: v for k, v in dims.items() if v})

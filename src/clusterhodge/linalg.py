@@ -295,14 +295,16 @@ _PENDING = object()  # marks a flow being computed
 _CHECKED = object()  # marks a matched target that no critical cell reaches
 
 
-def morse_reduce(cx: CochainComplexQ) -> CochainComplexQ:
-    """The Morse complex of cx along ``cx.matching`` (algebraic Morse theory).
+def morse_reduce(cx: CochainComplexQ) -> tuple[CochainComplexQ, list[list[int]]]:
+    """The Morse complex of cx along ``cx.matching`` (algebraic Morse theory),
+    and the places in cx of its cells, ascending, per position.
 
-    The unmatched (critical) cells span it, labels kept.  Its differential
-    from a critical c to a critical c' one position up sums, over every
-    zig-zag path c -> t_1 <- c_1 -> t_2 <- ... -> c' whose steps t_i <- c_i
-    go back along matched pairs, the product of the entries going up times
-    -1/d(c_i)[t_i] for each step back (Skoldberg, Trans. AMS 358, 2006;
+    The unmatched (critical) cells span it, labels kept; an empty matching
+    leaves every cell critical and gives cx back as a new complex.  Its
+    differential from a critical c to a critical c' one position up sums,
+    over every zig-zag path c -> t_1 <- c_1 -> t_2 <- ... -> c' whose steps
+    t_i <- c_i go back along matched pairs, the product of the entries going
+    up times -1/d(c_i)[t_i] for each step back (Skoldberg, Trans. AMS 358, 2006;
     Kozlov, Combinatorial Algebraic Topology, ch. 11).  The matched entries
     are +-1, so nothing is divided and integer complexes stay integral.
 
@@ -337,7 +339,7 @@ def morse_reduce(cx: CochainComplexQ) -> CochainComplexQ:
             [_morse_image(cols[c], None, above, flows, 1) for c in critical[p]]
         )
     labels = [[cx.labels[p][c] for c in crit] for p, crit in enumerate(critical)]
-    return CochainComplexQ(labels, columns)
+    return CochainComplexQ(labels, columns), [list(crit) for crit in critical]
 
 
 def _morse_image(

@@ -89,6 +89,16 @@ def matching_is_acyclic(cx) -> bool:
     return True
 
 
+def submasks(mask: int):
+    """Every submask of mask, the mask itself first and 0 last."""
+    sub = mask
+    while True:
+        yield sub
+        if sub == 0:
+            return
+        sub = (sub - 1) & mask
+
+
 def rank_relative(base: list[dict], extra: list[dict]) -> tuple[int, list[int]]:
     """rank(base+extra) - rank(base), plus indices of extra rows that grew it."""
     ech = Echelon()

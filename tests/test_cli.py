@@ -154,6 +154,25 @@ def test_cmd_e1_guard_on_principal_p30(tmp_path, capsys):
     }
 
 
+def test_cmd_e1_sizes_every_weight_before_the_first_page(tmp_path, capsys, monkeypatch):
+    # all-weight e1 on principal P_14: weight 6 has C(28, 6) = 376,740
+    # summands, so the command refuses before it assembles weights 0-5
+    import clusterhodge.cli as cli
+
+    calls = []
+    monkeypatch.setattr(cli, "e1_page", lambda *args: calls.append(args))
+    path = tmp_path / "p14.mat"
+    path.write_text(render_matrix_text(principal_from_graph(path_graph(14))))
+    assert main(["e1", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "TooLarge",
+        "detail": "more than 262144 (D, E) summands at weight 6 of a rank-14 quiver",
+    }
+    assert calls == []
+
+
 @pytest.mark.parametrize("command", ["hodge", "check", "ss"])
 def test_gysin_guard_on_principal_p14(tmp_path, capsys, monkeypatch, command):
     # 987 anticliques pass ANTICLIQUE_GUARD, but weight 6 has 2,532,608 cells;

@@ -5,10 +5,11 @@ from clusterhodge.exterior import (
     ExteriorForm,
     bits,
     mask_of,
-    submasks,
     wedge_all,
     wedge_sign,
 )
+
+from conftest import submasks
 
 forms = st.dictionaries(
     st.integers(0, 63), st.integers(-4, 4), max_size=4

@@ -793,4 +793,53 @@ def test_spectral_sequence_walks_d2_once_after_build_filtered(monkeypatch):
     monkeypatch.setattr(CochainComplexQ, "verify_d2", counting)
     fc = build_filtered(principal_from_graph(path_graph(3)), 3)
     spectral_sequence(fc)
-    assert walks == [True, False]
+    # the third walk is the Morse complex's own d^2 = 0 check
+    assert walks == [True, False, True]
+
+
+def test_morse_and_identity_reductions_give_the_same_pages():
+    # each weight of every connected graph on at most five vertices, reduced
+    # along its element matching and, in a copy with the matching emptied,
+    # with every cell critical: the same pages, entries and d_r ranks; and
+    # every matched pair enters d_0 with gap 0
+    cases = 0
+    for v in range(1, 6):
+        for graph in connected_graphs(v):
+            m = principal_from_graph(graph)
+            builder = GysinBuilder(m)
+            for s in range(m.d + 1):
+                fc = build_filtered(m, s, builder)
+                cx = fc.complex
+                plain = FilteredComplexQ(CochainComplexQ(cx.labels, cx.columns), fc.levels)
+                got, want = spectral_sequence(fc), spectral_sequence(plain)
+                assert [p.r for p in got] == [p.r for p in want]
+                for page, ref in zip(got, want):
+                    where = (v, sorted(graph.edges), s, page.r)
+                    assert page.entries == ref.entries, where
+                    for spot in set(page.differentials) | set(ref.differentials):
+                        assert _rank(page.differentials.get(spot)) == _rank(
+                            ref.differentials.get(spot)
+                        ), (where, spot)
+                # a cell's place in its E_0 entry: among the cells of its
+                # level at its position, in index order
+                place = []
+                for levels in fc.levels:
+                    seen: dict[int, int] = {}
+                    place.append([])
+                    for e in levels:
+                        place[-1].append(seen.get(e, 0))
+                        seen[e] = place[-1][-1] + 1
+                d0 = got[0].differentials
+                for k, matched in enumerate(cx.matching):
+                    for c, t in matched.items():
+                        e = fc.levels[k][c]
+                        assert fc.levels[k + 1][t] == e
+                        assert d0[(e, k - e)][place[k + 1][t]][place[k][c]] == 1
+                cases += 1
+    assert cases == 3 + 5 + 2 * 7 + 6 * 9 + 21 * 11  # 31 graphs, weights 0..2v
+
+
+def test_reduction_refuses_a_matched_pair_across_levels():
+    cx = CochainComplexQ([["x"], ["t"]], [[{0: 1}]], [{0: 0}])
+    with pytest.raises(ConsistencyError, match="matched pair changes the level"):
+        spectral_sequence(FilteredComplexQ(cx, [[0], [1]]))

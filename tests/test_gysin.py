@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -44,7 +45,7 @@ from clusterhodge.gysin import (
     hodge_table,
     standard_poincare,
 )
-from clusterhodge.linalg import CohomologyClasses, Echelon, morse_reduce, rank
+from clusterhodge.linalg import CohomologyClasses, Echelon, Quotient, morse_reduce, rank
 from clusterhodge.poly import IntPolynomial
 
 from conftest import (
@@ -54,6 +55,7 @@ from conftest import (
     mat_mul,
     matching_is_acyclic,
     random_acyclic_matrix,
+    submasks,
 )
 
 M01 = validate([[0], [1]], 1, 1)
@@ -143,13 +145,22 @@ def test_basis_dimensions():
     builder = GysinBuilder(M01)
     assert builder.basis(0).dimension == 4  # full exterior algebra
     b = builder.basis(0b1)
-    assert b.basis_index == (0,)
-    assert b.masks_of_degree(1) == [0]
+    assert b.allowed == 0 and b.masks_of_degree(1) == [0]
     for m in full_rank_corpus():
         builder = GysinBuilder(m)
         for k, level in enumerate(builder.family.by_cardinality):
             for i_mask in level:
-                assert builder.basis(i_mask).dimension == 2 ** (m.d - 2 * k)
+                basis = builder.basis(i_mask)
+                full = (1 << m.d) - 1
+                assert basis.allowed == full & ~(i_mask | mask_of(basis.row_selection))
+                assert basis.dimension == 2 ** (m.d - 2 * k)
+                # the weights' masks, each ascending, make up every submask
+                by_degree = [basis.masks_of_degree(s) for s in range(m.d + 1)]
+                for s, masks in enumerate(by_degree):
+                    assert masks == sorted(set(masks)), (m.rows, i_mask, s)
+                    assert all(a.bit_count() == s - k for a in masks)
+                union = sorted(a for masks in by_degree for a in masks)
+                assert union == sorted(submasks(basis.allowed)), (m.rows, i_mask)
 
 
 def test_rho_examples():
@@ -427,6 +438,52 @@ def test_substitution_table_writes_n_rows_over_free_rows_modulo_alphas():
                 assert rank(alphas + [residual]) == rank(alphas), (m.rows, j_mask, t)
 
 
+def _quotient_pi_table(builder: GysinBuilder, j_mask: int) -> dict[int, dict]:
+    """The substitution table as one ``Quotient`` writes it, the alphas as
+    base and the free units as candidates: the reference for
+    ``_pi_table``'s exact |J| x |J| inverse."""
+    basis = builder.basis(j_mask)
+    rows, d = builder.matrix.rows, builder.matrix.d
+    free = [r for r in range(d) if not ((j_mask | basis.row_mask) >> r & 1)]
+    alphas = [
+        {r: rows[r][i] for r in range(d) if rows[r][i]} for i in basis.anticlique
+    ]
+    quot = Quotient(alphas, [{r: 1} for r in free])
+    table = {}
+    for t in basis.row_selection:
+        coeffs = quot.coordinates({t: 1})
+        assert coeffs is not None, "N(J) must complete the alphas to a basis"
+        table[t] = {
+            1 << free[quot.chosen[k]]: c.numerator if c.denominator == 1 else c
+            for k, c in enumerate(coeffs)
+            if c
+        }
+    return table
+
+
+def test_pi_table_matches_the_quotient_reference():
+    # equal tables with equal keys, in the same order, and the same int or
+    # Fraction type for every coefficient; the stars with frozen block 2I
+    # give Fraction coefficients
+    cases = full_rank_corpus() + assembly_corpus()
+    for graph in (star_graph(4), star_graph(6)):
+        top = principal_from_graph(graph).top_block()
+        n = len(top)
+        cases.append(validate(top + [[2 * (i == j) for j in range(n)] for i in range(n)], n, n))
+    fractions = 0
+    for m in cases:
+        builder = GysinBuilder(m)
+        for j_mask in builder.family.all_masks():
+            got = {t: form.terms for t, form in builder._pi_table(j_mask).items()}
+            want = _quotient_pi_table(builder, j_mask)
+            assert list(got) == list(want), (m.rows, j_mask)
+            for t, terms in got.items():
+                typed = [(mask, c, type(c)) for mask, c in terms.items()]
+                assert typed == [(mask, c, type(c)) for mask, c in want[t].items()]
+                fractions += sum(type(c) is Fraction for c in terms.values())
+    assert fractions > 0
+
+
 def test_principal_complexes_have_integer_entries():
     for graph in [path_graph(4), star_graph(4), cycle_graph(4)]:
         m = principal_from_graph(graph)
@@ -698,7 +755,7 @@ def test_element_matching_is_acyclic():
 
 def test_morse_path_dims_match_the_full_complex():
     for m, s, cx in _morse_cases():
-        morse = morse_reduce(cx)
+        morse, _ = morse_reduce(cx)
         morse.verify_d2()
         assert morse.euler_characteristic == cx.euler_characteristic
         assert morse.cohomology_dims() == cx.cohomology_dims(), (m.rows, s)
@@ -709,7 +766,7 @@ def test_critical_cells_equal_e1_totals(graph):
     m = principal_from_graph(graph)
     builder = GysinBuilder(m)
     for s in range(m.d + 1):
-        critical = sum(map(len, morse_reduce(builder.complex_for_s(s)).labels))
+        critical = sum(map(len, morse_reduce(builder.complex_for_s(s))[0].labels))
         assert critical == sum(e1_page(m, s).entries.values()), s
 
 

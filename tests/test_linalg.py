@@ -351,8 +351,8 @@ def test_morse_reduce_collapses_a_simplex_to_its_cohomology():
         for p in range(faces.positions - 1)
     ]
     cx = CochainComplexQ(faces.labels, faces.columns, cones)
-    morse = morse_reduce(cx)
-    assert [len(pos) for pos in morse.labels] == [0, 0, 0, 0]
+    morse, kept = morse_reduce(cx)
+    assert [len(pos) for pos in morse.labels] == [0, 0, 0, 0] == list(map(len, kept))
     assert cx.cohomology_dims() == {} == morse.cohomology_dims()
 
 
@@ -362,9 +362,15 @@ def test_morse_reduce_sums_zig_zag_paths():
     cx = CochainComplexQ(
         [["c", "x1"], ["t1", "c'"]], [[{0: 2}, {0: 1, 1: -3}]], [{1: 0}]
     )
-    morse = morse_reduce(cx)
-    assert morse.labels == [["c"], ["c'"]]
+    morse, kept = morse_reduce(cx)
+    assert morse.labels == [["c"], ["c'"]] and kept == [[0], [1]]
     assert morse.columns == [[{0: 6}]]
+
+
+def test_morse_reduce_of_an_empty_matching_is_the_complex():
+    cx = CochainComplexQ([["a", "b"], ["t"]], [[{0: 2}, {0: Fraction(1, 3)}]])
+    morse, kept = morse_reduce(cx)
+    assert (morse.labels, morse.columns, kept) == (cx.labels, cx.columns, [[0, 1], [0]])
 
 
 @pytest.mark.parametrize("reached", [True, False])
@@ -418,7 +424,10 @@ def test_morse_reduce_on_random_matchings_of_independence_complexes():
                 acyclic = matching_is_acyclic(cx)
                 outcomes[acyclic] += 1
                 if acyclic:
-                    morse = morse_reduce(cx)
+                    morse, kept = morse_reduce(cx)
+                    assert morse.labels == [
+                        [faces.labels[p][c] for c in cells] for p, cells in enumerate(kept)
+                    ]
                     morse.verify_d2()
                     assert morse.euler_characteristic == cx.euler_characteristic
                     assert morse.cohomology_dims() == cx.cohomology_dims(), graph.edges
