@@ -327,10 +327,12 @@ def morse_reduce(cx: CochainComplexQ) -> tuple[CochainComplexQ, list[list[int]]]
         if len(partner) != len(up[p]) or not partner.keys().isdisjoint(up[p + 1]):
             raise ConsistencyError("a cell is matched twice")
         down.append(partner)
-    critical = []  # per position: critical cell -> its place in the Morse complex
-    for p in range(cx.positions):
-        kept = sorted(set(range(cx.dim(p))).difference(up[p], down[p]))
-        critical.append({c: k for k, c in enumerate(kept)})
+    kept = [
+        sorted(set(range(cx.dim(p))).difference(up[p], down[p]))
+        for p in range(cx.positions)
+    ]
+    # per position: critical cell -> its place in the Morse complex
+    critical = [{c: k for k, c in enumerate(cells)} for cells in kept]
     columns = []
     for p, cols in enumerate(cx.columns):
         above = critical[p + 1]
@@ -338,8 +340,8 @@ def morse_reduce(cx: CochainComplexQ) -> tuple[CochainComplexQ, list[list[int]]]
         columns.append(
             [_morse_image(cols[c], None, above, flows, 1) for c in critical[p]]
         )
-    labels = [[cx.labels[p][c] for c in crit] for p, crit in enumerate(critical)]
-    return CochainComplexQ(labels, columns), [list(crit) for crit in critical]
+    labels = [[cx.labels[p][c] for c in cells] for p, cells in enumerate(kept)]
+    return CochainComplexQ(labels, columns), kept
 
 
 def _morse_image(
