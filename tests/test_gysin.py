@@ -469,7 +469,8 @@ def test_pi_table_matches_the_quotient_reference():
     for graph in (star_graph(4), star_graph(6)):
         top = principal_from_graph(graph).top_block()
         n = len(top)
-        cases.append(validate(top + [[2 * (i == j) for j in range(n)] for i in range(n)], n, n))
+        frozen_2i = [[2 * (i == j) for j in range(n)] for i in range(n)]
+        cases.append(validate(top + frozen_2i, n, n))
     fractions = 0
     for m in cases:
         builder = GysinBuilder(m)

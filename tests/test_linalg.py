@@ -425,9 +425,8 @@ def test_morse_reduce_on_random_matchings_of_independence_complexes():
                 outcomes[acyclic] += 1
                 if acyclic:
                     morse, kept = morse_reduce(cx)
-                    assert morse.labels == [
-                        [faces.labels[p][c] for c in cells] for p, cells in enumerate(kept)
-                    ]
+                    places = enumerate(kept)
+                    assert morse.labels == [[faces.labels[p][c] for c in cs] for p, cs in places]
                     morse.verify_d2()
                     assert morse.euler_characteristic == cx.euler_characteristic
                     assert morse.cohomology_dims() == cx.cohomology_dims(), graph.edges
