@@ -212,8 +212,7 @@ def graph_stats(graph: Graph) -> GraphStats:
     incs = []
     for v in range(graph.n_vertices):
         rest = ((1 << graph.n_vertices) - 1) & ~(1 << v)
-        sub = graph.induced(rest)
-        incs.append(len(sub.components()) - len(comps))
+        incs.append(len(graph.components(rest)) - len(comps))
     tri = 0
     for u, v in graph.edges:
         both = graph.adjacency[u] & graph.adjacency[v]
@@ -302,9 +301,11 @@ def consistency_suite(matrix: ExtendedExchangeMatrix) -> SuiteReport:
     from .gysin import hodge_table
 
     checks: list[CheckResult] = []
+    # first, so that its size guard refuses a large input before any
+    # Smith normal form is computed
+    table = hodge_table(matrix, check=False)
     rc = rank_class(matrix)
     really = rc is RankClass.REALLY_FULL_RANK
-    table = hodge_table(matrix, check=False)
     counted = point_count_poly(matrix)
 
     if really:

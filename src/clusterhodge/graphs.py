@@ -352,12 +352,13 @@ def _tree_homotopy(tree: Graph) -> HomotopyType:
         return CONTRACTIBLE
     if v == 2:
         return Sphere(0)
+    full = (1 << v) - 1
 
     # duplicate pendant leaves collapse (rule for twin 1-paths)
     for x in range(v):
         leaf_nbrs = [w for w in bits(tree.adjacency[x]) if tree.degree(w) == 1]
         if len(leaf_nbrs) >= 2:
-            return _tree_homotopy(_delete(tree, {leaf_nbrs[1]}))
+            return _tree_homotopy(tree.induced(full & ~(1 << leaf_nbrs[1])))
 
     # BFS from vertex 0: the last vertex discovered is a deepest leaf.  Its
     # parent p then has no other child, and every sibling subtree at the
@@ -381,20 +382,9 @@ def _tree_homotopy(tree: Graph) -> HomotopyType:
         # twin pendant 2-paths at g: remove one and suspend
         w = others[0]
         tip = next(x for x in bits(tree.adjacency[w]) if x != g)
-        return suspend(_tree_homotopy(_delete(tree, {w, tip})))
+        return suspend(_tree_homotopy(tree.induced(full & ~(1 << w | 1 << tip))))
     # pendant 3-path at parent(g): remove it and suspend
-    return suspend(_tree_homotopy(_delete(tree, {leaf, p, g})))
-
-
-def _delete(graph: Graph, drop: set[int]) -> Graph:
-    keep = [v for v in range(graph.n_vertices) if v not in drop]
-    index = {v: i for i, v in enumerate(keep)}
-    pairs = [
-        (index[u], index[v])
-        for u, v in graph.edges
-        if u in index and v in index
-    ]
-    return Graph.from_edges(len(keep), pairs)
+    return suspend(_tree_homotopy(tree.induced(full & ~(1 << leaf | 1 << p | 1 << g))))
 
 
 # ---------------------------------------------------------------------------

@@ -77,9 +77,18 @@ GYSIN_CELL_GUARD = 2**21
 
 @dataclass(frozen=True)
 class GModuleBasis:
+    """Everything one anticlique I contributes: the row set N(I), the theta
+    basis over the allowed dlog's, and the substitution table.
+
+    ``substitution[t]``, for t in N(I), is dlog x_t modulo the span of the
+    alpha_i (i in I), written over the free dlog's as {one-bit mask:
+    coefficient}, integral coefficients as ints.
+    """
+
     anticlique: tuple[int, ...]
     row_selection: tuple[int, ...]  # N(I)
     allowed: int  # the dlog's an A mask may hold: those outside I and N(I)
+    substitution: dict[int, dict[int, Fraction | int]]
     _by_degree: dict[int, list[int]] = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
@@ -134,7 +143,7 @@ def _inverse(mat: list[list]) -> list[list]:
 
 
 class GysinBuilder:
-    """Shared caches for one exchange matrix: row selections, bases, substitutions.
+    """One ``GModuleBasis`` per anticlique, made on first use, for one matrix.
 
     The residue map has one writer, ``_rho_into``: ``complex_for_s`` has it
     fill each differential block by block, and ``rho_columns`` returns one
@@ -148,55 +157,63 @@ class GysinBuilder:
         self.matrix = matrix
         self.graph = underlying_graph(matrix)
         self.family = anticliques(self.graph)
-        self._n_of: dict[int, tuple[int, ...]] = {}
         self._basis: dict[int, GModuleBasis] = {}
-        self._pi: dict[int, dict[int, ExteriorForm]] = {}
         self._rows: dict[tuple[int, int], dict[int, int]] = {}
 
-    # -- row selections and bases -------------------------------------------
-
-    def choose_n(self, i_mask: int) -> tuple[int, ...]:
-        """Row set N(I) with B~_{N(I),I} invertible and fewest mutable rows.
-
-        Frozen rows are offered to the greedy rank test first; by the matroid
-        exchange property this minimizes the mutable share.  The row order
-        is the same for every anticlique, and rows independent on the
-        columns of I stay independent on those of I u {j}, so N(I u {j})
-        is N(I) plus one row.
-        """
-        cached = self._n_of.get(i_mask)
-        if cached is not None:
-            return cached
-        cols = bits(i_mask)
-        selected = []
-        ech = Echelon()
-        order = list(range(self.matrix.n, self.matrix.d)) + list(range(self.matrix.n))
-        for r in order:
-            if len(selected) == len(cols):
-                break
-            vec = {c: self.matrix.rows[r][j] for c, j in enumerate(cols)}
-            if ech.add(vec) is not None:
-                selected.append(r)
-        if len(selected) < len(cols):
-            raise ColumnsDependent(
-                f"columns {cols} of the exchange matrix are dependent"
-            )
-        result = tuple(sorted(selected))
-        self._n_of[i_mask] = result
-        return result
+    # -- one record per anticlique -------------------------------------------
 
     def require_anticlique(self, i_mask: int) -> None:
         if not self.graph.is_independent(i_mask):
             raise NotAnticlique(f"{sorted(bits(i_mask))} is not an anticlique")
 
     def basis(self, i_mask: int) -> GModuleBasis:
+        """The record of the anticlique I, made once.
+
+        N(I) is a row set with B~_{N(I),I} invertible and fewest mutable
+        rows: frozen rows are offered to the greedy rank test first, which by
+        the matroid exchange property minimizes the mutable share.  The row
+        order is the same for every anticlique, and rows independent on the
+        columns of I stay independent on those of I u {j}, so N(I u {j}) is
+        N(I) plus one row.
+
+        The alpha_i vanish on the rows of I, and with the free dlog x_r (r
+        outside I and N(I)) they form a basis.  Writing dlog x_t = sum_i c_i
+        alpha_i + (free part) for t in N(I) therefore asks for
+        B~_{N(I),I} c = e_t, which the exact inverse of that |I| x |I| block
+        solves for every t at once; the free dlog x_r then carries
+        -sum_i c_i B~_{r,i}.  The alpha components die against the full alpha
+        wedge of G^I, so only the free part is kept.
+        """
         cached = self._basis.get(i_mask)
         if cached is not None:
             return cached
         self.require_anticlique(i_mask)
-        n_rows = self.choose_n(i_mask)
-        allowed = ((1 << self.matrix.d) - 1) & ~(i_mask | mask_of(n_rows))
-        result = GModuleBasis(tuple(bits(i_mask)), n_rows, allowed)
+        rows, n, d = self.matrix.rows, self.matrix.n, self.matrix.d
+        cols = bits(i_mask)
+        selected: list[int] = []
+        ech = Echelon()
+        for r in list(range(n, d)) + list(range(n)):
+            if len(selected) == len(cols):
+                break
+            if ech.add({c: rows[r][i] for c, i in enumerate(cols)}) is not None:
+                selected.append(r)
+        if len(selected) < len(cols):
+            raise ColumnsDependent(
+                f"columns {cols} of the exchange matrix are dependent"
+            )
+        selected.sort()
+        allowed = ((1 << d) - 1) & ~(i_mask | mask_of(selected))
+        free = bits(allowed)
+        inverse = _inverse([[rows[t][i] for i in cols] for t in selected])
+        substitution = {}
+        for k, t in enumerate(selected):
+            c = [(row[k], i) for row, i in zip(inverse, cols) if row[k]]
+            terms = substitution[t] = {}
+            for r in free:
+                v = -sum(ci * rows[r][i] for ci, i in c)
+                if v:
+                    terms[1 << r] = v.numerator if v.denominator == 1 else v
+        result = GModuleBasis(tuple(cols), tuple(selected), allowed, substitution)
         self._basis[i_mask] = result
         return result
 
@@ -228,38 +245,6 @@ class GysinBuilder:
                     f"the weight-{s} Gysin complex would have {cells} cells, "
                     f"more than {GYSIN_CELL_GUARD}"
                 )
-
-    # -- substitution of dlog x_t for t in N(J) ------------------------------
-
-    def _pi_table(self, j_mask: int) -> dict[int, ExteriorForm]:
-        """For t in N(J): dlog x_t modulo the span of the alpha_i, i in J.
-
-        The alpha_i vanish on the rows of the anticlique J, and with the free
-        dlog x_r (r outside J and N(J)) they form a basis.  Writing
-        dlog x_t = sum_i c_i alpha_i + (free part) therefore asks for
-        B~_{N(J),J} c = e_t, which the exact inverse of that |J| x |J| block
-        solves for every t at once; the free dlog x_r then carries
-        -sum_i c_i B~_{r,i}.  The alpha components die against the full
-        alpha wedge of G^J, so only the free part is kept; integral
-        coefficients are stored as ints.
-        """
-        cached = self._pi.get(j_mask)
-        if cached is not None:
-            return cached
-        basis = self.basis(j_mask)
-        rows, cols, free = self.matrix.rows, basis.anticlique, bits(basis.allowed)
-        inverse = _inverse([[rows[t][i] for i in cols] for t in basis.row_selection])
-        table = {}
-        for k, t in enumerate(basis.row_selection):
-            c = [(row[k], i) for row, i in zip(inverse, cols) if row[k]]
-            terms = {}
-            for r in free:
-                v = -sum(ci * rows[r][i] for ci, i in c)
-                if v:
-                    terms[1 << r] = v.numerator if v.denominator == 1 else v
-            table[t] = ExteriorForm(terms)
-        self._pi[j_mask] = table
-        return table
 
     # -- residue blocks ------------------------------------------------------
 
@@ -293,21 +278,20 @@ class GysinBuilder:
         avoid j map to zero and are skipped.  Otherwise dlog x_j is extracted
         with its Koszul sign and alpha_j joins the alpha wedge at its sorted
         position.  A avoids N(I), and N(J) is N(I) plus one row t (see
-        ``choose_n``), so at most dlog x_t is left over from N(J); it is
-        replaced by its substitution pi[t], a combination of free dlog's,
-        written term by term as integer (mask, coefficient) pairs.  When
-        A - j avoids t the image is the single unit entry +-1 at
-        (I u j, A - j); the column and row of each such entry are returned in
-        the order written, as one flat list c0, r0, c1, r1, ... (no tuples
-        for the garbage collector to track).
+        ``basis``), so at most dlog x_t is left over from N(J); it is
+        replaced by the target record's ``substitution[t]``, a combination
+        of free dlog's, written term by term.  When A - j avoids t the image
+        is the single unit entry +-1 at (I u j, A - j); the column and row of
+        each such entry are returned in the order written, as one flat list
+        c0, r0, c1, r1, ... (no tuples for the garbage collector to track).
         """
         j_bit = 1 << j
         source, target = self.basis(i_mask), self.basis(i_mask | j_bit)
         dst_index = self._rows_of(i_mask | j_bit, s)
         t_bit = target.row_mask & ~source.row_mask
         assert t_bit.bit_count() == 1, "N(I u j) must be N(I) plus one row"
-        pi_t = self._pi_table(i_mask | j_bit)[t_bit.bit_length() - 1].terms
-        terms = [(bit, -bit, c2) for bit, c2 in pi_t.items()]
+        sub_t = target.substitution[t_bit.bit_length() - 1]
+        terms = [(bit, -bit, c2) for bit, c2 in sub_t.items()]
         parity = i_mask.bit_count() + (i_mask >> (j + 1)).bit_count()
         above_j, above_t = j + 1, -t_bit
         units = []
@@ -324,7 +308,7 @@ class GysinBuilder:
                 col[row] = sign
                 units += c, row
                 continue
-            # e_{A0} = (-1)^{#A0 above t} e_rest ^ dlog x_t, then dlog x_t -> pi[t]
+            # e_{A0} = (-1)^{#A0 above t} e_rest ^ dlog x_t, then substitute dlog x_t
             rest = a0 ^ t_bit
             if (rest & above_t).bit_count() & 1:
                 sign = -sign
@@ -580,18 +564,19 @@ def hodge_table(matrix: ExtendedExchangeMatrix, check: bool = True) -> HodgeTabl
     about E_1 size with the same cohomology; that one is checked for
     d^2 = 0 and for the full complex's Euler characteristic, and ranked.
     ``check`` adds the checks of the finished table.  Every weight is sized
-    before the first complex is built, and TooLarge refuses the table when
-    one would pass GYSIN_CELL_GUARD cells.
+    before the rank class (a Smith normal form) is computed and before the
+    first complex is built, and TooLarge refuses the table when one would
+    pass GYSIN_CELL_GUARD cells.
     """
     if not is_acyclic(matrix):
         raise NotAcyclic("the quiver has an oriented cycle")
-    rc = rank_class(matrix)
-    if rc is RankClass.NOT_FULL_RANK:
-        raise NotFullRank("matrix is not of full rank")
     builder = GysinBuilder(matrix)
     # every support family is an up-set inside the full family, so the full
     # family's slices bound every complex built below
     builder.require_cells(range(matrix.d + 1))
+    rc = rank_class(matrix)
+    if rc is RankClass.NOT_FULL_RANK:
+        raise NotFullRank("matrix is not of full rank")
     # characters per anticlique support; really full rank leaves only the
     # trivial character, whose support 0 selects the whole family
     support_multiplicity = {0: 1}
@@ -686,13 +671,9 @@ def edge_class_cochain(
     i_mask = 1 << b
     basis = builder.basis(i_mask)
     index = {m: i for i, m in enumerate(basis.masks_of_degree(2))}
-    vector: dict[int, Fraction | int] = {}
-    if basis.row_mask >> a & 1:
-        pi = builder._pi_table(i_mask)[a]
-        for mask, coeff in pi.terms.items():
-            vector[index[mask]] = coeff
-    else:
-        vector[index[1 << a]] = 1
+    # dlog x_a with a in N(I) is replaced by its substitution
+    terms = basis.substitution.get(a, {1 << a: 1})
+    vector = {index[mask]: coeff for mask, coeff in terms.items()}
     offset = 0
     for m in sorted(builder.family.by_cardinality[1]):
         if m == i_mask:

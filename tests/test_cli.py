@@ -6,7 +6,7 @@ import pytest
 
 from clusterhodge.cli import main
 from clusterhodge.exchange import principal_from_graph
-from clusterhodge.graphs import path_graph
+from clusterhodge.graphs import complete_graph, path_graph
 from clusterhodge.io import (
     parse_graph_text,
     parse_matrix,
@@ -192,6 +192,31 @@ def test_gysin_guard_on_principal_p14(tmp_path, capsys, monkeypatch, command):
         "error": "TooLarge",
         "detail": "the weight-6 Gysin complex would have 2532608 cells, more than 2097152",
     }
+
+
+@pytest.mark.parametrize("command", ["hodge", "check"])
+def test_gysin_guard_refuses_before_the_smith_normal_form(
+    tmp_path, capsys, monkeypatch, command
+):
+    # principal K_12 (d = 24): weight 8 has 2,781,999 cells; the table is
+    # sized before the rank class is read off a Smith normal form
+    import clusterhodge.exchange as exchange
+
+    calls = []
+    snf = exchange.smith_normal_form
+    monkeypatch.setattr(
+        exchange, "smith_normal_form", lambda mat: calls.append(mat) or snf(mat)
+    )
+    path = tmp_path / "k12.mat"
+    path.write_text(render_matrix_text(principal_from_graph(complete_graph(12))))
+    assert main([command, "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "TooLarge",
+        "detail": "the weight-8 Gysin complex would have 2781999 cells, more than 2097152",
+    }
+    assert calls == []
 
 
 def test_cmd_e1_and_ss(edge_file, capsys):

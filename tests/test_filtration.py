@@ -29,7 +29,7 @@ from clusterhodge.graphs import (
 )
 from clusterhodge.gysin import CochainComplexQ, GysinBuilder, hodge_table
 from clusterhodge.io import load_matrix
-from clusterhodge.linalg import Quotient, nullspace, rank, solve_in_span
+from clusterhodge.linalg import Echelon, Quotient, nullspace, rank, solve_in_span
 
 from conftest import rank_relative, seeded_orientation
 
@@ -482,6 +482,33 @@ def test_spectral_sequence_differential_degree():
 # test oracles: the subquotient engine, and a reference solved afresh per query
 
 
+def _integer_nullspace(rows: list[dict], ncols: int) -> list[tuple[dict, int]]:
+    """``linalg.nullspace`` before its last division: each kernel vector as
+    the primitive integer vector its echelon made, paired with the lead
+    entry that ``nullspace`` divides it by.
+
+    A zero column c gives the unit vector of c at once: it is in the kernel,
+    and no other kernel vector, nor any pivot, ever has a marker at c.
+    """
+    shift = len(rows)
+    cols: list[dict] = [{} for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for c, v in row.items():
+            if v and c < ncols:
+                cols[c][i] = v
+    ech = Echelon()
+    kernel = []
+    for c, vec in enumerate(cols):
+        if not vec:
+            kernel.append(({c: 1}, 1))
+            continue
+        vec[shift + c] = 1
+        red = ech.add(vec)
+        if red is not None and (lead := min(red)) >= shift:
+            kernel.append(({k - shift: v for k, v in red.items()}, red[lead]))
+    return kernel
+
+
 class _Engine:
     """Pages of one filtered complex, each entry E_r^{e, k-e} modulo F^{e+1}.
 
@@ -494,7 +521,11 @@ class _Engine:
     The entry's ``Quotient`` reduces the projected d(F^{e-r+1} V_{k-1}) once,
     picks the projected Z_r vectors independent modulo it (representatives
     are their unprojected originals) and gives the coefficients of every
-    projected d z landing in the entry.  Quotients live for one ``page``.
+    projected d z landing in the entry.  Z_r vectors are kept as integer
+    multiples z * lead of ``nullspace``'s vectors z, and each differential
+    entry is scaled back.  Work is shared across pages: an entry depends on
+    r only through min(e + r, hi + 1) and max(e - r + 1, lo), and one that
+    is zero stays zero on every later page.
     """
 
     def __init__(self, fc: FilteredComplexQ):
@@ -502,11 +533,13 @@ class _Engine:
         self.levels = fc.levels
         self.lo, self.hi = fc.level_range()
         self._rows = [self.cx.rows_at(p) for p in range(self.cx.positions)]
-        self._z_cache: dict[tuple[int, int, int], list[dict[int, Fraction]]] = {}
+        self._z_cache: dict[tuple[int, int, int], list[tuple[dict, int]]] = {}
+        self._entries: dict[tuple, tuple[list, Quotient | None]] = {}
+        self._zero_from: dict[tuple[int, int], int] = {}  # first page where it is 0
 
-    def _z_basis(self, e: int, k: int, r: int) -> list[dict[int, Fraction]]:
-        """{x in F^e V_k : d x in F^{e+r}}, as vectors over the V_k basis."""
-        cap = min(e + r, self.hi + 1)
+    def _z_basis(self, e: int, k: int, cap: int) -> list[tuple[dict, int]]:
+        """{x in F^e V_k : d x in F^{cap}} over the V_k basis, as pairs
+        (integer vector z * lead, lead)."""
         key = (e, k, cap)
         cached = self._z_cache.get(key)
         if cached is not None:
@@ -520,8 +553,10 @@ class _Engine:
             filtered = {pos[c]: v for c, v in row.items() if c in pos}
             if filtered:
                 rows.append(filtered)
-        kernel = nullspace(rows, len(allowed))
-        out = [{allowed[c]: v for c, v in vec.items()} for vec in kernel]
+        out = [
+            ({allowed[c]: v for c, v in vec.items()}, lead)
+            for vec, lead in _integer_nullspace(rows, len(allowed))
+        ]
         self._z_cache[key] = out
         return out
 
@@ -530,20 +565,38 @@ class _Engine:
         lv = self.levels[k]
         return {i: v for i, v in vec.items() if lv[i] < e}
 
-    def entry_data(self, e: int, k: int, r: int) -> tuple[list, Quotient]:
-        """Representatives of E_r^{e, k-e} and the quotient echelon that chose them."""
-        z = self._z_basis(e, k, r)
-        incoming = self.cx.columns[k - 1] if 0 < k <= len(self.cx.columns) else []
-        base = [
-            self._below(k, e + 1, col)
-            for c, col in enumerate(incoming)
-            if self.levels[k - 1][c] >= e - r + 1
+    def entry_data(self, e: int, k: int, r: int) -> tuple[list, Quotient | None]:
+        """Representatives of E_r^{e, k-e}, as (z * lead, lead) pairs, and the
+        quotient echelon that chose them (None when there are none)."""
+        if self._zero_from.get((e, k), r + 1) <= r:
+            return [], None
+        cap, floor = min(e + r, self.hi + 1), max(e - r + 1, self.lo)
+        key = (e, k, cap, floor)
+        cached = self._entries.get(key)
+        if cached is not None:
+            return cached
+        z = self._z_basis(e, k, cap)
+        # candidates in F^{e+1} are zero modulo it and never chosen
+        projected = [
+            (i, p) for i, (v, _) in enumerate(z) if (p := self._below(k, e + 1, v))
         ]
-        quot = Quotient(base, [self._below(k, e + 1, v) for v in z])
-        return [z[i] for i in quot.chosen], quot
+        reps, quot = [], None
+        if projected:
+            incoming = self.cx.columns[k - 1] if 0 < k <= len(self.cx.columns) else []
+            base = [
+                self._below(k, e + 1, col)
+                for c, col in enumerate(incoming)
+                if self.levels[k - 1][c] >= floor
+            ]
+            quot = Quotient(base, [p for _, p in projected])
+            reps = [z[projected[i][0]] for i in quot.chosen]
+        if not reps:
+            self._zero_from[(e, k)] = r
+        self._entries[key] = reps, quot
+        return reps, quot
 
-    def apply_d(self, k: int, vec: dict[int, Fraction]) -> dict[int, Fraction]:
-        out: dict[int, Fraction] = {}
+    def apply_d(self, k: int, vec: dict[int, int]) -> dict[int, int]:
+        out: dict[int, int] = {}
         if k < len(self.cx.columns):
             for c, coeff in vec.items():
                 for rr, v in self.cx.columns[k][c].items():
@@ -556,7 +609,7 @@ class _Engine:
 
     def page(self, r: int) -> SpectralSequencePage:
         entries: dict[tuple[int, int], int] = {}
-        at: dict[tuple[int, int], tuple[list, Quotient]] = {}
+        at: dict[tuple[int, int], tuple[list, Quotient | None]] = {}
         for k in range(self.cx.positions):
             for e in sorted(set(self.levels[k])):
                 reps, _ = at[(e, k)] = self.entry_data(e, k, r)
@@ -573,12 +626,14 @@ class _Engine:
             if not treps:
                 continue
             mat = [[Fraction(0)] * len(reps) for _ in range(len(treps))]
-            for cidx, z in enumerate(reps):
+            for cidx, (z, lead) in enumerate(reps):
                 dz = self._below(tk, te + 1, self.apply_d(k, z))
                 coeffs = target.coordinates(dz)
                 assert coeffs is not None, "dz must land in the target entry"
+                # d(z / lead) is sum_i c_i tlead_i / lead times treps_i / tlead_i
                 for ridx, c in enumerate(coeffs):
-                    mat[ridx][cidx] = c
+                    if c:
+                        mat[ridx][cidx] = c * treps[ridx][1] / lead
             if any(map(any, mat)):
                 diffs[(e, k - e)] = mat
         return SpectralSequencePage(r, entries, diffs)

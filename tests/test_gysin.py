@@ -84,17 +84,17 @@ def test_choose_n_principal_is_identity_rows():
         for level in builder.family.by_cardinality:
             for i_mask in level:
                 expected = tuple(i + m.n for i in bits(i_mask))
-                assert builder.choose_n(i_mask) == expected
+                assert builder.basis(i_mask).row_selection == expected
 
 
 def test_choose_n_why_principal_good():
     builder = GysinBuilder(WHY)
     builder.require_anticlique(0b011)
-    assert builder.choose_n(0b011) == (3, 5)
+    assert builder.basis(0b011).row_selection == (3, 5)
     # determinant check: rows {3,4} fail
     sub = [[WHY.rows[3][0], WHY.rows[3][1]], [WHY.rows[4][0], WHY.rows[4][1]]]
     assert sub[0][0] * sub[1][1] - sub[0][1] * sub[1][0] == 0
-    assert builder.choose_n(0) == ()
+    assert builder.basis(0).row_selection == ()
 
 
 def test_choose_n_minimality_exhaustive():
@@ -106,7 +106,7 @@ def test_choose_n_minimality_exhaustive():
         for level in builder.family.by_cardinality:
             for i_mask in level:
                 cols = bits(i_mask)
-                chosen = builder.choose_n(i_mask)
+                chosen = builder.basis(i_mask).row_selection
                 best = None
                 for rows in itertools.combinations(range(m.d), len(cols)):
                     ech = Echelon()
@@ -129,7 +129,9 @@ def test_choose_n_grows_by_one_row():
             for j in range(m.n):
                 j_mask = i_mask | (1 << j)
                 if j_mask != i_mask and builder.graph.is_independent(j_mask):
-                    added = set(builder.choose_n(j_mask)) - set(builder.choose_n(i_mask))
+                    added = set(builder.basis(j_mask).row_selection) - set(
+                        builder.basis(i_mask).row_selection
+                    )
                     assert len(added) == 1, (m.rows, i_mask, j)
 
 
@@ -138,7 +140,7 @@ def test_choose_n_columns_dependent():
     builder = GysinBuilder(bad)
     builder.require_anticlique(0b11)
     with pytest.raises(ColumnsDependent):
-        builder.choose_n(0b11)
+        builder.basis(0b11)
 
 
 def test_basis_dimensions():
@@ -426,11 +428,11 @@ def test_substitution_table_writes_n_rows_over_free_rows_modulo_alphas():
                 {r: m.rows[r][i] for r in range(m.d) if m.rows[r][i]}
                 for i in basis.anticlique
             ]
-            pi = builder._pi_table(j_mask)
+            pi = basis.substitution
             assert sorted(pi) == list(basis.row_selection)
-            for t, form in pi.items():
+            for t, terms in pi.items():
                 residual = {t: 1}
-                for mask, c in form.terms.items():
+                for mask, c in terms.items():
                     (r,) = bits(mask)
                     assert not j_mask >> r & 1 and r not in basis.row_selection
                     assert type(c) is int or c.denominator != 1, (m.rows, j_mask, t)
@@ -441,7 +443,7 @@ def test_substitution_table_writes_n_rows_over_free_rows_modulo_alphas():
 def _quotient_pi_table(builder: GysinBuilder, j_mask: int) -> dict[int, dict]:
     """The substitution table as one ``Quotient`` writes it, the alphas as
     base and the free units as candidates: the reference for
-    ``_pi_table``'s exact |J| x |J| inverse."""
+    the exact |J| x |J| inverse behind ``GModuleBasis.substitution``."""
     basis = builder.basis(j_mask)
     rows, d = builder.matrix.rows, builder.matrix.d
     free = [r for r in range(d) if not ((j_mask | basis.row_mask) >> r & 1)]
@@ -475,10 +477,11 @@ def test_pi_table_matches_the_quotient_reference():
     for m in cases:
         builder = GysinBuilder(m)
         for j_mask in builder.family.all_masks():
-            got = {t: form.terms for t, form in builder._pi_table(j_mask).items()}
+            got = builder.basis(j_mask).substitution
             want = _quotient_pi_table(builder, j_mask)
             assert list(got) == list(want), (m.rows, j_mask)
             for t, terms in got.items():
+                assert type(terms) is dict
                 typed = [(mask, c, type(c)) for mask, c in terms.items()]
                 assert typed == [(mask, c, type(c)) for mask, c in want[t].items()]
                 fractions += sum(type(c) is Fraction for c in terms.values())
@@ -617,7 +620,7 @@ def _reference_rho_columns(builder, i_mask, j, s):
     dst = target.masks_of_degree(s)
     dst_index = {a: r for r, a in enumerate(dst)}
     k = i_mask.bit_count()
-    pi = builder._pi_table(j_mask_new)
+    pi = {t: ExteriorForm(terms) for t, terms in target.substitution.items()}
     n_mask_new = target.row_mask
     cols = []
     for a_mask in src:
