@@ -1,4 +1,5 @@
-"""Write the pinned output of the `clusterhodge` commands to tests/data/cli_pin/.
+"""Write the pinned output of the `clusterhodge` commands to tests/data/cli_pin/
+and tests/data/ss_pin/.
 
 The inputs cover each rank class: principal P_2, P_4, Z_5 and C_5; the star
 Z_4 with frozen block 2I (full rank, but not really full rank); principal
@@ -14,6 +15,9 @@ runs.tsv.  The `ss` json output prints d_r in the basis of the filtered
 reduction of each weight's Morse complex, its pairs mapped back to the
 cells of the full complex and every matched pair joined with gap 0, so it
 pins that basis too.
+
+tests/data/ss_pin/ holds `ss` on principal P_3 and the 4-star at every
+weight: <name>.mat and the stdout of each format as <name>.<format>.
 
 Every Hodge table is cross-checked before anything is written, with the
 checks of scripts/make_table_digest.py: curious Lefschetz and the table
@@ -43,7 +47,9 @@ from clusterhodge.graphs import cycle_graph, path_graph, star_graph  # noqa: E40
 from clusterhodge.gysin import HodgeTable  # noqa: E402
 from clusterhodge.io import load_matrix, render_matrix_text  # noqa: E402
 
-PIN = Path(__file__).resolve().parent.parent / "tests" / "data" / "cli_pin"
+DATA = Path(__file__).resolve().parent.parent / "tests" / "data"
+PIN = DATA / "cli_pin"
+SS_PIN = DATA / "ss_pin"
 FORMATS = ("text", "json", "tsv")
 
 
@@ -89,7 +95,24 @@ def cross_check(matrix, hodge_json: str) -> None:
         raise SystemExit(f"`hodge` prints {printed!r}, the checked table is {checked!r}")
 
 
+def write_ss_pins() -> None:
+    SS_PIN.mkdir(exist_ok=True)
+    inputs = {
+        "p3": principal_from_graph(path_graph(3)),
+        "z4": principal_from_graph(star_graph(4)),
+    }
+    for name, matrix in inputs.items():
+        mat = SS_PIN / f"{name}.mat"
+        mat.write_text(render_matrix_text(matrix))
+        for fmt in FORMATS:
+            code, out, err = run_cli(["ss", "--input", str(mat), "--format", fmt])
+            if code:
+                raise SystemExit(f"clusterhodge ss exited {code} on {mat}: {err}")
+            (SS_PIN / f"{name}.{fmt}").write_text(out)
+
+
 def run() -> None:
+    write_ss_pins()
     PIN.mkdir(exist_ok=True)
     files: dict[str, str] = {}
     runs = []

@@ -32,6 +32,7 @@ from .exchange import (
 )
 from .exterior import bits
 from .graphs import Graph, anticliques
+from .gysin import hodge_table
 from .poly import IntPolynomial, lagrange_interpolate
 
 ENUMERATION_GUARD = 10**8
@@ -297,13 +298,16 @@ class SuiteReport:
 
 
 def consistency_suite(matrix: ExtendedExchangeMatrix) -> SuiteReport:
-    """Cross-validate the Hodge table, point counts and closed forms."""
-    from .gysin import hodge_table
+    """Cross-validate the Hodge table, point counts and closed forms.
 
+    ``hodge_table`` checks its own table and raises ConsistencyError when a
+    check fails, so its two lines report PASS, or SKIP for the bounds that
+    need really full rank.
+    """
     checks: list[CheckResult] = []
     # first, so that its size guard refuses a large input before any
     # Smith normal form is computed
-    table = hodge_table(matrix, check=False)
+    table = hodge_table(matrix)
     rc = rank_class(matrix)
     really = rc is RankClass.REALLY_FULL_RANK
     counted = point_count_poly(matrix)
@@ -327,22 +331,12 @@ def consistency_suite(matrix: ExtendedExchangeMatrix) -> SuiteReport:
         )
 
     if really:
-        try:
-            table.check_support_bounds()
-            table.check_top_class()
-            checks.append(CheckResult("vanishing bounds", "PASS"))
-        except Exception as exc:  # ConsistencyError
-            checks.append(CheckResult("vanishing bounds", "FAIL", str(exc)))
+        checks.append(CheckResult("vanishing bounds", "PASS"))
     else:
         checks.append(
             CheckResult("vanishing bounds", "SKIP", "really-full-rank statement")
         )
-
-    try:
-        table.check_lefschetz()
-        checks.append(CheckResult("curious Lefschetz symmetry", "PASS"))
-    except Exception as exc:
-        checks.append(CheckResult("curious Lefschetz symmetry", "FAIL", str(exc)))
+    checks.append(CheckResult("curious Lefschetz symmetry", "PASS"))
 
     if is_principal(matrix):
         closed = closed_form_s_le_3(matrix)

@@ -36,8 +36,8 @@ from .exchange import (
 )
 from .exterior import bits, mask_of
 from .graphs import _InducedComplexes, mv_delta
-from .gysin import GysinBuilder, _checked_morse
-from .linalg import CochainComplexQ, Echelon
+from .gysin import GysinBuilder
+from .linalg import CochainComplexQ, Echelon, morse_reduce
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +271,7 @@ def spectral_sequence(
     in the basis of that reduction.  Raises ConsistencyError when d^2 != 0,
     a pair lowers the level or a matched pair changes it.
     """
-    morse, kept = _checked_morse(fc.complex)
+    morse, kept = morse_reduce(fc.complex)
     reduced = FilteredComplexQ(
         morse, [[lv[c] for c in cells] for lv, cells in zip(fc.levels, kept)]
     )

@@ -411,6 +411,8 @@ def build_gysin_complex(matrix: ExtendedExchangeMatrix, s: int) -> CochainComple
     """Weight-s Gysin complex of a really-full-rank acyclic matrix."""
     if not is_acyclic(matrix):
         raise NotAcyclic("the quiver has an oriented cycle")
+    builder = GysinBuilder(matrix)
+    builder.require_cells([s])  # before the Smith normal form of rank_class
     rc = rank_class(matrix)
     if rc is RankClass.NOT_FULL_RANK:
         raise NotFullRank("matrix is not of full rank")
@@ -420,19 +422,18 @@ def build_gysin_complex(matrix: ExtendedExchangeMatrix, s: int) -> CochainComple
         )
     if not 0 <= s <= matrix.d:
         raise ValueError(f"weight s={s} outside [0, {matrix.d}]")
-    return GysinBuilder(matrix).complex_for_s(s)
+    return builder.complex_for_s(s)
 
 
 @dataclass(frozen=True)
 class CharacterComplex:
     """One character's contribution at one weight, already reindexed.
 
-    H^p of ``complex`` contributes to dims(p + kappa + weight, weight).
+    H^p of ``complex`` at weight s contributes to dims(p + kappa + s, s).
     A ``complex`` of None means the zero complex.
     """
 
     kappa: int
-    weight: int
     reduced_matrix: ExtendedExchangeMatrix | None
     complex: CochainComplexQ | None
 
@@ -447,12 +448,12 @@ def build_character_complex(
     """The chi-component of the weight-s complex, via the support reduction."""
     reduced = reduce_character(matrix, chi)
     if isinstance(reduced, ZeroComplex):
-        return CharacterComplex(0, s, None, None)
+        return CharacterComplex(0, None, None)
     kappa, small = reduced.kappa, reduced.matrix
     if s - kappa < 0 or s - kappa > small.d:
-        return CharacterComplex(kappa, s, small, None)
+        return CharacterComplex(kappa, small, None)
     cx = GysinBuilder(small).complex_for_s(s - kappa)
-    return CharacterComplex(kappa, s, small, cx)
+    return CharacterComplex(kappa, small, cx)
 
 
 @dataclass(frozen=True)
@@ -538,19 +539,7 @@ class HodgeTable:
         return "\n".join(lines)
 
 
-def _checked_morse(cx: CochainComplexQ) -> tuple[CochainComplexQ, list[list[int]]]:
-    """``morse_reduce`` of cx, with the checks every caller needs: d^2 = 0 on
-    cx and on its Morse complex (clearing ranks exactly only then) and the
-    same Euler characteristic on both."""
-    cx.verify_d2()
-    morse, kept = morse_reduce(cx)
-    morse.verify_d2()
-    if morse.euler_characteristic != cx.euler_characteristic:
-        raise ConsistencyError("the Morse complex changes the Euler characteristic")
-    return morse, kept
-
-
-def hodge_table(matrix: ExtendedExchangeMatrix, check: bool = True) -> HodgeTable:
+def hodge_table(matrix: ExtendedExchangeMatrix) -> HodgeTable:
     """Full mixed Hodge table, summed over all character components.
 
     The trivial character runs over all anticliques; a nontrivial character
@@ -559,14 +548,16 @@ def hodge_table(matrix: ExtendedExchangeMatrix, check: bool = True) -> HodgeTabl
     with equal support coincide, so each support is computed once and
     weighted by its number of characters.
 
-    Each complex is built in full and checked for d^2 = 0, then reduced
-    along its element matching (``linalg.morse_reduce``) to a complex of
-    about E_1 size with the same cohomology; that one is checked for
-    d^2 = 0 and for the full complex's Euler characteristic, and ranked.
-    ``check`` adds the checks of the finished table.  Every weight is sized
-    before the rank class (a Smith normal form) is computed and before the
-    first complex is built, and TooLarge refuses the table when one would
-    pass GYSIN_CELL_GUARD cells.
+    Each complex is built in full, then reduced along its element matching
+    (``linalg.morse_reduce``, which checks d^2 = 0 on both complexes and
+    their Euler characteristics) to a complex of about E_1 size with the
+    same cohomology, and that one is ranked.  The finished table is checked
+    for the weak support bounds and curious Lefschetz, and when the matrix
+    is of really full rank for the sharper bounds and the top class; a
+    failure raises ConsistencyError.  Every weight is sized before the rank
+    class (a Smith normal form) is computed and before the first complex is
+    built, and TooLarge refuses the table when one would pass
+    GYSIN_CELL_GUARD cells.
     """
     if not is_acyclic(matrix):
         raise NotAcyclic("the quiver has an oriented cycle")
@@ -595,17 +586,16 @@ def hodge_table(matrix: ExtendedExchangeMatrix, check: bool = True) -> HodgeTabl
         ]
         for s in range(matrix.d + 1):
             # one weight's complexes at a time: each is dropped before the next
-            morse, _ = _checked_morse(builder.complex_for_s(s, family))
+            morse, _ = morse_reduce(builder.complex_for_s(s, family))
             for p, h in morse.cohomology_dims().items():
                 key = (p + s, s)
                 dims[key] = dims.get(key, 0) + h * mult
     table = HodgeTable(matrix.n, matrix.m, {k: v for k, v in dims.items() if v})
-    if check:
-        table.check_weak_support()
-        table.check_lefschetz()
-        if rc is RankClass.REALLY_FULL_RANK:
-            table.check_support_bounds()
-            table.check_top_class()
+    table.check_weak_support()
+    table.check_lefschetz()
+    if rc is RankClass.REALLY_FULL_RANK:
+        table.check_support_bounds()
+        table.check_top_class()
     return table
 
 
@@ -651,19 +641,11 @@ def gsv_form(matrix: ExtendedExchangeMatrix, component) -> ExteriorForm:
     return ExteriorForm(terms)
 
 
-@dataclass(frozen=True)
-class EdgeClassCochain:
-    """The cocycle theta({a}, {b}) at position 1, weight 2."""
-
-    a: int
-    b: int
-    form: ExteriorForm
-    vector: dict[int, Fraction | int]  # coordinates in the weight-2 complex
-
-
 def edge_class_cochain(
     matrix: ExtendedExchangeMatrix, a: int, b: int, builder: GysinBuilder | None = None
-) -> EdgeClassCochain:
+) -> dict[int, Fraction | int]:
+    """The cocycle theta({a}, {b}) at position 1 of the weight-2 complex, as
+    its coordinates there."""
     graph = underlying_graph(matrix)
     if not graph.has_edge(a, b):
         raise NotAnEdge(f"({a}, {b}) is not an edge of the quiver graph")
@@ -679,6 +661,4 @@ def edge_class_cochain(
         if m == i_mask:
             break
         offset += len(builder.basis(m).masks_of_degree(2))
-    placed = {offset + i: v for i, v in vector.items()}
-    form = ExteriorForm.monomial(1 << a).wedge(alpha(builder.matrix, b))
-    return EdgeClassCochain(a, b, form, placed)
+    return {offset + i: v for i, v in vector.items()}

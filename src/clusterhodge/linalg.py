@@ -15,8 +15,8 @@ answers each "representatives modulo it" query in one step.
 complexes, graded pieces and simplicial cochains alike); its
 ``cohomology_dims`` ranks the differentials in order with clearing, which
 needs d^2 = 0, and ``morse_reduce`` collapses one along an acyclic matching
-of unit entries to its critical cells.  ``CohomologyClasses`` is the
-``Quotient`` of its cocycles by coboundaries.
+of unit entries to its critical cells, checking d^2 = 0 on both sides.
+``CohomologyClasses`` is the ``Quotient`` of its cocycles by coboundaries.
 The Smith normal form keeps all four transformation matrices
 (S = P*A*Q together with the inverses of P and Q) because character lifts
 need explicit saturation bases, not just invariant factors.
@@ -317,8 +317,9 @@ def morse_reduce(cx: CochainComplexQ) -> tuple[CochainComplexQ, list[list[int]]]
     no critical cell reaches still breaks the reduction, so the targets no
     flow needs are walked too, without arithmetic.  A pair whose entry is
     not +-1, a cell matched twice or a cycle raises ConsistencyError.  The
-    Morse complex has the same cohomology as cx, and it squares to zero
-    when cx does.
+    Morse complex has the same cohomology as cx.  Then d^2 = 0 is checked on
+    cx and on the Morse complex (clearing ranks exactly only then), and the
+    two are checked to have the same Euler characteristic.
     """
     up = [cx.matching[p] if p < len(cx.matching) else {} for p in range(cx.positions)]
     down: list[dict[int, int]] = [{}]  # per position: matched target -> partner
@@ -341,7 +342,12 @@ def morse_reduce(cx: CochainComplexQ) -> tuple[CochainComplexQ, list[list[int]]]
             [_morse_image(cols[c], None, above, flows, 1) for c in critical[p]]
         )
     labels = [[cx.labels[p][c] for c in cells] for p, cells in enumerate(kept)]
-    return CochainComplexQ(labels, columns), kept
+    morse = CochainComplexQ(labels, columns)
+    cx.verify_d2()
+    morse.verify_d2()
+    if morse.euler_characteristic != cx.euler_characteristic:
+        raise ConsistencyError("the Morse complex changes the Euler characteristic")
+    return morse, kept
 
 
 def _morse_image(

@@ -123,7 +123,7 @@ def test_criterion_5_duality_and_lefschetz():
         principal_from_graph(g) for g in [star_graph(4), path_graph(4), cycle_graph(4)]
     ]
     for m in matrices:
-        table = hodge_table(m, check=False)
+        table = hodge_table(m)
         ok &= point_count_poly(m).polynomial == table.point_count_polynomial()
         d = m.d
         for (k, s), v in table.dims.items():
@@ -139,7 +139,7 @@ def test_criterion_6_vanishing_bounds():
         for g in connected_graphs(v)
     ]
     for m in matrices:
-        table = hodge_table(m, check=False)
+        table = hodge_table(m)
         d = m.d
         for (k, s), v in table.dims.items():
             if v:
@@ -156,7 +156,7 @@ def test_criterion_7_spectral_sequence_double_computation():
         orientation, _ = seeded_orientation(graph, rng)
         m = principal_from_graph(graph, orientation)
         builder = GysinBuilder(m)
-        table = hodge_table(m, check=False)
+        table = hodge_table(m)
         for s in range(m.d + 1):
             fc = build_filtered(m, s, builder)
             pages = spectral_sequence(fc)

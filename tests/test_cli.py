@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from clusterhodge.cli import main
+from clusterhodge.errors import ConsistencyError
 from clusterhodge.exchange import principal_from_graph
 from clusterhodge.graphs import complete_graph, path_graph
 from clusterhodge.io import (
@@ -339,6 +340,27 @@ def test_check_exits_1_when_d_squared_fails(tmp_path, capsys, monkeypatch):
     }
 
 
+def test_check_exits_1_when_a_table_check_fails(tmp_path, capsys, monkeypatch):
+    # `check` reports the table checks of hodge_table, the weak support
+    # bounds included
+    from clusterhodge.gysin import HodgeTable
+
+    path = tmp_path / "p3.mat"
+    path.write_text("3 3\n0 1 0\n-1 0 1\n0 -1 0\n1 0 0\n0 1 0\n0 0 1\n")
+
+    def fails(self):
+        raise ConsistencyError("support bound fails at (k,s)=(0,0)")
+
+    monkeypatch.setattr(HodgeTable, "check_weak_support", fails)
+    assert main(["check", "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "ConsistencyError",
+        "detail": "support bound fails at (k,s)=(0,0)",
+    }
+
+
 SS_PIN = Path(__file__).parent / "data" / "ss_pin"
 
 
@@ -354,20 +376,23 @@ def _differential_ranks(page) -> dict[tuple[int, int], int]:
 
 @pytest.mark.parametrize("name", ["p3", "z4"], ids=["path-3", "star-4"])
 def test_ss_output_is_pinned(capsys, name):
-    # principal P_3 and the 4-star, all weights: text and tsv byte for byte;
-    # the json differentials depend on the basis, so only their ranks
+    # principal P_3 and the 4-star, all weights, every format byte for byte
+    # (scripts/make_cli_pins.py); the json d_r depend on the basis, so their
+    # entries and ranks are compared first, to tell a changed basis apart
     matrix = str(SS_PIN / f"{name}.mat")
     for fmt in ("text", "tsv"):
         assert main(["ss", "--input", matrix, "--format", fmt]) == 0
         assert capsys.readouterr().out == (SS_PIN / f"{name}.{fmt}").read_text()
     assert main(["ss", "--input", matrix, "--format", "json"]) == 0
-    got = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    got = json.loads(out)
     want = json.loads((SS_PIN / f"{name}.json").read_text())
     assert [(p["s"], p["r"], p["entries"]) for p in got] == [
         (p["s"], p["r"], p["entries"]) for p in want
     ]
     for page, ref in zip(got, want):
         assert _differential_ranks(page) == _differential_ranks(ref), (page["s"], page["r"])
+    assert out == (SS_PIN / f"{name}.json").read_text()
 
 
 E1_PIN = Path(__file__).parent / "data" / "e1_pin"

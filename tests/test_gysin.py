@@ -29,6 +29,7 @@ from clusterhodge.exterior import ExteriorForm, bits, mask_of, wedge_sign
 from clusterhodge.filtration import e1_page
 from clusterhodge.graphs import (
     Graph,
+    complete_graph,
     connected_graphs,
     cycle_graph,
     path_graph,
@@ -348,9 +349,9 @@ def test_edge_classes_span_h1():
         ech = Echelon()
         span = 0
         for a, b in sorted(graph.edges):
-            ec = edge_class_cochain(m, a, b, builder)
-            assert _is_cocycle(cx, 1, ec.vector)
-            coords = classes.coordinates(ec.vector)
+            vector = edge_class_cochain(m, a, b, builder)
+            assert _is_cocycle(cx, 1, vector)
+            coords = classes.coordinates(vector)
             if ech.add({i: v for i, v in enumerate(coords) if v}) is not None:
                 span += 1
         assert span == h1
@@ -599,6 +600,21 @@ def test_cell_guard_admits_z10_and_refuses_before_building(monkeypatch):
         hodge_table(p11.matrix)
 
 
+def test_build_gysin_complex_sizes_before_the_smith_normal_form(monkeypatch):
+    # principal K_12 (d = 24): weight 8 has 2,781,999 cells, refused before
+    # the rank class is read off a Smith normal form
+    import clusterhodge.exchange as exchange
+
+    calls = []
+    snf = exchange.smith_normal_form
+    monkeypatch.setattr(
+        exchange, "smith_normal_form", lambda mat: calls.append(mat) or snf(mat)
+    )
+    with pytest.raises(TooLarge, match="weight-8 Gysin complex would have 2781999"):
+        build_gysin_complex(principal_from_graph(complete_graph(12)), 8)
+    assert calls == []
+
+
 def test_degenerate_shapes():
     # a point and a bare torus
     point = validate([], 0, 0)
@@ -774,7 +790,7 @@ def test_critical_cells_equal_e1_totals(graph):
         assert critical == sum(e1_page(m, s).entries.values()), s
 
 
-def test_hodge_table_verifies_d2_without_table_checks(monkeypatch):
+def test_hodge_table_verifies_d2(monkeypatch):
     # dropping the block sign (-1)^{#{i in I : i < j}} breaks d^2 = 0
     m = principal_from_graph(path_graph(3))
     original = GysinBuilder._rho_into
@@ -784,7 +800,7 @@ def test_hodge_table_verifies_d2_without_table_checks(monkeypatch):
 
     monkeypatch.setattr(GysinBuilder, "_rho_into", unsigned)
     with pytest.raises(ConsistencyError, match="square to zero"):
-        hodge_table(m, check=False)
+        hodge_table(m)
 
 
 # ---------------------------------------------------------------------------
