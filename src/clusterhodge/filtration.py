@@ -167,16 +167,11 @@ def graded_pieces(matrix: ExtendedExchangeMatrix, s: int) -> list[GradedPiece]:
 class SpectralSequencePage:
     r: int
     entries: dict[tuple[int, int], int]
+    # d_r at each source (e, f); only nonzero matrices are stored
     differentials: dict[tuple[int, int], list[list[Fraction]]]
 
     def entry(self, e: int, f: int) -> int:
         return self.entries.get((e, f), 0)
-
-    def all_differentials_zero(self) -> bool:
-        return all(
-            all(all(v == 0 for v in row) for row in mat)
-            for mat in self.differentials.values()
-        )
 
 
 def _pairs(fc: FilteredComplexQ) -> list[tuple[int, int, int, int]]:
@@ -294,7 +289,7 @@ def observed_collapse_page(pages: list[SpectralSequencePage]) -> int:
     """First page index from which every computed differential vanishes."""
     r = len(pages)
     for page in reversed(pages):
-        if page.all_differentials_zero():
+        if not page.differentials:
             r = page.r
         else:
             break

@@ -29,8 +29,7 @@ filtration order.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -87,11 +86,9 @@ class GModuleBasis:
 
     anticlique: tuple[int, ...]
     row_selection: tuple[int, ...]  # N(I)
+    row_mask: int  # N(I) as a row mask
     allowed: int  # the dlog's an A mask may hold: those outside I and N(I)
     substitution: dict[int, dict[int, Fraction | int]]
-    _by_degree: dict[int, list[int]] = field(
-        default_factory=dict, init=False, compare=False, repr=False
-    )
 
     @property
     def dimension(self) -> int:
@@ -100,23 +97,17 @@ class GModuleBasis:
     def masks_of_degree(self, s: int) -> list[int]:
         """The C(|allowed|, s - |I|) admissible A masks of weight s, ascending.
 
-        Enumerated on first use, one weight at a time; callers must not
-        mutate the list.  Combinations of the allowed bits taken from the
-        highest down come out in descending order, so the list is reversed.
+        A fresh list on every call.  Combinations of the allowed bits taken
+        from the highest down come out in descending order, so the list is
+        reversed.
         """
         k = s - len(self.anticlique)
-        masks = self._by_degree.get(k)
-        if masks is None:
-            top_down = [1 << r for r in reversed(bits(self.allowed))]
-            masks = list(map(sum, combinations(top_down, k))) if k >= 0 else []
-            masks.reverse()
-            self._by_degree[k] = masks
+        if k < 0:
+            return []
+        top_down = [1 << r for r in reversed(bits(self.allowed))]
+        masks = list(map(sum, combinations(top_down, k)))
+        masks.reverse()
         return masks
-
-    @cached_property
-    def row_mask(self) -> int:
-        """N(I) as a row mask."""
-        return mask_of(self.row_selection)
 
 
 def _inverse(mat: list[list]) -> list[list]:
@@ -145,12 +136,15 @@ def _inverse(mat: list[list]) -> list[list]:
 class GysinBuilder:
     """One ``GModuleBasis`` per anticlique, made on first use, for one matrix.
 
-    The residue map has one writer, ``_rho_into``: ``complex_for_s`` has it
-    fill each differential block by block, and ``rho_columns`` returns one
-    block on its own.  Construction does not insist on full rank; a
-    rank-deficient matrix surfaces as ColumnsDependent the moment some
-    anticlique needs a row selection that does not exist.  The
-    complex-level entry points enforce their own rank preconditions.
+    The records are the builder's only cache: every table that depends on
+    the weight (A masks, offsets, row indices) is made by the call that
+    needs it and dropped with it.  The residue map has one writer,
+    ``_rho_into``: ``complex_for_s`` has it fill each differential block by
+    block, and ``rho_columns`` returns one block on its own.  Construction
+    does not insist on full rank; a rank-deficient matrix surfaces as
+    ColumnsDependent the moment some anticlique needs a row selection that
+    does not exist.  The complex-level entry points enforce their own rank
+    preconditions.
     """
 
     def __init__(self, matrix: ExtendedExchangeMatrix):
@@ -158,7 +152,6 @@ class GysinBuilder:
         self.graph = underlying_graph(matrix)
         self.family = anticliques(self.graph)
         self._basis: dict[int, GModuleBasis] = {}
-        self._rows: dict[tuple[int, int], dict[int, int]] = {}
 
     # -- one record per anticlique -------------------------------------------
 
@@ -202,7 +195,8 @@ class GysinBuilder:
                 f"columns {cols} of the exchange matrix are dependent"
             )
         selected.sort()
-        allowed = ((1 << d) - 1) & ~(i_mask | mask_of(selected))
+        row_mask = mask_of(selected)
+        allowed = ((1 << d) - 1) & ~(i_mask | row_mask)
         free = bits(allowed)
         inverse = _inverse([[rows[t][i] for i in cols] for t in selected])
         substitution = {}
@@ -213,7 +207,9 @@ class GysinBuilder:
                 v = -sum(ci * rows[r][i] for ci, i in c)
                 if v:
                     terms[1 << r] = v.numerator if v.denominator == 1 else v
-        result = GModuleBasis(tuple(cols), tuple(selected), allowed, substitution)
+        result = GModuleBasis(
+            tuple(cols), tuple(selected), row_mask, allowed, substitution
+        )
         self._basis[i_mask] = result
         return result
 
@@ -248,46 +244,35 @@ class GysinBuilder:
 
     # -- residue blocks ------------------------------------------------------
 
-    def _rows_of(self, j_mask: int, s: int) -> dict[int, int]:
-        """The place of each admissible A mask of weight s in the basis of G^J.
-
-        Made once per (J, s) and kept until ``complex_for_s`` has written its
-        blocks: a weight-s complex reaches G^J from |J| anticliques.
-        """
-        rows = self._rows.get((j_mask, s))
-        if rows is None:
-            masks = self.basis(j_mask).masks_of_degree(s)
-            rows = self._rows[(j_mask, s)] = {a: r for r, a in enumerate(masks)}
-        return rows
-
     def _rho_into(
         self,
         cols: list[dict[int, Fraction | int]],
         i_mask: int,
         j: int,
-        s: int,
+        src_masks: list[int],
         src_off: int,
-        dst_off: int,
+        dst_rows: dict[int, int],
         eps: int,
     ) -> list[int]:
-        """Add eps * rho, from the degree-s slice of G^I to G^{I u j}, into cols.
+        """Add eps * rho, from G^I to G^{I u j} at one weight, into cols.
 
+        ``src_masks`` are the A masks of G^I at that weight, ascending, and
+        ``dst_rows`` maps each A mask of G^{I u j} at that weight to its row.
         Column ``src_off + c`` of ``cols`` receives the image of the c-th
-        source mask, its rows shifted by ``dst_off``; each entry is written
-        once, so the row range must be empty in those columns.  A masks that
-        avoid j map to zero and are skipped.  Otherwise dlog x_j is extracted
-        with its Koszul sign and alpha_j joins the alpha wedge at its sorted
-        position.  A avoids N(I), and N(J) is N(I) plus one row t (see
-        ``basis``), so at most dlog x_t is left over from N(J); it is
-        replaced by the target record's ``substitution[t]``, a combination
-        of free dlog's, written term by term.  When A - j avoids t the image
-        is the single unit entry +-1 at (I u j, A - j); the column and row of
-        each such entry are returned in the order written, as one flat list
-        c0, r0, c1, r1, ... (no tuples for the garbage collector to track).
+        source mask; each entry is written once, so the target rows must be
+        empty in those columns.  A masks that avoid j map to zero and are
+        skipped.  Otherwise dlog x_j is extracted with its Koszul sign and
+        alpha_j joins the alpha wedge at its sorted position.  A avoids
+        N(I), and N(J) is N(I) plus one row t (see ``basis``), so at most
+        dlog x_t is left over from N(J); it is replaced by the target
+        record's ``substitution[t]``, a combination of free dlog's, written
+        term by term.  When A - j avoids t the image is the single unit
+        entry +-1 at (I u j, A - j); the column and row of each such entry
+        are returned in the order written, as one flat list c0, r0, c1, r1,
+        ... (no tuples for the garbage collector to track).
         """
         j_bit = 1 << j
         source, target = self.basis(i_mask), self.basis(i_mask | j_bit)
-        dst_index = self._rows_of(i_mask | j_bit, s)
         t_bit = target.row_mask & ~source.row_mask
         assert t_bit.bit_count() == 1, "N(I u j) must be N(I) plus one row"
         sub_t = target.substitution[t_bit.bit_length() - 1]
@@ -296,7 +281,7 @@ class GysinBuilder:
         above_j, above_t = j + 1, -t_bit
         units = []
         c = src_off - 1
-        for a_mask in source.masks_of_degree(s):
+        for a_mask in src_masks:
             c += 1
             if not a_mask & j_bit:
                 continue
@@ -304,7 +289,7 @@ class GysinBuilder:
             a0 = a_mask ^ j_bit
             col = cols[c]
             if not a0 & t_bit:
-                row = dst_off + dst_index[a0]
+                row = dst_rows[a0]
                 col[row] = sign
                 units += c, row
                 continue
@@ -315,7 +300,7 @@ class GysinBuilder:
             for bit, above_bit, c2 in terms:
                 if not rest & bit:
                     v = sign * c2
-                    col[dst_off + dst_index[rest | bit]] = (
+                    col[dst_rows[rest | bit]] = (
                         -v if (rest & above_bit).bit_count() & 1 else v
                     )
         return units
@@ -330,7 +315,7 @@ class GysinBuilder:
         src = self.basis(i_mask).masks_of_degree(s)
         dst = self.basis(i_mask | (1 << j)).masks_of_degree(s)
         cols: list[dict[int, Fraction | int]] = [dict() for _ in src]
-        self._rho_into(cols, i_mask, j, s, 0, 0, 1)
+        self._rho_into(cols, i_mask, j, src, 0, {a: r for r, a in enumerate(dst)}, 1)
         return src, dst, cols
 
     # -- full complexes ------------------------------------------------------
@@ -361,19 +346,17 @@ class GysinBuilder:
         if family_masks is None:
             family_masks = [list(level) for level in self.family.by_cardinality]
         self.require_cells([s], family_masks)
-        members = {m for level in family_masks for m in level}
+        masks: dict[int, list[int]] = {}  # each member's A masks of weight s
+        offset: dict[int, int] = {}  # each member's first cell in its position
         labels: list[list[Label]] = []
-        offsets: list[dict[int, int]] = []
-        for p, level in enumerate(family_masks):
+        for level in family_masks:
             position_labels: list[Label] = []
-            offset: dict[int, int] = {}
             for i_mask in sorted(level):
                 offset[i_mask] = len(position_labels)
-                position_labels += [
-                    (i_mask, a) for a in self.basis(i_mask).masks_of_degree(s)
-                ]
+                masks[i_mask] = self.basis(i_mask).masks_of_degree(s)
+                position_labels += [(i_mask, a) for a in masks[i_mask]]
             labels.append(position_labels)
-            offsets.append(offset)
+        rows: dict[int, dict[int, int]] = {}  # each target's row per A mask
         columns = [[{} for _ in labels[p]] for p in range(len(labels) - 1)]
         matching: list[dict[int, int]] = [{} for _ in columns]
         taken = [bytearray(len(pos)) for pos in labels]  # matched cells
@@ -382,17 +365,23 @@ class GysinBuilder:
                 below, above, up = taken[p], taken[p + 1], matching[p]
                 for i_mask in family_masks[p]:
                     new_mask = i_mask | (1 << j)
-                    if new_mask == i_mask or new_mask not in members:
+                    if new_mask == i_mask or new_mask not in masks:
                         continue
+                    dst_rows = rows.get(new_mask)
+                    if dst_rows is None:
+                        off = offset[new_mask]
+                        dst_rows = rows[new_mask] = {
+                            a: off + r for r, a in enumerate(masks[new_mask])
+                        }
                     eps = -1 if (i_mask & ((1 << j) - 1)).bit_count() & 1 else 1
-                    src_off, dst_off = offsets[p][i_mask], offsets[p + 1][new_mask]
-                    units = self._rho_into(cols, i_mask, j, s, src_off, dst_off, eps)
+                    units = self._rho_into(
+                        cols, i_mask, j, masks[i_mask], offset[i_mask], dst_rows, eps
+                    )
                     pairs = iter(units)
                     for c, r in zip(pairs, pairs):
                         if not (below[c] or above[r]):
                             up[c] = r
                             below[c] = above[r] = 1
-        self._rows.clear()
         cx = CochainComplexQ(labels, columns, matching)
         cx.verify_d2()
         return cx

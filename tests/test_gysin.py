@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -358,16 +359,28 @@ def test_edge_classes_span_h1():
 
 
 def test_frozen_row_tensor_law_really_full_rank():
+    # r added frozen rows that keep the matrix really full rank send each dim
+    # at (k, s) to (k + i, s + i), C(r, i) times: one row on the corpus, and
+    # at d = 16 the n rows of principal P_8 and of the corona of C_4 (a leaf
+    # on each vertex of a 4-cycle) over B alone, which is unimodular because
+    # both graphs have a unique perfect matching
+    cases = []
     for m in corpus():
         extra = [((i * 7) % 5) - 2 for i in range(m.n)]
         bigger = validate([list(r) for r in m.rows] + [extra], m.n, m.m + 1)
-        t0 = hodge_table(m).dims
-        t1 = hodge_table(bigger).dims
+        cases.append((m, bigger, 1))
+    corona = Graph.from_edges(
+        8, [(i, (i + 1) % 4) for i in range(4)] + [(i, i + 4) for i in range(4)]
+    )
+    for graph in (path_graph(8), corona):
+        m = principal_from_graph(graph)
+        cases.append((validate(m.top_block(), m.n, 0), m, m.n))
+    for small, bigger, r in cases:
         want = {}
-        for (k, s), v in t0.items():
-            want[(k, s)] = want.get((k, s), 0) + v
-            want[(k + 1, s + 1)] = want.get((k + 1, s + 1), 0) + v
-        assert {k: v for k, v in want.items() if v} == t1
+        for (k, s), v in hodge_table(small).dims.items():
+            for i in range(r + 1):
+                want[(k + i, s + i)] = want.get((k + i, s + i), 0) + comb(r, i) * v
+        assert {k: v for k, v in want.items() if v} == hodge_table(bigger).dims
 
 
 def test_frozen_row_tensor_law_plain_complex_full_rank():
@@ -741,6 +754,24 @@ def test_assembly_matches_exterior_form_reference():
                     assert _typed([got[2]]) == _typed([want[2]]), (m.rows, i_mask, j, s)
 
 
+def test_weight_order_and_family_do_not_change_a_complex():
+    # one builder builds every weight ascending, then descending, over every
+    # support family; each complex must equal a fresh builder's, and the
+    # builder keeps nothing but its per-anticlique records
+    for m in assembly_corpus() + full_rank_corpus():
+        builder = GysinBuilder(m)
+        families = _support_families(builder)
+        weights = list(range(m.d + 1))
+        for s in weights + weights[::-1]:
+            for family in families:
+                got = builder.complex_for_s(s, family)
+                want = GysinBuilder(m).complex_for_s(s, family)
+                assert got.labels == want.labels, (m.rows, s)
+                assert _typed(got.columns) == _typed(want.columns), (m.rows, s)
+                assert got.matching == want.matching, (m.rows, s)
+        assert set(vars(builder)) == {"matrix", "graph", "family", "_basis"}
+
+
 def _morse_corpus():
     """Principal matrices of every connected graph with at most 5 vertices, 40
     random acyclic matrices, and the star Z_6 with frozen block 2I, whose
@@ -795,8 +826,8 @@ def test_hodge_table_verifies_d2(monkeypatch):
     m = principal_from_graph(path_graph(3))
     original = GysinBuilder._rho_into
 
-    def unsigned(self, cols, i_mask, j, s, src_off, dst_off, eps):
-        return original(self, cols, i_mask, j, s, src_off, dst_off, 1)
+    def unsigned(self, cols, i_mask, j, src_masks, src_off, dst_rows, eps):
+        return original(self, cols, i_mask, j, src_masks, src_off, dst_rows, 1)
 
     monkeypatch.setattr(GysinBuilder, "_rho_into", unsigned)
     with pytest.raises(ConsistencyError, match="square to zero"):
