@@ -8,7 +8,6 @@ from .exchange import (
     Quiver,
     RankClass,
     RationalExchangeMatrix,
-    cokernel_group,
     is_acyclic,
     mutate,
     principal_from_graph,
@@ -34,7 +33,6 @@ from .gysin import (
     GysinBuilder,
     HodgeTable,
     alpha,
-    build_character_complex,
     build_gysin_complex,
     edge_class_cochain,
     gsv_form,

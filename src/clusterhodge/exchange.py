@@ -194,16 +194,6 @@ class FiniteAbelianGroup:
         return self.invariant_factors[-1] if self.invariant_factors else 1
 
 
-def cokernel_group(matrix: ExtendedExchangeMatrix) -> FiniteAbelianGroup:
-    """Z^n / B~^T Z^{n+m}, which is also the torsion of Z^{n+m} / B~ Z^n."""
-    if matrix.n == 0:
-        return FiniteAbelianGroup(())
-    snf = _snf(matrix)
-    if snf.rank < matrix.n:
-        raise NotFullRank("cokernel is infinite for rank-deficient matrices")
-    return FiniteAbelianGroup(snf.invariant_factors_gt1())
-
-
 # ---------------------------------------------------------------------------
 # characters
 

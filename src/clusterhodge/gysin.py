@@ -213,29 +213,25 @@ class GysinBuilder:
         self._basis[i_mask] = result
         return result
 
-    def cells(self, s: int, family_masks: list[list[int]] | None = None) -> int:
-        """Cells of the weight-s slice over the family, counted before it is built.
+    def cells(self, s: int) -> int:
+        """Cells of the weight-s slice, counted before it is built.
 
         An A mask of G^I at weight s has s - |I| members and avoids I and
         the |I| rows of N(I), so the slice has the sum over I of
         C(d - 2|I|, s - |I|) cells.
         """
-        if family_masks is None:
-            family_masks = self.family.by_cardinality
         d = self.matrix.d
         return sum(
             len(level) * comb(d - 2 * p, s - p)
-            for p, level in enumerate(family_masks)
+            for p, level in enumerate(self.family.by_cardinality)
             if p <= s and 2 * p <= d  # a larger I has no N(I): basis() refuses it
         )
 
-    def require_cells(
-        self, weights: Iterable[int], family_masks: list[list[int]] | None = None
-    ) -> None:
+    def require_cells(self, weights: Iterable[int]) -> None:
         """Refuse with TooLarge, before anything is built, when the slice of
         some weight would have more than GYSIN_CELL_GUARD cells."""
         for s in weights:
-            cells = self.cells(s, family_masks)
+            cells = self.cells(s)
             if cells > GYSIN_CELL_GUARD:
                 raise TooLarge(
                     f"the weight-{s} Gysin complex would have {cells} cells, "
@@ -320,19 +316,14 @@ class GysinBuilder:
 
     # -- full complexes ------------------------------------------------------
 
-    def complex_for_s(
-        self, s: int, family_masks: list[list[int]] | None = None
-    ) -> CochainComplexQ:
-        """The weight-s slice over a downward-compatible anticlique family.
+    def complex_for_s(self, s: int) -> CochainComplexQ:
+        """The weight-s slice over every anticlique.
 
-        ``family_masks[p]`` lists which anticlique masks of size p take part
-        (defaults to all of them); the family must contain, with any I and
-        any J = I u {j}, both intermediates of every two-step extension it
-        supports, which holds for the full family and for the up-sets used
-        by character components.  The block from I to I u {j} fills the
-        rows of I u {j}, so blocks for different j never overlap, and each
-        column takes its blocks in ascending j whichever loop runs outside.
-        The complex is checked to square to zero.
+        Position p holds the anticliques of size p, each one's A masks
+        ascending.  The block from I to I u {j} fills the rows of I u {j},
+        so blocks for different j never overlap, and each column takes its
+        blocks in ascending j whichever loop runs outside.  The complex is
+        checked to square to zero.
 
         It carries the sequential element matching of its unit entries, made
         as the blocks are written, one mutable j at a time in ascending
@@ -343,15 +334,14 @@ class GysinBuilder:
         independence complex.  A slice of more than GYSIN_CELL_GUARD cells
         is refused with TooLarge before anything is built.
         """
-        if family_masks is None:
-            family_masks = [list(level) for level in self.family.by_cardinality]
-        self.require_cells([s], family_masks)
+        levels = self.family.by_cardinality  # each level ascending
+        self.require_cells([s])
         masks: dict[int, list[int]] = {}  # each member's A masks of weight s
         offset: dict[int, int] = {}  # each member's first cell in its position
         labels: list[list[Label]] = []
-        for level in family_masks:
+        for level in levels:
             position_labels: list[Label] = []
-            for i_mask in sorted(level):
+            for i_mask in level:
                 offset[i_mask] = len(position_labels)
                 masks[i_mask] = self.basis(i_mask).masks_of_degree(s)
                 position_labels += [(i_mask, a) for a in masks[i_mask]]
@@ -363,7 +353,7 @@ class GysinBuilder:
         for j in range(self.matrix.n):
             for p, cols in enumerate(columns):
                 below, above, up = taken[p], taken[p + 1], matching[p]
-                for i_mask in family_masks[p]:
+                for i_mask in levels[p]:
                     new_mask = i_mask | (1 << j)
                     if new_mask == i_mask or new_mask not in masks:
                         continue
@@ -407,42 +397,11 @@ def build_gysin_complex(matrix: ExtendedExchangeMatrix, s: int) -> CochainComple
         raise NotFullRank("matrix is not of full rank")
     if rc is not RankClass.REALLY_FULL_RANK:
         raise NotReallyFullRank(
-            "matrix has nontrivial characters; use build_character_complex"
+            "matrix has nontrivial characters; use hodge_table"
         )
     if not 0 <= s <= matrix.d:
         raise ValueError(f"weight s={s} outside [0, {matrix.d}]")
     return builder.complex_for_s(s)
-
-
-@dataclass(frozen=True)
-class CharacterComplex:
-    """One character's contribution at one weight, already reindexed.
-
-    H^p of ``complex`` at weight s contributes to dims(p + kappa + s, s).
-    A ``complex`` of None means the zero complex.
-    """
-
-    kappa: int
-    reduced_matrix: ExtendedExchangeMatrix | None
-    complex: CochainComplexQ | None
-
-    @property
-    def is_zero(self) -> bool:
-        return self.complex is None
-
-
-def build_character_complex(
-    matrix: ExtendedExchangeMatrix, chi: Character, s: int
-) -> CharacterComplex:
-    """The chi-component of the weight-s complex, via the support reduction."""
-    reduced = reduce_character(matrix, chi)
-    if isinstance(reduced, ZeroComplex):
-        return CharacterComplex(0, None, None)
-    kappa, small = reduced.kappa, reduced.matrix
-    if s - kappa < 0 or s - kappa > small.d:
-        return CharacterComplex(kappa, small, None)
-    cx = GysinBuilder(small).complex_for_s(s - kappa)
-    return CharacterComplex(kappa, small, cx)
 
 
 @dataclass(frozen=True)
@@ -531,53 +490,57 @@ class HodgeTable:
 def hodge_table(matrix: ExtendedExchangeMatrix) -> HodgeTable:
     """Full mixed Hodge table, summed over all character components.
 
-    The trivial character runs over all anticliques; a nontrivial character
-    chi contributes the subcomplex over anticliques containing J(chi), which
-    is empty unless J(chi) is an anticlique.  Contributions from characters
-    with equal support coincide, so each support is computed once and
-    weighted by its number of characters.
+    A really-full-rank matrix has only the trivial character, whose
+    component is the plain complex of the matrix.  Otherwise the component
+    of a character chi lives on the anticliques containing its support
+    J(chi), and is the zero complex unless J(chi) is an anticlique.  It is
+    then the plain complex of the smaller matrix that
+    ``exchange.reduce_character`` returns, shifted by (2 kappa, kappa) in
+    (degree, weight) with kappa = |J(chi)|.  That includes the trivial
+    character (kappa = 0), whose reduced matrix keeps the top block under
+    a new frozen completion.
+    Characters with equal support have equal components, so each support is
+    reduced once and weighted by its number of characters.
 
-    Each complex is built in full, then reduced along its element matching
-    (``linalg.morse_reduce``, which checks d^2 = 0 on both complexes and
-    their Euler characteristics) to a complex of about E_1 size with the
-    same cohomology, and that one is ranked.  The finished table is checked
-    for the weak support bounds and curious Lefschetz, and when the matrix
-    is of really full rank for the sharper bounds and the top class; a
-    failure raises ConsistencyError.  Every weight is sized before the rank
-    class (a Smith normal form) is computed and before the first complex is
-    built, and TooLarge refuses the table when one would pass
-    GYSIN_CELL_GUARD cells.
+    Each weight's complex is built in full, then reduced along its element
+    matching (``linalg.morse_reduce``, which checks d^2 = 0 on both
+    complexes and their Euler characteristics) to a complex of about E_1
+    size with the same cohomology, and that one is ranked.  The finished
+    table is checked for the weak support bounds and curious Lefschetz, and
+    when the matrix is of really full rank for the sharper bounds and the
+    top class; a failure raises ConsistencyError.  Every weight is sized
+    before the rank class (a Smith normal form) is computed and before the
+    first complex is built, and TooLarge refuses the table when one would
+    pass GYSIN_CELL_GUARD cells.
     """
     if not is_acyclic(matrix):
         raise NotAcyclic("the quiver has an oriented cycle")
     builder = GysinBuilder(matrix)
-    # every support family is an up-set inside the full family, so the full
-    # family's slices bound every complex built below
+    # the reduction of a support J sends I' to J u I' and has d' = d - 2 kappa,
+    # so its slice at weight s - kappa has as many cells as the anticliques
+    # containing J have at weight s: the full family bounds every complex
     builder.require_cells(range(matrix.d + 1))
     rc = rank_class(matrix)
     if rc is RankClass.NOT_FULL_RANK:
         raise NotFullRank("matrix is not of full rank")
-    # characters per anticlique support; really full rank leaves only the
-    # trivial character, whose support 0 selects the whole family
-    support_multiplicity = {0: 1}
+    parts = [(0, builder, 1)]  # (kappa, builder, number of characters)
     if rc is not RankClass.REALLY_FULL_RANK:
         group = CharacterGroup(matrix)
-        support_multiplicity = {}
+        by_support: dict[frozenset[int], list[Character]] = {}
         for chi in group.elements():
-            j_mask = mask_of(group.support(chi))
-            if builder.graph.is_independent(j_mask):
-                support_multiplicity[j_mask] = support_multiplicity.get(j_mask, 0) + 1
+            by_support.setdefault(group.support(chi), []).append(chi)
+        parts = []
+        for chars in by_support.values():
+            reduced = reduce_character(matrix, chars[0])
+            if not isinstance(reduced, ZeroComplex):
+                parts.append((reduced.kappa, GysinBuilder(reduced.matrix), len(chars)))
     dims: dict[tuple[int, int], int] = {}
-    for j_mask, mult in sorted(support_multiplicity.items()):
-        family = [
-            [i for i in level if i & j_mask == j_mask]
-            for level in builder.family.by_cardinality
-        ]
-        for s in range(matrix.d + 1):
-            # one weight's complexes at a time: each is dropped before the next
-            morse, _ = morse_reduce(builder.complex_for_s(s, family))
+    for kappa, part, mult in parts:
+        for s in range(part.matrix.d + 1):
+            # one weight's complex at a time: each is dropped before the next
+            morse, _ = morse_reduce(part.complex_for_s(s))
             for p, h in morse.cohomology_dims().items():
-                key = (p + s, s)
+                key = (p + s + 2 * kappa, s + kappa)
                 dims[key] = dims.get(key, 0) + h * mult
     table = HodgeTable(matrix.n, matrix.m, {k: v for k, v in dims.items() if v})
     table.check_weak_support()

@@ -474,10 +474,18 @@ class SmithNormalForm:
         return tuple(d for d in self.diag if d > 1)
 
 
+def _integer(x) -> int:
+    v = int(x)
+    if v != x:
+        raise ValueError(f"Smith normal form needs integer entries, got {x}")
+    return v
+
+
 def smith_normal_form(matrix: list[list[int]]) -> SmithNormalForm:
+    """Raises ValueError on an entry that is not an integer."""
     nrows = len(matrix)
     ncols = len(matrix[0]) if nrows else 0
-    a = [list(map(int, row)) for row in matrix]
+    a = [list(map(_integer, row)) for row in matrix]
     p, pinv = identity(nrows), identity(nrows)
     q, qinv = identity(ncols), identity(ncols)
 

@@ -19,11 +19,14 @@ from clusterhodge.errors import (
 from clusterhodge.exchange import (
     CharacterGroup,
     RankClass,
+    RationalExchangeMatrix,
+    ZeroComplex,
     is_acyclic,
     mutate,
     principal_from_graph,
     principal_matrix,
     rank_class,
+    reduce_character,
     validate,
 )
 from clusterhodge.exterior import ExteriorForm, bits, mask_of, wedge_sign
@@ -40,14 +43,20 @@ from clusterhodge.gysin import (
     GYSIN_CELL_GUARD,
     GysinBuilder,
     alpha,
-    build_character_complex,
     build_gysin_complex,
     edge_class_cochain,
     gsv_form,
     hodge_table,
     standard_poincare,
 )
-from clusterhodge.linalg import CohomologyClasses, Echelon, Quotient, morse_reduce, rank
+from clusterhodge.linalg import (
+    CochainComplexQ,
+    CohomologyClasses,
+    Echelon,
+    Quotient,
+    morse_reduce,
+    rank,
+)
 from clusterhodge.poly import IntPolynomial
 
 from conftest import (
@@ -229,55 +238,84 @@ def test_hodge_full_rank_character_sum():
     assert hodge_table(M22).dims == {(0, 0): 1, (2, 1): 2, (2, 2): 1}
 
 
+def _restricted(cx, j_mask):
+    """The subcomplex of cx on the cells whose anticlique contains j_mask.
+
+    The differential only adds vertices, so it maps these cells among
+    themselves (an image outside them raises KeyError).
+    """
+    keep = [
+        {c: k for k, c in enumerate(c for c, (i, _) in enumerate(pos) if i & j_mask == j_mask)}
+        for pos in cx.labels
+    ]
+    labels = [[pos[c] for c in kept] for pos, kept in zip(cx.labels, keep)]
+    columns = [
+        [{keep[p + 1][r]: v for r, v in cols[c].items()} for c in keep[p]]
+        for p, cols in enumerate(cx.columns)
+    ]
+    return CochainComplexQ(labels, columns)
+
+
+def _character_sum_reference(m):
+    """The Hodge table from its definition: for each character chi whose
+    support J is an anticlique, the weight-s complex restricted to the
+    anticliques containing J, ranked as it is (no Morse reduction, no
+    support reduction), its H^p in dims(p + s, s)."""
+    builder = GysinBuilder(m)
+    group = CharacterGroup(m)
+    supports = [mask_of(group.support(chi)) for chi in group.elements()]
+    dims = {}
+    for s in range(m.d + 1):
+        cx = builder.complex_for_s(s)
+        restricted = {}  # H^* of each support's restriction, ranked once
+        for j_mask in supports:
+            if not builder.graph.is_independent(j_mask):
+                continue
+            if j_mask not in restricted:
+                restricted[j_mask] = _restricted(cx, j_mask).cohomology_dims()
+            for p, h in restricted[j_mask].items():
+                dims[(p + s, s)] = dims.get((p + s, s), 0) + h
+    return {k: v for k, v in dims.items() if v}
+
+
 def test_character_complex_matches_direct_decomposition():
-    for m in full_rank_corpus():
-        builder = GysinBuilder(m)
-        group = CharacterGroup(m)
-        for chi in group.elements():
-            via_reduction = {}
-            for s in range(m.d + 1):
-                cc = build_character_complex(m, chi, s)
-                if cc.is_zero:
-                    continue
-                for p, h in cc.complex.cohomology_dims().items():
-                    key = (p + cc.kappa + s, s)
-                    via_reduction[key] = via_reduction.get(key, 0) + h
-            j_mask = 0
-            for i in group.support(chi):
-                j_mask |= 1 << i
-            direct = {}
-            if builder.graph.is_independent(j_mask):
-                family = [
-                    [i for i in level if i & j_mask == j_mask]
-                    for level in builder.family.by_cardinality
-                ]
-                for s in range(m.d + 1):
-                    cx = builder.complex_for_s(s, family)
-                    for p, h in cx.cohomology_dims().items():
-                        direct[(p + s, s)] = direct.get((p + s, s), 0) + h
-            assert via_reduction == direct
+    # hodge_table ranks each character support's reduced matrix; the
+    # reference restricts the input's own complexes, on the full-rank corpus,
+    # the full-rank members of the assembly corpus and Z_6 with frozen 2I
+    z6 = principal_from_graph(star_graph(6)).top_block()
+    frozen_2i = [[2 * (i == j) for j in range(6)] for i in range(6)]
+    cases = full_rank_corpus() + [
+        m
+        for m in assembly_corpus()
+        if not isinstance(m, RationalExchangeMatrix)
+        and rank_class(m) is RankClass.FULL_RANK
+    ]
+    cases.append(validate(z6 + frozen_2i, 6, 6))
+    for m in cases:
+        assert hodge_table(m).dims == _character_sum_reference(m), m.rows
 
 
 def test_character_complex_identity_matches_plain_complex():
     for m in corpus():
-        group = CharacterGroup(m)
-        identity = next(group.elements())
+        identity = next(CharacterGroup(m).elements())
+        reduced = reduce_character(m, identity)
+        assert reduced.kappa == 0
+        builder = GysinBuilder(reduced.matrix)
         for s in range(m.d + 1):
-            cc = build_character_complex(m, identity, s)
-            assert cc.kappa == 0
-            got = {} if cc.is_zero else cc.complex.cohomology_dims()
+            got = builder.complex_for_s(s).cohomology_dims()
             assert got == build_gysin_complex(m, s).cohomology_dims()
 
 
 def test_character_complex_zero_and_shift():
     group = CharacterGroup(M22)
     chi11 = group.character_from_lift((1, 1))
-    assert build_character_complex(M22, chi11, 1).is_zero
-    chi = group.character_from_lift((0, 1))
-    cc = build_character_complex(M22, chi, 1)
-    assert cc.kappa == 1
-    assert cc.reduced_matrix.n == 0
-    assert cc.complex.cohomology_dims() == {0: 1}  # lands in dims(2, 1)
+    assert isinstance(reduce_character(M22, chi11), ZeroComplex)
+    reduced = reduce_character(M22, group.character_from_lift((0, 1)))
+    assert reduced.kappa == 1
+    assert reduced.matrix.n == 0
+    # weight 1 of M22 is weight 1 - kappa of the reduced matrix
+    cx = GysinBuilder(reduced.matrix).complex_for_s(0)
+    assert cx.cohomology_dims() == {0: 1}  # lands in dims(2, 1)
 
 
 def test_standard_poincare():
@@ -569,13 +607,9 @@ def test_isolated_vertex_shift():
     graph = Graph.from_edges(4, [(1, 2), (2, 3)])  # vertex 0 isolated
     m = principal_from_graph(graph)
     builder = GysinBuilder(m)
-    family = [
-        [i for i in level if i & 1]
-        for level in builder.family.by_cardinality
-    ]
     sub = {}
     for s in range(m.d + 1):
-        cx = builder.complex_for_s(s, family)
+        cx = _restricted(builder.complex_for_s(s), 1)
         for p, h in cx.cohomology_dims().items():
             sub[(p + s, s)] = sub.get((p + s, s), 0) + h
     smaller = hodge_table(principal_from_graph(path_graph(3))).dims
@@ -673,20 +707,21 @@ def _reference_rho_columns(builder, i_mask, j, s):
     return src, dst, cols
 
 
-def _reference_columns(builder, s, family_masks):
+def _reference_columns(builder, s):
     """The differentials of the weight-s complex, blocks accumulated one by one."""
-    members = {m for level in family_masks for m in level}
+    levels = builder.family.by_cardinality
+    members = set(builder.family.all_masks())
     offsets = []
-    for level in family_masks:
+    for level in levels:
         offset, size = {}, 0
         for i_mask in sorted(level):
             offset[i_mask] = size
             size += len(builder.basis(i_mask).masks_of_degree(s))
         offsets.append((offset, size))
     columns = []
-    for p in range(len(family_masks) - 1):
+    for p in range(len(levels) - 1):
         cols = [dict() for _ in range(offsets[p][1])]
-        for i_mask in family_masks[p]:
+        for i_mask in levels[p]:
             src_off = offsets[p][0][i_mask]
             for j in range(builder.matrix.n):
                 new_mask = i_mask | (1 << j)
@@ -712,37 +747,34 @@ def _typed(columns):
     return [[{r: (type(v), v) for r, v in col.items()} for col in cols] for cols in columns]
 
 
-def _support_families(builder):
-    """The anticlique families hodge_table assembles: all, and each character support."""
-    families = [[list(level) for level in builder.family.by_cardinality]]
-    if rank_class(builder.matrix) is RankClass.FULL_RANK:
-        group = CharacterGroup(builder.matrix)
-        supports = {mask_of(group.support(chi)) for chi in group.elements()}
-        for j_mask in sorted(supports - {0}):
-            if builder.graph.is_independent(j_mask):
-                families.append(
-                    [
-                        [i for i in level if i & j_mask == j_mask]
-                        for level in builder.family.by_cardinality
-                    ]
-                )
-    return families
+def _built_matrices(m):
+    """m, and when m is of full but not really full rank, the reduced matrix
+    of each character support that hodge_table builds.  The rational frozen
+    rescale is not classified: only GysinBuilder accepts it."""
+    out = [m]
+    if not isinstance(m, RationalExchangeMatrix) and rank_class(m) is RankClass.FULL_RANK:
+        group = CharacterGroup(m)
+        reps = {group.support(chi): chi for chi in group.elements()}
+        for chi in reps.values():
+            reduced = reduce_character(m, chi)
+            if not isinstance(reduced, ZeroComplex):
+                out.append(reduced.matrix)
+    return out
 
 
 def test_assembly_matches_exterior_form_reference():
-    for m in assembly_corpus():
+    for m in [mm for m in assembly_corpus() for mm in _built_matrices(m)]:
         builder = GysinBuilder(m)
         for s in range(m.d + 1):
-            for family in _support_families(builder):
-                cx = builder.complex_for_s(s, family)
-                assert builder.cells(s, family) == sum(map(len, cx.labels))
-                want = _reference_columns(builder, s, family)
-                assert _typed(cx.columns) == _typed(want), (m.rows, s)
-                labels = [
-                    [(i, a) for i in sorted(level) for a in builder.basis(i).masks_of_degree(s)]
-                    for level in family
-                ]
-                assert cx.labels == labels, (m.rows, s)
+            cx = builder.complex_for_s(s)
+            assert builder.cells(s) == sum(map(len, cx.labels))
+            want = _reference_columns(builder, s)
+            assert _typed(cx.columns) == _typed(want), (m.rows, s)
+            labels = [
+                [(i, a) for i in level for a in builder.basis(i).masks_of_degree(s)]
+                for level in builder.family.by_cardinality
+            ]
+            assert cx.labels == labels, (m.rows, s)
             for i_mask in builder.family.all_masks():
                 for j in range(m.n):
                     j_mask = i_mask | (1 << j)
@@ -754,28 +786,26 @@ def test_assembly_matches_exterior_form_reference():
                     assert _typed([got[2]]) == _typed([want[2]]), (m.rows, i_mask, j, s)
 
 
-def test_weight_order_and_family_do_not_change_a_complex():
-    # one builder builds every weight ascending, then descending, over every
-    # support family; each complex must equal a fresh builder's, and the
-    # builder keeps nothing but its per-anticlique records
-    for m in assembly_corpus() + full_rank_corpus():
+def test_weight_order_does_not_change_a_complex():
+    # one builder builds every weight ascending, then descending; each
+    # complex must equal a fresh builder's, and the builder keeps nothing
+    # but its per-anticlique records
+    for m in [mm for m in assembly_corpus() + full_rank_corpus() for mm in _built_matrices(m)]:
         builder = GysinBuilder(m)
-        families = _support_families(builder)
         weights = list(range(m.d + 1))
         for s in weights + weights[::-1]:
-            for family in families:
-                got = builder.complex_for_s(s, family)
-                want = GysinBuilder(m).complex_for_s(s, family)
-                assert got.labels == want.labels, (m.rows, s)
-                assert _typed(got.columns) == _typed(want.columns), (m.rows, s)
-                assert got.matching == want.matching, (m.rows, s)
+            got = builder.complex_for_s(s)
+            want = GysinBuilder(m).complex_for_s(s)
+            assert got.labels == want.labels, (m.rows, s)
+            assert _typed(got.columns) == _typed(want.columns), (m.rows, s)
+            assert got.matching == want.matching, (m.rows, s)
         assert set(vars(builder)) == {"matrix", "graph", "family", "_basis"}
 
 
 def _morse_corpus():
     """Principal matrices of every connected graph with at most 5 vertices, 40
     random acyclic matrices, and the star Z_6 with frozen block 2I, whose
-    character supports give sub-families."""
+    character supports give reduced matrices."""
     out = [principal_from_graph(g) for v in range(1, 6) for g in connected_graphs(v)]
     rng = random.Random(1212)
     out += [random_acyclic_matrix(rng, 5, 5) for _ in range(40)]
@@ -786,11 +816,10 @@ def _morse_corpus():
 
 
 def _morse_cases():
-    for m in _morse_corpus():
+    for m in [mm for m in _morse_corpus() for mm in _built_matrices(m)]:
         builder = GysinBuilder(m)
-        for family in _support_families(builder):
-            for s in range(m.d + 1):
-                yield m, s, builder.complex_for_s(s, family)
+        for s in range(m.d + 1):
+            yield m, s, builder.complex_for_s(s)
 
 
 def test_element_matching_is_acyclic():

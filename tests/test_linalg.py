@@ -91,6 +91,22 @@ def test_snf_rank_matches_elimination(mat):
         assert gcd(*piv.values()) == 1
 
 
+
+def test_snf_refuses_entries_that_are_not_integers():
+    # int() would truncate 1/2 to 0 and read this rational matrix as
+    # [[0, 1], [-1, 0], [0, 0]], of really full rank
+    from clusterhodge.exchange import rank_class, validate_rational
+
+    half = Fraction(1, 2)
+    with pytest.raises(ValueError, match="integer entries"):
+        smith_normal_form([[0, 1], [-1, 0], [half, half]])
+    with pytest.raises(ValueError, match="integer entries"):
+        rank_class(validate_rational([[0, 1], [-1, 0], [half, half]], 2, 1))
+    with pytest.raises(ValueError, match="integer entries"):
+        smith_normal_form([[2.5]])
+    # integral values of another type are read exactly
+    assert smith_normal_form([[Fraction(4), 0], [0, Fraction(6)]]).diag == (2, 12)
+
 def test_rank_examples():
     assert rank([]) == 0
     assert rank([{0: 0}]) == 0
