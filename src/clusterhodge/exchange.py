@@ -379,8 +379,15 @@ def reduce_character(
     """
     if not is_acyclic(matrix):
         raise NotAcyclic("character reduction needs an acyclic quiver")
-    group = CharacterGroup(matrix)
-    j_set = sorted(group.support(chi))
+    return _reduce_support(matrix, CharacterGroup(matrix).support(chi))
+
+
+def _reduce_support(
+    matrix: ExtendedExchangeMatrix, support: frozenset[int]
+) -> ReducedCharacter | ZeroComplex:
+    """``reduce_character`` for every character whose support J(chi) is
+    ``support``: the reduction reads nothing of chi but its support."""
+    j_set = sorted(support)
     if not underlying_graph(matrix).is_independent(mask_of(j_set)):
         return ZERO_COMPLEX
     kappa = len(j_set)

@@ -28,10 +28,11 @@ filtration order.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from bisect import bisect_right
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations, repeat
 from math import comb
 
 from .errors import (
@@ -47,20 +48,24 @@ from .errors import (
     TooLarge,
 )
 from .exchange import (
-    Character,
     CharacterGroup,
     ExtendedExchangeMatrix,
     RankClass,
     ZeroComplex,
     is_acyclic,
     is_principal,
+    _reduce_support,
     rank_class,
-    reduce_character,
     underlying_graph,
 )
 from .exterior import ExteriorForm, bits, mask_of
 from .graphs import anticliques
-from .linalg import CochainComplexQ, Echelon, morse_reduce
+from .linalg import (
+    CochainComplexQ,
+    Echelon,
+    Position,
+    morse_reduce_positions,
+)
 from .poly import IntPolynomial
 
 Label = tuple[int, int]  # (anticlique mask, A mask)
@@ -88,6 +93,7 @@ class GModuleBasis:
     row_selection: tuple[int, ...]  # N(I)
     row_mask: int  # N(I) as a row mask
     allowed: int  # the dlog's an A mask may hold: those outside I and N(I)
+    top_down: tuple[int, ...]  # the allowed dlog's as one-bit masks, highest first
     substitution: dict[int, dict[int, Fraction | int]]
 
     @property
@@ -104,10 +110,39 @@ class GModuleBasis:
         k = s - len(self.anticlique)
         if k < 0:
             return []
-        top_down = [1 << r for r in reversed(bits(self.allowed))]
-        masks = list(map(sum, combinations(top_down, k)))
+        masks = list(map(sum, combinations(self.top_down, k)))
         masks.reverse()
         return masks
+
+
+class PositionLabels(Sequence):
+    """The labels (I, A) of one position of a weight slice, made on demand.
+
+    The position holds each member I's A masks, ascending, after those of
+    the members before it; ``starts`` has each member's first cell.  A
+    streamed reduction reads the labels of the critical cells only.
+    """
+
+    def __init__(self, members: list[int], masks: list[list[int]]):
+        self.members, self.masks = members, masks
+        self.starts = []
+        size = 0
+        for a_masks in masks:
+            self.starts.append(size)
+            size += len(a_masks)
+        self.size = size
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, c: int) -> Label:
+        k = bisect_right(self.starts, c) - 1
+        return self.members[k], self.masks[k][c - self.starts[k]]
+
+    def __iter__(self) -> Iterator[Label]:
+        return chain.from_iterable(
+            zip(repeat(i_mask), a_masks) for i_mask, a_masks in zip(self.members, self.masks)
+        )
 
 
 def _inverse(mat: list[list]) -> list[list]:
@@ -207,8 +242,9 @@ class GysinBuilder:
                 v = -sum(ci * rows[r][i] for ci, i in c)
                 if v:
                     terms[1 << r] = v.numerator if v.denominator == 1 else v
+        top_down = tuple(1 << r for r in reversed(free))
         result = GModuleBasis(
-            tuple(cols), tuple(selected), row_mask, allowed, substitution
+            tuple(cols), tuple(selected), row_mask, allowed, top_down, substitution
         )
         self._basis[i_mask] = result
         return result
@@ -249,8 +285,12 @@ class GysinBuilder:
         src_off: int,
         dst_rows: dict[int, int],
         eps: int,
-    ) -> list[int]:
-        """Add eps * rho, from G^I to G^{I u j} at one weight, into cols.
+        below: bytearray,
+        above: bytearray,
+        up: dict[int, int],
+    ) -> None:
+        """Add eps * rho, from G^I to G^{I u j} at one weight, into cols, and
+        match its unit entries as they are written.
 
         ``src_masks`` are the A masks of G^I at that weight, ascending, and
         ``dst_rows`` maps each A mask of G^{I u j} at that weight to its row.
@@ -263,43 +303,40 @@ class GysinBuilder:
         dlog x_t is left over from N(J); it is replaced by the target
         record's ``substitution[t]``, a combination of free dlog's, written
         term by term.  When A - j avoids t the image is the single unit
-        entry +-1 at (I u j, A - j); the column and row of each such entry
-        are returned in the order written, as one flat list c0, r0, c1, r1,
-        ... (no tuples for the garbage collector to track).
+        entry +-1 at (I u j, A - j); it is matched, ``up[column] = row``,
+        when neither its column nor its row is marked in ``below`` and
+        ``above`` (the cells already matched), and both are then marked.
         """
         j_bit = 1 << j
         source, target = self.basis(i_mask), self.basis(i_mask | j_bit)
         t_bit = target.row_mask & ~source.row_mask
         assert t_bit.bit_count() == 1, "N(I u j) must be N(I) plus one row"
-        sub_t = target.substitution[t_bit.bit_length() - 1]
-        terms = [(bit, -bit, c2) for bit, c2 in sub_t.items()]
-        parity = i_mask.bit_count() + (i_mask >> (j + 1)).bit_count()
-        above_j, above_t = j + 1, -t_bit
-        units = []
-        c = src_off - 1
-        for a_mask in src_masks:
-            c += 1
-            if not a_mask & j_bit:
-                continue
-            sign = -eps if (parity + (a_mask >> above_j).bit_count()) & 1 else eps
-            a0 = a_mask ^ j_bit
-            col = cols[c]
-            if not a0 & t_bit:
-                row = dst_rows[a0]
-                col[row] = sign
-                units += c, row
-                continue
-            # e_{A0} = (-1)^{#A0 above t} e_rest ^ dlog x_t, then substitute dlog x_t
-            rest = a0 ^ t_bit
-            if (rest & above_t).bit_count() & 1:
-                sign = -sign
-            for bit, above_bit, c2 in terms:
-                if not rest & bit:
-                    v = sign * c2
-                    col[dst_rows[rest | bit]] = (
-                        -v if (rest & above_bit).bit_count() & 1 else v
-                    )
-        return units
+        if (i_mask.bit_count() + (i_mask >> (j + 1)).bit_count()) & 1:
+            eps = -eps
+        # A = rest + j + t: the Koszul signs of j in A, of t in A - j and of the
+        # substituted bit in rest come to the parity of rest on one mask per
+        # bit, and to that of [t > j]
+        above_j = j + 1
+        jt = j_bit | t_bit
+        outer = -eps if t_bit > j_bit else eps
+        terms = [
+            (bit, -(j_bit << 1) ^ -t_bit ^ -bit, outer * c2)
+            for bit, c2 in target.substitution[t_bit.bit_length() - 1].items()
+        ]
+        for c, a_mask in enumerate(src_masks, src_off):
+            held = a_mask & jt
+            if held == j_bit:
+                row = dst_rows[a_mask ^ j_bit]
+                cols[c][row] = -eps if (a_mask >> above_j).bit_count() & 1 else eps
+                if not (below[c] or above[row]):
+                    up[c] = row
+                    below[c] = above[row] = 1
+            elif held == jt:
+                rest = a_mask ^ jt
+                col = cols[c]
+                for bit, signs, v in terms:
+                    if not rest & bit:
+                        col[dst_rows[rest | bit]] = -v if (rest & signs).bit_count() & 1 else v
 
     def rho_columns(
         self, i_mask: int, j: int, s: int
@@ -311,67 +348,99 @@ class GysinBuilder:
         src = self.basis(i_mask).masks_of_degree(s)
         dst = self.basis(i_mask | (1 << j)).masks_of_degree(s)
         cols: list[dict[int, Fraction | int]] = [dict() for _ in src]
-        self._rho_into(cols, i_mask, j, src, 0, {a: r for r, a in enumerate(dst)}, 1)
+        rows = {a: r for r, a in enumerate(dst)}
+        self._rho_into(
+            cols, i_mask, j, src, 0, rows, 1, bytearray(len(src)), bytearray(len(dst)), {}
+        )
         return src, dst, cols
 
     # -- full complexes ------------------------------------------------------
 
-    def complex_for_s(self, s: int) -> CochainComplexQ:
-        """The weight-s slice over every anticlique.
+    def stream_for_s(self, s: int) -> Iterator[Position]:
+        """The weight-s slice, written one position at a time.
 
         Position p holds the anticliques of size p, each one's A masks
-        ascending.  The block from I to I u {j} fills the rows of I u {j},
-        so blocks for different j never overlap, and each column takes its
-        blocks in ascending j whichever loop runs outside.  The complex is
-        checked to square to zero.
+        ascending.  It is yielded as (labels, columns, matching), the
+        columns being the images of its cells in position p + 1 (None at
+        the top), once every block out of it is written: for each I of
+        size p, ascending, the blocks I -> I u {j} for j ascending.  The
+        block from I to I u {j} fills the rows of I u {j}, so blocks for
+        different j never overlap.  Only positions p and p + 1 are indexed
+        while p is written, and nothing of p is kept after it is yielded.
 
-        It carries the sequential element matching of its unit entries, made
-        as the blocks are written, one mutable j at a time in ascending
-        order: a unit entry from (I, A) to (I u j, A - j) is matched when
-        both cells are still unmatched (the entries of one j never share a
-        cell).  These entries keep the filtration level, and on a graded
-        piece the matching is the sequential element matching of an
-        independence complex.  A slice of more than GYSIN_CELL_GUARD cells
-        is refused with TooLarge before anything is built.
+        The matching is the sequential element matching of the unit
+        entries, made as the blocks are written: a unit entry from (I, A)
+        to (I u j, A - j) is matched when both cells are still unmatched.
+        These entries keep the filtration level, and on a graded piece the
+        matching is the sequential element matching of an independence
+        complex.  Nothing checks d^2 = 0 here: ``complex_for_s`` and
+        ``linalg.morse_reduce_positions`` do.  A slice of more than
+        GYSIN_CELL_GUARD cells is refused with TooLarge before anything is
+        built.
         """
-        levels = self.family.by_cardinality  # each level ascending
         self.require_cells([s])
-        masks: dict[int, list[int]] = {}  # each member's A masks of weight s
+        levels = self.family.by_cardinality  # each level ascending
+        masks: dict[int, list[int]] = {}  # A masks of weight s, levels p and p + 1
         offset: dict[int, int] = {}  # each member's first cell in its position
-        labels: list[list[Label]] = []
-        for level in levels:
-            position_labels: list[Label] = []
-            for i_mask in level:
-                offset[i_mask] = len(position_labels)
-                masks[i_mask] = self.basis(i_mask).masks_of_degree(s)
-                position_labels += [(i_mask, a) for a in masks[i_mask]]
-            labels.append(position_labels)
-        rows: dict[int, dict[int, int]] = {}  # each target's row per A mask
-        columns = [[{} for _ in labels[p]] for p in range(len(labels) - 1)]
-        matching: list[dict[int, int]] = [{} for _ in columns]
-        taken = [bytearray(len(pos)) for pos in labels]  # matched cells
-        for j in range(self.matrix.n):
-            for p, cols in enumerate(columns):
-                below, above, up = taken[p], taken[p + 1], matching[p]
-                for i_mask in levels[p]:
+
+        def index(level: list[int]) -> PositionLabels:
+            labels = PositionLabels(level, [self.basis(i).masks_of_degree(s) for i in level])
+            for i_mask, off, a_masks in zip(level, labels.starts, labels.masks):
+                offset[i_mask], masks[i_mask] = off, a_masks
+            return labels
+
+        labels = index(levels[0])
+        taken = bytearray(len(labels))  # cells of position p matched from below
+        for p in range(1, len(levels)):
+            next_labels = index(levels[p])
+            next_taken = bytearray(len(next_labels))
+            cols: list[dict[int, Fraction | int]] = [{} for _ in range(len(labels))]
+            up: dict[int, int] = {}
+            rows: dict[int, dict[int, int]] = {}  # each target's row per A mask
+            for j in range(self.matrix.n):
+                for i_mask in levels[p - 1]:
                     new_mask = i_mask | (1 << j)
                     if new_mask == i_mask or new_mask not in masks:
                         continue
                     dst_rows = rows.get(new_mask)
                     if dst_rows is None:
                         off = offset[new_mask]
-                        dst_rows = rows[new_mask] = {
-                            a: off + r for r, a in enumerate(masks[new_mask])
-                        }
+                        a_masks = masks[new_mask]
+                        dst_rows = rows[new_mask] = dict(
+                            zip(a_masks, range(off, off + len(a_masks)))
+                        )
                     eps = -1 if (i_mask & ((1 << j) - 1)).bit_count() & 1 else 1
-                    units = self._rho_into(
-                        cols, i_mask, j, masks[i_mask], offset[i_mask], dst_rows, eps
+                    self._rho_into(
+                        cols,
+                        i_mask,
+                        j,
+                        masks[i_mask],
+                        offset[i_mask],
+                        dst_rows,
+                        eps,
+                        taken,
+                        next_taken,
+                        up,
                     )
-                    pairs = iter(units)
-                    for c, r in zip(pairs, pairs):
-                        if not (below[c] or above[r]):
-                            up[c] = r
-                            below[c] = above[r] = 1
+            del rows, dst_rows
+            for i_mask in levels[p - 1]:
+                del masks[i_mask], offset[i_mask]
+            yield labels, cols, up
+            labels, taken = next_labels, next_taken
+        yield labels, None, {}
+
+    def complex_for_s(self, s: int) -> CochainComplexQ:
+        """The weight-s slice over every anticlique, every position of
+        ``stream_for_s`` stored, with its matching; it is checked to square
+        to zero.  A slice of more than GYSIN_CELL_GUARD cells is refused
+        with TooLarge before anything is built.
+        """
+        labels, columns, matching = [], [], []
+        for pos_labels, cols, up in self.stream_for_s(s):
+            labels.append(list(pos_labels))
+            if cols is not None:
+                columns.append(cols)
+                matching.append(up)
         cx = CochainComplexQ(labels, columns, matching)
         cx.verify_d2()
         return cx
@@ -523,22 +592,25 @@ def hodge_table(matrix: ExtendedExchangeMatrix) -> HodgeTable:
     rc = rank_class(matrix)
     if rc is RankClass.NOT_FULL_RANK:
         raise NotFullRank("matrix is not of full rank")
-    parts = [(0, builder, 1)]  # (kappa, builder, number of characters)
+    parts = {(0, matrix): 1}  # (kappa, matrix) -> number of characters
     if rc is not RankClass.REALLY_FULL_RANK:
         group = CharacterGroup(matrix)
-        by_support: dict[frozenset[int], list[Character]] = {}
+        by_support: dict[frozenset[int], int] = {}
         for chi in group.elements():
-            by_support.setdefault(group.support(chi), []).append(chi)
-        parts = []
-        for chars in by_support.values():
-            reduced = reduce_character(matrix, chars[0])
+            support = group.support(chi)
+            by_support[support] = by_support.get(support, 0) + 1
+        parts = {}
+        for support, mult in by_support.items():
+            reduced = _reduce_support(matrix, support)
             if not isinstance(reduced, ZeroComplex):
-                parts.append((reduced.kappa, GysinBuilder(reduced.matrix), len(chars)))
+                key = (reduced.kappa, reduced.matrix)
+                parts[key] = parts.get(key, 0) + mult
     dims: dict[tuple[int, int], int] = {}
-    for kappa, part, mult in parts:
-        for s in range(part.matrix.d + 1):
-            # one weight's complex at a time: each is dropped before the next
-            morse, _ = morse_reduce(part.complex_for_s(s))
+    for (kappa, part), mult in parts.items():
+        part_builder = builder if part is matrix else GysinBuilder(part)
+        for s in range(part.d + 1):
+            # one weight at a time, two positions of it at a time
+            morse, _ = morse_reduce_positions(part_builder.stream_for_s(s))
             for p, h in morse.cohomology_dims().items():
                 key = (p + s + 2 * kappa, s + kappa)
                 dims[key] = dims.get(key, 0) + h * mult

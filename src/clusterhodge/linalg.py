@@ -24,6 +24,7 @@ need explicit saturation bases, not just invariant factors.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
@@ -243,18 +244,7 @@ class CochainComplexQ:
         if self._d2_verified is self.columns:
             return
         for p in range(len(self.columns) - 1):
-            nxt = self.columns[p + 1]
-            for col in self.columns[p]:
-                acc: Row = {}
-                for mid, coeff in col.items():
-                    for row, c2 in nxt[mid].items():
-                        w = acc.get(row, 0) + coeff * c2
-                        if w:
-                            acc[row] = w
-                        else:
-                            acc.pop(row, None)
-                if acc:
-                    raise ConsistencyError("differential does not square to zero")
+            _check_square(self.columns[p], self.columns[p + 1])
         self._d2_verified = self.columns
 
     def cohomology_dims(self) -> dict[int, int]:
@@ -294,13 +284,72 @@ class CochainComplexQ:
 _PENDING = object()  # marks a flow being computed
 _CHECKED = object()  # marks a matched target that no critical cell reaches
 
+# one position of a complex, in order: its labels, its columns (None at the
+# top) and its matching into the position above
+Position = tuple[list, list[Row] | None, dict[int, int]]
+
+
+def _check_square(cols: list[Row], nxt: list[Row]) -> None:
+    """Raise ConsistencyError unless every column of cols, pushed through
+    nxt (the differential out of the position it lands in), is zero."""
+    for col in cols:
+        acc: Row = {}
+        for mid, coeff in col.items():
+            for row, c2 in nxt[mid].items():
+                if row in acc:
+                    w = acc[row] + coeff * c2
+                    if w:
+                        acc[row] = w
+                    else:
+                        del acc[row]
+                else:
+                    acc[row] = coeff * c2
+        if acc:
+            raise ConsistencyError("differential does not square to zero")
+
 
 def morse_reduce(cx: CochainComplexQ) -> tuple[CochainComplexQ, list[list[int]]]:
     """The Morse complex of cx along ``cx.matching`` (algebraic Morse theory),
     and the places in cx of its cells, ascending, per position.
 
-    The unmatched (critical) cells span it, labels kept; an empty matching
-    leaves every cell critical and gives cx back as a new complex.  Its
+    The reducer of ``morse_reduce_positions`` run over the stored positions,
+    without its d^2 check: cx is checked by ``cx.verify_d2`` after the
+    reduction, which returns at once when cx already passed (as every
+    ``complex_for_s`` result has).  An empty matching leaves every cell
+    critical and gives cx back as a new complex.
+    """
+    positions = (
+        (
+            labels,
+            cx.columns[p] if p < len(cx.columns) else None,
+            cx.matching[p] if p < len(cx.matching) else {},
+        )
+        for p, labels in enumerate(cx.labels)
+    )
+    return _reduce(positions, cx)
+
+
+def morse_reduce_positions(
+    positions: Iterable[Position],
+) -> tuple[CochainComplexQ, list[list[int]]]:
+    """The Morse complex of a complex given one position at a time, and the
+    places of its cells as ``morse_reduce`` returns them.
+
+    Each position comes as (labels, columns, matching): its cells' labels,
+    the images of its cells one position up (None at the top) and its
+    matched pairs (cell -> cell one position up).  At most two positions of
+    columns are held: position p - 1 is checked, reduced and dropped as
+    soon as position p arrives, d^2 = 0 included.
+    """
+    return _reduce(positions, None)
+
+
+def _reduce(
+    positions: Iterable[Position], stored: CochainComplexQ | None
+) -> tuple[CochainComplexQ, list[list[int]]]:
+    """The one Morse reducer, over a window of two positions.
+
+    The unmatched (critical) cells span the Morse complex, labels kept.  Its
     differential from a critical c to a critical c' one position up sums,
     over every zig-zag path c -> t_1 <- c_1 -> t_2 <- ... -> c' whose steps
     t_i <- c_i go back along matched pairs, the product of the entries going
@@ -308,44 +357,50 @@ def morse_reduce(cx: CochainComplexQ) -> tuple[CochainComplexQ, list[list[int]]]
     Kozlov, Combinatorial Algebraic Topology, ch. 11).  The matched entries
     are +-1, so nothing is divided and integer complexes stay integral.
 
-    Per position, one flow is kept for each matched target t that a
-    critical column reaches: the combination of critical cells that t
-    stands for, -d(c)[t] times the image of its partner c less t itself,
-    its other matched targets replaced by their flows.  Flows are computed
-    depth first with an explicit stack and an in-progress mark; a target
-    met again while its flow is in progress closes a cycle.  A cycle that
-    no critical cell reaches still breaks the reduction, so the targets no
-    flow needs are walked too, without arithmetic.  A pair whose entry is
-    not +-1, a cell matched twice or a cycle raises ConsistencyError.  The
-    Morse complex has the same cohomology as cx.  Then d^2 = 0 is checked on
-    cx and on the Morse complex (clearing ranks exactly only then), and the
-    two are checked to have the same Euler characteristic.
+    When position p arrives, position p - 1 is finished in turn: unless the
+    complex is ``stored`` (checked by its own ``verify_d2`` below), d^2 = 0
+    on every column of p - 1 against those of p; each cell matched at most
+    once and each matched entry a unit; every matched target of p walked for
+    cycles, and the flows computed (``_flows``); then the Morse columns of
+    p - 1 are emitted and its columns dropped.  A pair whose entry is not
+    +-1, a cell matched twice or a cycle raises ConsistencyError.  The Morse
+    complex has the same cohomology as the input.  Last, d^2 = 0 is checked
+    on the Morse complex (clearing ranks exactly only then), and its Euler
+    characteristic against the input's cell counts.
     """
-    up = [cx.matching[p] if p < len(cx.matching) else {} for p in range(cx.positions)]
-    down: list[dict[int, int]] = [{}]  # per position: matched target -> partner
-    for p in range(cx.positions - 1):
-        partner = {t: c for c, t in up[p].items()}
-        if len(partner) != len(up[p]) or not partner.keys().isdisjoint(up[p + 1]):
+    labels: list[list] = []
+    columns: list[list[Row]] = []
+    kept: list[list[int]] = []
+    euler = 0
+    below: tuple[list[Row] | None, dict[int, int]] | None = None  # p - 1
+    critical_below: dict[int, int] = {}
+    for p, (pos_labels, cols, up) in enumerate(positions):
+        euler += -len(pos_labels) if p & 1 else len(pos_labels)
+        partner: dict[int, int] = {}  # matched target -> its partner below
+        if below is not None:
+            cols_below, up_below = below
+            if stored is None and cols_below is not None and cols is not None:
+                _check_square(cols_below, cols)
+            partner = {t: c for c, t in up_below.items()}
+            if len(partner) != len(up_below):
+                raise ConsistencyError("a cell is matched twice")
+        if not partner.keys().isdisjoint(up):
             raise ConsistencyError("a cell is matched twice")
-        down.append(partner)
-    kept = [
-        sorted(set(range(cx.dim(p))).difference(up[p], down[p]))
-        for p in range(cx.positions)
-    ]
-    # per position: critical cell -> its place in the Morse complex
-    critical = [{c: k for k, c in enumerate(cells)} for cells in kept]
-    columns = []
-    for p, cols in enumerate(cx.columns):
-        above = critical[p + 1]
-        flows = _flows(cols, down[p + 1], above, critical[p])
-        columns.append(
-            [_morse_image(cols[c], None, above, flows, 1) for c in critical[p]]
-        )
-    labels = [[cx.labels[p][c] for c in cells] for p, cells in enumerate(kept)]
+        cells = sorted(set(range(len(pos_labels))).difference(up, partner))
+        critical = {c: k for k, c in enumerate(cells)}
+        if below is not None and cols_below is not None:
+            flows = _flows(cols_below, partner, critical, critical_below)
+            columns.append(
+                [_morse_image(cols_below[c], None, critical, flows, 1) for c in critical_below]
+            )
+        labels.append([pos_labels[c] for c in cells])
+        kept.append(cells)
+        below, critical_below = (cols, up), critical
     morse = CochainComplexQ(labels, columns)
-    cx.verify_d2()
+    if stored is not None:
+        stored.verify_d2()
     morse.verify_d2()
-    if morse.euler_characteristic != cx.euler_characteristic:
+    if morse.euler_characteristic != euler:
         raise ConsistencyError("the Morse complex changes the Euler characteristic")
     return morse, kept
 
@@ -376,25 +431,27 @@ def _flows(
 ) -> dict[int, Row]:
     """The flows of the matched targets that the columns ``sources`` reach.
 
-    A successor of a matched target t is a matched target other than t in
-    the column of t's partner.  Every matched target with a successor is
-    walked, so a cycle anywhere is found; those no source reaches keep no
-    flow.  Each matched entry is checked to be a unit on the way.
+    A flow is kept for each matched target t that a source column reaches:
+    the combination of critical cells that t stands for, -d(c)[t] times the
+    image of its partner c less t itself, its other matched targets replaced
+    by their flows.  A successor of t is a matched target other than t in
+    the column of t's partner, read from that column as the walk goes.
+    Flows are computed depth first with an explicit stack and an
+    in-progress mark; a target met again while its flow is in progress
+    closes a cycle.  A cycle that no source reaches still breaks the
+    reduction, so every other matched target is walked too, without
+    arithmetic.  Each matched entry is checked to be a unit first.
     """
-    succ = {}
-    targets = partner.keys()
+    branching: dict[int, Row] = {}  # target -> partner's column, if it has more
     for t, c in partner.items():
         col = cols[c]
         if col.get(t) not in (1, -1):
             raise ConsistencyError("a matched entry is not a unit")
         if len(col) > 1:
-            out = col.keys() & targets
-            out.discard(t)
-            if out:
-                succ[t] = out
+            branching[t] = col
     flows: dict = {}
-    reached = [z for c in sources for z in cols[c] if z in partner]
-    for keep, starts in ((True, reached), (False, succ)):
+    reached = [z for c in sources for z in cols[c] if z in branching]
+    for keep, starts in ((True, reached), (False, branching)):
         for start in starts:
             if start in flows:
                 continue
@@ -402,22 +459,22 @@ def _flows(
             stack = [start]
             while stack:
                 t = stack[-1]
-                for z in succ.get(t, ()):
-                    state = flows.get(z)
-                    if state is None:
-                        flows[z] = _PENDING
-                        stack.append(z)
-                        break
-                    if state is _PENDING:
-                        raise ConsistencyError("the matching has a cycle")
+                col = branching[t]
+                for z in col:
+                    if z in branching and z != t:
+                        state = flows.get(z)
+                        if state is None:
+                            flows[z] = _PENDING
+                            stack.append(z)
+                            break
+                        if state is _PENDING:
+                            raise ConsistencyError("the matching has a cycle")
                 else:
                     stack.pop()
-                    if keep:
-                        col = cols[partner[t]]
-                        # the step back along (partner, t) weighs -1/u = -u for a unit u
-                        flows[t] = _morse_image(col, t, critical, flows, -col[t])
-                    else:
-                        flows[t] = _CHECKED
+                    # the step back along (partner, t) weighs -1/u = -u for a unit u
+                    flows[t] = (
+                        _morse_image(col, t, critical, flows, -col[t]) if keep else _CHECKED
+                    )
     return flows
 
 

@@ -89,6 +89,32 @@ def matching_is_acyclic(cx) -> bool:
     return True
 
 
+def j_major_matching(cx, n: int) -> list[dict[int, int]]:
+    """The element matching of a Gysin complex, made in the order the
+    package used before it wrote one position at a time: j-major, each
+    mutable j ascending over every position in turn, a position's sources
+    in cell order.  The unit entry of the block I -> I u {j} from (I, A) is
+    the one at (I u {j}, A - {j}) when that cell exists; it is matched when
+    neither cell is matched yet.  A reference for the position-major
+    matching that ``GysinBuilder.stream_for_s`` makes as it writes."""
+    index = [{label: r for r, label in enumerate(pos)} for pos in cx.labels]
+    taken = [bytearray(len(pos)) for pos in cx.labels]
+    matching: list[dict[int, int]] = [{} for _ in cx.columns]
+    for j in range(n):
+        bit = 1 << j
+        for p in range(len(cx.columns)):
+            for c, (i_mask, a_mask) in enumerate(cx.labels[p]):
+                if i_mask & bit or not a_mask & bit:
+                    continue
+                r = index[p + 1].get((i_mask | bit, a_mask ^ bit))
+                if r is None or taken[p][c] or taken[p + 1][r]:
+                    continue
+                assert cx.columns[p][c][r] in (1, -1)
+                matching[p][c] = r
+                taken[p][c] = taken[p + 1][r] = 1
+    return matching
+
+
 def submasks(mask: int):
     """Every submask of mask, the mask itself first and 0 last."""
     sub = mask

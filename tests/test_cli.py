@@ -326,9 +326,9 @@ def test_check_exits_1_when_d_squared_fails(tmp_path, capsys, monkeypatch):
     path.write_text("3 3\n0 1 0\n-1 0 1\n0 -1 0\n1 0 0\n0 1 0\n0 0 1\n")
     original = GysinBuilder._rho_into
 
-    def unsigned(self, cols, i_mask, j, src_masks, src_off, dst_rows, eps):
+    def unsigned(self, cols, i_mask, j, src_masks, src_off, dst_rows, eps, *matching):
         # without the block sign the square {} -> {0}, {2} -> {0, 2} fails
-        return original(self, cols, i_mask, j, src_masks, src_off, dst_rows, 1)
+        return original(self, cols, i_mask, j, src_masks, src_off, dst_rows, 1, *matching)
 
     monkeypatch.setattr(GysinBuilder, "_rho_into", unsigned)
     assert main(["check", "--input", str(path)]) == 1

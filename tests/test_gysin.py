@@ -55,6 +55,7 @@ from clusterhodge.linalg import (
     Echelon,
     Quotient,
     morse_reduce,
+    morse_reduce_positions,
     rank,
 )
 from clusterhodge.poly import IntPolynomial
@@ -63,6 +64,7 @@ from conftest import (
     assembly_corpus,
     corpus,
     full_rank_corpus,
+    j_major_matching,
     mat_mul,
     matching_is_acyclic,
     random_acyclic_matrix,
@@ -815,11 +817,34 @@ def _morse_corpus():
     return out
 
 
-def _morse_cases():
+def _morse_cases(streamed=False):
+    """(m, s, complex_for_s(s)) for every weight of every matrix built from
+    _morse_corpus(); with ``streamed``, each with the Morse complex and kept
+    cells that morse_reduce_positions makes of stream_for_s(s)."""
     for m in [mm for m in _morse_corpus() for mm in _built_matrices(m)]:
         builder = GysinBuilder(m)
         for s in range(m.d + 1):
-            yield m, s, builder.complex_for_s(s)
+            if streamed:
+                yield m, s, builder.complex_for_s(s), morse_reduce_positions(
+                    builder.stream_for_s(s)
+                )
+            else:
+                yield m, s, builder.complex_for_s(s)
+
+
+def test_streamed_morse_complex_equals_the_stored_one():
+    # hodge_table reduces each weight position by position; the complex
+    # stored whole and reduced by morse_reduce gives the same Morse complex
+    for m, s, cx, (got, got_kept) in _morse_cases(streamed=True):
+        want, want_kept = morse_reduce(cx)
+        assert got.labels == want.labels, (m.rows, s)
+        assert _typed(got.columns) == _typed(want.columns), (m.rows, s)
+        assert got_kept == want_kept, (m.rows, s)
+
+
+def test_position_major_matching_equals_the_j_major_one():
+    for m, s, cx in _morse_cases():
+        assert cx.matching == j_major_matching(cx, m.n), (m.rows, s)
 
 
 def test_element_matching_is_acyclic():
@@ -855,12 +880,76 @@ def test_hodge_table_verifies_d2(monkeypatch):
     m = principal_from_graph(path_graph(3))
     original = GysinBuilder._rho_into
 
-    def unsigned(self, cols, i_mask, j, src_masks, src_off, dst_rows, eps):
-        return original(self, cols, i_mask, j, src_masks, src_off, dst_rows, 1)
+    def unsigned(self, cols, i_mask, j, src_masks, src_off, dst_rows, eps, *matching):
+        return original(self, cols, i_mask, j, src_masks, src_off, dst_rows, 1, *matching)
 
     monkeypatch.setattr(GysinBuilder, "_rho_into", unsigned)
     with pytest.raises(ConsistencyError, match="square to zero"):
         hodge_table(m)
+
+
+def _top_level(builder, s):
+    """The highest position of the weight-s slice that holds a cell."""
+    return max(
+        p
+        for p, level in enumerate(builder.family.by_cardinality)
+        if any(builder.basis(i).masks_of_degree(s) for i in level)
+    )
+
+
+def test_hodge_table_checks_d2_at_the_last_pair_of_positions(monkeypatch):
+    # one block out of the highest nonempty level below the top of weight 6
+    # of P_5 changes sign: only the composite through the last two positions
+    # fails to square to zero
+    m = principal_from_graph(path_graph(5))
+    builder = GysinBuilder(m)
+    s, top = 6, _top_level(builder, 6)
+    assert top == 3
+    i_mask = builder.family.by_cardinality[top - 1][0]
+    j = min(j for j in range(m.n) if (i_mask | 1 << j) in builder.family.by_cardinality[top])
+    original = GysinBuilder._rho_into
+    flipped = []
+
+    def flip(self, cols, i, jj, src_masks, src_off, dst_rows, eps, *matching):
+        if (i, jj) == (i_mask, j) and src_masks and i.bit_count() + src_masks[0].bit_count() == s:
+            eps = -eps
+            flipped.append(i)
+        return original(self, cols, i, jj, src_masks, src_off, dst_rows, eps, *matching)
+
+    monkeypatch.setattr(GysinBuilder, "_rho_into", flip)
+    with pytest.raises(ConsistencyError, match="square to zero"):
+        hodge_table(m)
+    assert flipped == [i_mask]
+
+
+def test_hodge_table_checks_the_matching_at_the_last_pair_of_positions(monkeypatch):
+    # at weight 5 of C_5 the writer's matching between the last two
+    # positions gains a pair of unmatched cells that no entry joins
+    m = principal_from_graph(cycle_graph(5))
+    original = GysinBuilder.stream_for_s
+    corrupted = []
+
+    def corrupt(self, s):
+        positions = list(original(self, s))
+        top = max(p for p, (labels, _, _) in enumerate(positions) if len(labels))
+        if s == 5:
+            assert top == 2
+            _, cols, up = positions[top - 1]
+            below = set(positions[top - 2][2].values())
+            c, r = next(
+                (c, r)
+                for c in range(len(cols))
+                for r in range(len(positions[top][0]))
+                if c not in up and c not in below and r not in up.values() and r not in cols[c]
+            )
+            up[c] = r
+            corrupted.append((c, r))
+        yield from positions
+
+    monkeypatch.setattr(GysinBuilder, "stream_for_s", corrupt)
+    with pytest.raises(ConsistencyError, match="not a unit"):
+        hodge_table(m)
+    assert len(corrupted) == 1
 
 
 # ---------------------------------------------------------------------------
