@@ -17,18 +17,24 @@ composite is checked to square to zero.
 
 Each residue block writes unit entries +-1 from (I, A) to (I u j, A - j),
 which keep the filtration level |A cap mutable| + |I|.  The sequential
-element matching along them (one mutable j at a time, ascending) is acyclic
-on every graded piece by Jonsson's Cluster Lemma when the coefficients are
-principal, and ``linalg.morse_reduce`` checks acyclicity on every input.
-``hodge_table`` therefore ranks the Morse complex of each weight slice
+element matching along them (position by position, one mutable j at a time,
+ascending) is acyclic on every graded piece by Jonsson's Cluster Lemma when
+the coefficients are principal, and the Morse reducer of ``linalg`` checks
+acyclicity on every input.  One writer, ``GysinBuilder.stream_for_s``,
+makes a weight slice one position at a time, its columns and its matching
+together.  ``hodge_table`` feeds it to ``linalg.morse_reduce_positions``,
+which checks and reduces each position as the next one arrives, so no more
+than two positions of columns are held, and ranks the Morse complex
 (algebraic Morse theory, Skoldberg 2006), of about E_1 size, in place of
-the slice itself, and ``filtration.spectral_sequence`` reduces it in
-filtration order.
+the slice itself.  ``complex_for_s`` stores every position of the same
+writer, and ``filtration.spectral_sequence`` reduces that complex with
+``linalg.morse_reduce`` in filtration order.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -52,9 +58,9 @@ from .exchange import (
     ExtendedExchangeMatrix,
     RankClass,
     ZeroComplex,
+    _reduce_support,
     is_acyclic,
     is_principal,
-    _reduce_support,
     rank_class,
     underlying_graph,
 )
@@ -174,12 +180,12 @@ class GysinBuilder:
     The records are the builder's only cache: every table that depends on
     the weight (A masks, offsets, row indices) is made by the call that
     needs it and dropped with it.  The residue map has one writer,
-    ``_rho_into``: ``complex_for_s`` has it fill each differential block by
-    block, and ``rho_columns`` returns one block on its own.  Construction
-    does not insist on full rank; a rank-deficient matrix surfaces as
-    ColumnsDependent the moment some anticlique needs a row selection that
-    does not exist.  The complex-level entry points enforce their own rank
-    preconditions.
+    ``_rho_into``: ``stream_for_s`` has it fill each position's columns
+    block by block, and ``rho_columns`` returns one block on its own.
+    Construction does not insist on full rank; a rank-deficient matrix
+    surfaces as ColumnsDependent the moment some anticlique needs a row
+    selection that does not exist.  The complex-level entry points enforce
+    their own rank preconditions.
     """
 
     def __init__(self, matrix: ExtendedExchangeMatrix):
@@ -304,8 +310,8 @@ class GysinBuilder:
         record's ``substitution[t]``, a combination of free dlog's, written
         term by term.  When A - j avoids t the image is the single unit
         entry +-1 at (I u j, A - j); it is matched, ``up[column] = row``,
-        when neither its column nor its row is marked in ``below`` and
-        ``above`` (the cells already matched), and both are then marked.
+        unless its column or its row is already marked matched in ``below``
+        or ``above``, and both are then marked.
         """
         j_bit = 1 << j
         source, target = self.basis(i_mask), self.basis(i_mask | j_bit)
@@ -360,20 +366,25 @@ class GysinBuilder:
         """The weight-s slice, written one position at a time.
 
         Position p holds the anticliques of size p, each one's A masks
-        ascending.  It is yielded as (labels, columns, matching), the
-        columns being the images of its cells in position p + 1 (None at
-        the top), once every block out of it is written: for each I of
-        size p, ascending, the blocks I -> I u {j} for j ascending.  The
-        block from I to I u {j} fills the rows of I u {j}, so blocks for
-        different j never overlap.  Only positions p and p + 1 are indexed
-        while p is written, and nothing of p is kept after it is yielded.
+        ascending.  It is yielded as (labels, columns, matching) once every
+        block out of it is written: its ``PositionLabels``, the images of
+        its cells in position p + 1 (None at the top) and its matched pairs.
+        The blocks I -> I u {j} out of position p are written for each
+        mutable j ascending, and for each I of size p, ascending, within
+        one j.  The block from I to I u {j} fills the rows of I u {j}, so
+        blocks for different j never overlap, and a column takes its blocks
+        in ascending j.  Only positions p and p + 1 are indexed while p is
+        written, and the writer keeps nothing of p once it is yielded.
 
         The matching is the sequential element matching of the unit
         entries, made as the blocks are written: a unit entry from (I, A)
-        to (I u j, A - j) is matched when both cells are still unmatched.
-        These entries keep the filtration level, and on a graded piece the
-        matching is the sequential element matching of an independence
-        complex.  Nothing checks d^2 = 0 here: ``complex_for_s`` and
+        to (I u j, A - j) is matched when both cells are still unmatched
+        (the entries of one j never share a cell).  These entries keep the
+        filtration level, and on a graded piece the matching is the
+        sequential element matching of an independence complex.  Writing
+        position by position matches the same pairs as writing each j over
+        every position in turn, as the tests check against that order.
+        Nothing checks d^2 = 0 here: ``complex_for_s`` and
         ``linalg.morse_reduce_positions`` do.  A slice of more than
         GYSIN_CELL_GUARD cells is refused with TooLarge before anything is
         built.
@@ -422,7 +433,7 @@ class GysinBuilder:
                         next_taken,
                         up,
                     )
-            del rows, dst_rows
+            del rows  # the row indices of position p + 1, not needed past p
             for i_mask in levels[p - 1]:
                 del masks[i_mask], offset[i_mask]
             yield labels, cols, up
@@ -430,10 +441,10 @@ class GysinBuilder:
         yield labels, None, {}
 
     def complex_for_s(self, s: int) -> CochainComplexQ:
-        """The weight-s slice over every anticlique, every position of
-        ``stream_for_s`` stored, with its matching; it is checked to square
-        to zero.  A slice of more than GYSIN_CELL_GUARD cells is refused
-        with TooLarge before anything is built.
+        """The weight-s slice over every anticlique: every position of
+        ``stream_for_s`` stored, labels listed, with its matching.  It is
+        checked to square to zero.  A slice of more than GYSIN_CELL_GUARD
+        cells is refused with TooLarge before anything is built.
         """
         labels, columns, matching = [], [], []
         for pos_labels, cols, up in self.stream_for_s(s):
@@ -567,20 +578,23 @@ def hodge_table(matrix: ExtendedExchangeMatrix) -> HodgeTable:
     ``exchange.reduce_character`` returns, shifted by (2 kappa, kappa) in
     (degree, weight) with kappa = |J(chi)|.  That includes the trivial
     character (kappa = 0), whose reduced matrix keeps the top block under
-    a new frozen completion.
-    Characters with equal support have equal components, so each support is
-    reduced once and weighted by its number of characters.
+    a new frozen completion.  Characters with equal support have equal
+    components, so each support is reduced once, from the group already
+    built, and the supports that reduce to the same matrix with the same
+    kappa share one part, weighted by their number of characters.
 
-    Each weight's complex is built in full, then reduced along its element
-    matching (``linalg.morse_reduce``, which checks d^2 = 0 on both
-    complexes and their Euler characteristics) to a complex of about E_1
-    size with the same cohomology, and that one is ranked.  The finished
-    table is checked for the weak support bounds and curious Lefschetz, and
-    when the matrix is of really full rank for the sharper bounds and the
-    top class; a failure raises ConsistencyError.  Every weight is sized
-    before the rank class (a Smith normal form) is computed and before the
-    first complex is built, and TooLarge refuses the table when one would
-    pass GYSIN_CELL_GUARD cells.
+    Each weight is written position by position (``stream_for_s``) and
+    reduced along its element matching as it is written
+    (``linalg.morse_reduce_positions``: d^2 = 0 on every column, the
+    matching's units and cycles, d^2 = 0 on the Morse complex and the Euler
+    characteristic), holding at most two positions of columns, to a
+    complex of about E_1 size with the same cohomology, which is ranked.
+    The finished table is checked for the weak support bounds and curious
+    Lefschetz, and when the matrix is of really full rank for the sharper
+    bounds and the top class; a failure raises ConsistencyError.  Every
+    weight is sized before the rank class (a Smith normal form) is computed
+    and before the first complex is built, and TooLarge refuses the table
+    when one would pass GYSIN_CELL_GUARD cells.
     """
     if not is_acyclic(matrix):
         raise NotAcyclic("the quiver has an oriented cycle")
@@ -595,10 +609,7 @@ def hodge_table(matrix: ExtendedExchangeMatrix) -> HodgeTable:
     parts = {(0, matrix): 1}  # (kappa, matrix) -> number of characters
     if rc is not RankClass.REALLY_FULL_RANK:
         group = CharacterGroup(matrix)
-        by_support: dict[frozenset[int], int] = {}
-        for chi in group.elements():
-            support = group.support(chi)
-            by_support[support] = by_support.get(support, 0) + 1
+        by_support = Counter(group.support(chi) for chi in group.elements())
         parts = {}
         for support, mult in by_support.items():
             reduced = _reduce_support(matrix, support)

@@ -14,8 +14,12 @@ answers each "representatives modulo it" query in one step.
 ``CochainComplexQ`` is the one cochain-complex type of the package (Gysin
 complexes, graded pieces and simplicial cochains alike); its
 ``cohomology_dims`` ranks the differentials in order with clearing, which
-needs d^2 = 0, and ``morse_reduce`` collapses one along an acyclic matching
-of unit entries to its critical cells, checking d^2 = 0 on both sides.
+needs d^2 = 0.  One Morse reducer collapses a complex along an acyclic
+matching of unit entries to its critical cells, checking d^2 = 0 on both
+sides: it takes the complex one position at a time and holds two positions
+of columns, finishing each position as the next one arrives.
+``morse_reduce_positions`` feeds it a stream of positions, which it checks
+pair by pair, and ``morse_reduce`` the positions of a stored complex.
 ``CohomologyClasses`` is the ``Quotient`` of its cocycles by coboundaries.
 The Smith normal form keeps all four transformation matrices
 (S = P*A*Q together with the inverses of P and Q) because character lifts
@@ -24,7 +28,7 @@ need explicit saturation bases, not just invariant factors.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
@@ -286,7 +290,7 @@ _CHECKED = object()  # marks a matched target that no critical cell reaches
 
 # one position of a complex, in order: its labels, its columns (None at the
 # top) and its matching into the position above
-Position = tuple[list, list[Row] | None, dict[int, int]]
+Position = tuple[Sequence, list[Row] | None, dict[int, int]]
 
 
 def _check_square(cols: list[Row], nxt: list[Row]) -> None:
@@ -309,11 +313,11 @@ def _check_square(cols: list[Row], nxt: list[Row]) -> None:
 
 
 def morse_reduce(cx: CochainComplexQ) -> tuple[CochainComplexQ, list[list[int]]]:
-    """The Morse complex of cx along ``cx.matching`` (algebraic Morse theory),
-    and the places in cx of its cells, ascending, per position.
+    """The Morse complex of cx along ``cx.matching``, and the places in cx
+    of its cells, ascending, per position.
 
-    The reducer of ``morse_reduce_positions`` run over the stored positions,
-    without its d^2 check: cx is checked by ``cx.verify_d2`` after the
+    The reducer of ``morse_reduce_positions``, run over the positions of
+    cx, except that d^2 = 0 on cx is left to ``cx.verify_d2`` after the
     reduction, which returns at once when cx already passed (as every
     ``complex_for_s`` result has).  An empty matching leaves every cell
     critical and gives cx back as a new complex.
@@ -332,23 +336,12 @@ def morse_reduce(cx: CochainComplexQ) -> tuple[CochainComplexQ, list[list[int]]]
 def morse_reduce_positions(
     positions: Iterable[Position],
 ) -> tuple[CochainComplexQ, list[list[int]]]:
-    """The Morse complex of a complex given one position at a time, and the
-    places of its cells as ``morse_reduce`` returns them.
+    """The Morse complex (algebraic Morse theory) of a complex given one
+    position at a time, and the places of its cells, ascending, per position.
 
     Each position comes as (labels, columns, matching): its cells' labels,
     the images of its cells one position up (None at the top) and its
-    matched pairs (cell -> cell one position up).  At most two positions of
-    columns are held: position p - 1 is checked, reduced and dropped as
-    soon as position p arrives, d^2 = 0 included.
-    """
-    return _reduce(positions, None)
-
-
-def _reduce(
-    positions: Iterable[Position], stored: CochainComplexQ | None
-) -> tuple[CochainComplexQ, list[list[int]]]:
-    """The one Morse reducer, over a window of two positions.
-
+    matched pairs, cell -> cell one position up, joined by unit entries.
     The unmatched (critical) cells span the Morse complex, labels kept.  Its
     differential from a critical c to a critical c' one position up sums,
     over every zig-zag path c -> t_1 <- c_1 -> t_2 <- ... -> c' whose steps
@@ -357,17 +350,26 @@ def _reduce(
     Kozlov, Combinatorial Algebraic Topology, ch. 11).  The matched entries
     are +-1, so nothing is divided and integer complexes stay integral.
 
-    When position p arrives, position p - 1 is finished in turn: unless the
-    complex is ``stored`` (checked by its own ``verify_d2`` below), d^2 = 0
-    on every column of p - 1 against those of p; each cell matched at most
-    once and each matched entry a unit; every matched target of p walked for
-    cycles, and the flows computed (``_flows``); then the Morse columns of
-    p - 1 are emitted and its columns dropped.  A pair whose entry is not
-    +-1, a cell matched twice or a cycle raises ConsistencyError.  The Morse
-    complex has the same cohomology as the input.  Last, d^2 = 0 is checked
-    on the Morse complex (clearing ranks exactly only then), and its Euler
+    When position p arrives, position p - 1 is finished in turn: d^2 = 0 on
+    every column of p - 1 against those of p; each cell matched at most once
+    and each matched entry a unit; every matched target of p walked for
+    cycles and the flows computed (``_flows``); then the Morse columns of
+    p - 1 are emitted and its columns dropped, so at most two positions of
+    columns are held.  A pair whose entry is not +-1, a cell matched twice
+    or a cycle raises ConsistencyError, as d^2 != 0 does.  The Morse complex
+    has the same cohomology as the input.  Last, d^2 = 0 is checked on the
+    Morse complex (clearing ranks exactly only then), and its Euler
     characteristic against the input's cell counts.
     """
+    return _reduce(positions, None)
+
+
+def _reduce(
+    positions: Iterable[Position], stored: CochainComplexQ | None
+) -> tuple[CochainComplexQ, list[list[int]]]:
+    """The reducer of ``morse_reduce_positions``; the positions are those of
+    ``stored`` when it is given, and then d^2 = 0 on the input is left to
+    ``stored.verify_d2``, called after the reduction."""
     labels: list[list] = []
     columns: list[list[Row]] = []
     kept: list[list[int]] = []
@@ -434,15 +436,18 @@ def _flows(
     A flow is kept for each matched target t that a source column reaches:
     the combination of critical cells that t stands for, -d(c)[t] times the
     image of its partner c less t itself, its other matched targets replaced
-    by their flows.  A successor of t is a matched target other than t in
-    the column of t's partner, read from that column as the walk goes.
-    Flows are computed depth first with an explicit stack and an
-    in-progress mark; a target met again while its flow is in progress
-    closes a cycle.  A cycle that no source reaches still breaks the
-    reduction, so every other matched target is walked too, without
-    arithmetic.  Each matched entry is checked to be a unit first.
+    by their flows.  A target whose partner's column holds t alone has the
+    zero flow and no successor, and keeps no entry.  A successor of t is a
+    matched target other than t in the column of t's partner, read from
+    that column as the walk goes.  Flows are computed depth first with an
+    explicit stack and an in-progress mark; a target met again while its
+    flow is in progress closes a cycle.  A cycle that no source reaches
+    still breaks the reduction, so every other matched target is walked
+    too, without arithmetic.  Each matched entry is checked to be a unit
+    first.
     """
-    branching: dict[int, Row] = {}  # target -> partner's column, if it has more
+    # each matched target whose partner's column holds more than the target
+    branching: dict[int, Row] = {}
     for t, c in partner.items():
         col = cols[c]
         if col.get(t) not in (1, -1):
