@@ -402,14 +402,14 @@ class GysinBuilder:
 
         labels = index(levels[0])
         taken = bytearray(len(labels))  # cells of position p matched from below
-        for p in range(1, len(levels)):
-            next_labels = index(levels[p])
+        for p, level in enumerate(levels[:-1]):
+            next_labels = index(levels[p + 1])
             next_taken = bytearray(len(next_labels))
             cols: list[dict[int, Fraction | int]] = [{} for _ in range(len(labels))]
             up: dict[int, int] = {}
             rows: dict[int, dict[int, int]] = {}  # each target's row per A mask
             for j in range(self.matrix.n):
-                for i_mask in levels[p - 1]:
+                for i_mask in level:
                     new_mask = i_mask | (1 << j)
                     if new_mask == i_mask or new_mask not in masks:
                         continue
@@ -434,7 +434,7 @@ class GysinBuilder:
                         up,
                     )
             del rows  # the row indices of position p + 1, not needed past p
-            for i_mask in levels[p - 1]:
+            for i_mask in level:
                 del masks[i_mask], offset[i_mask]
             yield labels, cols, up
             labels, taken = next_labels, next_taken

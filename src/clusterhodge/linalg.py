@@ -374,30 +374,27 @@ def _reduce(
     columns: list[list[Row]] = []
     kept: list[list[int]] = []
     euler = 0
-    below: tuple[list[Row] | None, dict[int, int]] | None = None  # p - 1
+    # position p - 1: its columns, its matching and its critical cells' places
+    cols_below: list[Row] | None = None
+    up_below: dict[int, int] = {}
     critical_below: dict[int, int] = {}
     for p, (pos_labels, cols, up) in enumerate(positions):
         euler += -len(pos_labels) if p & 1 else len(pos_labels)
-        partner: dict[int, int] = {}  # matched target -> its partner below
-        if below is not None:
-            cols_below, up_below = below
-            if stored is None and cols_below is not None and cols is not None:
-                _check_square(cols_below, cols)
-            partner = {t: c for c, t in up_below.items()}
-            if len(partner) != len(up_below):
-                raise ConsistencyError("a cell is matched twice")
-        if not partner.keys().isdisjoint(up):
+        if stored is None and cols_below is not None and cols is not None:
+            _check_square(cols_below, cols)
+        partner = {t: c for c, t in up_below.items()}  # matched target -> partner
+        if len(partner) != len(up_below) or not partner.keys().isdisjoint(up):
             raise ConsistencyError("a cell is matched twice")
         cells = sorted(set(range(len(pos_labels))).difference(up, partner))
         critical = {c: k for k, c in enumerate(cells)}
-        if below is not None and cols_below is not None:
+        if cols_below is not None:
             flows = _flows(cols_below, partner, critical, critical_below)
             columns.append(
                 [_morse_image(cols_below[c], None, critical, flows, 1) for c in critical_below]
             )
         labels.append([pos_labels[c] for c in cells])
         kept.append(cells)
-        below, critical_below = (cols, up), critical
+        cols_below, up_below, critical_below = cols, up, critical
     morse = CochainComplexQ(labels, columns)
     if stored is not None:
         stored.verify_d2()
