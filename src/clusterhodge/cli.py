@@ -24,8 +24,8 @@ from .counts import _is_prime, consistency_suite, point_count_poly
 from .errors import ConsistencyError, InputError
 from .exchange import ExtendedExchangeMatrix
 from .filtration import (
+    _e1_summands,
     build_filtered,
-    e1_page,
     observed_collapse_page,
     require_e1_summands,
     spectral_sequence,
@@ -150,8 +150,8 @@ def cmd_e1(args: argparse.Namespace) -> int:
     require_e1_summands(matrix.n, weights)  # every weight before the first page
     rows = []
     for s in weights:
-        page = e1_page(matrix, s)
-        for (e, f), v in sorted(page.entries.items()):
+        _, entries, _ = _e1_summands(matrix, s)  # the dims only, no differential
+        for (e, f), v in sorted(entries.items()):
             if v:
                 rows.append((e, f, s, v))
     if args.format == "json":

@@ -323,6 +323,39 @@ class E1Page:
     differentials: dict[tuple[int, int], list[list[Fraction]]]
 
 
+def _e1_summands(matrix: ExtendedExchangeMatrix, s: int):
+    """The (D, E) summands of E_1 at weight s, sized, with nothing built past
+    the dims of their independence complexes.
+
+    Returns (induced, entries, positions): ``entries[(e, f)]`` is
+    dim E_1^{e,f;s}, and ``positions[(D, E, e, f)]`` is (offset, h) when the
+    summand's H~^{e+f-1} of the independence complex of E minus D has
+    dimension h > 0 and starts at that offset in the entry's basis.  Both
+    ``e1_page`` and the ``e1`` command, which prints only the dims, start
+    here.  Past E1_SUMMAND_GUARD summands, C(2n, s) of them, the weight is
+    refused with TooLarge before anything is built.
+    """
+    if not is_principal(matrix):
+        raise NotPrincipal("the filtration needs principal coefficients")
+    if not is_acyclic(matrix):
+        raise NotAcyclic("the quiver has an oriented cycle")
+    n = matrix.n
+    require_e1_summands(n, [s])
+    induced = _InducedComplexes(underlying_graph(matrix))
+    sizes = range(max(s - n, 0), min(s, n) + 1)
+    masks = {k: list(map(mask_of, itertools.combinations(range(n), k))) for k in sizes}
+    entries: dict[tuple[int, int], int] = {}
+    positions: dict[tuple[int, int, int, int], tuple[int, int]] = {}
+    for d_mask in sorted(m for k in sizes for m in masks[k]):
+        esize = s - d_mask.bit_count()
+        for e_mask in masks[esize]:
+            for p, h in induced.dims(e_mask & ~d_mask).items():
+                e, f = esize, p - esize
+                entries[(e, f)] = entries.get((e, f), 0) + h
+                positions[(d_mask, e_mask, e, f)] = (entries[(e, f)] - h, h)
+    return induced, entries, positions
+
+
 def e1_page(matrix: ExtendedExchangeMatrix, s: int) -> E1Page:
     """Assemble E_1^{e,f;s} from reduced cohomology of induced subgraphs.
 
@@ -341,70 +374,57 @@ def e1_page(matrix: ExtendedExchangeMatrix, s: int) -> E1Page:
     ``_InducedComplexes`` serves the call: each independence complex of an
     induced subgraph is built once, for its dims and for every ``mv_delta``
     block that needs its classes, and a disconnected one gets its dims by
-    the join rule.  Past E1_SUMMAND_GUARD summands, C(2n, s) of them, the
-    page is refused with TooLarge before anything is built.
+    the join rule.  Each block's nonzeros are scaled once per scalar and
+    written by assignment into every pair of summands that shares it;
+    nothing is kept between calls.  Past E1_SUMMAND_GUARD summands, C(2n, s)
+    of them, the page is refused with TooLarge before anything is built.
     """
-    if not is_principal(matrix):
-        raise NotPrincipal("the filtration needs principal coefficients")
-    if not is_acyclic(matrix):
-        raise NotAcyclic("the quiver has an oriented cycle")
-    n = matrix.n
-    require_e1_summands(n, [s])
-    graph = underlying_graph(matrix)
-    induced = _InducedComplexes(graph)
-    sizes = range(max(s - n, 0), min(s, n) + 1)
-    masks = {k: list(map(mask_of, itertools.combinations(range(n), k))) for k in sizes}
-    entries: dict[tuple[int, int], int] = {}
-    positions: dict[tuple[int, int, int, int], tuple[int, int]] = {}
-    for d_mask in sorted(m for k in sizes for m in masks[k]):
-        esize = s - d_mask.bit_count()
-        for e_mask in masks[esize]:
-            for p, h in induced.dims(e_mask & ~d_mask).items():
-                e, f = esize, p - esize
-                entries[(e, f)] = entries.get((e, f), 0) + h
-                positions[(d_mask, e_mask, e, f)] = (entries[(e, f)] - h, h)
-
+    induced, entries, positions = _e1_summands(matrix, s)
+    graph = induced.graph
+    zero = Fraction(0)
     diffs: dict[tuple[int, int], list[list[Fraction]]] = {}
     deltas: dict[tuple[int, int, int], dict[int, list[list[Fraction]]]] = {}
-    for (d_mask, e_mask, e, f), (offset, h) in positions.items():
+    # (X, a, b, r, scale) -> the block's nonzeros (i, j, scale * v), or None
+    scaled: dict[tuple[int, int, int, int, int], list | None] = {}
+    for (d_mask, e_mask, e, f), (offset, _) in positions.items():
         target_pos = (e + 1, f)
-        if entries.get(target_pos, 0) == 0:
+        if target_pos not in entries:
             continue
         x_mask = e_mask & ~d_mask
         r = e + f - 1
+        mat = diffs.get((e, f))
         for a in bits(d_mask & e_mask):
+            # the scalar's exponent: |D| + 1 + #{D > a} + e + f, then per b the rest
+            flips_a = d_mask.bit_count() + 1 + (d_mask >> (a + 1)).bit_count() + e + f
+            e_rest = e_mask & ~(1 << a)
             # the neighbours of a outside D u E: B~_{ba} != 0 exactly on edges
             for b in bits(graph.adjacency[a] & ~(d_mask | e_mask)):
-                d2, e2 = d_mask & ~(1 << a), e_mask | (1 << b)
-                key2 = (d2, e2, e + 1, f)
+                key2 = (d_mask & ~(1 << a), e_mask | (1 << b), e + 1, f)
                 if key2 not in positions:
                     continue
-                offset2, h2 = positions[key2]
-                if (x_mask, a, b) not in deltas:
-                    deltas[(x_mask, a, b)] = mv_delta(graph, x_mask, a, b, memo=induced)
-                block = deltas[(x_mask, a, b)].get(r)
-                if block is None:
+                flips = flips_a + (b > a) + (e_rest >> (b + 1)).bit_count()
+                scale = -matrix.rows[b][a] if flips & 1 else matrix.rows[b][a]
+                key = (x_mask, a, b, r, scale)
+                if key not in scaled:
+                    if (x_mask, a, b) not in deltas:
+                        deltas[(x_mask, a, b)] = mv_delta(graph, x_mask, a, b, memo=induced)
+                    block = deltas[(x_mask, a, b)].get(r)
+                    scaled[key] = None if block is None else [
+                        (i, jj, scale * v)
+                        for i, row in enumerate(block)
+                        for jj, v in enumerate(row)
+                        if v
+                    ]
+                nonzeros = scaled[key]
+                if nonzeros is None:
                     continue
-                flips = (
-                    d_mask.bit_count()
-                    + 1
-                    + (1 if b > a else 0)
-                    + (d_mask >> (a + 1)).bit_count()
-                    + ((e_mask & ~(1 << a)) >> (b + 1)).bit_count()
-                    + e
-                    + f
-                )
-                scale = matrix.rows[b][a] * (-1 if flips & 1 else 1)
-                mat = diffs.get((e, f))
                 if mat is None:
                     mat = diffs[(e, f)] = [
-                        [Fraction(0)] * entries[(e, f)]
-                        for _ in range(entries[target_pos])
+                        [zero] * entries[(e, f)] for _ in range(entries[target_pos])
                     ]
                 # a = D - D2 and b = E2 - E, so each pair of summands has
                 # exactly one block, and assignment saves a Fraction sum
-                for i in range(h2):
-                    for jj in range(h):
-                        if block[i][jj]:
-                            mat[offset2 + i][offset + jj] = scale * block[i][jj]
+                offset2 = positions[key2][0]
+                for i, jj, v in nonzeros:
+                    mat[offset2 + i][offset + jj] = v
     return E1Page(entries, diffs)

@@ -222,8 +222,9 @@ class _InducedComplexes:
     """The independence complexes of one graph's induced subgraphs, by vertex mask.
 
     For each mask it keeps the augmented cochain complex of
-    ``anticliques(graph, mask)``, its ``cohomology_dims`` and the
-    ``CohomologyClasses`` of each position asked for, each made at most once.
+    ``anticliques(graph, mask)``, its ``cohomology_dims``, and the
+    ``CohomologyClasses`` and the face index (face -> its place) of each
+    position asked for, each made at most once.
     The independence complex of a disjoint union is the join of its parts'
     (Jonsson, LNM 1928), so a mask whose induced subgraph is disconnected gets
     its dims from its components, and its own complex is built only when its
@@ -236,6 +237,7 @@ class _InducedComplexes:
         self._complexes: dict[int, CochainComplexQ] = {}
         self._dims: dict[int, dict[int, int]] = {}
         self._classes: dict[tuple[int, int], CohomologyClasses] = {}
+        self._faces: dict[tuple[int, int], dict[int, int]] = {}
 
     def complex(self, mask: int) -> CochainComplexQ:
         cx = self._complexes.get(mask)
@@ -263,6 +265,15 @@ class _InducedComplexes:
         got = self._classes.get((mask, p))
         if got is None:
             got = self._classes[(mask, p)] = CohomologyClasses(self.complex(mask), p)
+        return got
+
+    def face_index(self, mask: int, p: int) -> dict[int, int]:
+        """Each face at position p of the complex of mask, to its index there."""
+        got = self._faces.get((mask, p))
+        if got is None:
+            cx = self.complex(mask)
+            faces = cx.labels[p] if p < cx.positions else []
+            got = self._faces[(mask, p)] = {f: i for i, f in enumerate(faces)}
         return got
 
 
@@ -404,11 +415,15 @@ def mv_delta(
     (a, b) must be an edge of the ambient graph and a, b must lie outside X;
     the cover is I(X u {a,b}) = I(X u a) u I(X u b).  On cochains the map
     sends psi to eta with eta(F) = psi(F minus a) when a is in F (a ordered
-    last) and 0 otherwise.  Returns {r: matrix}, rows indexed by the chosen
-    basis of H~^{r+1} of the larger complex.  Both complexes and their bases
-    come from ``memo``, the induced complexes of ``graph`` (a fresh one if
-    None), so callers that share one build each complex once; a memo of
-    another graph raises ValueError.
+    last) and 0 otherwise.  So eta is read off the support of each
+    representative psi: a face g of I(X) with psi(g) != 0 that avoids the
+    neighbours of a gives the face g u {a} of the larger complex, found in
+    the memo's face index, and no other face of it is visited.  Returns
+    {r: matrix}, rows indexed by the chosen basis of H~^{r+1} of the larger
+    complex.  Both complexes, their bases and the face index come from
+    ``memo``, the induced complexes of ``graph`` (a fresh one if None), so
+    callers that share one build each once; a memo of another graph raises
+    ValueError.
     """
     if not graph.has_edge(a, b):
         raise NotAnEdge(f"({a}, {b}) is not an edge")
@@ -419,24 +434,21 @@ def mv_delta(
     elif memo.graph is not graph:
         raise ValueError("memo holds the induced complexes of another graph")
     big_mask = x_mask | 1 << a | 1 << b
+    a_bit, blocked = 1 << a, graph.adjacency[a]
     out: dict[int, list[list[Fraction]]] = {}
     for p in memo.dims(x_mask):
-        small, big = memo.complex(x_mask), memo.complex(big_mask)
+        faces = memo.complex(x_mask).labels[p]
         src = memo.classes(x_mask, p)
         dst = memo.classes(big_mask, p + 1)
-        big_faces = big.labels[p + 1] if p + 1 < big.positions else []
-        small_faces = {f: i for i, f in enumerate(small.labels[p])}
+        big_faces = memo.face_index(big_mask, p + 1)
         cols = []
         for rep in src.representatives:
             eta: dict[int, Fraction] = {}
-            for i, f in enumerate(big_faces):
-                if not (f >> a & 1):
-                    continue
-                j = small_faces.get(f & ~(1 << a))
-                if j is None or not rep.get(j):
-                    continue
-                sign = -1 if ((f >> (a + 1)).bit_count() & 1) else 1
-                eta[i] = rep[j] * sign
+            for j, v in rep.items():
+                g = faces[j]
+                if v and not g & blocked:
+                    sign = (g >> (a + 1)).bit_count() & 1
+                    eta[big_faces[g | a_bit]] = -v if sign else v
             cols.append(dst.coordinates(eta))
         out[p - 1] = [[cols[j][i] for j in range(len(cols))] for i in range(dst.dim)]
     return out

@@ -295,17 +295,22 @@ class GysinBuilder:
         above: bytearray,
         up: dict[int, int],
     ) -> None:
-        """Add eps * rho, from G^I to G^{I u j} at one weight, into cols, and
-        match its unit entries as they are written.
+        """Write eps times rho, from G^I to G^{I u j} at one weight, into cols,
+        and match its unit entries as they are written.
+
+        rho carries no sign of its own: ``rho_columns`` passes the Koszul
+        sign (-1)^{|I| + #{i in I : i > j}} of alpha_j joining the alpha
+        wedge of I, and ``stream_for_s`` passes 1, because the complex's
+        block sign (-1)^{#{i in I : i < j}} times that Koszul sign is +1
+        (j is not in I).
 
         ``src_masks`` are the A masks of G^I at that weight, ascending, and
         ``dst_rows`` maps each A mask of G^{I u j} at that weight to its row.
         Column ``src_off + c`` of ``cols`` receives the image of the c-th
         source mask; each entry is written once, so the target rows must be
         empty in those columns.  A masks that avoid j map to zero and are
-        skipped.  Otherwise dlog x_j is extracted with its Koszul sign and
-        alpha_j joins the alpha wedge at its sorted position.  A avoids
-        N(I), and N(J) is N(I) plus one row t (see ``basis``), so at most
+        skipped.  Otherwise dlog x_j is extracted with its Koszul sign.  A
+        avoids N(I), and N(J) is N(I) plus one row t (see ``basis``), so at most
         dlog x_t is left over from N(J); it is replaced by the target
         record's ``substitution[t]``, a combination of free dlog's, written
         term by term.  When A - j avoids t the image is the single unit
@@ -317,8 +322,6 @@ class GysinBuilder:
         source, target = self.basis(i_mask), self.basis(i_mask | j_bit)
         t_bit = target.row_mask & ~source.row_mask
         assert t_bit.bit_count() == 1, "N(I u j) must be N(I) plus one row"
-        if (i_mask.bit_count() + (i_mask >> (j + 1)).bit_count()) & 1:
-            eps = -eps
         # A = rest + j + t: the Koszul signs of j in A, of t in A - j and of the
         # substituted bit in rest come to the parity of rest on one mask per
         # bit, and to that of [t > j]
@@ -355,8 +358,10 @@ class GysinBuilder:
         dst = self.basis(i_mask | (1 << j)).masks_of_degree(s)
         cols: list[dict[int, Fraction | int]] = [dict() for _ in src]
         rows = {a: r for r, a in enumerate(dst)}
+        # the Koszul sign of alpha_j joining the alpha wedge of I
+        eps = -1 if (i_mask.bit_count() + (i_mask >> (j + 1)).bit_count()) & 1 else 1
         self._rho_into(
-            cols, i_mask, j, src, 0, rows, 1, bytearray(len(src)), bytearray(len(dst)), {}
+            cols, i_mask, j, src, 0, rows, eps, bytearray(len(src)), bytearray(len(dst)), {}
         )
         return src, dst, cols
 
@@ -371,10 +376,12 @@ class GysinBuilder:
         its cells in position p + 1 (None at the top) and its matched pairs.
         The blocks I -> I u {j} out of position p are written for each
         mutable j ascending, and for each I of size p, ascending, within
-        one j.  The block from I to I u {j} fills the rows of I u {j}, so
-        blocks for different j never overlap, and a column takes its blocks
-        in ascending j.  Only positions p and p + 1 are indexed while p is
-        written, and the writer keeps nothing of p once it is yielded.
+        one j; a block whose source or target has no cell at the weight
+        writes nothing and is skipped.  The block from I to I u {j} fills the
+        rows of I u {j}, so blocks for different j never overlap, and a
+        column takes its blocks in ascending j.  Only positions p and p + 1
+        are indexed while p is written, and the writer keeps nothing of p
+        once it is yielded.
 
         The matching is the sequential element matching of the unit
         entries, made as the blocks are written: a unit entry from (I, A)
@@ -411,8 +418,8 @@ class GysinBuilder:
             for j in range(self.matrix.n):
                 for i_mask in level:
                     new_mask = i_mask | (1 << j)
-                    if new_mask == i_mask or new_mask not in masks:
-                        continue
+                    if new_mask == i_mask or not (masks[i_mask] and masks.get(new_mask)):
+                        continue  # I u j no anticlique, or a block with no cell
                     dst_rows = rows.get(new_mask)
                     if dst_rows is None:
                         off = offset[new_mask]
@@ -420,7 +427,6 @@ class GysinBuilder:
                         dst_rows = rows[new_mask] = dict(
                             zip(a_masks, range(off, off + len(a_masks)))
                         )
-                    eps = -1 if (i_mask & ((1 << j) - 1)).bit_count() & 1 else 1
                     self._rho_into(
                         cols,
                         i_mask,
@@ -428,7 +434,7 @@ class GysinBuilder:
                         masks[i_mask],
                         offset[i_mask],
                         dst_rows,
-                        eps,
+                        1,
                         taken,
                         next_taken,
                         up,

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from clusterhodge.exchange import ExtendedExchangeMatrix, validate
-from clusterhodge.graphs import Graph
+from clusterhodge.graphs import Graph, _InducedComplexes
 from clusterhodge.linalg import Echelon
 
 
@@ -123,6 +123,35 @@ def submasks(mask: int):
         if sub == 0:
             return
         sub = (sub - 1) & mask
+
+
+def mv_delta_by_face_scan(graph: Graph, x_mask: int, a: int, b: int) -> dict:
+    """``graphs.mv_delta`` by scanning every face of I(X u {a, b}) for those
+    that contain a, each looked up in a face index of I(X) made per call:
+    the reference for the support walk, with the same cohomology bases."""
+    memo = _InducedComplexes(graph)
+    big_mask = x_mask | 1 << a | 1 << b
+    out = {}
+    for p in memo.dims(x_mask):
+        small, big = memo.complex(x_mask), memo.complex(big_mask)
+        src = memo.classes(x_mask, p)
+        dst = memo.classes(big_mask, p + 1)
+        big_faces = big.labels[p + 1] if p + 1 < big.positions else []
+        small_faces = {f: i for i, f in enumerate(small.labels[p])}
+        cols = []
+        for rep in src.representatives:
+            eta = {}
+            for i, f in enumerate(big_faces):
+                if not (f >> a & 1):
+                    continue
+                j = small_faces.get(f & ~(1 << a))
+                if j is None or not rep.get(j):
+                    continue
+                sign = -1 if ((f >> (a + 1)).bit_count() & 1) else 1
+                eta[i] = rep[j] * sign
+            cols.append(dst.coordinates(eta))
+        out[p - 1] = [[cols[j][i] for j in range(len(cols))] for i in range(dst.dim)]
+    return out
 
 
 def rank_relative(base: list[dict], extra: list[dict]) -> tuple[int, list[int]]:

@@ -161,7 +161,7 @@ def test_cmd_e1_sizes_every_weight_before_the_first_page(tmp_path, capsys, monke
     import clusterhodge.cli as cli
 
     calls = []
-    monkeypatch.setattr(cli, "e1_page", lambda *args: calls.append(args))
+    monkeypatch.setattr(cli, "_e1_summands", lambda *args: calls.append(args))
     path = tmp_path / "p14.mat"
     path.write_text(render_matrix_text(principal_from_graph(path_graph(14))))
     assert main(["e1", "--input", str(path)]) == 2
@@ -327,8 +327,10 @@ def test_check_exits_1_when_d_squared_fails(tmp_path, capsys, monkeypatch):
     original = GysinBuilder._rho_into
 
     def unsigned(self, cols, i_mask, j, src_masks, src_off, dst_rows, eps, *matching):
-        # without the block sign the square {} -> {0}, {2} -> {0, 2} fails
-        return original(self, cols, i_mask, j, src_masks, src_off, dst_rows, 1, *matching)
+        # without the block sign (the Koszul sign alone) the square
+        # {} -> {0}, {2} -> {0, 2} fails
+        eps *= -1 if (i_mask.bit_count() + (i_mask >> (j + 1)).bit_count()) & 1 else 1
+        return original(self, cols, i_mask, j, src_masks, src_off, dst_rows, eps, *matching)
 
     monkeypatch.setattr(GysinBuilder, "_rho_into", unsigned)
     assert main(["check", "--input", str(path)]) == 1
@@ -409,6 +411,20 @@ def test_e1_output_is_pinned(capsys, matrix):
     for fmt in ("text", "json", "tsv"):
         assert main(["e1", "--input", str(matrix), "--format", fmt]) == 0
         assert capsys.readouterr().out == (E1_PIN / f"{matrix.stem}.{fmt}").read_text()
+
+
+def test_e1_prints_the_pins_without_a_differential(capsys, monkeypatch):
+    # `e1` prints dims only, so it makes no Mayer-Vietoris block
+    import clusterhodge.filtration as filtration
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("e1 built a differential block")
+
+    monkeypatch.setattr(filtration, "mv_delta", refuse)
+    for matrix in (SS_PIN / "p3.mat", SS_PIN / "z4.mat", E1_PIN / "c5.mat"):
+        for fmt in ("text", "json", "tsv"):
+            assert main(["e1", "--input", str(matrix), "--format", fmt]) == 0
+            assert capsys.readouterr().out == (E1_PIN / f"{matrix.stem}.{fmt}").read_text()
 
 
 CLI_PIN = Path(__file__).parent / "data" / "cli_pin"

@@ -1,6 +1,8 @@
 import itertools
+from fractions import Fraction
 
 import pytest
+from conftest import mv_delta_by_face_scan, submasks
 
 from clusterhodge.errors import CycleTooSmall, NotAForest, NotAnEdge, TooLarge, VertexInX
 from clusterhodge.graphs import (
@@ -240,6 +242,28 @@ def test_mv_delta_is_cochain_map_into_cocycles():
     x = 0b00110  # vertices 1, 2
     maps = mv_delta(g, x, 0, 4)
     assert maps  # at least one degree present
+
+
+def _typed(maps):
+    """Each entry with its type, so that int 1 != Fraction(1)."""
+    return {r: [[(type(c), c) for c in row] for row in mat] for r, mat in maps.items()}
+
+
+def test_mv_delta_equals_the_face_scan():
+    # every connected graph with <= 5 vertices, every edge (a, b) in both
+    # orders and every X that avoids a and b: the same values and types
+    cases = 0
+    for v in range(1, 6):
+        for g in connected_graphs(v):
+            for edge in sorted(g.edges):
+                for a, b in (edge, edge[::-1]):
+                    for x in submasks(((1 << v) - 1) & ~(1 << a | 1 << b)):
+                        got = _typed(mv_delta(g, x, a, b))
+                        assert got == _typed(mv_delta_by_face_scan(g, x, a, b)), (g, x, a, b)
+                        kinds = {kind for mat in got.values() for row in mat for kind, _ in row}
+                        assert kinds <= {Fraction}
+                        cases += 1
+    assert cases == 2302
 
 
 def test_cohomology_basis_coordinates_roundtrip():

@@ -876,12 +876,14 @@ def test_critical_cells_equal_e1_totals(graph):
 
 
 def test_hodge_table_verifies_d2(monkeypatch):
-    # dropping the block sign (-1)^{#{i in I : i < j}} breaks d^2 = 0
+    # dropping the block sign (-1)^{#{i in I : i < j}} breaks d^2 = 0: the
+    # block is written with the Koszul sign alone
     m = principal_from_graph(path_graph(3))
     original = GysinBuilder._rho_into
 
     def unsigned(self, cols, i_mask, j, src_masks, src_off, dst_rows, eps, *matching):
-        return original(self, cols, i_mask, j, src_masks, src_off, dst_rows, 1, *matching)
+        eps *= -1 if (i_mask.bit_count() + (i_mask >> (j + 1)).bit_count()) & 1 else 1
+        return original(self, cols, i_mask, j, src_masks, src_off, dst_rows, eps, *matching)
 
     monkeypatch.setattr(GysinBuilder, "_rho_into", unsigned)
     with pytest.raises(ConsistencyError, match="square to zero"):
