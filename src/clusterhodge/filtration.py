@@ -323,7 +323,9 @@ class E1Page:
     differentials: dict[tuple[int, int], list[list[Fraction]]]
 
 
-def _e1_summands(matrix: ExtendedExchangeMatrix, s: int):
+def _e1_summands(
+    matrix: ExtendedExchangeMatrix, s: int
+) -> tuple[_InducedComplexes, dict, dict]:
     """The (D, E) summands of E_1 at weight s, sized, with nothing built past
     the dims of their independence complexes.
 

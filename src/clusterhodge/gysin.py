@@ -419,7 +419,7 @@ class GysinBuilder:
                 for i_mask in level:
                     new_mask = i_mask | (1 << j)
                     if new_mask == i_mask or not (masks[i_mask] and masks.get(new_mask)):
-                        continue  # I u j no anticlique, or a block with no cell
+                        continue  # j in I, I u j no anticlique, or no cell to write
                     dst_rows = rows.get(new_mask)
                     if dst_rows is None:
                         off = offset[new_mask]

@@ -405,26 +405,19 @@ E1_PIN = Path(__file__).parent / "data" / "e1_pin"
     [SS_PIN / "p3.mat", SS_PIN / "z4.mat", E1_PIN / "c5.mat"],
     ids=["path-3", "star-4", "cycle-5"],
 )
-def test_e1_output_is_pinned(capsys, matrix):
+def test_e1_output_is_pinned(capsys, monkeypatch, matrix):
     # principal P_3, the 4-star and C_5, all weights: `e1` prints only dims,
-    # so every format is compared byte for byte (scripts/make_e1_pins.py)
-    for fmt in ("text", "json", "tsv"):
-        assert main(["e1", "--input", str(matrix), "--format", fmt]) == 0
-        assert capsys.readouterr().out == (E1_PIN / f"{matrix.stem}.{fmt}").read_text()
-
-
-def test_e1_prints_the_pins_without_a_differential(capsys, monkeypatch):
-    # `e1` prints dims only, so it makes no Mayer-Vietoris block
+    # so every format is compared byte for byte (scripts/make_e1_pins.py),
+    # and it makes no Mayer-Vietoris block
     import clusterhodge.filtration as filtration
 
     def refuse(*args, **kwargs):
         raise AssertionError("e1 built a differential block")
 
     monkeypatch.setattr(filtration, "mv_delta", refuse)
-    for matrix in (SS_PIN / "p3.mat", SS_PIN / "z4.mat", E1_PIN / "c5.mat"):
-        for fmt in ("text", "json", "tsv"):
-            assert main(["e1", "--input", str(matrix), "--format", fmt]) == 0
-            assert capsys.readouterr().out == (E1_PIN / f"{matrix.stem}.{fmt}").read_text()
+    for fmt in ("text", "json", "tsv"):
+        assert main(["e1", "--input", str(matrix), "--format", fmt]) == 0
+        assert capsys.readouterr().out == (E1_PIN / f"{matrix.stem}.{fmt}").read_text()
 
 
 CLI_PIN = Path(__file__).parent / "data" / "cli_pin"
