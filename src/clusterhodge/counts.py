@@ -33,7 +33,7 @@ from .exchange import (
 from .exterior import bits
 from .graphs import Graph, anticliques
 from .gysin import hodge_table
-from .poly import IntPolynomial, lagrange_interpolate
+from .poly import IntPolynomial
 
 ENUMERATION_GUARD = 10**8
 
@@ -171,25 +171,6 @@ def brute_force_count(matrix: ExtendedExchangeMatrix, q: int) -> int:
         unread = d - len(zeros) - len(read)
         total += q ** len(zeros) * (q - 1) ** unread * solutions
     return total
-
-
-def interpolate_point_count(
-    matrix: ExtendedExchangeMatrix, modulus: int
-) -> IntPolynomial:
-    """Recover the counting polynomial from brute-force values.
-
-    Uses d+1 primes congruent to 1 mod 2*modulus (all primes when the
-    modulus is 1) and exact Lagrange interpolation.
-    """
-    need = matrix.d + 1
-    points = []
-    q = 2
-    while len(points) < need:
-        q += 1
-        if not _is_prime(q) or (q - 1) % (2 * modulus):
-            continue
-        points.append((q, brute_force_count(matrix, q)))
-    return lagrange_interpolate(points)
 
 
 # ---------------------------------------------------------------------------

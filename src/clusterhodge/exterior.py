@@ -119,12 +119,3 @@ class ExteriorForm:
             mono = "^".join(f"e{i}" for i in bits(m)) or "1"
             parts.append(f"{self.terms[m]}*{mono}")
         return " + ".join(parts)
-
-
-def wedge_all(forms: list[ExteriorForm]) -> ExteriorForm:
-    acc = ExteriorForm.one()
-    for f in forms:
-        acc = acc.wedge(f)
-        if not acc:
-            break
-    return acc

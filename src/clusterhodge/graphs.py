@@ -9,10 +9,11 @@ that the complex {empty set} has a one-dimensional H~^{-1} and every
 nonempty complex has H~^{-1} = 0.  Cohomology is computed from the
 augmented cochain complex, built as a ``linalg.CochainComplexQ`` whose
 position p holds the faces with p vertices (so it carries H~^{p-1}); the
-Mayer-Vietoris connecting maps take their cocycle representatives from that
-same complex.  ``_InducedComplexes`` keeps those complexes, their dims and
-their classes per vertex mask for one computation, so each is built once;
-the dims of a disconnected induced subgraph come from its components by the
+Mayer-Vietoris connecting maps take their cocycle representatives and
+coordinates from the same clearing reduction that ranks that complex.
+``_InducedComplexes`` keeps those complexes, their reductions, dims and
+classes per vertex mask for one computation, so each is built once; the
+dims of a disconnected induced subgraph come from its components by the
 join rule (positions add, dims multiply), without a complex of its own.
 """
 
@@ -24,7 +25,7 @@ from fractions import Fraction
 
 from .errors import CycleTooSmall, NotAForest, NotAnEdge, TooLarge, VertexInX
 from .exterior import bits
-from .linalg import CochainComplexQ, CohomologyClasses
+from .linalg import CochainComplexQ, CohomologyBasis
 
 
 @dataclass(frozen=True)
@@ -222,9 +223,11 @@ class _InducedComplexes:
     """The independence complexes of one graph's induced subgraphs, by vertex mask.
 
     For each mask it keeps the augmented cochain complex of
-    ``anticliques(graph, mask)``, its ``cohomology_dims``, and the
-    ``CohomologyClasses`` and the face index (face -> its place) of each
-    position asked for, each made at most once.
+    ``anticliques(graph, mask)``, its ``clearing`` reduction and the
+    ``cohomology_dims`` read off it, and the ``CohomologyBasis`` and the face
+    index (face -> its place) of each position asked for, each made at most
+    once.  So a complex is reduced once for its dims, and a class basis adds
+    one reduction of the one differential out of its position.
     The independence complex of a disjoint union is the join of its parts'
     (Jonsson, LNM 1928), so a mask whose induced subgraph is disconnected gets
     its dims from its components, and its own complex is built only when its
@@ -235,8 +238,9 @@ class _InducedComplexes:
     def __init__(self, graph: Graph):
         self.graph = graph
         self._complexes: dict[int, CochainComplexQ] = {}
+        self._clearing: dict[int, list] = {}
         self._dims: dict[int, dict[int, int]] = {}
-        self._classes: dict[tuple[int, int], CohomologyClasses] = {}
+        self._classes: dict[tuple[int, int], CohomologyBasis] = {}
         self._faces: dict[tuple[int, int], dict[int, int]] = {}
 
     def complex(self, mask: int) -> CochainComplexQ:
@@ -247,13 +251,19 @@ class _InducedComplexes:
             )
         return cx
 
+    def clearing(self, mask: int) -> list:
+        got = self._clearing.get(mask)
+        if got is None:
+            got = self._clearing[mask] = self.complex(mask).clearing()
+        return got
+
     def dims(self, mask: int) -> dict[int, int]:
         """dim H at each augmented position p (H~^{p-1}), ascending, nonzero only."""
         dims = self._dims.get(mask)
         if dims is None:
             parts = self.graph.components(mask)
             if len(parts) == 1:
-                dims = self.complex(mask).cohomology_dims()
+                dims = self.complex(mask).cohomology_dims(self.clearing(mask))
             else:
                 dims = {0: 1}  # the complex {empty set}, the unit of the join
                 for part in parts:
@@ -261,10 +271,12 @@ class _InducedComplexes:
             self._dims[mask] = dims
         return dims
 
-    def classes(self, mask: int, p: int) -> CohomologyClasses:
+    def classes(self, mask: int, p: int) -> CohomologyBasis:
         got = self._classes.get((mask, p))
         if got is None:
-            got = self._classes[(mask, p)] = CohomologyClasses(self.complex(mask), p)
+            got = self._classes[(mask, p)] = CohomologyBasis(
+                self.complex(mask), p, self.clearing(mask)
+            )
         return got
 
     def face_index(self, mask: int, p: int) -> dict[int, int]:
@@ -419,11 +431,14 @@ def mv_delta(
     representative psi: a face g of I(X) with psi(g) != 0 that avoids the
     neighbours of a gives the face g u {a} of the larger complex, found in
     the memo's face index, and no other face of it is visited.  Returns
-    {r: matrix}, rows indexed by the chosen basis of H~^{r+1} of the larger
-    complex.  Both complexes, their bases and the face index come from
-    ``memo``, the induced complexes of ``graph`` (a fresh one if None), so
-    callers that share one build each once; a memo of another graph raises
-    ValueError.
+    {r: matrix}, columns indexed by the basis of H~^r of I(X) and rows by
+    the basis of H~^{r+1} of the larger complex.  Both bases are
+    ``linalg.CohomologyBasis``, read off the clearing reduction that ranks
+    each complex, and eta's coordinates are taken modulo the coboundaries
+    that reduction pivoted.  Both complexes, their bases and the face index
+    come from ``memo``, the induced complexes of ``graph`` (a fresh one if
+    None), so callers that share one build each once; a memo of another
+    graph raises ValueError.
     """
     if not graph.has_edge(a, b):
         raise NotAnEdge(f"({a}, {b}) is not an edge")

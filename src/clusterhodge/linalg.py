@@ -9,18 +9,20 @@ Matrices come in two flavours here:
 
 All sparse elimination is ``Echelon``'s, fraction-free over the integers;
 ``rank``, ``nullspace`` and ``solve_in_span`` drive it and read answers
-over Q off its integer rows; ``Quotient`` reduces a span once and then
-answers each "representatives modulo it" query in one step.
-``CochainComplexQ`` is the one cochain-complex type of the package (Gysin
-complexes, graded pieces and simplicial cochains alike); its
-``cohomology_dims`` ranks the differentials in order with clearing, which
-needs d^2 = 0.  One Morse reducer collapses a complex along an acyclic
-matching of unit entries to its critical cells, checking d^2 = 0 on both
-sides: it takes the complex one position at a time and holds two positions
-of columns, finishing each position as the next one arrives.
-``morse_reduce_positions`` feeds it a stream of positions, which it checks
-pair by pair, and ``morse_reduce`` the positions of a stored complex.
-``CohomologyClasses`` is the ``Quotient`` of its cocycles by coboundaries.
+over Q off its integer rows.  ``CochainComplexQ`` is the one
+cochain-complex type of the package (Gysin complexes, graded pieces and
+simplicial cochains alike); its ``clearing`` reduces the differentials in
+order with clearing, which needs d^2 = 0, and ``cohomology_dims`` reads the
+ranks off that reduction.  ``CohomologyBasis`` takes the cocycle
+representatives of H^p from the same reduction (the columns of d_p left
+after clearing, reduced once more with their combinations kept) and gives
+coordinates modulo the coboundaries that d_{p-1} pivoted.  One Morse
+reducer collapses a complex along an acyclic matching of unit entries to
+its critical cells, checking d^2 = 0 on both sides: it takes the complex
+one position at a time and holds two positions of columns, finishing each
+position as the next one arrives.  ``morse_reduce_positions`` feeds it a
+stream of positions, which it checks pair by pair, and ``morse_reduce`` the
+positions of a stored complex.
 The Smith normal form keeps all four transformation matrices
 (S = P*A*Q together with the inverses of P and Q) because character lifts
 need explicit saturation bases, not just invariant factors.
@@ -162,43 +164,6 @@ def solve_in_span(vectors: list[Row], target: Row) -> list[Fraction] | None:
     return coeffs
 
 
-class Quotient:
-    """Representatives of span(candidates) modulo span(base), with coordinates.
-
-    One ``Echelon`` takes the base rows, then, in order, each candidate that
-    is independent modulo everything before it, tagged with a marker column
-    of its own past the ambient ``width``; ``chosen`` lists those candidates.
-    A candidate reduced against marker-carrying pivots picks up their
-    markers, so it is independent only if a column below ``width`` is left.
-    """
-
-    def __init__(self, base: list[Row], candidates: list[Row]):
-        self.width = max((max(v) + 1 for v in (*base, *candidates) if v), default=0)
-        self._ech = Echelon()
-        for row in filter(None, base):
-            self._ech.add(row)
-        self.chosen: list[int] = []
-        for i, cand in enumerate(candidates):
-            red = self._ech.reduce({**cand, self.width + len(self.chosen): 1})
-            if min(red) < self.width:
-                self._ech.add(red)
-                self.chosen.append(i)
-
-    def coordinates(self, vector: Row) -> list[Fraction] | None:
-        """c with vector - sum_j c_j cand[chosen[j]] in span(base), else None."""
-        if any(v for c, v in vector.items() if c >= self.width):
-            return None
-        marker = self.width + len(self.chosen)
-        red = self._ech.reduce({**vector, marker: 1})
-        if min(red) < self.width:
-            return None
-        scale = red.pop(marker)
-        coeffs = [Fraction(0)] * len(self.chosen)
-        for c, v in red.items():
-            coeffs[c - self.width] = Fraction(-v, scale)
-        return coeffs
-
-
 # ---------------------------------------------------------------------------
 # cochain complexes of based rational vector spaces
 
@@ -251,38 +216,43 @@ class CochainComplexQ:
             _check_square(self.columns[p], self.columns[p + 1])
         self._d2_verified = self.columns
 
-    def cohomology_dims(self) -> dict[int, int]:
-        """dim H^p for every p with nonzero cohomology; needs d^2 = 0.
+    def clearing(self) -> list[dict[int, dict[int, int]]]:
+        """The ``Echelon`` pivots of each differential's columns, d_0 first,
+        reduced with clearing (Chen-Kerber 2011); needs d^2 = 0.
 
-        Ranks are taken with clearing (Chen-Kerber 2011): the echelon of
-        d_{p-1} holds coboundaries, one led by each of its pivot keys c, so
-        column c of d_p lies in the span of the columns after it and is
-        skipped.  The columns left are the h^p dependent ones plus one per
-        pivot of d_p.  That is exact only when d_p d_{p-1} = 0; callers whose
-        differentials are not square-zero by construction verify it first.
+        The pivot rows of d_{p-1} are coboundaries, one led by each of their
+        keys c, so column c of d_p lies in the span of the columns after it
+        and is skipped.  The columns left are the h^p dependent ones plus one
+        per pivot of d_p.  That is exact only when d_p d_{p-1} = 0; callers
+        whose differentials are not square-zero by construction verify it
+        first.
         """
-        out = {}
+        out = []
         cleared: dict[int, dict[int, int]] = {}
-        for p in range(self.positions):
+        for cols in self.columns:
             ech = Echelon()
-            if p < len(self.columns):
-                for c, col in enumerate(self.columns[p]):
-                    if c not in cleared:
-                        ech.add(col)
-            h = self.dim(p) - ech.rank - len(cleared)
-            if h:
-                out[p] = h
+            for c, col in enumerate(cols):
+                if c not in cleared:
+                    ech.add(col)
             cleared = ech.pivots
+            out.append(cleared)
         return out
 
-    def rows_at(self, p: int) -> list[Row]:
-        """The differential out of position p, as rows over its basis."""
-        rows: list[Row] = [dict() for _ in range(self.dim(p + 1))]
-        if 0 <= p < len(self.columns):
-            for c, col in enumerate(self.columns[p]):
-                for r, v in col.items():
-                    rows[r][c] = v
-        return rows
+    def cohomology_dims(self, clearing: list | None = None) -> dict[int, int]:
+        """dim H^p for every p with nonzero cohomology, which is dim C^p less
+        the ranks of d_p and d_{p-1}, read off ``clearing`` (this complex's
+        ``clearing()``, computed here when not given); needs d^2 = 0."""
+        if clearing is None:
+            clearing = self.clearing()
+        out = {}
+        below = 0
+        for p in range(self.positions):
+            rank = len(clearing[p]) if p < len(clearing) else 0
+            h = self.dim(p) - rank - below
+            if h:
+                out[p] = h
+            below = rank
+        return out
 
 
 _PENDING = object()  # marks a flow being computed
@@ -480,24 +450,60 @@ def _flows(
     return flows
 
 
-class CohomologyClasses:
-    """Cocycle representatives of H^p with coordinates modulo coboundaries."""
+class CohomologyBasis:
+    """Cocycle representatives of a basis of H^p, read off the clearing
+    reduction of the complex, with coordinates modulo coboundaries.
 
-    def __init__(self, cx: CochainComplexQ, p: int):
+    ``clearing`` is the complex's ``clearing()``.  The columns of d_p that
+    the pivots of d_{p-1} do not clear are reduced once more, each carrying
+    a marker column for its own cell past dim C^{p+1}; the h^p of them that
+    reduce to markers alone are cocycles, and their marker parts are the
+    representatives.  With the pivot rows of d_{p-1} they span ker d_p: the
+    pivot rows are coboundaries with distinct leads on the cleared cells,
+    where every representative vanishes, so the two sets together are
+    rank d_{p-1} + h^p = dim ker d_p independent cocycles.  So the
+    representatives are a basis modulo coboundaries.  For coordinates one
+    ``Echelon`` is seeded with the pivot rows of d_{p-1} as they stand, and
+    each representative is added with a marker of its own; a cocycle
+    reduced against it is left with markers only, which give its
+    coordinates.
+    """
+
+    def __init__(self, cx: CochainComplexQ, p: int, clearing: list[dict[int, dict[int, int]]]):
         self.p = p
-        cocycles = nullspace(cx.rows_at(p), cx.dim(p))
-        incoming = cx.columns[p - 1] if 0 < p <= len(cx.columns) else []
-        self._quotient = Quotient(incoming, cocycles)
-        self.representatives = [cocycles[i] for i in self._quotient.chosen]
+        self.width = cx.dim(p)
+        cleared = clearing[p - 1] if 0 < p <= len(clearing) else {}
+        shift = cx.dim(p + 1)
+        cols = cx.columns[p] if p < len(cx.columns) else [{}] * self.width
+        kernel = Echelon()
+        self.representatives: list[dict[int, int]] = []
+        for c, col in enumerate(cols):
+            if c not in cleared:
+                red = kernel.add({**col, shift + c: 1})
+                if red is not None and min(red) >= shift:
+                    self.representatives.append({k - shift: v for k, v in red.items()})
+        self._ech = Echelon()
+        self._ech.pivots = dict(cleared)
+        for i, rep in enumerate(self.representatives):
+            self._ech.add({**rep, self.width + i: 1})
 
     @property
     def dim(self) -> int:
         return len(self.representatives)
 
     def coordinates(self, vector: Row) -> list[Fraction]:
-        coeffs = self._quotient.coordinates(vector)
-        if coeffs is None:
+        """c with vector - sum_i c_i representatives[i] a coboundary; raises
+        ValueError when vector is not a cocycle at this position."""
+        if any(v for c, v in vector.items() if c >= self.width):
             raise ValueError("vector is not a cocycle at this position")
+        marker = self.width + self.dim
+        red = self._ech.reduce({**vector, marker: 1})
+        if min(red) < self.width:
+            raise ValueError("vector is not a cocycle at this position")
+        scale = red.pop(marker)
+        coeffs = [Fraction(0)] * self.dim
+        for c, v in red.items():
+            coeffs[c - self.width] = Fraction(-v, scale)
         return coeffs
 
 

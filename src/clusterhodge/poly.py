@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 @dataclass(frozen=True)
@@ -93,25 +92,3 @@ class IntPolynomial:
 
     def __repr__(self):
         return f"IntPolynomial({self.render()})"
-
-
-def lagrange_interpolate(points: list[tuple[int, int]]) -> IntPolynomial:
-    """Exact interpolation through integer points; must yield integer coeffs."""
-    coeffs = [Fraction(0)] * len(points)
-    for i, (xi, yi) in enumerate(points):
-        num = [Fraction(1)]  # prod over j != i of (x - x_j), expanded
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            denom *= xi - xj
-            new = [Fraction(0)] * (len(num) + 1)
-            for k, c in enumerate(num):
-                new[k + 1] += c
-                new[k] -= Fraction(xj) * c
-            num = new
-        scale = Fraction(yi) / denom
-        for k, c in enumerate(num):
-            coeffs[k] += scale * c
-    assert all(c.denominator == 1 for c in coeffs), "non-integer interpolation"
-    return IntPolynomial(tuple(int(c) for c in coeffs))

@@ -1,10 +1,14 @@
 import random
+from fractions import Fraction
 
 import pytest
 
+from clusterhodge.counts import _is_prime, brute_force_count
 from clusterhodge.exchange import ExtendedExchangeMatrix, validate
+from clusterhodge.exterior import ExteriorForm
 from clusterhodge.graphs import Graph, _InducedComplexes
-from clusterhodge.linalg import Echelon
+from clusterhodge.linalg import CochainComplexQ, Echelon, Row, nullspace
+from clusterhodge.poly import IntPolynomial
 
 
 def random_acyclic_matrix(
@@ -152,6 +156,126 @@ def mv_delta_by_face_scan(graph: Graph, x_mask: int, a: int, b: int) -> dict:
             cols.append(dst.coordinates(eta))
         out[p - 1] = [[cols[j][i] for j in range(len(cols))] for i in range(dst.dim)]
     return out
+
+
+def rows_at(cx: CochainComplexQ, p: int) -> list[Row]:
+    """The differential of cx out of position p, as rows over its basis."""
+    rows: list[Row] = [dict() for _ in range(cx.dim(p + 1))]
+    if 0 <= p < len(cx.columns):
+        for c, col in enumerate(cx.columns[p]):
+            for r, v in col.items():
+                rows[r][c] = v
+    return rows
+
+
+class Quotient:
+    """Representatives of span(candidates) modulo span(base), with coordinates.
+
+    One ``Echelon`` takes the base rows, then, in order, each candidate that
+    is independent modulo everything before it, tagged with a marker column
+    of its own past the ambient ``width``; ``chosen`` lists those candidates.
+    A candidate reduced against marker-carrying pivots picks up their
+    markers, so it is independent only if a column below ``width`` is left.
+    """
+
+    def __init__(self, base: list[Row], candidates: list[Row]):
+        self.width = max((max(v) + 1 for v in (*base, *candidates) if v), default=0)
+        self._ech = Echelon()
+        for row in filter(None, base):
+            self._ech.add(row)
+        self.chosen: list[int] = []
+        for i, cand in enumerate(candidates):
+            red = self._ech.reduce({**cand, self.width + len(self.chosen): 1})
+            if min(red) < self.width:
+                self._ech.add(red)
+                self.chosen.append(i)
+
+    def coordinates(self, vector: Row) -> list[Fraction] | None:
+        """c with vector - sum_j c_j cand[chosen[j]] in span(base), else None."""
+        if any(v for c, v in vector.items() if c >= self.width):
+            return None
+        marker = self.width + len(self.chosen)
+        red = self._ech.reduce({**vector, marker: 1})
+        if min(red) < self.width:
+            return None
+        scale = red.pop(marker)
+        coeffs = [Fraction(0)] * len(self.chosen)
+        for c, v in red.items():
+            coeffs[c - self.width] = Fraction(-v, scale)
+        return coeffs
+
+
+class CohomologyClasses:
+    """Cocycle representatives of H^p with coordinates modulo coboundaries,
+    as the ``Quotient`` of a ``nullspace`` of d_p by the columns of d_p-1:
+    the reference for ``linalg.CohomologyBasis``, which reads both off the
+    clearing reduction."""
+
+    def __init__(self, cx: CochainComplexQ, p: int):
+        self.p = p
+        cocycles = nullspace(rows_at(cx, p), cx.dim(p))
+        incoming = cx.columns[p - 1] if 0 < p <= len(cx.columns) else []
+        self._quotient = Quotient(incoming, cocycles)
+        self.representatives = [cocycles[i] for i in self._quotient.chosen]
+
+    @property
+    def dim(self) -> int:
+        return len(self.representatives)
+
+    def coordinates(self, vector: Row) -> list[Fraction]:
+        coeffs = self._quotient.coordinates(vector)
+        if coeffs is None:
+            raise ValueError("vector is not a cocycle at this position")
+        return coeffs
+
+
+def lagrange_interpolate(points: list[tuple[int, int]]) -> IntPolynomial:
+    """Exact interpolation through integer points; must yield integer coeffs."""
+    coeffs = [Fraction(0)] * len(points)
+    for i, (xi, yi) in enumerate(points):
+        num = [Fraction(1)]  # prod over j != i of (x - x_j), expanded
+        denom = Fraction(1)
+        for j, (xj, _) in enumerate(points):
+            if j == i:
+                continue
+            denom *= xi - xj
+            new = [Fraction(0)] * (len(num) + 1)
+            for k, c in enumerate(num):
+                new[k + 1] += c
+                new[k] -= Fraction(xj) * c
+            num = new
+        scale = Fraction(yi) / denom
+        for k, c in enumerate(num):
+            coeffs[k] += scale * c
+    assert all(c.denominator == 1 for c in coeffs), "non-integer interpolation"
+    return IntPolynomial(tuple(int(c) for c in coeffs))
+
+
+def interpolate_point_count(matrix: ExtendedExchangeMatrix, modulus: int) -> IntPolynomial:
+    """Recover the counting polynomial from brute-force values.
+
+    Uses d+1 primes congruent to 1 mod 2*modulus (all primes when the
+    modulus is 1) and exact Lagrange interpolation.
+    """
+    need = matrix.d + 1
+    points = []
+    q = 2
+    while len(points) < need:
+        q += 1
+        if not _is_prime(q) or (q - 1) % (2 * modulus):
+            continue
+        points.append((q, brute_force_count(matrix, q)))
+    return lagrange_interpolate(points)
+
+
+def wedge_all(forms: list[ExteriorForm]) -> ExteriorForm:
+    """The wedge of forms, left to right."""
+    acc = ExteriorForm.one()
+    for f in forms:
+        acc = acc.wedge(f)
+        if not acc:
+            break
+    return acc
 
 
 def rank_relative(base: list[dict], extra: list[dict]) -> tuple[int, list[int]]:

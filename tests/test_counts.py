@@ -11,7 +11,6 @@ from clusterhodge.counts import (
     closed_form_s_le_3,
     consistency_suite,
     graph_stats,
-    interpolate_point_count,
     point_count_poly,
 )
 from clusterhodge.exchange import principal_from_graph, validate
@@ -25,7 +24,7 @@ from clusterhodge.graphs import (
 from clusterhodge.gysin import hodge_table
 from clusterhodge.poly import IntPolynomial
 
-from conftest import corpus, random_acyclic_matrix
+from conftest import corpus, interpolate_point_count, random_acyclic_matrix
 
 M01 = validate([[0], [1]], 1, 1)
 M22 = validate([[0, 2], [-2, 0]], 2, 0)

@@ -5,11 +5,10 @@ from clusterhodge.exterior import (
     ExteriorForm,
     bits,
     mask_of,
-    wedge_all,
     wedge_sign,
 )
 
-from conftest import submasks
+from conftest import submasks, wedge_all
 
 forms = st.dictionaries(
     st.integers(0, 63), st.integers(-4, 4), max_size=4

@@ -13,6 +13,7 @@ from clusterhodge.exchange import principal_from_graph, principal_matrix, valida
 from clusterhodge.filtration import (
     FilteredComplexQ,
     SpectralSequencePage,
+    _e1_summands,
     build_filtered,
     e1_page,
     graded_pieces,
@@ -21,6 +22,7 @@ from clusterhodge.filtration import (
 )
 from clusterhodge.graphs import (
     Graph,
+    _InducedComplexes,
     all_graphs,
     connected_graphs,
     cycle_graph,
@@ -29,9 +31,16 @@ from clusterhodge.graphs import (
 )
 from clusterhodge.gysin import CochainComplexQ, GysinBuilder, hodge_table
 from clusterhodge.io import load_matrix
-from clusterhodge.linalg import Echelon, Quotient, nullspace, rank, solve_in_span
+from clusterhodge.linalg import Echelon, nullspace, rank, solve_in_span
 
-from conftest import rank_relative, seeded_orientation
+from conftest import (
+    CohomologyClasses,
+    Quotient,
+    mat_mul,
+    rank_relative,
+    rows_at,
+    seeded_orientation,
+)
 
 TRIANGLE = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
 
@@ -532,7 +541,7 @@ class _Engine:
         self.cx = fc.complex
         self.levels = fc.levels
         self.lo, self.hi = fc.level_range()
-        self._rows = [self.cx.rows_at(p) for p in range(self.cx.positions)]
+        self._rows = [rows_at(self.cx, p) for p in range(self.cx.positions)]
         self._z_cache: dict[tuple[int, int, int], list[tuple[dict, int]]] = {}
         self._entries: dict[tuple, tuple[list, Quotient | None]] = {}
         self._zero_from: dict[tuple[int, int], int] = {}  # first page where it is 0
@@ -658,7 +667,7 @@ def _reference_pages(fc: FilteredComplexQ):
         allowed = [i for i in range(cx.dim(k)) if levels[k][i] >= e]
         pos = {i: c for c, i in enumerate(allowed)}
         rows = []
-        for ridx, row in enumerate(cx.rows_at(k)):
+        for ridx, row in enumerate(rows_at(cx, k)):
             if levels[k + 1][ridx] < e + r:
                 kept = {pos[c]: v for c, v in row.items() if c in pos}
                 if kept:
@@ -792,6 +801,52 @@ def test_e1_page_with_one_memo_equals_fresh_complexes(monkeypatch):
 
 
 E1_PIN = Path(__file__).parent / "data" / "e1_pin"
+E1_PIN_MATRICES = {
+    "p3": "../ss_pin/p3.mat",
+    "z4": "../ss_pin/z4.mat",
+    "c5": "c5.mat",
+    "k3k2": "k3k2.mat",
+}
+
+
+def test_e1_differentials_change_with_the_bases_only(monkeypatch):
+    # on the pinned matrices, every d_1 block built on the new classes is
+    # T_dst . old . T_src^-1, where old is the block built on the
+    # nullspace-and-quotient reference classes and column i of each
+    # summand's T holds the new coordinates of the reference's
+    # representative i: the pages differ by a change of basis of each
+    # summand and by nothing else
+    blocks = 0
+    for rel in E1_PIN_MATRICES.values():
+        m = load_matrix(str(E1_PIN / rel))
+        for s in range(m.d + 1):
+            new = e1_page(m, s).differentials
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    _InducedComplexes,
+                    "classes",
+                    lambda self, mask, p: CohomologyClasses(self.complex(mask), p),
+                )
+                old = e1_page(m, s).differentials
+            induced, entries, positions = _e1_summands(m, s)
+            change = {
+                spot: [[Fraction(0)] * size for _ in range(size)] for spot, size in entries.items()
+            }
+            for (d_mask, e_mask, e, f), (offset, _) in positions.items():
+                x_mask = e_mask & ~d_mask
+                ref = CohomologyClasses(induced.complex(x_mask), e + f)
+                basis = induced.classes(x_mask, e + f)
+                for i, rep in enumerate(ref.representatives):
+                    for k, c in enumerate(basis.coordinates(rep)):
+                        change[(e, f)][offset + k][offset + i] = c
+            for spot, t in change.items():
+                assert rank([dict(enumerate(row)) for row in t]) == len(t)
+            assert new.keys() == old.keys()
+            for (e, f), mat in new.items():
+                t_src, t_dst = change[(e, f)], change[(e + 1, f)]
+                assert mat_mul(mat, t_src) == mat_mul(t_dst, old[(e, f)]), (m.rows, s, e, f)
+                blocks += 1
+    assert blocks == 34
 
 
 def test_e1_differentials_are_pinned():
@@ -800,8 +855,7 @@ def test_e1_differentials_are_pinned():
     # (scripts/make_e1_pins.py); a second block for one pair of summands
     # would be overwritten, not added, and change an entry here
     pinned = json.loads((E1_PIN / "differentials.json").read_text())
-    mats = {"p3": "../ss_pin/p3.mat", "z4": "../ss_pin/z4.mat", "c5": "c5.mat", "k3k2": "k3k2.mat"}
-    for name, rel in mats.items():
+    for name, rel in E1_PIN_MATRICES.items():
         m = load_matrix(str(E1_PIN / rel))
         got = []
         for s in range(m.d + 1):

@@ -1,8 +1,9 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
-from conftest import mv_delta_by_face_scan, submasks
+from conftest import CohomologyClasses, mv_delta_by_face_scan, submasks
 
 from clusterhodge.errors import CycleTooSmall, NotAForest, NotAnEdge, TooLarge, VertexInX
 from clusterhodge.graphs import (
@@ -28,7 +29,7 @@ from clusterhodge.graphs import (
     star_graph,
     trees,
 )
-from clusterhodge.linalg import CohomologyClasses
+from clusterhodge.linalg import CohomologyBasis, rank
 
 
 def test_anticliques_examples():
@@ -210,7 +211,10 @@ def test_mv_delta_isomorphism_on_edge():
     g = Graph.from_edges(2, [(0, 1)])
     maps = mv_delta(g, 0, 0, 1)
     assert list(maps) == [-1]
-    assert maps[-1] == [[1]]
+    # H~^0 of the two points is represented by the face {1}, the cell that
+    # the pivot {0} + {1} of d_0 leaves uncleared, and the image {0} of the
+    # class of the empty face is -{1} modulo that coboundary
+    assert maps[-1] == [[-1]]
 
 
 def test_mv_delta_zero_for_deep_paths():
@@ -268,8 +272,65 @@ def test_mv_delta_equals_the_face_scan():
 
 def test_cohomology_basis_coordinates_roundtrip():
     cx = augmented_cochain_complex(anticliques(cycle_graph(6)))
-    basis = CohomologyClasses(cx, 2)  # H~^1 sits at position 2
+    basis = CohomologyBasis(cx, 2, cx.clearing())  # H~^1 sits at position 2
     assert basis.dim == 2
     for i, rep in enumerate(basis.representatives):
         coords = basis.coordinates(rep)
         assert [int(c) for c in coords] == [1 if j == i else 0 for j in range(2)]
+
+
+def _image(cols, vector):
+    """sum over c of vector[c] * cols[c], as a sparse vector."""
+    out = {}
+    for c, v in vector.items():
+        for r, w in cols[c].items():
+            out[r] = out.get(r, 0) + v * w
+    return {r: v for r, v in out.items() if v}
+
+
+def test_cohomology_basis_matches_the_reference():
+    # every mask of every graph with <= 5 vertices, of K_3 u K_3, K_4 u K_3,
+    # P_6 and C_6: the classes read off the clearing reduction against the
+    # nullspace-and-quotient reference, position by position
+    k3k3 = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]
+    k4k3 = list(itertools.combinations(range(4), 2)) + [(4, 5), (4, 6), (5, 6)]
+    extra = [Graph.from_edges(6, k3k3), Graph.from_edges(7, k4k3), path_graph(6), cycle_graph(6)]
+    rng = random.Random(2111)
+    checked = 0
+    for g in [g for v in range(1, 6) for g in all_graphs(v)] + extra:
+        induced = _InducedComplexes(g)
+        for mask in range(1 << g.n_vertices):
+            cx = induced.complex(mask)
+            refs = [CohomologyClasses(cx, p) for p in range(cx.positions)]
+            assert induced.dims(mask) == {p: ref.dim for p, ref in enumerate(refs) if ref.dim}
+            for p, ref in enumerate(refs):
+                if not ref.dim:
+                    continue
+                basis = induced.classes(mask, p)
+                reps = basis.representatives
+                assert (basis.p, basis.dim) == (p, ref.dim)
+                out = cx.columns[p] if p < len(cx.columns) else None
+                assert out is None or not any(_image(out, rep) for rep in reps)
+                # the change of basis between the reference and the new classes
+                change = [dict(enumerate(ref.coordinates(rep))) for rep in reps]
+                assert rank(change) == ref.dim
+                coeffs = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in reps]
+                vector = {}
+                for c, rep in zip(coeffs, reps):
+                    for k, v in rep.items():
+                        vector[k] = vector.get(k, 0) + c * v
+                if p:
+                    y = {k: rng.randint(-2, 2) for k in range(cx.dim(p - 1))}
+                    for k, v in _image(cx.columns[p - 1], y).items():
+                        vector[k] = vector.get(k, 0) + v
+                assert basis.coordinates(vector) == coeffs
+                if out is not None:
+                    for c, col in enumerate(out):
+                        if col:
+                            with pytest.raises(ValueError):
+                                basis.coordinates({**vector, c: vector.get(c, 0) + 1})
+                            break
+                with pytest.raises(ValueError):
+                    basis.coordinates({cx.dim(p): 1})
+                checked += 1
+    assert checked == 691

@@ -51,9 +51,8 @@ from clusterhodge.gysin import (
 )
 from clusterhodge.linalg import (
     CochainComplexQ,
-    CohomologyClasses,
     Echelon,
-    Quotient,
+    identity,
     morse_reduce,
     morse_reduce_positions,
     rank,
@@ -61,6 +60,8 @@ from clusterhodge.linalg import (
 from clusterhodge.poly import IntPolynomial
 
 from conftest import (
+    CohomologyClasses,
+    Quotient,
     assembly_corpus,
     corpus,
     full_rank_corpus,
@@ -576,6 +577,17 @@ def test_mutation_between_acyclic_seeds_keeps_the_table():
             if is_acyclic(m2):
                 assert hodge_table(m).dims == hodge_table(m2).dims, (m.rows, k)
                 cases += 1
+
+
+def test_mutation_keeps_the_table_at_d_16():
+    # principal P_8 mutated at vertex 0: still acyclic and really full rank,
+    # with a frozen block that is no longer the identity, and the same table
+    m = principal_from_graph(path_graph(8))
+    mutated = mutate(m, 0)
+    assert is_acyclic(mutated)
+    assert rank_class(mutated) is RankClass.REALLY_FULL_RANK
+    assert [list(r) for r in mutated.rows[m.n :]] != identity(m.n)
+    assert hodge_table(mutated).dims == hodge_table(m).dims
 
 
 def test_disjoint_union_table_is_kunneth_product():

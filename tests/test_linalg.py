@@ -13,7 +13,6 @@ from clusterhodge.gysin import GysinBuilder
 from clusterhodge.linalg import (
     CochainComplexQ,
     Echelon,
-    Quotient,
     identity,
     morse_reduce,
     nullspace,
@@ -22,7 +21,7 @@ from clusterhodge.linalg import (
     solve_in_span,
 )
 
-from conftest import assembly_corpus, mat_mul, matching_is_acyclic, rank_relative
+from conftest import Quotient, assembly_corpus, mat_mul, matching_is_acyclic, rank_relative
 
 small_matrices = st.integers(1, 5).flatmap(
     lambda r: st.integers(1, 5).flatmap(
