@@ -66,12 +66,7 @@ from .exchange import (
 )
 from .exterior import ExteriorForm, bits, mask_of
 from .graphs import anticliques
-from .linalg import (
-    CochainComplexQ,
-    Echelon,
-    Position,
-    morse_reduce_positions,
-)
+from .linalg import CochainComplexQ, Position, morse_reduce_positions
 from .poly import IntPolynomial
 
 Label = tuple[int, int]  # (anticlique mask, A mask)
@@ -92,7 +87,9 @@ class GModuleBasis:
 
     ``substitution[t]``, for t in N(I), is dlog x_t modulo the span of the
     alpha_i (i in I), written over the free dlog's as {one-bit mask:
-    coefficient}, integral coefficients as ints.
+    coefficient}, integral coefficients as ints.  A record is its parent's
+    after one elimination step (``GysinBuilder._record``); tables are only
+    read, and share the rows that the step leaves alone.
     """
 
     anticlique: tuple[int, ...]
@@ -151,27 +148,9 @@ class PositionLabels(Sequence):
         )
 
 
-def _inverse(mat: list[list]) -> list[list]:
-    """The inverse of an invertible square matrix over Q, by Gauss-Jordan.
-
-    Entries stay ints while every pivot is +-1, as on principal inputs.
-    """
-    k = len(mat)
-    aug = [list(row) + [int(i == j) for j in range(k)] for i, row in enumerate(mat)]
-    for col in range(k):
-        piv = next(r for r in range(col, k) if aug[r][col])
-        aug[col], aug[piv] = aug[piv], aug[col]
-        lead = aug[col][col]
-        if lead == -1:
-            aug[col] = [-v for v in aug[col]]
-        elif lead != 1:
-            aug[col] = [Fraction(v) / lead for v in aug[col]]
-        top = aug[col]
-        for r in range(k):
-            f = aug[r][col]
-            if r != col and f:
-                aug[r] = [a - f * b for a, b in zip(aug[r], top)]
-    return [row[k:] for row in aug]
+def _exact(v: Fraction | int) -> Fraction | int:
+    """v, as an int when it is integral."""
+    return v if type(v) is int or v.denominator != 1 else v.numerator
 
 
 class GysinBuilder:
@@ -192,7 +171,9 @@ class GysinBuilder:
         self.matrix = matrix
         self.graph = underlying_graph(matrix)
         self.family = anticliques(self.graph)
-        self._basis: dict[int, GModuleBasis] = {}
+        top_down = tuple(1 << r for r in range(matrix.d - 1, -1, -1))
+        # each record made, None where the columns of its anticlique are dependent
+        self._basis = {0: GModuleBasis((), (), 0, sum(top_down), top_down, {})}
 
     # -- one record per anticlique -------------------------------------------
 
@@ -201,59 +182,77 @@ class GysinBuilder:
             raise NotAnticlique(f"{sorted(bits(i_mask))} is not an anticlique")
 
     def basis(self, i_mask: int) -> GModuleBasis:
-        """The record of the anticlique I, made once.
+        """The record of the anticlique I, made once by ``_record``."""
+        record = self._basis.get(i_mask)
+        if record is None:
+            self.require_anticlique(i_mask)
+            record = self._record(i_mask)
+            if record is None:
+                raise ColumnsDependent(
+                    f"columns {bits(i_mask)} of the exchange matrix are dependent"
+                )
+        return record
 
-        N(I) is a row set with B~_{N(I),I} invertible and fewest mutable
-        rows: frozen rows are offered to the greedy rank test first, which by
-        the matroid exchange property minimizes the mutable share.  The row
-        order is the same for every anticlique, and rows independent on the
-        columns of I stay independent on those of I u {j}, so N(I u {j}) is
-        N(I) plus one row.
+    def _record(self, i_mask: int) -> GModuleBasis | None:
+        """The record of I from that of its parent P = I - {j}, j the highest
+        vertex of I, kept; None when the columns of I are dependent.
 
-        The alpha_i vanish on the rows of I, and with the free dlog x_r (r
-        outside I and N(I)) they form a basis.  Writing dlog x_t = sum_i c_i
-        alpha_i + (free part) for t in N(I) therefore asks for
-        B~_{N(I),I} c = e_t, which the exact inverse of that |I| x |I| block
-        solves for every t at once; the free dlog x_r then carries
-        -sum_i c_i B~_{r,i}.  The alpha components die against the full alpha
-        wedge of G^I, so only the free part is kept.
+        N(I) is the row set a greedy rank test on the columns of I picks from
+        the rows offered frozen first, then mutable, each ascending:
+        B~_{N(I),I} is invertible, with the fewest mutable rows (matroid
+        exchange).  The alpha_i (i in I) vanish on the rows of I, and with the
+        free dlog x_r (r outside I and N(I)) they form a basis.
+
+        The step: alpha_j with each dlog x_t' (t' in N(P)) replaced by P's
+        table is abar_j, alpha_j modulo P's alphas over P's free rows, and
+        abar_j[r] = det B~_{N(P) u r, I} / det B~_{N(P), P} (Schur).  For r
+        outside N(P), P's greedy test refused r, so the functional that is 1
+        at r, 0 at P's other free rows and on P's alphas lives on the rows
+        offered up to r; on alpha_j it is abar_j[r].  So the rank gap between
+        the columns of I and of P over the first k offered rows (0 or 1, never
+        falling as k grows) opens where abar_j is first nonzero: N(I) = N(P) u
+        {t}, t the first offered row with abar_j[t] != 0 (none: the columns
+        of I are dependent), and so for any j, as ``_rho_into`` asserts.
+        Modulo alpha_j, dlog x_t = -abar_j[t]^-1 sum_{r != t} abar_j[r]
+        dlog x_r: the new row, which replaces the dlog x_t term of P's rows;
+        a row without one is P's dict, shared.
         """
-        cached = self._basis.get(i_mask)
-        if cached is not None:
-            return cached
-        self.require_anticlique(i_mask)
-        rows, n, d = self.matrix.rows, self.matrix.n, self.matrix.d
-        cols = bits(i_mask)
-        selected: list[int] = []
-        ech = Echelon()
-        for r in list(range(n, d)) + list(range(n)):
-            if len(selected) == len(cols):
-                break
-            if ech.add({c: rows[r][i] for c, i in enumerate(cols)}) is not None:
-                selected.append(r)
-        if len(selected) < len(cols):
-            raise ColumnsDependent(
-                f"columns {cols} of the exchange matrix are dependent"
-            )
-        selected.sort()
-        row_mask = mask_of(selected)
-        allowed = ((1 << d) - 1) & ~(i_mask | row_mask)
-        free = bits(allowed)
-        inverse = _inverse([[rows[t][i] for i in cols] for t in selected])
+        if i_mask in self._basis:
+            return self._basis[i_mask]
+        self._basis[i_mask] = None  # kept when the columns of I are dependent
+        j = i_mask.bit_length() - 1
+        parent = self._record(i_mask ^ (1 << j))
+        if parent is None:
+            return None
+        table, abar = parent.substitution, {}
+        for r, row in enumerate(self.matrix.rows):
+            if row[j] and parent.row_mask >> r & 1:
+                for b, c in table[r].items():
+                    abar[b] = abar.get(b, 0) + row[j] * c
+            elif row[j]:
+                abar[1 << r] = abar.get(1 << r, 0) + row[j]
+        support = sum(b for b, v in abar.items() if v)
+        offered = support >> self.matrix.n << self.matrix.n or support  # frozen first
+        if not offered:
+            return None
+        t_bit = offered & -offered
+        lead = abar.pop(t_bit)
+        scale = -lead if lead in (1, -1) else -1 / Fraction(lead)
+        new = {b: _exact(scale * abar[b]) for b in sorted(abar) if abar[b]}
+        row_mask = parent.row_mask | t_bit
         substitution = {}
-        for k, t in enumerate(selected):
-            c = [(row[k], i) for row, i in zip(inverse, cols) if row[k]]
-            terms = substitution[t] = {}
-            for r in free:
-                v = -sum(ci * rows[r][i] for ci, i in c)
-                if v:
-                    terms[1 << r] = v.numerator if v.denominator == 1 else v
-        top_down = tuple(1 << r for r in reversed(free))
-        result = GModuleBasis(
-            tuple(cols), tuple(selected), row_mask, allowed, top_down, substitution
+        for t in bits(row_mask):
+            old = table.get(t, new)  # the new row, at t_bit, has no t_bit term
+            if (c := old.get(t_bit)) is not None:
+                keys = sorted((old.keys() | new.keys()) - {t_bit})
+                old = {b: _exact(v) for b in keys if (v := old.get(b, 0) + c * new.get(b, 0))}
+            substitution[t] = old
+        allowed = parent.allowed & ~(1 << j | t_bit)
+        top_down = tuple(b for b in parent.top_down if b & allowed)
+        record = self._basis[i_mask] = GModuleBasis(
+            tuple(bits(i_mask)), tuple(bits(row_mask)), row_mask, allowed, top_down, substitution
         )
-        self._basis[i_mask] = result
-        return result
+        return record
 
     def cells(self, s: int) -> int:
         """Cells of the weight-s slice, counted before it is built.
@@ -310,8 +309,8 @@ class GysinBuilder:
         source mask; each entry is written once, so the target rows must be
         empty in those columns.  A masks that avoid j map to zero and are
         skipped.  Otherwise dlog x_j is extracted with its Koszul sign.  A
-        avoids N(I), and N(J) is N(I) plus one row t (see ``basis``), so at most
-        dlog x_t is left over from N(J); it is replaced by the target
+        avoids N(I), and N(J) is N(I) plus one row t (``_record``), so at
+        most dlog x_t is left over from N(J); it is replaced by the target
         record's ``substitution[t]``, a combination of free dlog's, written
         term by term.  When A - j avoids t the image is the single unit
         entry +-1 at (I u j, A - j); it is matched, ``up[column] = row``,

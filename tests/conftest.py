@@ -4,9 +4,11 @@ from fractions import Fraction
 import pytest
 
 from clusterhodge.counts import _is_prime, brute_force_count
+from clusterhodge.errors import ColumnsDependent
 from clusterhodge.exchange import ExtendedExchangeMatrix, validate
-from clusterhodge.exterior import ExteriorForm
+from clusterhodge.exterior import ExteriorForm, bits, mask_of
 from clusterhodge.graphs import Graph, _InducedComplexes
+from clusterhodge.gysin import GModuleBasis
 from clusterhodge.linalg import CochainComplexQ, Echelon, Row, nullspace
 from clusterhodge.poly import IntPolynomial
 
@@ -227,6 +229,65 @@ class CohomologyClasses:
         if coeffs is None:
             raise ValueError("vector is not a cocycle at this position")
         return coeffs
+
+
+def _inverse(mat: list[list]) -> list[list]:
+    """The inverse of an invertible square matrix over Q, by Gauss-Jordan.
+
+    Entries stay ints while every pivot is +-1, as on principal inputs.
+    """
+    k = len(mat)
+    aug = [list(row) + [int(i == j) for j in range(k)] for i, row in enumerate(mat)]
+    for col in range(k):
+        piv = next(r for r in range(col, k) if aug[r][col])
+        aug[col], aug[piv] = aug[piv], aug[col]
+        lead = aug[col][col]
+        if lead == -1:
+            aug[col] = [-v for v in aug[col]]
+        elif lead != 1:
+            aug[col] = [Fraction(v) / lead for v in aug[col]]
+        top = aug[col]
+        for r in range(k):
+            f = aug[r][col]
+            if r != col and f:
+                aug[r] = [a - f * b for a, b in zip(aug[r], top)]
+    return [row[k:] for row in aug]
+
+
+def greedy_record(matrix: ExtendedExchangeMatrix, i_mask: int) -> GModuleBasis:
+    """The record of the anticlique I made from scratch: N(I) by a greedy
+    ``Echelon`` rank test on the columns of I (frozen rows offered first,
+    then mutable, each ascending), and the substitution table from the
+    Gauss-Jordan inverse of B~_{N(I),I}, which solves B~_{N(I),I} c = e_t
+    for every t at once; the free dlog x_r then carries -sum_i c_i B~_{r,i}.
+    The reference for ``GysinBuilder.basis``, which makes each record from
+    its parent's by one elimination step."""
+    rows, n, d = matrix.rows, matrix.n, matrix.d
+    cols = bits(i_mask)
+    selected: list[int] = []
+    ech = Echelon()
+    for r in list(range(n, d)) + list(range(n)):
+        if len(selected) == len(cols):
+            break
+        if ech.add({c: rows[r][i] for c, i in enumerate(cols)}) is not None:
+            selected.append(r)
+    if len(selected) < len(cols):
+        raise ColumnsDependent(f"columns {cols} of the exchange matrix are dependent")
+    selected.sort()
+    row_mask = mask_of(selected)
+    allowed = ((1 << d) - 1) & ~(i_mask | row_mask)
+    free = bits(allowed)
+    inverse = _inverse([[rows[t][i] for i in cols] for t in selected])
+    substitution = {}
+    for k, t in enumerate(selected):
+        c = [(row[k], i) for row, i in zip(inverse, cols) if row[k]]
+        terms = substitution[t] = {}
+        for r in free:
+            v = -sum(ci * rows[r][i] for ci, i in c)
+            if v:
+                terms[1 << r] = v.numerator if v.denominator == 1 else v
+    top_down = tuple(1 << r for r in reversed(free))
+    return GModuleBasis(tuple(cols), tuple(selected), row_mask, allowed, top_down, substitution)
 
 
 def lagrange_interpolate(points: list[tuple[int, int]]) -> IntPolynomial:

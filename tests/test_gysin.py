@@ -65,6 +65,7 @@ from conftest import (
     assembly_corpus,
     corpus,
     full_rank_corpus,
+    greedy_record,
     j_major_matching,
     mat_mul,
     matching_is_acyclic,
@@ -497,8 +498,8 @@ def test_substitution_table_writes_n_rows_over_free_rows_modulo_alphas():
 
 def _quotient_pi_table(builder: GysinBuilder, j_mask: int) -> dict[int, dict]:
     """The substitution table as one ``Quotient`` writes it, the alphas as
-    base and the free units as candidates: the reference for
-    the exact |J| x |J| inverse behind ``GModuleBasis.substitution``."""
+    base and the free units as candidates: a reference for
+    ``GModuleBasis.substitution``."""
     basis = builder.basis(j_mask)
     rows, d = builder.matrix.rows, builder.matrix.d
     free = [r for r in range(d) if not ((j_mask | basis.row_mask) >> r & 1)]
@@ -543,6 +544,53 @@ def test_pi_table_matches_the_quotient_reference():
     assert fractions > 0
 
 
+def _typed_table(record):
+    """A record's table with each coefficient's type, in key order."""
+    return [
+        (t, [(mask, c, type(c)) for mask, c in terms.items()])
+        for t, terms in record.substitution.items()
+    ]
+
+
+def test_records_equal_the_greedy_reference():
+    # each record, made from its parent's by one elimination step, equals the
+    # one a greedy rank test and a Gauss-Jordan inverse make from scratch: in
+    # every field, the table's key order and each coefficient's int or
+    # Fraction type; a rank-deficient draw raises the same ColumnsDependent
+    from clusterhodge.exchange import validate_rational
+
+    cases = full_rank_corpus() + assembly_corpus() + corpus()
+    for graph in (star_graph(4), star_graph(6)):
+        top = principal_from_graph(graph).top_block()
+        n = len(top)
+        cases.append(validate(top + [[2 * (i == j) for j in range(n)] for i in range(n)], n, n))
+    cases.append(
+        validate_rational([[0, 1], [-1, 0], [Fraction(1, 2), 0], [0, Fraction(1, 3)]], 2, 2)
+    )
+    rng = random.Random(2022)
+    cases += [random_acyclic_matrix(rng, full_rank=k % 3 != 0) for k in range(300)]
+    records = dependent = fractions = 0
+    for m in cases:
+        builder = GysinBuilder(m)
+        for i_mask in builder.family.all_masks():
+            try:
+                want = greedy_record(m, i_mask)
+            except ColumnsDependent as exc:
+                with pytest.raises(ColumnsDependent) as got:
+                    builder.basis(i_mask)
+                assert str(got.value) == str(exc), (m.rows, i_mask)
+                dependent += 1
+                continue
+            got = builder.basis(i_mask)
+            assert got == want, (m.rows, i_mask)
+            assert _typed_table(got) == _typed_table(want), (m.rows, i_mask)
+            records += 1
+            fractions += sum(
+                type(c) is Fraction for terms in got.substitution.values() for c in terms.values()
+            )
+    assert records > 2000 and dependent > 0 and fractions > 0
+
+
 def test_principal_complexes_have_integer_entries():
     for graph in [path_graph(4), star_graph(4), cycle_graph(4)]:
         m = principal_from_graph(graph)
@@ -565,6 +613,30 @@ def test_frozen_block_change_of_basis_invariance():
     transformed = mat_mul(u, [list(r) for r in m.rows])
     m2 = validate(transformed, 2, 2)
     assert hodge_table(m).dims == hodge_table(m2).dims
+
+
+def test_frozen_change_of_basis_keeps_the_table_at_d_8_to_10():
+    # a frozen block multiplied by a unimodular Q (unit upper triangular,
+    # entries in [-2, 2], rows shuffled) is a monomial change of the frozen
+    # coordinates: still really full rank, the same table; non-unit Schur
+    # leads give Fraction coefficients in the substitution tables
+    rng = random.Random(8)
+    fractions = 0
+    for n, kind in itertools.product((4, 5), (path_graph, star_graph, cycle_graph)):
+        m = principal_from_graph(kind(n))
+        q = [[0] * i + [1] + [rng.randint(-2, 2) for _ in range(n - 1 - i)] for i in range(n)]
+        rng.shuffle(q)
+        changed = validate(m.top_block() + mat_mul(q, [list(r) for r in m.rows[n:]]), n, n)
+        assert rank_class(changed) is RankClass.REALLY_FULL_RANK
+        assert hodge_table(changed).dims == hodge_table(m).dims, (kind.__name__, n)
+        builder = GysinBuilder(changed)
+        fractions += sum(
+            type(c) is Fraction
+            for i_mask in builder.family.all_masks()
+            for terms in builder.basis(i_mask).substitution.values()
+            for c in terms.values()
+        )
+    assert fractions > 0
 
 
 def test_mutation_between_acyclic_seeds_keeps_the_table():
