@@ -32,7 +32,7 @@ from .exchange import (
 )
 from .exterior import bits
 from .graphs import Graph, anticliques
-from .gysin import hodge_table
+from .gysin import _table_and_rank_class
 from .poly import IntPolynomial
 
 ENUMERATION_GUARD = 10**8
@@ -51,7 +51,11 @@ def point_count_poly(matrix: ExtendedExchangeMatrix) -> PointCountResult:
     """#A(F_q) as a polynomial in q, plus the congruence modulus N."""
     if not is_acyclic(matrix):
         raise NotAcyclic("point counts need an acyclic quiver")
-    rc = rank_class(matrix)
+    return _point_count(matrix, rank_class(matrix))
+
+
+def _point_count(matrix: ExtendedExchangeMatrix, rc: RankClass) -> PointCountResult:
+    """``point_count_poly`` of an acyclic matrix whose rank class is rc."""
     if rc is RankClass.NOT_FULL_RANK:
         raise NotFullRank("point counts need a full-rank matrix")
     graph = underlying_graph(matrix)
@@ -286,12 +290,11 @@ def consistency_suite(matrix: ExtendedExchangeMatrix) -> SuiteReport:
     need really full rank.
     """
     checks: list[CheckResult] = []
-    # first, so that its size guard refuses a large input before any
-    # Smith normal form is computed
-    table = hodge_table(matrix)
-    rc = rank_class(matrix)
+    # first, so that its size guard refuses a large input before any Smith
+    # normal form is computed; its rank class serves the point count too
+    table, rc = _table_and_rank_class(matrix)
     really = rc is RankClass.REALLY_FULL_RANK
-    counted = point_count_poly(matrix)
+    counted = _point_count(matrix, rc)
 
     if really:
         lhs, rhs = counted.polynomial, table.point_count_polynomial()

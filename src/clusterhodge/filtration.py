@@ -376,7 +376,8 @@ def e1_page(matrix: ExtendedExchangeMatrix, s: int) -> E1Page:
     ``_InducedComplexes`` serves the call: each independence complex of an
     induced subgraph is built once, for its dims and for every ``mv_delta``
     block that needs its classes, and a disconnected one gets its dims by
-    the join rule.  Each block's nonzeros are scaled once per scalar and
+    the join rule.  Each block's nonzeros are scaled once per scalar (a
+    scalar of +-1 by sign: v or -v; only a multiple arrow multiplies) and
     written by assignment into every pair of summands that shares it;
     nothing is kept between calls.  Past E1_SUMMAND_GUARD summands, C(2n, s)
     of them, the page is refused with TooLarge before anything is built.
@@ -384,6 +385,7 @@ def e1_page(matrix: ExtendedExchangeMatrix, s: int) -> E1Page:
     induced, entries, positions = _e1_summands(matrix, s)
     graph = induced.graph
     zero = Fraction(0)
+    unseen = object()
     diffs: dict[tuple[int, int], list[list[Fraction]]] = {}
     deltas: dict[tuple[int, int, int], dict[int, list[list[Fraction]]]] = {}
     # (X, a, b, r, scale) -> the block's nonzeros (i, j, scale * v), or None
@@ -393,31 +395,42 @@ def e1_page(matrix: ExtendedExchangeMatrix, s: int) -> E1Page:
         if target_pos not in entries:
             continue
         x_mask = e_mask & ~d_mask
+        outside = ~(d_mask | e_mask)
         r = e + f - 1
         mat = diffs.get((e, f))
-        for a in bits(d_mask & e_mask):
-            # the scalar's exponent: |D| + 1 + #{D > a} + e + f, then per b the rest
-            flips_a = d_mask.bit_count() + 1 + (d_mask >> (a + 1)).bit_count() + e + f
-            e_rest = e_mask & ~(1 << a)
+        # the scalar's exponent: |D| + 1 + #{D > a} + e + f, then per b the rest
+        flips_d = d_mask.bit_count() + 1 + e + f
+        both = d_mask & e_mask
+        while both:
+            a_bit = both & -both
+            both ^= a_bit
+            a = a_bit.bit_length() - 1
+            flips_a = flips_d + (d_mask >> (a + 1)).bit_count()
+            d2, e_rest = d_mask ^ a_bit, e_mask ^ a_bit
             # the neighbours of a outside D u E: B~_{ba} != 0 exactly on edges
-            for b in bits(graph.adjacency[a] & ~(d_mask | e_mask)):
-                key2 = (d_mask & ~(1 << a), e_mask | (1 << b), e + 1, f)
-                if key2 not in positions:
+            nbrs = graph.adjacency[a] & outside
+            while nbrs:
+                b_bit = nbrs & -nbrs
+                nbrs ^= b_bit
+                place = positions.get((d2, e_mask | b_bit, e + 1, f))
+                if place is None:
                     continue
+                b = b_bit.bit_length() - 1
                 flips = flips_a + (b > a) + (e_rest >> (b + 1)).bit_count()
                 scale = -matrix.rows[b][a] if flips & 1 else matrix.rows[b][a]
                 key = (x_mask, a, b, r, scale)
-                if key not in scaled:
+                nonzeros = scaled.get(key, unseen)
+                if nonzeros is unseen:
                     if (x_mask, a, b) not in deltas:
                         deltas[(x_mask, a, b)] = mv_delta(graph, x_mask, a, b, memo=induced)
                     block = deltas[(x_mask, a, b)].get(r)
-                    scaled[key] = None if block is None else [
-                        (i, jj, scale * v)
+                    # a unit scalar by sign; only a multiple arrow multiplies
+                    nonzeros = scaled[key] = None if block is None else [
+                        (i, jj, v if scale == 1 else -v if scale == -1 else scale * v)
                         for i, row in enumerate(block)
                         for jj, v in enumerate(row)
                         if v
                     ]
-                nonzeros = scaled[key]
                 if nonzeros is None:
                     continue
                 if mat is None:
@@ -426,7 +439,7 @@ def e1_page(matrix: ExtendedExchangeMatrix, s: int) -> E1Page:
                     ]
                 # a = D - D2 and b = E2 - E, so each pair of summands has
                 # exactly one block, and assignment saves a Fraction sum
-                offset2 = positions[key2][0]
+                offset2 = place[0]
                 for i, jj, v in nonzeros:
                     mat[offset2 + i][offset + jj] = v
     return E1Page(entries, diffs)

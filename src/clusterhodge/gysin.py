@@ -601,6 +601,11 @@ def hodge_table(matrix: ExtendedExchangeMatrix) -> HodgeTable:
     and before the first complex is built, and TooLarge refuses the table
     when one would pass GYSIN_CELL_GUARD cells.
     """
+    return _table_and_rank_class(matrix)[0]
+
+
+def _table_and_rank_class(matrix: ExtendedExchangeMatrix) -> tuple[HodgeTable, RankClass]:
+    """``hodge_table``, with the rank class it computed after the size guard."""
     if not is_acyclic(matrix):
         raise NotAcyclic("the quiver has an oriented cycle")
     builder = GysinBuilder(matrix)
@@ -636,7 +641,7 @@ def hodge_table(matrix: ExtendedExchangeMatrix) -> HodgeTable:
     if rc is RankClass.REALLY_FULL_RANK:
         table.check_support_bounds()
         table.check_top_class()
-    return table
+    return table, rc
 
 
 def standard_poincare(matrix: ExtendedExchangeMatrix) -> IntPolynomial:

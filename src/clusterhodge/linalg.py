@@ -9,7 +9,12 @@ Matrices come in two flavours here:
 
 All sparse elimination is ``Echelon``'s, fraction-free over the integers;
 ``rank``, ``nullspace`` and ``solve_in_span`` drive it and read answers
-over Q off its integer rows.  ``CochainComplexQ`` is the one
+over Q off its integer rows.  Only a row holding a ``Fraction`` has its
+denominators cleared; a step on a pivot that leads with 1 scales nothing,
+and the content is divided out after each step that scaled the row and
+when the row stops.  Every step scales by a positive factor, so the rows
+that stop, and so the pivots, are those of dividing the content after
+every step.  ``CochainComplexQ`` is the one
 cochain-complex type of the package (Gysin complexes, graded pieces and
 simplicial cochains alike); its ``clearing`` reduces the differentials in
 order with clearing, which needs d^2 = 0, and ``cohomology_dims`` reads the
@@ -41,23 +46,37 @@ Row = dict[int, Fraction | int]
 
 
 def _primitive(row: Row) -> dict[int, int]:
-    """Clear denominators and divide by the content; the span is unaffected."""
-    denom = lcm(*(v.denominator for v in row.values()))
-    ints = {c: v.numerator * (denom // v.denominator) for c, v in row.items() if v}
-    g = gcd(*ints.values())
+    """Clear denominators and divide by the content; the span is unaffected.
+
+    An all-``int`` row is only divided by its content; ``gcd`` refuses a
+    ``Fraction``, and a row holding one clears its denominators first.
+    """
+    try:
+        g = gcd(*row.values())
+    except TypeError:
+        denom = lcm(*(v.denominator for v in row.values()))
+        row = {c: v.numerator * (denom // v.denominator) for c, v in row.items() if v}
+        g = gcd(*row.values())
     if g > 1:
-        ints = {c: v // g for c, v in ints.items()}
-    return ints
+        return {c: v // g for c, v in row.items() if v}
+    return {c: v for c, v in row.items() if v} if 0 in row.values() else dict(row)
 
 
 class Echelon:
     """Incremental row echelon form of sparse rows, fraction-free over Z.
 
-    Rows over Q enter with their denominators cleared.  Each step replaces
-    ``row`` by ``row*piv[c] - piv*row[c]`` and divides out the content, so a
-    reduced row is an integer multiple of its reduction over Q.  Pivot rows
-    are primitive with a positive leading entry, keyed by leading column;
-    which rows are dependent depends only on the insertion order.
+    Rows over Q enter with their denominators cleared and their content
+    divided out.  Each step replaces ``row`` by ``row*a - piv*b``, where
+    a/b is piv[c]/row[c] in lowest terms; a step on a pivot that leads with
+    1 takes no gcd and does no scaling.  The content is divided out right
+    after a step that multiplied the row by a > 1, which bounds coefficient
+    growth, and once more when the row stops.  Every step multiplies the
+    row by a positive factor, so a row has the same support after each step
+    wherever its content was divided, and the row that stops is its one
+    primitive integer multiple by a positive factor: the same keys, values
+    and key order as when the content is divided after every step.  Pivot
+    rows are primitive with a positive leading entry, keyed by leading
+    column; which rows are dependent depends only on the insertion order.
     """
 
     def __init__(self) -> None:
@@ -73,25 +92,29 @@ class Echelon:
         Empty when the row lies in the span of the pivot rows.
         """
         out = _primitive(row)
+        pivots = self.pivots
         while out:
             c = min(out)
-            piv = self.pivots.get(c)
+            piv = pivots.get(c)
             if piv is None:
-                return out
+                g = gcd(*out.values())
+                return {k: v // g for k, v in out.items()} if g > 1 else out
             a, b = piv[c], out[c]
-            g = gcd(a, b)
-            a, b = a // g, b // g
             if a != 1:
-                out = {k: v * a for k, v in out.items()}
+                g = gcd(a, b)
+                a, b = a // g, b // g
+                if a != 1:
+                    out = {k: v * a for k, v in out.items()}
             for k, v in piv.items():
                 w = out.get(k, 0) - b * v
                 if w:
                     out[k] = w
                 else:
                     del out[k]
-            g = gcd(*out.values())
-            if g > 1:
-                out = {k: v // g for k, v in out.items()}
+            if a != 1 and out:
+                g = gcd(*out.values())
+                if g > 1:
+                    out = {k: v // g for k, v in out.items()}
         return out
 
     def add(self, row: Row) -> dict[int, int] | None:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
@@ -158,6 +159,65 @@ def mv_delta_by_face_scan(graph: Graph, x_mask: int, a: int, b: int) -> dict:
             cols.append(dst.coordinates(eta))
         out[p - 1] = [[cols[j][i] for j in range(len(cols))] for i in range(dst.dim)]
     return out
+
+
+def _reference_primitive(row: Row) -> dict[int, int]:
+    """Clear denominators and divide by the content; the span is unaffected."""
+    denom = lcm(*(v.denominator for v in row.values()))
+    ints = {c: v.numerator * (denom // v.denominator) for c, v in row.items() if v}
+    g = gcd(*ints.values())
+    if g > 1:
+        ints = {c: v // g for c, v in ints.items()}
+    return ints
+
+
+class ReferenceEchelon:
+    """``linalg.Echelon`` with every row on the rational path: the reference
+    for the kernel that keeps integer rows off it.
+
+    Each step replaces ``row`` by ``row*a - piv*b`` with a/b = piv[c]/row[c]
+    in lowest terms and divides out the content, whatever a is.
+    """
+
+    def __init__(self) -> None:
+        self.pivots: dict[int, dict[int, int]] = {}
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def reduce(self, row: Row) -> dict[int, int]:
+        out = _reference_primitive(row)
+        while out:
+            c = min(out)
+            piv = self.pivots.get(c)
+            if piv is None:
+                return out
+            a, b = piv[c], out[c]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            if a != 1:
+                out = {k: v * a for k, v in out.items()}
+            for k, v in piv.items():
+                w = out.get(k, 0) - b * v
+                if w:
+                    out[k] = w
+                else:
+                    del out[k]
+            g = gcd(*out.values())
+            if g > 1:
+                out = {k: v // g for k, v in out.items()}
+        return out
+
+    def add(self, row: Row) -> dict[int, int] | None:
+        red = self.reduce(row)
+        if not red:
+            return None
+        c = min(red)
+        if red[c] < 0:
+            red = {k: -v for k, v in red.items()}
+        self.pivots[c] = red
+        return red
 
 
 def rows_at(cx: CochainComplexQ, p: int) -> list[Row]:

@@ -279,3 +279,34 @@ def test_consistency_suite_pass_and_skips():
     assert statuses["alternating point-count identity"] == "SKIP"
     assert statuses["curious Lefschetz symmetry"] == "PASS"
     assert statuses["brute-force point counts"] == "PASS"
+
+
+def test_consistency_suite_computes_one_rank_class(monkeypatch):
+    # the suite reads the rank class off hodge_table's one Smith normal form
+    # and hands it to the point count: on principal P_3 that is the only
+    # one, and on Z_4 with frozen block 2I, whose characters take Smith
+    # normal forms of their own, it is one fewer than hodge_table and
+    # point_count_poly take apart
+    import clusterhodge.exchange as exchange
+
+    calls = []
+    snf = exchange.smith_normal_form
+    monkeypatch.setattr(
+        exchange, "smith_normal_form", lambda mat: calls.append(mat) or snf(mat)
+    )
+
+    def count(fn, m):
+        calls.clear()
+        fn(m)
+        return len(calls)
+
+    p3 = principal_from_graph(path_graph(3))
+    assert count(consistency_suite, p3) == 1
+    z4 = validate(
+        principal_from_graph(star_graph(4)).top_block()
+        + [[2 * (i == j) for j in range(4)] for i in range(4)],
+        4,
+        4,
+    )
+    separate = count(hodge_table, z4) + count(point_count_poly, z4)
+    assert count(consistency_suite, z4) == separate - 1

@@ -346,18 +346,25 @@ def test_star_e1_generating_functions():
 
 
 def test_e1_differential_squares_to_zero_and_matches_engine_ranks():
-    # the assembled page-one differential is a differential, and it has the
-    # same rank as the engine's at every spot (basis changes cannot hide a
-    # rank difference)
+    # the assembled page-one differential is a differential of Fractions, and
+    # it has the same rank as the engine's at every spot (basis changes
+    # cannot hide a rank difference); P_3 and C_4 with one arrow doubled
+    # scale their blocks by +-2 as well as by +-1
     from clusterhodge.linalg import rank
 
     graphs = [TRIANGLE, star_graph(4), cycle_graph(4), path_graph(4),
               Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2)])]
-    for graph in graphs:
-        m = principal_from_graph(graph)
+    doubled = [principal_from_graph(path_graph(3), weights={(0, 1): 2}),
+               principal_from_graph(cycle_graph(4), weights={(1, 2): 2})]
+    for m in [principal_from_graph(g) for g in graphs] + doubled:
         builder = GysinBuilder(m)
+        values = set()
         for s in range(m.d + 1):
             ind = e1_page(m, s)
+            for mat in ind.differentials.values():
+                for row in mat:
+                    assert all(type(v) is Fraction for v in row)
+                    values.update(row)
             for (e, f), mat in ind.differentials.items():
                 nxt = ind.differentials.get((e + 1, f))
                 if nxt is None:
@@ -376,7 +383,8 @@ def test_e1_differential_squares_to_zero_and_matches_engine_ranks():
                 mat_b = ind.differentials.get(spot)
                 rank_a = rank([dict(enumerate(r)) for r in mat_a]) if mat_a else 0
                 rank_b = rank([dict(enumerate(r)) for r in mat_b]) if mat_b else 0
-                assert rank_a == rank_b, (sorted(graph.edges), s, spot)
+                assert rank_a == rank_b, (m.rows, s, spot)
+        assert ({2, -2} <= values) == (m in doubled)
 
 
 def test_e1_entries_at_00_are_2_to_n():

@@ -639,6 +639,26 @@ def test_frozen_change_of_basis_keeps_the_table_at_d_8_to_10():
     assert fractions > 0
 
 
+def test_frozen_change_of_basis_keeps_the_table_at_d_12_to_14():
+    # the check above on principal P_6 and P_7, on the rational path of
+    # Echelon: Q unit upper triangular, entries in [-2, 2], rows shuffled
+    rng = random.Random(4)
+    for n in (6, 7):
+        m = principal_from_graph(path_graph(n))
+        q = [[0] * i + [1] + [rng.randint(-2, 2) for _ in range(n - 1 - i)] for i in range(n)]
+        rng.shuffle(q)
+        changed = validate(m.top_block() + mat_mul(q, [list(r) for r in m.rows[n:]]), n, n)
+        assert rank_class(changed) is RankClass.REALLY_FULL_RANK
+        builder = GysinBuilder(changed)
+        assert any(
+            type(c) is Fraction
+            for i_mask in builder.family.all_masks()
+            for terms in builder.basis(i_mask).substitution.values()
+            for c in terms.values()
+        )
+        assert hodge_table(changed).dims == hodge_table(m).dims, n
+
+
 def test_mutation_between_acyclic_seeds_keeps_the_table():
     rng = random.Random(2021)
     cases = 0

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clusterhodge import linalg
 from clusterhodge.errors import ConsistencyError
 from clusterhodge.graphs import all_graphs, anticliques, augmented_cochain_complex
 from clusterhodge.gysin import GysinBuilder
 from clusterhodge.linalg import (
     CochainComplexQ,
+    CohomologyBasis,
     Echelon,
     identity,
     morse_reduce,
@@ -21,7 +23,14 @@ from clusterhodge.linalg import (
     solve_in_span,
 )
 
-from conftest import Quotient, assembly_corpus, mat_mul, matching_is_acyclic, rank_relative
+from conftest import (
+    Quotient,
+    ReferenceEchelon,
+    assembly_corpus,
+    mat_mul,
+    matching_is_acyclic,
+    rank_relative,
+)
 
 small_matrices = st.integers(1, 5).flatmap(
     lambda r: st.integers(1, 5).flatmap(
@@ -163,6 +172,87 @@ def test_echelon_rank():
     assert ech.add({0: 1, 1: 1}) is not None
     assert ech.add({0: 2, 1: 2}) is None
     assert ech.rank == 1
+
+
+def _ordered(pivots):
+    """Pivots as nested item lists, so that key order counts in ==."""
+    return [(c, list(row.items())) for c, row in pivots.items()]
+
+
+def _echelon_rows(rng, width):
+    """Seeded rows over ``width`` columns: int rows leading with 1 or not,
+    rows with Fraction entries, explicit zeros, empty rows, and rows that
+    are combinations of rows drawn before them."""
+    rows = []
+    for _ in range(rng.randint(1, 10)):
+        kind = rng.randrange(6)
+        cols = rng.sample(range(width), rng.randint(1, width))
+        if kind == 0:  # int, unit lead
+            row = {c: rng.randint(-4, 4) for c in cols}
+            row[min(cols)] = rng.choice((1, -1))
+        elif kind == 1:  # int, non-unit lead and a content
+            k = rng.randint(1, 3)
+            row = {c: k * rng.choice((-6, -4, -3, -2, 2, 3, 4, 6, 1)) for c in cols}
+        elif kind == 2:  # Fraction entries
+            row = {c: Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for c in cols}
+        elif kind == 3:  # explicit zeros among ints
+            row = {c: rng.choice((0, 0, 1, -1, 2, 5)) for c in cols}
+        elif kind == 4 or not rows:  # empty, or all zeros
+            row = {c: 0 for c in cols[: rng.randint(0, 1)]}
+        else:  # dependent on earlier rows
+            row = {}
+            for other in rng.sample(rows, min(len(rows), rng.randint(1, 3))):
+                w = rng.choice((1, -1, 2, Fraction(1, 2), -3))
+                for c, v in other.items():
+                    row[c] = row.get(c, 0) + w * v
+        rows.append(row)
+    return rows
+
+
+def test_echelon_equals_the_rational_path_reference():
+    rng = random.Random(2323)
+    added = dependent = fractions = 0
+    for _ in range(300):
+        width = rng.randint(1, 8)
+        ech, ref = Echelon(), ReferenceEchelon()
+        for row in _echelon_rows(rng, width):
+            before = list(row.items())
+            got, want = ech.add(row), ref.add(row)
+            assert list(row.items()) == before
+            assert got == want and (got is None or list(got.items()) == list(want.items()))
+            assert _ordered(ech.pivots) == _ordered(ref.pivots)
+            added += 1
+            dependent += got is None
+            fractions += any(type(v) is Fraction for v in row.values())
+        for probe in _echelon_rows(rng, width):
+            assert list(ech.reduce(probe).items()) == list(ref.reduce(probe).items())
+    assert added > 1000 and dependent > 100 and fractions > 100
+
+
+def test_clearing_and_classes_equal_the_reference_kernels(monkeypatch):
+    # every induced complex of every graph with at most 5 vertices, reduced
+    # by Echelon and by the rational-path reference
+    def reduced(cx):
+        clearing = cx.clearing()
+        bases = [CohomologyBasis(cx, p, clearing) for p in range(cx.positions)]
+        return (
+            [_ordered(pivots) for pivots in clearing],
+            [[list(rep.items()) for rep in b.representatives] for b in bases],
+            [_ordered(b._ech.pivots) for b in bases],
+        )
+
+    checked = 0
+    for v in range(1, 6):
+        for graph in all_graphs(v):
+            for mask in range(1 << v):
+                cx = augmented_cochain_complex(anticliques(graph, mask))
+                got = reduced(cx)
+                with monkeypatch.context() as patch:
+                    patch.setattr(linalg, "Echelon", ReferenceEchelon)
+                    want = reduced(cx)
+                assert got == want, (graph.edges, mask)
+                checked += 1
+    assert checked == 2 + 2 * 4 + 4 * 8 + 11 * 16 + 34 * 32
 
 
 def _combine(pairs):
