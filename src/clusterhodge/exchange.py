@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
+    ConsistencyError,
     IndexOutOfRange,
     NotAcyclic,
     NotAnticlique,
@@ -335,7 +336,11 @@ class CharacterGroup:
         expected = 1
         for f in factors:
             expected *= f
-        assert len(elems) == expected, "subgroup closure disagrees with SNF order"
+        if len(elems) != expected:
+            raise ConsistencyError(
+                f"subgroup closure of {idx} has order {len(elems)}, "
+                f"not the Smith normal form order {expected}"
+            )
         return CharacterSubgroup(idx, factors, frozenset(elems))
 
 

@@ -16,8 +16,14 @@ block from I to I u {j} is weighted by (-1)^{#{i in I : i < j}}.  The
 composite is checked to square to zero.
 
 Each residue block writes unit entries +-1 from (I, A) to (I u j, A - j),
-which keep the filtration level |A cap mutable| + |I|.  The sequential
-element matching along them (position by position, one mutable j at a time,
+which keep the filtration level |A cap mutable| + |I|.  Every target cell
+(I u j, B) of a block gets exactly one, from (I, B u j): N(I u j) is N(I)
+plus one row t, so the dlog's allowed in B are those allowed for I less j
+and t.  The block's other entries are the terms of the target record's
+substitution of dlog x_t, one for each of its bits that B holds, from
+(I, (B - bit) u j u t).  So the writer walks each block's targets and
+every cell it visits receives an entry.  The sequential element matching
+along the unit entries (position by position, one mutable j at a time,
 ascending) is acyclic on every graded piece by Jonsson's Cluster Lemma when
 the coefficients are principal, and the Morse reducer of ``linalg`` checks
 acyclicity on every input.  One writer, ``GysinBuilder.stream_for_s``,
@@ -157,7 +163,7 @@ class GysinBuilder:
     """One ``GModuleBasis`` per anticlique, made on first use, for one matrix.
 
     The records are the builder's only cache: every table that depends on
-    the weight (A masks, offsets, row indices) is made by the call that
+    the weight (A masks, offsets, column indices) is made by the call that
     needs it and dropped with it.  The residue map has one writer,
     ``_rho_into``: ``stream_for_s`` has it fill each position's columns
     block by block, and ``rho_columns`` returns one block on its own.
@@ -212,7 +218,7 @@ class GysinBuilder:
         the columns of I and of P over the first k offered rows (0 or 1, never
         falling as k grows) opens where abar_j is first nonzero: N(I) = N(P) u
         {t}, t the first offered row with abar_j[t] != 0 (none: the columns
-        of I are dependent), and so for any j, as ``_rho_into`` asserts.
+        of I are dependent), and so for any j, as ``_rho_into`` checks.
         Modulo alpha_j, dlog x_t = -abar_j[t]^-1 sum_{r != t} abar_j[r]
         dlog x_r: the new row, which replaces the dlog x_t term of P's rows;
         a row without one is P's dict, shared.
@@ -286,9 +292,9 @@ class GysinBuilder:
         cols: list[dict[int, Fraction | int]],
         i_mask: int,
         j: int,
-        src_masks: list[int],
-        src_off: int,
-        dst_rows: dict[int, int],
+        src_cols: dict[int, int],
+        dst_masks: list[int],
+        dst_off: int,
         eps: int,
         below: bytearray,
         above: bytearray,
@@ -303,48 +309,56 @@ class GysinBuilder:
         block sign (-1)^{#{i in I : i < j}} times that Koszul sign is +1
         (j is not in I).
 
-        ``src_masks`` are the A masks of G^I at that weight, ascending, and
-        ``dst_rows`` maps each A mask of G^{I u j} at that weight to its row.
-        Column ``src_off + c`` of ``cols`` receives the image of the c-th
-        source mask; each entry is written once, so the target rows must be
-        empty in those columns.  A masks that avoid j map to zero and are
-        skipped.  Otherwise dlog x_j is extracted with its Koszul sign.  A
-        avoids N(I), and N(J) is N(I) plus one row t (``_record``), so at
-        most dlog x_t is left over from N(J); it is replaced by the target
-        record's ``substitution[t]``, a combination of free dlog's, written
-        term by term.  When A - j avoids t the image is the single unit
-        entry +-1 at (I u j, A - j); it is matched, ``up[column] = row``,
-        unless its column or its row is already marked matched in ``below``
-        or ``above``, and both are then marked.
+        ``src_cols`` maps each A mask of G^I at that weight to its column,
+        and ``dst_masks`` are the A masks of G^{I u j} at that weight,
+        ascending, the k-th at row ``dst_off + k``.  Each entry is written
+        once, so the target rows must be empty in those columns.  rho sends
+        A to zero unless A holds j, and extracts dlog x_j with its Koszul
+        sign.  A avoids N(I), and N(I u j) is N(I) plus one row t
+        (``_record``), so at most dlog x_t is left over from N(I u j); it is
+        replaced by the target record's ``substitution[t]``, a combination
+        of free dlog's, term by term.  j is in no N(I) (its row vanishes on
+        the columns of I), so the dlog's allowed for I u j are those allowed
+        for I less j and t.  The writer therefore walks the targets: a
+        target B gets exactly one unit entry +-1, from the source B u j,
+        and one substituted term for each bit of ``substitution[t]`` that B
+        holds, from (B - bit) u j u t.  The unit entry is matched,
+        ``up[column] = row``, unless its column or its row is already marked
+        matched in ``below`` or ``above``, and both are then marked.  The
+        unit entries of one block share no cell, so the order they are met
+        in does not change the matching.
         """
         j_bit = 1 << j
         source, target = self.basis(i_mask), self.basis(i_mask | j_bit)
         t_bit = target.row_mask & ~source.row_mask
-        assert t_bit.bit_count() == 1, "N(I u j) must be N(I) plus one row"
-        # A = rest + j + t: the Koszul signs of j in A, of t in A - j and of the
-        # substituted bit in rest come to the parity of rest on one mask per
-        # bit, and to that of [t > j]
+        if t_bit.bit_count() != 1:
+            raise ConsistencyError(
+                f"N(I u j) is not N(I) plus one row for I = {bits(i_mask)}, j = {j}"
+            )
+        # source = rest + j + t: the Koszul signs of j in it, of t in rest + t
+        # and of the substituted bit in rest come to the parity of rest on one
+        # mask per bit, and to that of [t > j]
         above_j = j + 1
         jt = j_bit | t_bit
         outer = -eps if t_bit > j_bit else eps
+        substitution = target.substitution[t_bit.bit_length() - 1]
         terms = [
-            (bit, -(j_bit << 1) ^ -t_bit ^ -bit, outer * c2)
-            for bit, c2 in target.substitution[t_bit.bit_length() - 1].items()
+            (bit, -(j_bit << 1) ^ -t_bit ^ -bit, outer * c2) for bit, c2 in substitution.items()
         ]
-        for c, a_mask in enumerate(src_masks, src_off):
-            held = a_mask & jt
-            if held == j_bit:
-                row = dst_rows[a_mask ^ j_bit]
-                cols[c][row] = -eps if (a_mask >> above_j).bit_count() & 1 else eps
-                if not (below[c] or above[row]):
-                    up[c] = row
-                    below[c] = above[row] = 1
-            elif held == jt:
-                rest = a_mask ^ jt
-                col = cols[c]
+        substituted = sum(substitution)
+        for row, b_mask in enumerate(dst_masks, dst_off):
+            c = src_cols[b_mask | j_bit]
+            cols[c][row] = -eps if (b_mask >> above_j).bit_count() & 1 else eps
+            if not (below[c] or above[row]):
+                up[c] = row
+                below[c] = above[row] = 1
+            if b_mask & substituted:
                 for bit, signs, v in terms:
-                    if not rest & bit:
-                        col[dst_rows[rest | bit]] = -v if (rest & signs).bit_count() & 1 else v
+                    if b_mask & bit:
+                        rest = b_mask ^ bit
+                        cols[src_cols[rest | jt]][row] = (
+                            -v if (rest & signs).bit_count() & 1 else v
+                        )
 
     def rho_columns(
         self, i_mask: int, j: int, s: int
@@ -356,11 +370,11 @@ class GysinBuilder:
         src = self.basis(i_mask).masks_of_degree(s)
         dst = self.basis(i_mask | (1 << j)).masks_of_degree(s)
         cols: list[dict[int, Fraction | int]] = [dict() for _ in src]
-        rows = {a: r for r, a in enumerate(dst)}
+        src_cols = {a: c for c, a in enumerate(src)}
         # the Koszul sign of alpha_j joining the alpha wedge of I
         eps = -1 if (i_mask.bit_count() + (i_mask >> (j + 1)).bit_count()) & 1 else 1
         self._rho_into(
-            cols, i_mask, j, src, 0, rows, eps, bytearray(len(src)), bytearray(len(dst)), {}
+            cols, i_mask, j, src_cols, dst, 0, eps, bytearray(len(src)), bytearray(len(dst)), {}
         )
         return src, dst, cols
 
@@ -378,9 +392,15 @@ class GysinBuilder:
         one j; a block whose source or target has no cell at the weight
         writes nothing and is skipped.  The block from I to I u {j} fills the
         rows of I u {j}, so blocks for different j never overlap, and a
-        column takes its blocks in ascending j.  Only positions p and p + 1
-        are indexed while p is written, and the writer keeps nothing of p
-        once it is yielded.
+        column takes its blocks in ascending j.  ``_rho_into`` writes a
+        block target by target: each target cell (I u j, B) gets one unit
+        entry, from the source B u j, and the substituted terms from
+        (B - bit) u j u t for the bits of the target record's
+        ``substitution[t]`` that B holds, so no visit is spent on a source
+        that maps to zero.  It finds the sources through an index of each
+        member I's A masks to their columns, made on I's first block and
+        dropped once position p is yielded; the writer keeps nothing of p
+        after that.
 
         The matching is the sequential element matching of the unit
         entries, made as the blocks are written: a unit entry from (I, A)
@@ -413,32 +433,32 @@ class GysinBuilder:
             next_taken = bytearray(len(next_labels))
             cols: list[dict[int, Fraction | int]] = [{} for _ in range(len(labels))]
             up: dict[int, int] = {}
-            rows: dict[int, dict[int, int]] = {}  # each target's row per A mask
+            columns: dict[int, dict[int, int]] = {}  # each source's column per A mask
             for j in range(self.matrix.n):
                 for i_mask in level:
                     new_mask = i_mask | (1 << j)
                     if new_mask == i_mask or not (masks[i_mask] and masks.get(new_mask)):
                         continue  # j in I, I u j no anticlique, or no cell to write
-                    dst_rows = rows.get(new_mask)
-                    if dst_rows is None:
-                        off = offset[new_mask]
-                        a_masks = masks[new_mask]
-                        dst_rows = rows[new_mask] = dict(
+                    src_cols = columns.get(i_mask)
+                    if src_cols is None:
+                        off = offset[i_mask]
+                        a_masks = masks[i_mask]
+                        src_cols = columns[i_mask] = dict(
                             zip(a_masks, range(off, off + len(a_masks)))
                         )
                     self._rho_into(
                         cols,
                         i_mask,
                         j,
-                        masks[i_mask],
-                        offset[i_mask],
-                        dst_rows,
+                        src_cols,
+                        masks[new_mask],
+                        offset[new_mask],
                         1,
                         taken,
                         next_taken,
                         up,
                     )
-            del rows  # the row indices of position p + 1, not needed past p
+            del columns  # the column indices of position p, not needed past p
             for i_mask in level:
                 del masks[i_mask], offset[i_mask]
             yield labels, cols, up

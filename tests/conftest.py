@@ -9,7 +9,7 @@ from clusterhodge.errors import ColumnsDependent
 from clusterhodge.exchange import ExtendedExchangeMatrix, validate
 from clusterhodge.exterior import ExteriorForm, bits, mask_of
 from clusterhodge.graphs import Graph, _InducedComplexes
-from clusterhodge.gysin import GModuleBasis
+from clusterhodge.gysin import GModuleBasis, PositionLabels
 from clusterhodge.linalg import CochainComplexQ, Echelon, Row, nullspace
 from clusterhodge.poly import IntPolynomial
 
@@ -120,6 +120,94 @@ def j_major_matching(cx, n: int) -> list[dict[int, int]]:
                 matching[p][c] = r
                 taken[p][c] = taken[p + 1][r] = 1
     return matching
+
+
+def source_major_rho_into(
+    builder, cols, i_mask, j, src_masks, src_off, dst_rows, eps, below, above, up
+):
+    """``GysinBuilder._rho_into`` walking the sources: each A mask of G^I at
+    the weight, ascending, at column ``src_off + c``; ``dst_rows`` maps each
+    A mask of G^{I u j} to its row.  A source without j maps to zero, one
+    with j but not t (N(I u j) = N(I) plus t) to the unit entry at A - j,
+    one with both to the terms of ``substitution[t]`` that A - j - t lacks.
+    The reference for the writer that walks the targets."""
+    j_bit = 1 << j
+    source, target = builder.basis(i_mask), builder.basis(i_mask | j_bit)
+    t_bit = target.row_mask & ~source.row_mask
+    assert t_bit.bit_count() == 1, "N(I u j) must be N(I) plus one row"
+    above_j = j + 1
+    jt = j_bit | t_bit
+    outer = -eps if t_bit > j_bit else eps
+    terms = [
+        (bit, -(j_bit << 1) ^ -t_bit ^ -bit, outer * c2)
+        for bit, c2 in target.substitution[t_bit.bit_length() - 1].items()
+    ]
+    for c, a_mask in enumerate(src_masks, src_off):
+        held = a_mask & jt
+        if held == j_bit:
+            row = dst_rows[a_mask ^ j_bit]
+            cols[c][row] = -eps if (a_mask >> above_j).bit_count() & 1 else eps
+            if not (below[c] or above[row]):
+                up[c] = row
+                below[c] = above[row] = 1
+        elif held == jt:
+            rest = a_mask ^ jt
+            col = cols[c]
+            for bit, signs, v in terms:
+                if not rest & bit:
+                    col[dst_rows[rest | bit]] = -v if (rest & signs).bit_count() & 1 else v
+
+
+def source_major_rho_columns(builder, i_mask: int, j: int, s: int):
+    """``GysinBuilder.rho_columns`` on ``source_major_rho_into``."""
+    src = builder.basis(i_mask).masks_of_degree(s)
+    dst = builder.basis(i_mask | (1 << j)).masks_of_degree(s)
+    cols: list[dict] = [dict() for _ in src]
+    rows = {a: r for r, a in enumerate(dst)}
+    eps = -1 if (i_mask.bit_count() + (i_mask >> (j + 1)).bit_count()) & 1 else 1
+    source_major_rho_into(
+        builder, cols, i_mask, j, src, 0, rows, eps, bytearray(len(src)), bytearray(len(dst)), {}
+    )
+    return src, dst, cols
+
+
+def source_major_stream(builder, s: int):
+    """``GysinBuilder.stream_for_s`` on ``source_major_rho_into``: the same
+    positions, blocks in the same order (j ascending, then I ascending), each
+    target's rows indexed per A mask."""
+    levels = builder.family.by_cardinality
+    masks: dict[int, list[int]] = {}
+    offset: dict[int, int] = {}
+
+    def index(level):
+        labels = PositionLabels(level, [builder.basis(i).masks_of_degree(s) for i in level])
+        for i_mask, off, a_masks in zip(level, labels.starts, labels.masks):
+            offset[i_mask], masks[i_mask] = off, a_masks
+        return labels
+
+    labels = index(levels[0])
+    taken = bytearray(len(labels))
+    for p, level in enumerate(levels[:-1]):
+        next_labels = index(levels[p + 1])
+        next_taken = bytearray(len(next_labels))
+        cols: list[dict] = [{} for _ in range(len(labels))]
+        up: dict[int, int] = {}
+        rows: dict[int, dict[int, int]] = {}
+        for j in range(builder.matrix.n):
+            for i_mask in level:
+                new_mask = i_mask | (1 << j)
+                if new_mask == i_mask or not (masks[i_mask] and masks.get(new_mask)):
+                    continue
+                if new_mask not in rows:
+                    off = offset[new_mask]
+                    rows[new_mask] = {a: off + r for r, a in enumerate(masks[new_mask])}
+                src = masks[i_mask], offset[i_mask]
+                source_major_rho_into(
+                    builder, cols, i_mask, j, *src, rows[new_mask], 1, taken, next_taken, up
+                )
+        yield labels, cols, up
+        labels, taken = next_labels, next_taken
+    yield labels, None, {}
 
 
 def submasks(mask: int):

@@ -326,11 +326,11 @@ def test_check_exits_1_when_d_squared_fails(tmp_path, capsys, monkeypatch):
     path.write_text("3 3\n0 1 0\n-1 0 1\n0 -1 0\n1 0 0\n0 1 0\n0 0 1\n")
     original = GysinBuilder._rho_into
 
-    def unsigned(self, cols, i_mask, j, src_masks, src_off, dst_rows, eps, *matching):
+    def unsigned(self, cols, i_mask, j, src_cols, dst_masks, dst_off, eps, *matching):
         # without the block sign (the Koszul sign alone) the square
         # {} -> {0}, {2} -> {0, 2} fails
         eps *= -1 if (i_mask.bit_count() + (i_mask >> (j + 1)).bit_count()) & 1 else 1
-        return original(self, cols, i_mask, j, src_masks, src_off, dst_rows, eps, *matching)
+        return original(self, cols, i_mask, j, src_cols, dst_masks, dst_off, eps, *matching)
 
     monkeypatch.setattr(GysinBuilder, "_rho_into", unsigned)
     assert main(["check", "--input", str(path)]) == 1
@@ -339,6 +339,56 @@ def test_check_exits_1_when_d_squared_fails(tmp_path, capsys, monkeypatch):
     assert json.loads(captured.err) == {
         "error": "ConsistencyError",
         "detail": "differential does not square to zero",
+    }
+
+
+def test_check_exits_1_when_a_row_set_grows_by_other_than_one_row(tmp_path, capsys, monkeypatch):
+    # N(I u j) must be N(I) plus one row; with the rows of each vertex's
+    # record dropped, the block {} -> {j} finds none
+    from dataclasses import replace
+
+    from clusterhodge.gysin import GysinBuilder, hodge_table
+
+    original = GysinBuilder.basis
+
+    def rowless(self, i_mask):
+        record = original(self, i_mask)
+        return replace(record, row_mask=0) if i_mask.bit_count() == 1 else record
+
+    monkeypatch.setattr(GysinBuilder, "basis", rowless)
+    with pytest.raises(ConsistencyError, match="plus one row"):
+        hodge_table(principal_from_graph(path_graph(3)))
+    path = tmp_path / "p3.mat"
+    path.write_text("3 3\n0 1 0\n-1 0 1\n0 -1 0\n1 0 0\n0 1 0\n0 0 1\n")
+    assert main(["check", "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "ConsistencyError",
+        "detail": "N(I u j) is not N(I) plus one row for I = [], j = 0",
+    }
+
+
+def test_check_exits_1_when_a_subgroup_closure_misses_its_order(tmp_path, capsys, monkeypatch):
+    # X*(I) closed from its generators must have the order its Smith normal
+    # form gives; with every generator sent to the trivial character it has 1
+    from clusterhodge.exchange import CharacterGroup, validate
+
+    def trivial(self, z):
+        return self.character_from_coords([0] * len(self._nontrivial))
+
+    monkeypatch.setattr(CharacterGroup, "character_from_lift", trivial)
+    m = validate([[0, 2], [-2, 0]], 2, 0)
+    with pytest.raises(ConsistencyError, match="subgroup closure"):
+        CharacterGroup(m).subgroup([0])
+    path = tmp_path / "m22.mat"
+    path.write_text("2 0\n0 2\n-2 0\n")
+    assert main(["check", "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "ConsistencyError",
+        "detail": "subgroup closure of (0,) has order 1, not the Smith normal form order 2",
     }
 
 

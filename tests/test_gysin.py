@@ -70,6 +70,8 @@ from conftest import (
     mat_mul,
     matching_is_acyclic,
     random_acyclic_matrix,
+    source_major_rho_columns,
+    source_major_stream,
     submasks,
 )
 
@@ -908,6 +910,73 @@ def test_weight_order_does_not_change_a_complex():
         assert set(vars(builder)) == {"matrix", "graph", "family", "_basis"}
 
 
+def _ordered(columns):
+    """Columns as lists of (row, type, value) in key order."""
+    return [[[(r, type(v), v) for r, v in col.items()] for col in cols] for cols in columns]
+
+
+def _writer_corpus():
+    """The full-rank corpus, principal paths, stars and cycles on 3 to 6
+    vertices, the stars Z_4 and Z_6 with frozen block 2I, principal P_5
+    under a seeded frozen change of basis (Fraction substitution
+    coefficients), and 12 seeded random acyclic matrices."""
+    out = full_rank_corpus()
+    out += [
+        principal_from_graph(kind(v))
+        for v in range(3, 7)
+        for kind in (path_graph, star_graph, cycle_graph)
+    ]
+    for v in (4, 6):
+        top = principal_from_graph(star_graph(v)).top_block()
+        out.append(validate(top + [[2 * (i == j) for j in range(v)] for i in range(v)], v, v))
+    rng = random.Random(24)
+    m = principal_from_graph(path_graph(5))
+    q = [[0] * i + [1] + [rng.randint(-2, 2) for _ in range(4 - i)] for i in range(5)]
+    rng.shuffle(q)
+    out.append(validate(m.top_block() + mat_mul(q, [list(r) for r in m.rows[5:]]), 5, 5))
+    out += [random_acyclic_matrix(rng, 5, 4) for _ in range(12)]
+    return out
+
+
+def test_target_major_writer_equals_the_source_major_one():
+    # the writer walks each block's targets; the reference in conftest walks
+    # its sources, as the package did before: the same entries, types, key
+    # order and matchings, position by position, stored, and block by block
+    fractions = 0
+    for m in [mm for m in _writer_corpus() for mm in _built_matrices(m)]:
+        builder = GysinBuilder(m)
+        for s in range(m.d + 1):
+            got = list(builder.stream_for_s(s))
+            want = list(source_major_stream(builder, s))
+            assert len(got) == len(want), (m.rows, s)
+            for (labels, cols, up), (w_labels, w_cols, w_up) in zip(got, want):
+                assert list(labels) == list(w_labels), (m.rows, s)
+                assert (cols is None) == (w_cols is None), (m.rows, s)
+                if cols is not None:
+                    assert _ordered([cols]) == _ordered([w_cols]), (m.rows, s)
+                assert list(up.items()) == list(w_up.items()), (m.rows, s)
+            cx = builder.complex_for_s(s)
+            assert cx.labels == [list(labels) for labels, _, _ in want], (m.rows, s)
+            assert _ordered(cx.columns) == _ordered([c for _, c, _ in want[:-1]]), (m.rows, s)
+            assert [list(up.items()) for up in cx.matching] == [
+                list(up.items()) for _, _, up in want[:-1]
+            ], (m.rows, s)
+            fractions += sum(
+                type(v) is Fraction for cols in cx.columns for col in cols for v in col.values()
+            )
+            for i_mask in builder.family.all_masks():
+                for j in range(m.n):
+                    j_mask = i_mask | (1 << j)
+                    if j_mask == i_mask or not builder.graph.is_independent(j_mask):
+                        continue
+                    got_block = builder.rho_columns(i_mask, j, s)
+                    want_block = source_major_rho_columns(builder, i_mask, j, s)
+                    where = (m.rows, i_mask, j, s)
+                    assert got_block[:2] == want_block[:2], where
+                    assert _ordered([got_block[2]]) == _ordered([want_block[2]]), where
+    assert fractions > 0
+
+
 def _morse_corpus():
     """Principal matrices of every connected graph with at most 5 vertices, 40
     random acyclic matrices, and the star Z_6 with frozen block 2I, whose
@@ -985,9 +1054,9 @@ def test_hodge_table_verifies_d2(monkeypatch):
     m = principal_from_graph(path_graph(3))
     original = GysinBuilder._rho_into
 
-    def unsigned(self, cols, i_mask, j, src_masks, src_off, dst_rows, eps, *matching):
+    def unsigned(self, cols, i_mask, j, src_cols, dst_masks, dst_off, eps, *matching):
         eps *= -1 if (i_mask.bit_count() + (i_mask >> (j + 1)).bit_count()) & 1 else 1
-        return original(self, cols, i_mask, j, src_masks, src_off, dst_rows, eps, *matching)
+        return original(self, cols, i_mask, j, src_cols, dst_masks, dst_off, eps, *matching)
 
     monkeypatch.setattr(GysinBuilder, "_rho_into", unsigned)
     with pytest.raises(ConsistencyError, match="square to zero"):
@@ -1016,11 +1085,13 @@ def test_hodge_table_checks_d2_at_the_last_pair_of_positions(monkeypatch):
     original = GysinBuilder._rho_into
     flipped = []
 
-    def flip(self, cols, i, jj, src_masks, src_off, dst_rows, eps, *matching):
-        if (i, jj) == (i_mask, j) and src_masks and i.bit_count() + src_masks[0].bit_count() == s:
+    def flip(self, cols, i, jj, src_cols, dst_masks, dst_off, eps, *matching):
+        # a target A mask of I u j at weight s has s - |I| - 1 members
+        weight = i.bit_count() + 1 + dst_masks[0].bit_count() if dst_masks else None
+        if (i, jj) == (i_mask, j) and weight == s:
             eps = -eps
             flipped.append(i)
-        return original(self, cols, i, jj, src_masks, src_off, dst_rows, eps, *matching)
+        return original(self, cols, i, jj, src_cols, dst_masks, dst_off, eps, *matching)
 
     monkeypatch.setattr(GysinBuilder, "_rho_into", flip)
     with pytest.raises(ConsistencyError, match="square to zero"):
