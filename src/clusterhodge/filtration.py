@@ -73,7 +73,9 @@ def level_of_label(matrix: ExtendedExchangeMatrix, label) -> int:
 def build_filtered(
     matrix: ExtendedExchangeMatrix, s: int, builder: GysinBuilder | None = None
 ) -> FilteredComplexQ:
-    """Weight-s complex with level |A cap mutable| + |I|; principal only."""
+    """Weight-s complex with level |A cap mutable| + |I|; principal only.
+    It checks the levels; d^2 = 0 is left to the callers that read the
+    complex: ``spectral_sequence`` (``morse_reduce``) and ``graded_pieces``."""
     if not is_principal(matrix):
         raise NotPrincipal("the filtration needs principal coefficients")
     if not is_acyclic(matrix):
@@ -111,10 +113,12 @@ def graded_pieces(matrix: ExtendedExchangeMatrix, s: int) -> list[GradedPiece]:
     anticliques of E minus D: the anticliques I at position p are the family's
     level p, and the cohomology agrees, or ConsistencyError.  Pieces of one
     weight share their vertex masks, so one ``_InducedComplexes`` builds each
-    independence complex once.
+    independence complex once.  The filtered complex is checked for d^2 = 0
+    first, so its associated graded, the pieces, squares to zero too.
     """
     fc = build_filtered(matrix, s)
     cx, n = fc.complex, matrix.n
+    cx.verify_d2()
     labels: dict[tuple[int, int], list[list[tuple[int, int]]]] = {}
     where = {}  # Gysin label -> (piece key, index at its position)
     for p, position in enumerate(cx.labels):
@@ -257,14 +261,15 @@ def spectral_sequence(
 
     The reduction runs on the Morse complex of ``fc.complex`` along its
     matching, which pairs cells of one level, so E_r is unchanged for
-    r >= 1 (Mischaikow-Nanda, DCG 2013); the Morse complex is checked for
-    d^2 = 0, for the full complex's Euler characteristic and for lowering
-    no level.  Its pairs are mapped back to the full complex's cells, and
-    every matched pair joins them with gap 0, so E_0 counts every cell and
-    d_0 holds the matched pairs too.  An empty matching leaves every cell
-    critical.  Every page is read off the same pairs, as partial identities
-    in the basis of that reduction.  Raises ConsistencyError when d^2 != 0,
-    a pair lowers the level or a matched pair changes it.
+    r >= 1 (Mischaikow-Nanda, DCG 2013).  The reducer checks d^2 = 0 on
+    both complexes and the Euler characteristic; the Morse complex is also
+    checked for lowering no level.  Its pairs are mapped back to the full
+    complex's cells, and every matched pair joins them with gap 0, so E_0
+    counts every cell and d_0 holds the matched pairs too.  An empty
+    matching leaves every cell critical.  Every page is read off the same
+    pairs, as partial identities in the basis of that reduction.  Raises
+    ConsistencyError when d^2 != 0, a pair lowers the level or a matched
+    pair changes it.
     """
     morse, kept = morse_reduce(fc.complex)
     reduced = FilteredComplexQ(

@@ -34,7 +34,9 @@ than two positions of columns are held, and ranks the Morse complex
 (algebraic Morse theory, Skoldberg 2006), of about E_1 size, in place of
 the slice itself.  ``complex_for_s`` stores every position of the same
 writer, and ``filtration.spectral_sequence`` reduces that complex with
-``linalg.morse_reduce`` in filtration order.
+``linalg.morse_reduce`` in filtration order.  The writer checks nothing:
+d^2 = 0 is checked once, by the reducer or, on a complex handed out
+unreduced, by ``CochainComplexQ.verify_d2``.
 """
 
 from __future__ import annotations
@@ -410,8 +412,8 @@ class GysinBuilder:
         sequential element matching of an independence complex.  Writing
         position by position matches the same pairs as writing each j over
         every position in turn, as the tests check against that order.
-        Nothing checks d^2 = 0 here: ``complex_for_s`` and
-        ``linalg.morse_reduce_positions`` do.  A slice of more than
+        Nothing checks d^2 = 0 here: ``linalg.morse_reduce_positions``
+        does, as each position arrives.  A slice of more than
         GYSIN_CELL_GUARD cells is refused with TooLarge before anything is
         built.
         """
@@ -467,9 +469,10 @@ class GysinBuilder:
 
     def complex_for_s(self, s: int) -> CochainComplexQ:
         """The weight-s slice over every anticlique: every position of
-        ``stream_for_s`` stored, labels listed, with its matching.  It is
-        checked to square to zero.  A slice of more than GYSIN_CELL_GUARD
-        cells is refused with TooLarge before anything is built.
+        ``stream_for_s`` stored, labels listed, with its matching, and d^2 = 0
+        left to ``linalg.morse_reduce`` or ``verify_d2``.  A slice of more
+        than GYSIN_CELL_GUARD cells is refused with TooLarge before anything
+        is built.
         """
         labels, columns, matching = [], [], []
         for pos_labels, cols, up in self.stream_for_s(s):
@@ -477,9 +480,7 @@ class GysinBuilder:
             if cols is not None:
                 columns.append(cols)
                 matching.append(up)
-        cx = CochainComplexQ(labels, columns, matching)
-        cx.verify_d2()
-        return cx
+        return CochainComplexQ(labels, columns, matching)
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +493,8 @@ def alpha(matrix: ExtendedExchangeMatrix, j: int) -> ExteriorForm:
 
 
 def build_gysin_complex(matrix: ExtendedExchangeMatrix, s: int) -> CochainComplexQ:
-    """Weight-s Gysin complex of a really-full-rank acyclic matrix."""
+    """Weight-s Gysin complex of a really-full-rank acyclic matrix, checked
+    to square to zero."""
     if not is_acyclic(matrix):
         raise NotAcyclic("the quiver has an oriented cycle")
     builder = GysinBuilder(matrix)
@@ -506,7 +508,9 @@ def build_gysin_complex(matrix: ExtendedExchangeMatrix, s: int) -> CochainComple
         )
     if not 0 <= s <= matrix.d:
         raise ValueError(f"weight s={s} outside [0, {matrix.d}]")
-    return builder.complex_for_s(s)
+    cx = builder.complex_for_s(s)
+    cx.verify_d2()
+    return cx
 
 
 @dataclass(frozen=True)

@@ -4,13 +4,17 @@ Matrix text format: first line ``n m``, then n+m lines of n space-separated
 integers; lines starting with ``#`` are comments.  A JSON object with keys
 ``n``, ``m`` and ``rows`` is also accepted.  Graph text format: first line
 the vertex count v (vertices are labeled 1..v in files, 0..v-1 in memory),
-then one ``u w`` edge per line.
+then one ``u w`` edge per line.  Files are UTF-8; an integer is ASCII
+digits after an optional sign in text, and a JSON integer (not a bool) in
+JSON.  Anything else is ShapeMismatch.
 """
 
 from __future__ import annotations
 
 import json
+import re
 import sys
+from itertools import chain
 
 from .errors import ShapeMismatch
 from .exchange import ExtendedExchangeMatrix, validate
@@ -36,19 +40,21 @@ def _echo(line: str) -> str:
     return f"{line[:ECHO_CHARS]!r}... ({len(line)} characters)"
 
 
+_INT_TOKEN = re.compile(r"[+-]?[0-9]+")  # int() alone takes "1_0" and non-ASCII digits
+
+
 def _ints(line: str) -> list[int]:
     out = []
     for tok in line.split():
+        if not _INT_TOKEN.fullmatch(tok):
+            raise ShapeMismatch(f"non-integer token in line {_echo(line)}")
         try:
             out.append(int(tok))
-        except ValueError:
-            digits = tok[1:] if tok[0] in "+-" else tok
-            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-            if limit and digits.isdecimal() and len(digits) > limit:
-                reason = f"integer token longer than {limit} digits"
-            else:
-                reason = "non-integer token"
-            raise ShapeMismatch(f"{reason} in line {_echo(line)}") from None
+        except ValueError:  # more digits than int() converts
+            limit = sys.get_int_max_str_digits()
+            raise ShapeMismatch(
+                f"integer token longer than {limit} digits in line {_echo(line)}"
+            ) from None
     return out
 
 
@@ -67,10 +73,13 @@ def parse_matrix_text(text: str) -> ExtendedExchangeMatrix:
 def parse_matrix_json(text: str) -> ExtendedExchangeMatrix:
     try:
         data = json.loads(text, parse_float=int)  # rejects float entries
-        n, m = int(data["n"]), int(data["m"])
-        rows = [[int(v) for v in row] for row in data["rows"]]
+        n, m, rows = data["n"], data["m"], [list(row) for row in data["rows"]]
+        if any(type(v) is not int for v in chain((n, m), *rows)):
+            raise TypeError("a value is not an integer")  # a string, bool, NaN or Infinity
     except KeyError as missing:
         raise ShapeMismatch(f"matrix JSON lacks key {missing}") from None
+    except RecursionError:
+        raise ShapeMismatch("malformed matrix JSON: nested too deep") from None
     except (TypeError, ValueError) as exc:  # json.JSONDecodeError included
         raise ShapeMismatch(f"malformed matrix JSON: {exc}") from None
     return validate(rows, n, m)
@@ -83,9 +92,16 @@ def parse_matrix(text: str) -> ExtendedExchangeMatrix:
     return parse_matrix_text(text)
 
 
+def _read_text(path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError:
+        raise ShapeMismatch("input file is not UTF-8 text") from None
+
+
 def load_matrix(path: str) -> ExtendedExchangeMatrix:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_matrix(fh.read())
+    return parse_matrix(_read_text(path))
 
 
 def render_matrix_text(matrix: ExtendedExchangeMatrix) -> str:
@@ -117,5 +133,4 @@ def parse_graph_text(text: str) -> Graph:
 
 
 def load_graph(path: str) -> Graph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_graph_text(fh.read())
+    return parse_graph_text(_read_text(path))

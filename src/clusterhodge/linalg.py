@@ -22,12 +22,11 @@ ranks off that reduction.  ``CohomologyBasis`` takes the cocycle
 representatives of H^p from the same reduction (the columns of d_p left
 after clearing, reduced once more with their combinations kept) and gives
 coordinates modulo the coboundaries that d_{p-1} pivoted.  One Morse
-reducer collapses a complex along an acyclic matching of unit entries to
-its critical cells, checking d^2 = 0 on both sides: it takes the complex
-one position at a time and holds two positions of columns, finishing each
-position as the next one arrives.  ``morse_reduce_positions`` feeds it a
-stream of positions, which it checks pair by pair, and ``morse_reduce`` the
-positions of a stored complex.
+reducer, ``morse_reduce_positions``, collapses a complex along an acyclic
+matching of unit entries to its critical cells, checking d^2 = 0 on both
+sides: it takes the complex one position at a time and holds two positions
+of columns, checking and finishing each position as the next one arrives.
+``morse_reduce`` feeds it the positions of a stored complex.
 The Smith normal form keeps all four transformation matrices
 (S = P*A*Q together with the inverses of P and Q) because character lifts
 need explicit saturation bases, not just invariant factors.
@@ -200,9 +199,8 @@ class CochainComplexQ:
     linear algebra: Gysin complexes label by (anticlique, A) mask pairs,
     simplicial cochain complexes by faces.  ``matching[p]``, where present,
     pairs cells c of position p with cells t of position p+1 joined by a unit
-    entry columns[p][c][t] = +-1, for ``morse_reduce``.  A complex is not
-    changed in place once built: ``verify_d2`` remembers which ``columns``
-    passed.
+    entry columns[p][c][t] = +-1, for ``morse_reduce``.  Building a complex
+    checks nothing: ``verify_d2``, or the Morse reducer, checks d^2 = 0.
     """
 
     labels: list[list]
@@ -210,7 +208,6 @@ class CochainComplexQ:
     matching: list[dict[int, int]] = field(
         default_factory=list, compare=False, repr=False
     )
-    _d2_verified: list | None = field(default=None, init=False, compare=False, repr=False)
 
     def dim(self, p: int) -> int:
         if 0 <= p < len(self.labels):
@@ -226,18 +223,9 @@ class CochainComplexQ:
         return sum((-1) ** p * len(pos) for p, pos in enumerate(self.labels))
 
     def verify_d2(self) -> None:
-        """Raise ConsistencyError unless d^2 = 0.
-
-        A complex that passed keeps its ``columns`` in ``_d2_verified``, so a
-        repeat call (``spectral_sequence`` on a complex that ``complex_for_s``
-        already checked) returns at once; a complex that failed, or whose
-        ``columns`` were since replaced, is checked again.
-        """
-        if self._d2_verified is self.columns:
-            return
-        for p in range(len(self.columns) - 1):
-            _check_square(self.columns[p], self.columns[p + 1])
-        self._d2_verified = self.columns
+        """Raise ConsistencyError unless d^2 = 0."""
+        for cols, nxt in zip(self.columns, self.columns[1:]):
+            _check_square(cols, nxt)
 
     def clearing(self) -> list[dict[int, dict[int, int]]]:
         """The ``Echelon`` pivots of each differential's columns, d_0 first,
@@ -307,15 +295,11 @@ def _check_square(cols: list[Row], nxt: list[Row]) -> None:
 
 def morse_reduce(cx: CochainComplexQ) -> tuple[CochainComplexQ, list[list[int]]]:
     """The Morse complex of cx along ``cx.matching``, and the places in cx
-    of its cells, ascending, per position.
-
-    The reducer of ``morse_reduce_positions``, run over the positions of
-    cx, except that d^2 = 0 on cx is left to ``cx.verify_d2`` after the
-    reduction, which returns at once when cx already passed (as every
-    ``complex_for_s`` result has).  An empty matching leaves every cell
-    critical and gives cx back as a new complex.
+    of its cells, ascending, per position: ``morse_reduce_positions`` over
+    the positions of cx, which checks d^2 = 0 on cx as it goes.  An empty
+    matching leaves every cell critical and gives cx back as a new complex.
     """
-    positions = (
+    return morse_reduce_positions(
         (
             labels,
             cx.columns[p] if p < len(cx.columns) else None,
@@ -323,7 +307,6 @@ def morse_reduce(cx: CochainComplexQ) -> tuple[CochainComplexQ, list[list[int]]]
         )
         for p, labels in enumerate(cx.labels)
     )
-    return _reduce(positions, cx)
 
 
 def morse_reduce_positions(
@@ -354,15 +337,6 @@ def morse_reduce_positions(
     Morse complex (clearing ranks exactly only then), and its Euler
     characteristic against the input's cell counts.
     """
-    return _reduce(positions, None)
-
-
-def _reduce(
-    positions: Iterable[Position], stored: CochainComplexQ | None
-) -> tuple[CochainComplexQ, list[list[int]]]:
-    """The reducer of ``morse_reduce_positions``; the positions are those of
-    ``stored`` when it is given, and then d^2 = 0 on the input is left to
-    ``stored.verify_d2``, called after the reduction."""
     labels: list[list] = []
     columns: list[list[Row]] = []
     kept: list[list[int]] = []
@@ -373,7 +347,7 @@ def _reduce(
     critical_below: dict[int, int] = {}
     for p, (pos_labels, cols, up) in enumerate(positions):
         euler += -len(pos_labels) if p & 1 else len(pos_labels)
-        if stored is None and cols_below is not None and cols is not None:
+        if cols_below is not None and cols is not None:
             _check_square(cols_below, cols)
         partner = {t: c for c, t in up_below.items()}  # matched target -> partner
         if len(partner) != len(up_below) or not partner.keys().isdisjoint(up):
@@ -389,8 +363,6 @@ def _reduce(
         kept.append(cells)
         cols_below, up_below, critical_below = cols, up, critical
     morse = CochainComplexQ(labels, columns)
-    if stored is not None:
-        stored.verify_d2()
     morse.verify_d2()
     if morse.euler_characteristic != euler:
         raise ConsistencyError("the Morse complex changes the Euler characteristic")

@@ -221,7 +221,7 @@ def test_criterion_9_structural_invariants():
         m = random_acyclic_matrix(rng, n_max=5, m_max=5)
         builder = GysinBuilder(m)
         for s in range(m.d + 1):
-            builder.complex_for_s(s)  # raises if d^2 != 0
+            builder.complex_for_s(s).verify_d2()  # raises if d^2 != 0
     # dim G^I = 2^{n+m-2|I|}
     for m in full_rank_corpus():
         builder = GysinBuilder(m)

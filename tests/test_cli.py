@@ -292,6 +292,61 @@ def test_oversized_integer_token_is_exit_2(tmp_path, capsys, command, flag, text
     assert len(err["detail"]) < 200
 
 
+DEEP_JSON = b'{"rows": ' + b"[" * 5000 + b"]" * 5000 + b"}"
+
+
+@pytest.mark.parametrize("command, flag", [("hodge", "--input"), ("indcomplex", "--graph")])
+@pytest.mark.parametrize(
+    "data", [DEEP_JSON, b"\xff\xfe2 2\n"], ids=["deep-json", "not-utf8"]
+)
+def test_hostile_input_file_is_exit_2(tmp_path, capsys, command, flag, data):
+    # JSON nested past the decoder's recursion limit, and bytes that are
+    # not UTF-8: a diagnostic, not a traceback
+    path = tmp_path / "input.txt"
+    path.write_bytes(data)
+    assert main([command, flag, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "ShapeMismatch"
+    assert len(err["detail"]) < 200
+
+
+@pytest.mark.parametrize(
+    "command, flag, text",
+    [
+        ("pointcount", "--input", "1 1\n0\n1_0\n"),
+        ("pointcount", "--input", "1 1\n0\n\u0661\n"),
+        ("pointcount", "--input", "1 1\n0\n\uff11\n"),
+        ("indcomplex", "--graph", "1_0\n"),
+        ("pointcount", "--input", '{"n": 1, "m": 1, "rows": [[0], ["1"]]}'),
+        ("pointcount", "--input", '{"n": 1, "m": 1, "rows": [[0], [true]]}'),
+        ("pointcount", "--input", '{"n": "1", "m": 1, "rows": [[0], [1]]}'),
+        ("pointcount", "--input", '{"n": 1, "m": 1, "rows": [[0], [Infinity]]}'),
+    ],
+    ids=[
+        "underscore-token",
+        "arabic-indic-digit",
+        "fullwidth-digit",
+        "underscore-graph-header",
+        "json-string-entry",
+        "json-bool-entry",
+        "json-string-n",
+        "json-infinity-entry",
+    ],
+)
+def test_loose_integer_is_exit_2(tmp_path, capsys, command, flag, text):
+    # int() takes each but Infinity (which it refuses with OverflowError):
+    # only ASCII digits after an optional sign, and only JSON integers other
+    # than booleans, are integers here
+    path = tmp_path / "input.txt"
+    path.write_text(text, encoding="utf-8")
+    assert main([command, flag, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "ShapeMismatch"
+
+
 @pytest.mark.parametrize("command", ["hodge", "e1", "ss"])
 @pytest.mark.parametrize("s", ["99", "-1"])
 def test_weight_out_of_range_is_exit_2(edge_file, capsys, command, s):

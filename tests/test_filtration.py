@@ -879,39 +879,38 @@ def test_e1_differentials_are_pinned():
 
 
 def test_spectral_sequence_walks_d2_once_after_build_filtered(monkeypatch):
-    # complex_for_s verifies d^2 = 0; spectral_sequence's own check then
-    # returns without reading a differential again.  Each position's columns
-    # are swapped for a counting copy in place, so cx.columns stays the list
-    # that passed.
-    original = CochainComplexQ.verify_d2
-    walks = []
+    # build_filtered checks no d^2 = 0; the Morse reducer under
+    # spectral_sequence squares each adjacent pair of positions of the full
+    # complex once, as they arrive, then the Morse complex's pairs once
+    from clusterhodge import filtration, linalg
 
-    class Reads(list):
-        touched = 0
+    squared = []
+    check_square = linalg._check_square
 
-        def __getitem__(self, i):
-            Reads.touched += 1
-            return super().__getitem__(i)
+    def counting(cols, nxt):
+        squared.append((id(cols), id(nxt)))
+        check_square(cols, nxt)
 
-        def __iter__(self):
-            Reads.touched += 1
-            return super().__iter__()
+    reduced = []
+    reduce = filtration.morse_reduce
 
-    def counting(cx):
-        plain = list(cx.columns)
-        cx.columns[:] = [Reads(cols) for cols in plain]
-        Reads.touched = 0
-        try:
-            original(cx)
-        finally:
-            cx.columns[:] = plain
-            walks.append(Reads.touched > 0)
+    def keeping(cx):
+        out = reduce(cx)
+        reduced.append(out[0])
+        return out
 
-    monkeypatch.setattr(CochainComplexQ, "verify_d2", counting)
+    monkeypatch.setattr(linalg, "_check_square", counting)
+    monkeypatch.setattr(filtration, "morse_reduce", keeping)
     fc = build_filtered(principal_from_graph(path_graph(3)), 3)
+    assert squared == []
     spectral_sequence(fc)
-    # the third walk is the Morse complex's own d^2 = 0 check
-    assert walks == [True, False, True]
+    [morse] = reduced
+
+    def pairs(cx):
+        return [(id(cols), id(nxt)) for cols, nxt in zip(cx.columns, cx.columns[1:])]
+
+    assert pairs(fc.complex) and pairs(morse)
+    assert squared == pairs(fc.complex) + pairs(morse)
 
 
 def test_morse_and_identity_reductions_give_the_same_pages():

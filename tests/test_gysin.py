@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 from math import comb
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from clusterhodge.cli import main
 from clusterhodge.errors import (
     ColumnsDependent,
     ConsistencyError,
@@ -30,7 +32,7 @@ from clusterhodge.exchange import (
     validate,
 )
 from clusterhodge.exterior import ExteriorForm, bits, mask_of, wedge_sign
-from clusterhodge.filtration import e1_page
+from clusterhodge.filtration import build_filtered, e1_page, graded_pieces, spectral_sequence
 from clusterhodge.graphs import (
     Graph,
     complete_graph,
@@ -49,6 +51,7 @@ from clusterhodge.gysin import (
     hodge_table,
     standard_poincare,
 )
+from clusterhodge.io import render_matrix_text
 from clusterhodge.linalg import (
     CochainComplexQ,
     Echelon,
@@ -1061,6 +1064,44 @@ def test_hodge_table_verifies_d2(monkeypatch):
     monkeypatch.setattr(GysinBuilder, "_rho_into", unsigned)
     with pytest.raises(ConsistencyError, match="square to zero"):
         hodge_table(m)
+
+
+def _cli_ss(m, s, tmp_path, capsys):
+    """``clusterhodge ss`` at weight s must exit 1 with empty stdout; the
+    detail of its JSON diagnostic is raised again as ConsistencyError."""
+    path = tmp_path / "input.mat"
+    path.write_text(render_matrix_text(m))
+    assert main(["ss", "--input", str(path), "--s", str(s)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "ConsistencyError"
+    raise ConsistencyError(err["detail"])
+
+
+@pytest.mark.parametrize(
+    "consume",
+    [
+        lambda m, s, *_: build_gysin_complex(m, s),
+        lambda m, s, *_: spectral_sequence(build_filtered(m, s)),
+        lambda m, s, *_: graded_pieces(m, s),
+        _cli_ss,
+    ],
+    ids=["build_gysin_complex", "spectral_sequence", "graded_pieces", "cli-ss"],
+)
+def test_each_consumer_verifies_d2(monkeypatch, tmp_path, capsys, consume):
+    # the unsigned writer of test_hodge_table_verifies_d2: no builder
+    # checks d^2 = 0, so every consumer of a slice must catch it
+    m = principal_from_graph(path_graph(3))
+    original = GysinBuilder._rho_into
+
+    def unsigned(self, cols, i_mask, j, src_cols, dst_masks, dst_off, eps, *matching):
+        eps *= -1 if (i_mask.bit_count() + (i_mask >> (j + 1)).bit_count()) & 1 else 1
+        return original(self, cols, i_mask, j, src_cols, dst_masks, dst_off, eps, *matching)
+
+    monkeypatch.setattr(GysinBuilder, "_rho_into", unsigned)
+    with pytest.raises(ConsistencyError, match="differential does not square to zero"):
+        consume(m, 3, tmp_path, capsys)
 
 
 def _top_level(builder, s):
