@@ -273,8 +273,11 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    limit = sys.get_int_max_str_digits()
     try:
         args = _parser().parse_args(argv)
+        # results may have more digits than the parsers read (io.MAX_DIGITS)
+        sys.set_int_max_str_digits(0)
         return _COMMANDS[args.command](args)
     except InputError as exc:
         print(
@@ -291,6 +294,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(json.dumps({"error": "OSError", "detail": str(exc)}), file=sys.stderr)
         return 2
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

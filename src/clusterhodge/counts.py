@@ -3,10 +3,11 @@
 The point count of an acyclic cluster variety over F_q is assembled from the
 anticlique stratification: each stratum for an anticlique of size k is an
 affine k-space times a torus of dimension n+m-2k, weighted by the number of
-components |X*(I)|; the weighted formula is valid at primes q = 1 mod 2N
-where N is the common exponent of the groups X*(I).  The brute-force oracle
-counts solutions of the defining exchange equations directly and knows
-nothing about anticliques.  It sums over the set Z of vanishing mutable
+components |X*(I)|, read off a Smith normal form with no element listed;
+the weighted formula is valid at primes q = 1 mod 2N where N is the common
+exponent of the groups X*(I).  The brute-force oracle counts solutions of
+the defining exchange equations directly and knows nothing about
+anticliques.  It sums over the set Z of vanishing mutable
 coordinates: only the equations j in Z constrain a point with that zero set,
 so it enumerates just the nonzero coordinates those equations read,
 evaluates each equation literally on them, and counts every other
@@ -132,9 +133,10 @@ def brute_force_count(matrix: ExtendedExchangeMatrix, q: int) -> int:
     side vanishes.  Those equations read only the coordinates i with
     B~_ij nonzero, so for each Z the nonzero values of the read coordinates
     outside Z are enumerated, Z held at 0, every equation in Z is evaluated
-    literally, and each solution counts q^|Z| (q-1)^u, u being the number of
-    nonzero coordinates no equation in Z reads.  Nothing here uses
-    anticliques or characters.
+    literally (an exponent e > 0 acts on F_q as (e - 1) % (q - 1) + 1), and
+    each solution counts q^|Z| (q-1)^u, u being the number of nonzero
+    coordinates no equation in Z reads.  Nothing here uses anticliques or
+    characters.
     """
     if not is_acyclic(matrix):
         raise NotAcyclic("the exchange-equation model needs an acyclic seed")
@@ -142,7 +144,9 @@ def brute_force_count(matrix: ExtendedExchangeMatrix, q: int) -> int:
         raise ValueError(f"{q} is not prime")
     if _over_guard(matrix, q):
         raise TooLarge(f"q={q} exceeds the {ENUMERATION_GUARD} tuple guard")
-    n, d, rows = matrix.n, matrix.d, matrix.rows
+    n, d = matrix.n, matrix.d
+    rows = [[v and (1 if v > 0 else -1) * ((abs(v) - 1) % (q - 1) + 1) for v in r]
+            for r in matrix.rows]
     total = 0
     for z_mask in range(1 << n):
         zeros = bits(z_mask)

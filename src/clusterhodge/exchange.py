@@ -2,17 +2,20 @@
 
 An extended exchange matrix has n+m rows and n columns with skew-symmetric
 top n x n block B; rows n..n+m-1 are frozen.  All indices are 0-based.
-The finite character group X* = (B~ Q^n cap Z^{n+m}) / B~ Z^n and its
-anticlique subgroups X*(I) are presented through one Smith normal form of
-the matrix, which also provides explicit lifts for characters.
+The finite character group X* = (B~ Q^n cap Z^{n+m}) / B~ Z^n and each
+anticlique subgroup X*(I) are presented through a Smith normal form of the
+matrix or of its columns I, with explicit lifts: nothing is listed.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from graphlib import CycleError, TopologicalSorter
 
 from .errors import (
     ConsistencyError,
@@ -124,29 +127,19 @@ def quiver(matrix: ExtendedExchangeMatrix) -> Quiver:
 
 
 def underlying_graph(matrix: ExtendedExchangeMatrix) -> Graph:
-    return Graph.from_edges(
-        matrix.n, ((i, j) for i, j in quiver(matrix).arcs)
-    )
+    return Graph.from_edges(matrix.n, quiver(matrix).arcs)
 
 
 def is_acyclic(matrix: ExtendedExchangeMatrix) -> bool:
     """True iff the quiver admits a topological order."""
-    arcs = quiver(matrix).arcs
-    out: dict[int, set[int]] = {v: set() for v in range(matrix.n)}
-    indeg = {v: 0 for v in range(matrix.n)}
-    for i, j in arcs:
-        out[i].add(j)
-        indeg[j] += 1
-    queue = [v for v in range(matrix.n) if indeg[v] == 0]
-    seen = 0
-    while queue:
-        v = queue.pop()
-        seen += 1
-        for w in out[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(w)
-    return seen == matrix.n
+    order = TopologicalSorter()
+    for i, j in quiver(matrix).arcs:
+        order.add(j, i)
+    try:
+        order.prepare()
+    except CycleError:
+        return False
+    return True
 
 
 class RankClass(enum.Enum):
@@ -185,10 +178,7 @@ class FiniteAbelianGroup:
 
     @property
     def order(self) -> int:
-        out = 1
-        for d in self.invariant_factors:
-            out *= d
-        return out
+        return math.prod(self.invariant_factors)
 
     @property
     def exponent(self) -> int:
@@ -208,20 +198,22 @@ class Character:
 
 
 @dataclass(frozen=True)
-class CharacterSubgroup:
-    """X*(I) as an explicit subset of X* coordinates."""
+class CharacterSubgroup(FiniteAbelianGroup):
+    """X*(I) with one generator per invariant factor, as X* coordinates
+    modulo X*'s own factors ``moduli``."""
 
     anticlique: tuple[int, ...]
-    invariant_factors: tuple[int, ...]  # of X*(I) itself, > 1 only
-    elements: frozenset[tuple[int, ...]]
+    generators: tuple[tuple[int, ...], ...]
+    moduli: tuple[int, ...]
 
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-    @property
-    def exponent(self) -> int:
-        return self.invariant_factors[-1] if self.invariant_factors else 1
+    @cached_property
+    def elements(self) -> frozenset[tuple[int, ...]]:
+        """Every element's coordinates, as sums of multiples of the generators."""
+        return frozenset(
+            tuple(sum(c * g[i] for c, g in zip(mults, self.generators)) % d
+                  for i, d in enumerate(self.moduli))
+            for mults in itertools.product(*map(range, self.invariant_factors))
+        )
 
     def contains(self, chi: Character) -> bool:
         return chi.coords in self.elements
@@ -231,7 +223,7 @@ class CharacterSubgroup:
 
 
 class CharacterGroup:
-    """X* of a full-rank matrix, with enumeration, lifts and subgroups.
+    """X* of a full-rank matrix, with lifts, supports and subgroups.
 
     Built from one Smith normal form B~ = Pinv S Qinv: the first n columns
     u_i of Pinv span the saturation of the column lattice, and the class of
@@ -303,59 +295,39 @@ class CharacterGroup:
         return frozenset(i for i, v in enumerate(u) if v.denominator != 1)
 
     def subgroup(self, anticlique, graph: Graph | None = None) -> CharacterSubgroup:
-        """X*(I) as a subgroup of X*; I must be an anticlique of the quiver graph."""
+        """X*(I) as a subgroup of X*; I must be an anticlique of the quiver graph.
+
+        X*(I) and lifts of its generators come from the Smith normal form of
+        the columns I.  It embeds in X*, so the generators stacked on diag(d_i)
+        must span a lattice of index |X*| / |X*(I)|: no element is listed.
+        """
         idx = tuple(sorted(int(i) for i in anticlique))
         g = graph if graph is not None else underlying_graph(self.matrix)
         if not g.is_independent(mask_of(idx)):
             raise NotAnticlique(f"{idx} is not an anticlique")
-        if not idx:
-            identity = self.character_from_coords([0] * len(self._nontrivial))
-            return CharacterSubgroup((), (), frozenset({identity.coords}))
-        cols = [[self.matrix.rows[r][j] for j in idx] for r in range(self.matrix.d)]
-        sub_snf = smith_normal_form(cols)
-        gens = []
-        for t, dfac in enumerate(sub_snf.diag):
-            if dfac == 1:
-                continue
-            u = tuple(sub_snf.pinv[r][t] for r in range(self.matrix.d))
-            gens.append((self.character_from_lift(u).coords, dfac))
-        # close the generated subgroup; orders here are tiny
-        elems = {tuple(0 for _ in self._nontrivial)}
-        frontier = [tuple(0 for _ in self._nontrivial)]
-        while frontier:
-            base = frontier.pop()
-            for gcoords, _ in gens:
-                new = tuple(
-                    (a + b) % self.diag[i]
-                    for a, b, i in zip(base, gcoords, self._nontrivial)
-                )
-                if new not in elems:
-                    elems.add(new)
-                    frontier.append(new)
-        factors = sub_snf.invariant_factors_gt1()
-        expected = 1
-        for f in factors:
-            expected *= f
-        if len(elems) != expected:
+        sub_snf = smith_normal_form([[row[j] for j in idx] for row in self.matrix.rows])
+        gens = tuple(self.character_from_lift([row[t] for row in sub_snf.pinv]).coords
+                     for t, dfac in enumerate(sub_snf.diag) if dfac > 1)
+        moduli = self.group.invariant_factors
+        stacked = [list(c) for c in gens] + [
+            [d * (i == j) for j in range(len(moduli))] for i, d in enumerate(moduli)]
+        closed = self.order // math.prod(smith_normal_form(stacked).diag) if gens else 1
+        sub = CharacterSubgroup(sub_snf.invariant_factors_gt1(), idx, gens, moduli)
+        if closed != sub.order:
             raise ConsistencyError(
-                f"subgroup closure of {idx} has order {len(elems)}, "
-                f"not the Smith normal form order {expected}"
+                f"subgroup closure of {idx} has order {closed}, "
+                f"not the Smith normal form order {sub.order}"
             )
-        return CharacterSubgroup(idx, factors, frozenset(elems))
+        return sub
 
 
 # ---------------------------------------------------------------------------
 # reduction of a character component to a smaller plain complex
 
 
+@dataclass(frozen=True)
 class ZeroComplex:
     """Sentinel: the character component vanishes identically."""
-
-    def __repr__(self):
-        return "ZeroComplex"
-
-    def __eq__(self, other):
-        return isinstance(other, ZeroComplex)
 
 
 ZERO_COMPLEX = ZeroComplex()
@@ -403,7 +375,8 @@ def _reduce_support(
     ]
     nk = len(k_set)
     total_rows = matrix.d - 2 * kappa
-    assert nk <= total_rows, "K cannot exceed the reduced row budget"
+    if nk > total_rows:
+        raise ConsistencyError(f"K = {k_set} exceeds the {total_rows} reduced rows")
     top = [[matrix.rows[i][j] for j in k_set] for i in k_set]
     rows = [list(r) for r in top]
     if 2 * nk <= total_rows:

@@ -42,11 +42,10 @@ unreduced, by ``CochainComplexQ.verify_d2``.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, repeat
+from itertools import chain, combinations, product, repeat
 from math import comb
 
 from .errors import (
@@ -65,7 +64,6 @@ from .exchange import (
     CharacterGroup,
     ExtendedExchangeMatrix,
     RankClass,
-    ZeroComplex,
     _reduce_support,
     is_acyclic,
     is_principal,
@@ -608,9 +606,11 @@ def hodge_table(matrix: ExtendedExchangeMatrix) -> HodgeTable:
     (degree, weight) with kappa = |J(chi)|.  That includes the trivial
     character (kappa = 0), whose reduced matrix keeps the top block under
     a new frozen completion.  Characters with equal support have equal
-    components, so each support is reduced once, from the group already
-    built, and the supports that reduce to the same matrix with the same
-    kappa share one part, weighted by their number of characters.
+    components, so they are counted, not listed: |X*(S)| have J(chi) in S,
+    and Moebius inversion over the anticliques leaves those with J(chi) = S.
+    Each support is reduced once, and the supports that reduce to the same
+    matrix with the same kappa share one part, weighted by their number of
+    characters.
 
     Each weight is written position by position (``stream_for_s``) and
     reduced along its element matching as it is written
@@ -643,11 +643,16 @@ def _table_and_rank_class(matrix: ExtendedExchangeMatrix) -> tuple[HodgeTable, R
     parts = {(0, matrix): 1}  # (kappa, matrix) -> number of characters
     if rc is not RankClass.REALLY_FULL_RANK:
         group = CharacterGroup(matrix)
-        by_support = Counter(group.support(chi) for chi in group.elements())
+        masks = builder.family.all_masks()
+        # |X*(S)| characters have J(chi) in S; leave those with J(chi) = S
+        exact = {s: group.subgroup(bits(s), builder.graph).order for s in masks}
+        for v, s in product(range(matrix.n), masks):  # one pass per vertex v
+            if s >> v & 1:
+                exact[s] -= exact[s ^ (1 << v)]
         parts = {}
-        for support, mult in by_support.items():
-            reduced = _reduce_support(matrix, support)
-            if not isinstance(reduced, ZeroComplex):
+        for s, mult in exact.items():
+            if mult:
+                reduced = _reduce_support(matrix, frozenset(bits(s)))
                 key = (reduced.kappa, reduced.matrix)
                 parts[key] = parts.get(key, 0) + mult
     dims: dict[tuple[int, int], int] = {}

@@ -15,10 +15,11 @@ import json
 import re
 import sys
 from itertools import chain
+from math import comb
 
-from .errors import ShapeMismatch
+from .errors import ShapeMismatch, TooLarge
 from .exchange import ExtendedExchangeMatrix, validate
-from .graphs import Graph
+from .graphs import ANTICLIQUE_GUARD, Graph
 
 
 def _strip_comments(text: str) -> list[str]:
@@ -41,6 +42,8 @@ def _echo(line: str) -> str:
 
 
 _INT_TOKEN = re.compile(r"[+-]?[0-9]+")  # int() alone takes "1_0" and non-ASCII digits
+# int()'s default bound, kept here: the CLI lifts it to print its results
+MAX_DIGITS = sys.int_info.default_max_str_digits
 
 
 def _ints(line: str) -> list[int]:
@@ -48,14 +51,19 @@ def _ints(line: str) -> list[int]:
     for tok in line.split():
         if not _INT_TOKEN.fullmatch(tok):
             raise ShapeMismatch(f"non-integer token in line {_echo(line)}")
-        try:
-            out.append(int(tok))
-        except ValueError:  # more digits than int() converts
-            limit = sys.get_int_max_str_digits()
+        if len(tok.lstrip("+-")) > MAX_DIGITS:
             raise ShapeMismatch(
-                f"integer token longer than {limit} digits in line {_echo(line)}"
-            ) from None
+                f"integer token longer than {MAX_DIGITS} digits in line {_echo(line)}"
+            )
+        out.append(int(tok))
     return out
+
+
+def _json_number(tok: str) -> int:
+    """A JSON number as int; ValueError on a float or past MAX_DIGITS."""
+    if len(tok.lstrip("-")) > MAX_DIGITS:
+        raise ValueError(f"a number longer than {MAX_DIGITS} digits")
+    return int(tok)
 
 
 def parse_matrix_text(text: str) -> ExtendedExchangeMatrix:
@@ -72,7 +80,7 @@ def parse_matrix_text(text: str) -> ExtendedExchangeMatrix:
 
 def parse_matrix_json(text: str) -> ExtendedExchangeMatrix:
     try:
-        data = json.loads(text, parse_float=int)  # rejects float entries
+        data = json.loads(text, parse_float=_json_number, parse_int=_json_number)
         n, m, rows = data["n"], data["m"], [list(row) for row in data["rows"]]
         if any(type(v) is not int for v in chain((n, m), *rows)):
             raise TypeError("a value is not an integer")  # a string, bool, NaN or Infinity
@@ -120,7 +128,7 @@ def parse_graph_text(text: str) -> Graph:
     v = head[0]
     if v < 0:
         raise ShapeMismatch(f"negative vertex count {v}")
-    pairs = []
+    edges = set()
     for line in lines[1:]:
         toks = _ints(line)
         if len(toks) != 2:
@@ -128,8 +136,11 @@ def parse_graph_text(text: str) -> Graph:
         a, b = toks
         if not (1 <= a <= v and 1 <= b <= v) or a == b:
             raise ShapeMismatch(f"edge ({a}, {b}) outside 1..{v}")
-        pairs.append((a - 1, b - 1))
-    return Graph.from_edges(v, pairs)
+        edges.add((min(a, b) - 1, max(a, b) - 1))
+    # the empty set, the vertices and the non-edges are independent sets
+    if 1 + v + comb(v, 2) - len(edges) > ANTICLIQUE_GUARD:
+        raise TooLarge(f"more than {ANTICLIQUE_GUARD} independent sets in a {v}-vertex graph")
+    return Graph.from_edges(v, edges)
 
 
 def load_graph(path: str) -> Graph:

@@ -534,6 +534,19 @@ FULL_RANK_ROWS = CORPUS_ROWS + [
 ]
 
 
+# full rank, with character groups of the three shapes the Moebius counts
+# must get right: X* = Z/2 x Z/6 (not cyclic, 5 characters of support
+# {0, 1}); Z_4 with X* = Z/6 and supports of sizes 2 and 3; and [0; 12]
+ISOLATED_2_6 = validate([[0, 0], [0, 0], [2, 0], [0, 6]], 2, 2)
+STAR4_2_3_4_6 = validate(
+    [[0, 1, 1, 1], [-1, 0, 0, 0], [-1, 0, 0, 0], [-1, 0, 0, 0]]
+    + [[c if i == j else 0 for j in range(4)] for i, c in enumerate((2, 3, 4, 6))],
+    4,
+    4,
+)
+CYCLIC_12 = validate([[0], [12]], 1, 1)
+
+
 def corpus() -> list[ExtendedExchangeMatrix]:
     return [validate(rows, n, m) for rows, n, m in CORPUS_ROWS]
 

@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -123,6 +124,66 @@ def test_cmd_pointcount_large_q(edge_file, capsys):
     assert json.loads(captured.err)["error"] == "InputError"
 
 
+HUGE_K = [10**7, int("7" * 4000)]
+
+
+@pytest.mark.parametrize("k", HUGE_K, ids=["k=10^7", "k-of-4000-digits"])
+def test_huge_character_group_is_counted_not_listed(tmp_path, capsys, k):
+    # [0; k] has X* = Z/k: k - 1 characters have support {0}, each adding
+    # one class at (2, 1); the point count is q^2 + (k - 2) q + 1
+    path = tmp_path / "k.mat"
+    path.write_text(f"1 1\n0\n{k}\n")
+    assert main(["hodge", "--input", str(path), "--format", "tsv"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == f"k\ts\tdim\n0\t0\t1\n1\t1\t1\n2\t1\t{k - 1}\n2\t2\t1\n"
+    assert main(["pointcount", "--input", str(path), "--format", "json"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out) == {
+        "polynomial": f"q^2 + {k - 2}*q + 1",
+        "coefficients": [1, k - 2, 1],
+        "modulus": k,
+    }
+    assert main(["check", "--input", str(path)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_results_may_have_more_digits_than_the_parsers_read(tmp_path, capsys):
+    # two isolated vertices over diag(k, k), k of 4,300 nines: (k - 1)^2
+    # characters have support {0, 1}, and the text point count prints 2k
+    k = int("9" * 4300)
+    limit = sys.get_int_max_str_digits()
+    path = tmp_path / "kk.mat"
+    path.write_text(f"2 2\n0 0\n0 0\n{k} 0\n0 {k}\n")
+    assert main(["hodge", "--input", str(path), "--format", "tsv"]) == 0
+    hodge = capsys.readouterr().out
+    assert main(["pointcount", "--input", str(path)]) == 0
+    pointcount = capsys.readouterr().out
+    assert sys.get_int_max_str_digits() == limit  # restored on return
+    sys.set_int_max_str_digits(0)
+    try:
+        assert f"\n4\t2\t{(k - 1) ** 2}\n" in hodge
+        assert f"valid for primes q = 1 mod {2 * k}\n" in pointcount
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize(
+    "number", ["7" * 4301, "7" * 4301 + ".5", "-" + "7" * 4301], ids=["int", "float", "negative"]
+)
+def test_json_number_longer_than_the_parser_reads_is_exit_2(tmp_path, capsys, number):
+    path = tmp_path / "long.json"
+    path.write_text('{"n": 1, "m": 1, "rows": [[0], [' + number + "]]}")
+    assert main(["hodge", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "ShapeMismatch",
+        "detail": "malformed matrix JSON: a number longer than 4300 digits",
+    }
+
+
 def test_cmd_indcomplex(tmp_path, capsys):
     path = tmp_path / "c6.g"
     path.write_text(C6)
@@ -138,6 +199,25 @@ def test_cmd_indcomplex_too_large_is_exit_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err)["error"] == "TooLarge"
+
+
+@pytest.mark.parametrize(
+    "v", [2**63, 10**30, int("9" * 4300)], ids=["2^63", "10^30", "4300-digits"]
+)
+def test_cmd_indcomplex_refuses_a_huge_vertex_count_before_building_the_graph(
+    tmp_path, capsys, v
+):
+    # the empty set, the v vertices and the C(v, 2) non-edges are independent
+    # sets, so the header alone sizes the enumeration
+    path = tmp_path / "huge.g"
+    path.write_text(f"{v}\n1 2\n")
+    assert main(["indcomplex", "--graph", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "TooLarge",
+        "detail": f"more than 262144 independent sets in a {v}-vertex graph",
+    }
 
 
 def test_cmd_e1_guard_on_principal_p30(tmp_path, capsys):

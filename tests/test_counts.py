@@ -24,7 +24,13 @@ from clusterhodge.graphs import (
 from clusterhodge.gysin import hodge_table
 from clusterhodge.poly import IntPolynomial
 
-from conftest import corpus, interpolate_point_count, random_acyclic_matrix
+from conftest import (
+    CYCLIC_12,
+    ISOLATED_2_6,
+    corpus,
+    interpolate_point_count,
+    random_acyclic_matrix,
+)
 
 M01 = validate([[0], [1]], 1, 1)
 M22 = validate([[0, 2], [-2, 0]], 2, 0)
@@ -150,10 +156,12 @@ def test_brute_force_matches_literal_enumeration():
 
 
 def test_brute_force_weighted_congruence():
-    pc = point_count_poly(M22)
-    for q in (5, 13):
-        assert (q - 1) % (2 * pc.modulus) == 0
-        assert brute_force_count(M22, q) == pc(q)
+    # X* = Z/2 x Z/6 proves q = 13; Z/12 proves q = 73, not 13
+    for m, primes in ((M22, (5, 13)), (ISOLATED_2_6, (13,)), (CYCLIC_12, (73,))):
+        pc = point_count_poly(m)
+        for q in primes:
+            assert (q - 1) % (2 * pc.modulus) == 0
+            assert brute_force_count(m, q) == pc(q)
 
 
 def test_brute_force_guard_and_validation():

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clusterhodge.errors import (
+    ConsistencyError,
     IndexOutOfRange,
     NotAnticlique,
     NotFullRank,
@@ -15,6 +16,7 @@ from clusterhodge.exchange import (
     CharacterGroup,
     RankClass,
     ZeroComplex,
+    _reduce_support,
     is_acyclic,
     mutate,
     quiver,
@@ -184,3 +186,11 @@ def test_reduce_character_cases():
     ident = reduce_character(m, group.character_from_coords((0, 0)))
     assert ident.kappa == 0
     assert ident.matrix.top_block() == m.top_block()
+
+
+def test_reduce_support_raises_when_k_exceeds_the_reduced_rows():
+    # [0 0; 0 0] is not of full rank: J = {0} leaves K = {1} and no rows for
+    # it, a broken precondition that must raise even under python -O
+    m = validate([[0, 0], [0, 0]], 2, 0)
+    with pytest.raises(ConsistencyError, match="K = \\[1\\] exceeds the 0 reduced rows"):
+        _reduce_support(m, frozenset({0}))

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from clusterhodge.cli import main
+from clusterhodge.counts import consistency_suite, point_count_poly
 from clusterhodge.errors import (
     ColumnsDependent,
     ConsistencyError,
@@ -29,12 +30,14 @@ from clusterhodge.exchange import (
     principal_matrix,
     rank_class,
     reduce_character,
+    underlying_graph,
     validate,
 )
 from clusterhodge.exterior import ExteriorForm, bits, mask_of, wedge_sign
 from clusterhodge.filtration import build_filtered, e1_page, graded_pieces, spectral_sequence
 from clusterhodge.graphs import (
     Graph,
+    anticliques,
     complete_graph,
     connected_graphs,
     cycle_graph,
@@ -63,6 +66,9 @@ from clusterhodge.linalg import (
 from clusterhodge.poly import IntPolynomial
 
 from conftest import (
+    CYCLIC_12,
+    ISOLATED_2_6,
+    STAR4_2_3_4_6,
     CohomologyClasses,
     Quotient,
     assembly_corpus,
@@ -300,8 +306,45 @@ def test_character_complex_matches_direct_decomposition():
         and rank_class(m) is RankClass.FULL_RANK
     ]
     cases.append(validate(z6 + frozen_2i, 6, 6))
+    cases += [ISOLATED_2_6, STAR4_2_3_4_6, CYCLIC_12]
     for m in cases:
         assert hodge_table(m).dims == _character_sum_reference(m), m.rows
+
+
+def test_character_path_enumerates_no_character(monkeypatch):
+    # the table, the point count and the suite read each |X*(I)| off a
+    # Smith normal form; none of them lists the group or solves a support
+    from clusterhodge.exchange import CharacterSubgroup
+
+    cases = [
+        validate(principal_from_graph(star_graph(6)).top_block()
+                 + [[2 * (i == j) for j in range(6)] for i in range(6)], 6, 6),
+        CYCLIC_12,
+    ]
+    want = [(hodge_table(m), point_count_poly(m), consistency_suite(m)) for m in cases]
+
+    def enumerates(*args, **kwargs):
+        raise AssertionError("the character group was enumerated")
+
+    monkeypatch.setattr(CharacterGroup, "elements", enumerates)
+    monkeypatch.setattr(CharacterGroup, "support", enumerates)
+    monkeypatch.setattr(CharacterSubgroup, "elements", property(enumerates))
+    got = [(hodge_table(m), point_count_poly(m), consistency_suite(m)) for m in cases]
+    assert got == want
+
+
+def test_subgroup_order_counts_the_characters_supported_in_it():
+    # the Moebius passes of hodge_table rest on X*(S) being exactly the
+    # characters with J(chi) in S, for every anticlique S
+    cases = [m for m in full_rank_corpus() if rank_class(m) is RankClass.FULL_RANK]
+    for m in cases + [ISOLATED_2_6, STAR4_2_3_4_6, CYCLIC_12]:
+        group = CharacterGroup(m)
+        graph = underlying_graph(m)
+        supports = {chi.coords: mask_of(group.support(chi)) for chi in group.elements()}
+        for s in anticliques(graph).all_masks():
+            sub = group.subgroup(bits(s), graph)
+            inside = {c for c, j in supports.items() if j & s == j}
+            assert sub.elements == inside and sub.order == len(inside), (m.rows, s)
 
 
 def test_character_complex_identity_matches_plain_complex():
