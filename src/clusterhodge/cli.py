@@ -22,7 +22,7 @@ import sys
 
 from .counts import _is_prime, consistency_suite, point_count_poly
 from .errors import ConsistencyError, InputError
-from .exchange import ExtendedExchangeMatrix
+from .exchange import ExtendedExchangeMatrix, underlying_graph
 from .filtration import (
     _e1_summands,
     build_filtered,
@@ -30,7 +30,7 @@ from .filtration import (
     require_e1_summands,
     spectral_sequence,
 )
-from .graphs import anticliques, reduced_cohomology
+from .graphs import _InducedComplexes, anticliques, reduced_cohomology
 from .gysin import GysinBuilder, HodgeTable, hodge_table
 from .io import load_graph, load_matrix
 
@@ -148,9 +148,10 @@ def cmd_e1(args: argparse.Namespace) -> int:
     matrix = load_matrix(args.input)
     weights = _weights(args, matrix)
     require_e1_summands(matrix.n, weights)  # every weight before the first page
+    induced = _InducedComplexes(underlying_graph(matrix))  # one memo for all weights
     rows = []
     for s in weights:
-        _, entries, _ = _e1_summands(matrix, s)  # the dims only, no differential
+        _, entries, _ = _e1_summands(matrix, s, induced)  # the dims only, no differential
         for (e, f), v in sorted(entries.items()):
             if v:
                 rows.append((e, f, s, v))

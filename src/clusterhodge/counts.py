@@ -23,9 +23,10 @@ from math import comb, gcd
 
 from .errors import InputError, NotAcyclic, NotFullRank, NotPrincipal, TooLarge
 from .exchange import (
-    CharacterGroup,
+    CharacterSubgroup,
     ExtendedExchangeMatrix,
     RankClass,
+    _anticlique_subgroups,
     is_acyclic,
     is_principal,
     rank_class,
@@ -33,7 +34,7 @@ from .exchange import (
 )
 from .exterior import bits
 from .graphs import Graph, anticliques
-from .gysin import _table_and_rank_class
+from .gysin import _table_rank_class_and_subgroups
 from .poly import IntPolynomial
 
 ENUMERATION_GUARD = 10**8
@@ -55,8 +56,13 @@ def point_count_poly(matrix: ExtendedExchangeMatrix) -> PointCountResult:
     return _point_count(matrix, rank_class(matrix))
 
 
-def _point_count(matrix: ExtendedExchangeMatrix, rc: RankClass) -> PointCountResult:
-    """``point_count_poly`` of an acyclic matrix whose rank class is rc."""
+def _point_count(
+    matrix: ExtendedExchangeMatrix,
+    rc: RankClass,
+    subgroups: dict[int, CharacterSubgroup] | None = None,
+) -> PointCountResult:
+    """``point_count_poly`` of an acyclic matrix whose rank class is rc;
+    ``subgroups`` gives X*(I) by anticlique mask when a caller already has it."""
     if rc is RankClass.NOT_FULL_RANK:
         raise NotFullRank("point counts need a full-rank matrix")
     graph = underlying_graph(matrix)
@@ -70,11 +76,12 @@ def _point_count(matrix: ExtendedExchangeMatrix, rc: RankClass) -> PointCountRes
     if rc is RankClass.REALLY_FULL_RANK:
         weights_by_size = [[1] * len(level) for level in family.by_cardinality]
     else:
-        group = CharacterGroup(matrix)
+        if subgroups is None:
+            subgroups = _anticlique_subgroups(matrix, family.all_masks(), graph)
         for level in family.by_cardinality:
             ws = []
             for i_mask in level:
-                sub = group.subgroup(bits(i_mask), graph)
+                sub = subgroups[i_mask]
                 ws.append(sub.order)
                 modulus = modulus * sub.exponent // gcd(modulus, sub.exponent)
             weights_by_size.append(ws)
@@ -295,10 +302,11 @@ def consistency_suite(matrix: ExtendedExchangeMatrix) -> SuiteReport:
     """
     checks: list[CheckResult] = []
     # first, so that its size guard refuses a large input before any Smith
-    # normal form is computed; its rank class serves the point count too
-    table, rc = _table_and_rank_class(matrix)
+    # normal form is computed; its rank class and anticlique subgroups serve
+    # the point count too
+    table, rc, subgroups = _table_rank_class_and_subgroups(matrix)
     really = rc is RankClass.REALLY_FULL_RANK
-    counted = _point_count(matrix, rc)
+    counted = _point_count(matrix, rc, subgroups)
 
     if really:
         lhs, rhs = counted.polynomial, table.point_count_polynomial()

@@ -2,8 +2,26 @@
 
 Everything raised on bad user input derives from InputError so the CLI can
 map it to exit code 2 uniformly.  ConsistencyError signals that a computed
-result violated a structural invariant (a bug, not bad input).
+result violated a structural invariant (a bug, not bad input).  Diagnostics
+echo input through ``echo_int`` (numbers) and ``io._echo`` (lines), both cut
+to ECHO_CHARS.
 """
+
+ECHO_CHARS = 60  # characters of an input line, or digits of a number, a diagnostic echoes
+
+
+def echo_int(k: int) -> str:
+    """k for a diagnostic: in full up to ECHO_CHARS digits, else its first
+    ECHO_CHARS digits and its length.  A long k is never passed to str(), so
+    the interpreter's limit on int-to-str digits does not apply."""
+    size = abs(k)
+    if size < 10**ECHO_CHARS:
+        return str(k)
+    digits = (size.bit_length() - 1) * 30102 // 100000 + 1  # 0.30102 < log10(2)
+    while size >= 10**digits:
+        digits += 1
+    head = str(size // 10 ** (digits - ECHO_CHARS))
+    return f"{'-' if k < 0 else ''}{head}... ({digits} digits)"
 
 
 class ClusterHodgeError(Exception):

@@ -25,8 +25,9 @@ from .errors import (
     NotFullRank,
     NotSkewSymmetric,
     ShapeMismatch,
+    echo_int,
 )
-from .exterior import mask_of
+from .exterior import bits, mask_of
 from .graphs import Graph
 from .linalg import Echelon, SmithNormalForm, smith_normal_form
 
@@ -52,7 +53,7 @@ def _check_shape_and_skew(rows, n: int, m: int) -> None:
     if n < 0 or m < 0:
         raise ShapeMismatch("n and m must be nonnegative")
     if len(rows) != n + m:
-        raise ShapeMismatch(f"expected {n + m} rows, got {len(rows)}")
+        raise ShapeMismatch(f"expected {echo_int(n + m)} rows, got {len(rows)}")
     for r in rows:
         if len(r) != n:
             raise ShapeMismatch(f"expected {n} columns, got {len(r)}")
@@ -319,6 +320,15 @@ class CharacterGroup:
                 f"not the Smith normal form order {sub.order}"
             )
         return sub
+
+
+def _anticlique_subgroups(
+    matrix: ExtendedExchangeMatrix, masks, graph: Graph
+) -> dict[int, CharacterSubgroup]:
+    """X*(I) for each anticlique mask I in masks of the quiver graph, from
+    one CharacterGroup."""
+    group = CharacterGroup(matrix)
+    return {i_mask: group.subgroup(bits(i_mask), graph) for i_mask in masks}
 
 
 # ---------------------------------------------------------------------------

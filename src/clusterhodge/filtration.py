@@ -329,7 +329,7 @@ class E1Page:
 
 
 def _e1_summands(
-    matrix: ExtendedExchangeMatrix, s: int
+    matrix: ExtendedExchangeMatrix, s: int, induced: _InducedComplexes | None = None
 ) -> tuple[_InducedComplexes, dict, dict]:
     """The (D, E) summands of E_1 at weight s, sized, with nothing built past
     the dims of their independence complexes.
@@ -339,8 +339,13 @@ def _e1_summands(
     summand's H~^{e+f-1} of the independence complex of E minus D has
     dimension h > 0 and starts at that offset in the entry's basis.  Both
     ``e1_page`` and the ``e1`` command, which prints only the dims, start
-    here.  Past E1_SUMMAND_GUARD summands, C(2n, s) of them, the weight is
-    refused with TooLarge before anything is built.
+    here; the command passes one ``induced`` of the quiver graph to every
+    weight, and None makes a fresh one.  The summands are walked D by D
+    (ascending masks), and E by E (lexicographic) within a D, but only the
+    E whose X = E minus D has nonzero cohomology are visited: X has at most
+    min(s, 2n - s) vertices, and every such X occurs, so one table of their
+    dims is made first.  Past E1_SUMMAND_GUARD summands, C(2n, s) of them,
+    the weight is refused with TooLarge before anything is built.
     """
     if not is_principal(matrix):
         raise NotPrincipal("the filtration needs principal coefficients")
@@ -348,18 +353,36 @@ def _e1_summands(
         raise NotAcyclic("the quiver has an oriented cycle")
     n = matrix.n
     require_e1_summands(n, [s])
-    induced = _InducedComplexes(underlying_graph(matrix))
-    sizes = range(max(s - n, 0), min(s, n) + 1)
-    masks = {k: list(map(mask_of, itertools.combinations(range(n), k))) for k in sizes}
+    if induced is None:
+        induced = _InducedComplexes(underlying_graph(matrix))
+    elif induced.graph != underlying_graph(matrix):
+        raise ValueError("induced holds the complexes of another graph")
+    masks = [
+        list(map(mask_of, itertools.combinations(range(n), k)))
+        for k in range(min(s, n) + 1)
+    ]
+    # X -> the nonzero (p, dim H) of its complex, for X with nonzero cohomology
+    carried = {}
+    for k in range(min(s, 2 * n - s) + 1):
+        for x_mask in masks[k]:
+            dims = induced.dims(x_mask)
+            if dims:
+                carried[x_mask] = tuple(dims.items())
     entries: dict[tuple[int, int], int] = {}
     positions: dict[tuple[int, int, int, int], tuple[int, int]] = {}
+    sizes = range(max(s - n, 0), min(s, n) + 1)
     for d_mask in sorted(m for k in sizes for m in masks[k]):
         esize = s - d_mask.bit_count()
+        keep = ~d_mask
         for e_mask in masks[esize]:
-            for p, h in induced.dims(e_mask & ~d_mask).items():
+            dims = carried.get(e_mask & keep)
+            if dims is None:
+                continue
+            for p, h in dims:
                 e, f = esize, p - esize
-                entries[(e, f)] = entries.get((e, f), 0) + h
-                positions[(d_mask, e_mask, e, f)] = (entries[(e, f)] - h, h)
+                offset = entries.get((e, f), 0)
+                entries[(e, f)] = offset + h
+                positions[(d_mask, e_mask, e, f)] = (offset, h)
     return induced, entries, positions
 
 

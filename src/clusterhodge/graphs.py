@@ -13,8 +13,9 @@ Mayer-Vietoris connecting maps take their cocycle representatives and
 coordinates from the same clearing reduction that ranks that complex.
 ``_InducedComplexes`` keeps those complexes, their reductions, dims and
 classes per vertex mask for one computation, so each is built once; the
-dims of a disconnected induced subgraph come from its components by the
-join rule (positions add, dims multiply), without a complex of its own.
+dims of a disconnected induced subgraph come from the component of its
+lowest vertex and the rest by the join rule (positions add, dims multiply),
+without a complex of its own.
 """
 
 from __future__ import annotations
@@ -78,16 +79,24 @@ class Graph:
         rest = (1 << self.n_vertices) - 1 if vertex_mask is None else vertex_mask
         comps = []
         while rest:
-            comp = frontier = rest & -rest
-            while frontier:
-                reach = 0
-                for v in bits(frontier):
-                    reach |= self.adjacency[v]
-                frontier = reach & rest & ~comp
-                comp |= frontier
+            comp = self.component_of_lowest(rest)
             rest &= ~comp
             comps.append(comp)
         return comps
+
+    def component_of_lowest(self, vertex_mask: int) -> int:
+        """The component of the lowest vertex of the nonempty vertex_mask,
+        in the subgraph induced on vertex_mask."""
+        comp = frontier = vertex_mask & -vertex_mask
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                reach |= self.adjacency[low.bit_length() - 1]
+            frontier = reach & vertex_mask & ~comp
+            comp |= frontier
+        return comp
 
     def is_connected(self) -> bool:
         return len(self.components()) <= 1
@@ -196,10 +205,14 @@ def augmented_cochain_complex(family: AnticliqueFamily) -> CochainComplexQ:
         index = {f: c for c, f in enumerate(labels[p])}
         cols: list[dict[int, int]] = [{} for _ in labels[p]]
         for r, g in enumerate(labels[p + 1]):
-            for below, v in enumerate(bits(g)):
-                c = index.get(g & ~(1 << v))
+            rest, sign = g, 1  # sign: (-1)^{#bits of g below the current one}
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                c = index.get(g ^ low)
                 if c is not None:
-                    cols[c][r] = -1 if below & 1 else 1
+                    cols[c][r] = sign
+                sign = -sign
         columns.append(cols)
     return CochainComplexQ(labels, columns)
 
@@ -230,9 +243,10 @@ class _InducedComplexes:
     one reduction of the one differential out of its position.
     The independence complex of a disjoint union is the join of its parts'
     (Jonsson, LNM 1928), so a mask whose induced subgraph is disconnected gets
-    its dims from its components, and its own complex is built only when its
-    classes are asked for.  An instance lives for one computation; nothing is
-    cached across calls.
+    its dims as the join of the component of its lowest vertex and the rest
+    (each memoised the same way, the empty mask as the join unit), and its own
+    complex is built only when its classes are asked for.  An instance lives
+    for one computation; nothing is cached across calls.
     """
 
     def __init__(self, graph: Graph):
@@ -261,13 +275,14 @@ class _InducedComplexes:
         """dim H at each augmented position p (H~^{p-1}), ascending, nonzero only."""
         dims = self._dims.get(mask)
         if dims is None:
-            parts = self.graph.components(mask)
-            if len(parts) == 1:
-                dims = self.complex(mask).cohomology_dims(self.clearing(mask))
-            else:
+            if not mask:
                 dims = {0: 1}  # the complex {empty set}, the unit of the join
-                for part in parts:
-                    dims = _join_dims(dims, self.dims(part))
+            else:
+                part = self.graph.component_of_lowest(mask)
+                if part == mask:
+                    dims = self.complex(mask).cohomology_dims(self.clearing(mask))
+                else:
+                    dims = _join_dims(self.dims(part), self.dims(mask ^ part))
             self._dims[mask] = dims
         return dims
 

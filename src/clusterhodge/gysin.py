@@ -61,9 +61,10 @@ from .errors import (
     TooLarge,
 )
 from .exchange import (
-    CharacterGroup,
+    CharacterSubgroup,
     ExtendedExchangeMatrix,
     RankClass,
+    _anticlique_subgroups,
     _reduce_support,
     is_acyclic,
     is_principal,
@@ -625,11 +626,14 @@ def hodge_table(matrix: ExtendedExchangeMatrix) -> HodgeTable:
     and before the first complex is built, and TooLarge refuses the table
     when one would pass GYSIN_CELL_GUARD cells.
     """
-    return _table_and_rank_class(matrix)[0]
+    return _table_rank_class_and_subgroups(matrix)[0]
 
 
-def _table_and_rank_class(matrix: ExtendedExchangeMatrix) -> tuple[HodgeTable, RankClass]:
-    """``hodge_table``, with the rank class it computed after the size guard."""
+def _table_rank_class_and_subgroups(
+    matrix: ExtendedExchangeMatrix,
+) -> tuple[HodgeTable, RankClass, dict[int, CharacterSubgroup]]:
+    """``hodge_table``, with the rank class it computed after the size guard
+    and X*(I) for every anticlique mask I (none when really full rank)."""
     if not is_acyclic(matrix):
         raise NotAcyclic("the quiver has an oriented cycle")
     builder = GysinBuilder(matrix)
@@ -641,11 +645,12 @@ def _table_and_rank_class(matrix: ExtendedExchangeMatrix) -> tuple[HodgeTable, R
     if rc is RankClass.NOT_FULL_RANK:
         raise NotFullRank("matrix is not of full rank")
     parts = {(0, matrix): 1}  # (kappa, matrix) -> number of characters
+    subgroups = {}
     if rc is not RankClass.REALLY_FULL_RANK:
-        group = CharacterGroup(matrix)
         masks = builder.family.all_masks()
+        subgroups = _anticlique_subgroups(matrix, masks, builder.graph)
         # |X*(S)| characters have J(chi) in S; leave those with J(chi) = S
-        exact = {s: group.subgroup(bits(s), builder.graph).order for s in masks}
+        exact = {s: subgroups[s].order for s in masks}
         for v, s in product(range(matrix.n), masks):  # one pass per vertex v
             if s >> v & 1:
                 exact[s] -= exact[s ^ (1 << v)]
@@ -670,7 +675,7 @@ def _table_and_rank_class(matrix: ExtendedExchangeMatrix) -> tuple[HodgeTable, R
     if rc is RankClass.REALLY_FULL_RANK:
         table.check_support_bounds()
         table.check_top_class()
-    return table, rc
+    return table, rc, subgroups
 
 
 def standard_poincare(matrix: ExtendedExchangeMatrix) -> IntPolynomial:

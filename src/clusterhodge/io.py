@@ -17,7 +17,7 @@ import sys
 from itertools import chain
 from math import comb
 
-from .errors import ShapeMismatch, TooLarge
+from .errors import ECHO_CHARS, ShapeMismatch, TooLarge
 from .exchange import ExtendedExchangeMatrix, validate
 from .graphs import ANTICLIQUE_GUARD, Graph
 
@@ -29,9 +29,6 @@ def _strip_comments(text: str) -> list[str]:
         if line:
             lines.append(line)
     return lines
-
-
-ECHO_CHARS = 60
 
 
 def _echo(line: str) -> str:

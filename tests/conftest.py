@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from math import gcd, lcm
@@ -6,9 +7,9 @@ import pytest
 
 from clusterhodge.counts import _is_prime, brute_force_count
 from clusterhodge.errors import ColumnsDependent
-from clusterhodge.exchange import ExtendedExchangeMatrix, validate
+from clusterhodge.exchange import ExtendedExchangeMatrix, underlying_graph, validate
 from clusterhodge.exterior import ExteriorForm, bits, mask_of
-from clusterhodge.graphs import Graph, _InducedComplexes
+from clusterhodge.graphs import AnticliqueFamily, Graph, _InducedComplexes, anticliques
 from clusterhodge.gysin import GModuleBasis, PositionLabels
 from clusterhodge.linalg import CochainComplexQ, Echelon, Row, nullspace
 from clusterhodge.poly import IntPolynomial
@@ -218,6 +219,51 @@ def submasks(mask: int):
         if sub == 0:
             return
         sub = (sub - 1) & mask
+
+
+def augmented_complex_by_bits(family: AnticliqueFamily) -> CochainComplexQ:
+    """``graphs.augmented_cochain_complex`` with each face's bits listed by
+    ``bits``: the reference for the inline bit walk."""
+    labels = [list(level) for level in family.by_cardinality]
+    columns = []
+    for p in range(len(labels) - 1):
+        index = {f: c for c, f in enumerate(labels[p])}
+        cols: list[dict[int, int]] = [{} for _ in labels[p]]
+        for r, g in enumerate(labels[p + 1]):
+            for below, v in enumerate(bits(g)):
+                c = index.get(g & ~(1 << v))
+                if c is not None:
+                    cols[c][r] = -1 if below & 1 else 1
+        columns.append(cols)
+    return CochainComplexQ(labels, columns)
+
+
+def e1_summands_full_walk(matrix: ExtendedExchangeMatrix, s: int) -> tuple[dict, dict]:
+    """(entries, positions) of ``filtration._e1_summands`` by the full walk:
+    every (D, E) summand of weight s, D by D (ascending masks) and E by E
+    (lexicographic), each sized by the cohomology of the complex of E minus
+    D itself (no join rule): the reference for the walk that visits only
+    the summands with cohomology."""
+    n = matrix.n
+    graph = underlying_graph(matrix)
+    dims: dict[int, dict[int, int]] = {}
+    sizes = range(max(s - n, 0), min(s, n) + 1)
+    masks = {k: list(map(mask_of, itertools.combinations(range(n), k))) for k in sizes}
+    entries: dict[tuple[int, int], int] = {}
+    positions: dict[tuple[int, int, int, int], tuple[int, int]] = {}
+    for d_mask in sorted(m for k in sizes for m in masks[k]):
+        esize = s - d_mask.bit_count()
+        for e_mask in masks[esize]:
+            x_mask = e_mask & ~d_mask
+            if x_mask not in dims:
+                dims[x_mask] = augmented_complex_by_bits(
+                    anticliques(graph, x_mask)
+                ).cohomology_dims()
+            for p, h in dims[x_mask].items():
+                e, f = esize, p - esize
+                entries[(e, f)] = entries.get((e, f), 0) + h
+                positions[(d_mask, e_mask, e, f)] = (entries[(e, f)] - h, h)
+    return entries, positions
 
 
 def mv_delta_by_face_scan(graph: Graph, x_mask: int, a: int, b: int) -> dict:

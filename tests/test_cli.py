@@ -8,6 +8,7 @@ import pytest
 from clusterhodge.cli import main
 from clusterhodge.errors import ConsistencyError
 from clusterhodge.exchange import principal_from_graph
+from clusterhodge.filtration import e1_page
 from clusterhodge.graphs import complete_graph, path_graph
 from clusterhodge.io import (
     parse_graph_text,
@@ -184,6 +185,22 @@ def test_json_number_longer_than_the_parser_reads_is_exit_2(tmp_path, capsys, nu
     }
 
 
+@pytest.mark.parametrize("command", ["check", "hodge"])
+def test_a_huge_row_count_is_echoed_short(tmp_path, capsys, command):
+    # n of 4,300 nines passes the parser; the shape check echoes n + m
+    # = 10^4300 by its first digits and its length, not in full
+    path = tmp_path / "huge_n.json"
+    path.write_text('{"n": ' + "9" * 4300 + ', "m": 1, "rows": [[0], [1]]}')
+    assert main([command, "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err) < 200
+    assert json.loads(captured.err) == {
+        "error": "ShapeMismatch",
+        "detail": "expected 1" + "0" * 59 + "... (4301 digits) rows, got 2",
+    }
+
+
 def test_cmd_indcomplex(tmp_path, capsys):
     path = tmp_path / "c6.g"
     path.write_text(C6)
@@ -252,6 +269,30 @@ def test_cmd_e1_sizes_every_weight_before_the_first_page(tmp_path, capsys, monke
         "detail": "more than 262144 (D, E) summands at weight 6 of a rank-14 quiver",
     }
     assert calls == []
+
+
+def test_cmd_e1_builds_each_induced_complex_once(tmp_path, capsys, monkeypatch):
+    # all-weight e1 on principal P_6 shares one set of induced complexes
+    # between its weights: a wrapped anticliques sees each mask once, where
+    # a fresh set per weight sees the masks again, and the dims equal
+    # e1_page's at every weight
+    import clusterhodge.graphs as graphs
+
+    m = principal_from_graph(path_graph(6))
+    path = tmp_path / "p6.mat"
+    path.write_text(render_matrix_text(m))
+    masks = []
+    enumerate_sets = graphs.anticliques
+    monkeypatch.setattr(
+        graphs, "anticliques", lambda g, mask=None: masks.append(mask) or enumerate_sets(g, mask)
+    )
+    assert main(["e1", "--input", str(path), "--format", "json"]) == 0
+    assert len(masks) == len(set(masks)) > 0
+    printed = {(r["e"], r["f"], r["s"]): r["dim"] for r in json.loads(capsys.readouterr().out)}
+    masks.clear()
+    pages = {s: e1_page(m, s).entries for s in range(m.d + 1)}
+    assert len(masks) > len(set(masks))
+    assert printed == {(e, f, s): v for s, page in pages.items() for (e, f), v in page.items() if v}
 
 
 @pytest.mark.parametrize("command", ["hodge", "check", "ss"])

@@ -16,6 +16,7 @@ from clusterhodge.counts import (
 from clusterhodge.exchange import principal_from_graph, validate
 from clusterhodge.graphs import (
     Graph,
+    anticliques,
     connected_graphs,
     cycle_graph,
     path_graph,
@@ -293,8 +294,9 @@ def test_consistency_suite_computes_one_rank_class(monkeypatch):
     # the suite reads the rank class off hodge_table's one Smith normal form
     # and hands it to the point count: on principal P_3 that is the only
     # one, and on Z_4 with frozen block 2I, whose characters take Smith
-    # normal forms of their own, it is one fewer than hodge_table and
-    # point_count_poly take apart
+    # normal forms of their own, the point count reuses the table's
+    # anticlique subgroups too, so the suite takes hodge_table's forms and
+    # none more, fewer than hodge_table and point_count_poly take apart
     import clusterhodge.exchange as exchange
 
     calls = []
@@ -316,5 +318,36 @@ def test_consistency_suite_computes_one_rank_class(monkeypatch):
         4,
         4,
     )
-    separate = count(hodge_table, z4) + count(point_count_poly, z4)
-    assert count(consistency_suite, z4) == separate - 1
+    table = count(hodge_table, z4)
+    separate = table + count(point_count_poly, z4)
+    assert count(consistency_suite, z4) == table < separate - 1
+
+
+def test_consistency_suite_takes_each_anticlique_subgroup_once(monkeypatch):
+    # the table's Moebius counts and the point count share one group and its
+    # subgroups: on Z_6 with frozen block 2I, one subgroup call per each of
+    # the 33 anticliques, and the same report as when the point count takes
+    # its own subgroups
+    import clusterhodge.counts as counts
+    from clusterhodge.exchange import CharacterGroup
+
+    z6 = validate(
+        principal_from_graph(star_graph(6)).top_block()
+        + [[2 * (i == j) for j in range(6)] for i in range(6)],
+        6,
+        6,
+    )
+    calls = []
+    subgroup = CharacterGroup.subgroup
+    monkeypatch.setattr(
+        CharacterGroup,
+        "subgroup",
+        lambda self, idx, graph=None: calls.append(tuple(idx)) or subgroup(self, idx, graph),
+    )
+    shared = consistency_suite(z6).render()
+    assert len(calls) == len(set(calls)) == len(anticliques(star_graph(6)).all_masks()) == 33
+    point_count = counts._point_count
+    monkeypatch.setattr(counts, "_point_count", lambda m, rc, subgroups=None: point_count(m, rc))
+    calls.clear()
+    assert consistency_suite(z6).render() == shared
+    assert len(calls) == 66

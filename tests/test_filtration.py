@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 
 from clusterhodge.counts import small_weight_entries
 from clusterhodge.errors import ConsistencyError, NotPrincipal
-from clusterhodge.exchange import principal_from_graph, principal_matrix, validate
+from clusterhodge.exchange import (
+    is_principal,
+    principal_from_graph,
+    principal_matrix,
+    underlying_graph,
+    validate,
+)
 from clusterhodge.filtration import (
     FilteredComplexQ,
     SpectralSequencePage,
@@ -36,6 +42,8 @@ from clusterhodge.linalg import Echelon, nullspace, rank, solve_in_span
 from conftest import (
     CohomologyClasses,
     Quotient,
+    corpus,
+    e1_summands_full_walk,
     mat_mul,
     rank_relative,
     rows_at,
@@ -780,6 +788,31 @@ def test_reduction_matches_subquotient_oracle():
                         ), (where, spot)
                 cases += 1
     assert graphs == 52
+
+
+def test_e1_summands_equal_the_full_walk():
+    # the walk visits only the E whose E minus D has cohomology, sized from
+    # one table; entries and positions, insertion order included, equal the
+    # full walk's over every summand, on the principal quivers of every
+    # graph with <= 5 vertices, the principal corpus matrices, and P_7 and
+    # C_7, at every weight; an induced memo shared between the weights gives
+    # the same
+    inputs = [principal_from_graph(g) for v in range(1, 6) for g in all_graphs(v)]
+    inputs += [m for m in corpus() if is_principal(m)]
+    inputs += [principal_from_graph(path_graph(7)), principal_from_graph(cycle_graph(7))]
+    weights = 0
+    for m in inputs:
+        shared = _InducedComplexes(underlying_graph(m))
+        for s in range(m.d + 1):
+            want = e1_summands_full_walk(m, s)
+            for induced in (None, shared):
+                _, entries, positions = _e1_summands(m, s, induced)
+                assert list(entries.items()) == list(want[0].items()), (m.rows, s)
+                assert list(positions.items()) == list(want[1].items()), (m.rows, s)
+            weights += 1
+    assert weights == 514 + 22 + 30
+    with pytest.raises(ValueError):
+        _e1_summands(principal_from_graph(path_graph(3)), 2, _InducedComplexes(TRIANGLE))
 
 
 def test_e1_page_with_one_memo_equals_fresh_complexes(monkeypatch):

@@ -3,7 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import CohomologyClasses, mv_delta_by_face_scan, submasks
+from conftest import (
+    CohomologyClasses,
+    augmented_complex_by_bits,
+    mv_delta_by_face_scan,
+    submasks,
+)
 
 from clusterhodge.errors import CycleTooSmall, NotAForest, NotAnEdge, TooLarge, VertexInX
 from clusterhodge.graphs import (
@@ -188,6 +193,35 @@ def test_induced_dims_match_the_full_complex():
     induced = _InducedComplexes(path_graph(6))
     assert induced.dims(0b110110) == {2: 1}
     assert 0b110110 not in induced._complexes
+
+
+def test_induced_dims_by_lowest_component_up_to_6_vertices():
+    # dims of a disconnected mask join the component of its lowest vertex
+    # with the rest; on every mask of every graph with <= 6 vertices, and of
+    # three disconnected graphs on 7 and 8 vertices, they equal the dims of
+    # the mask's own complex, and that complex, with each face's bits walked
+    # inline, equals the one built from bits() lists, entry for entry
+    k3k3k2 = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (6, 7)]
+    p3p2p2 = [(0, 1), (1, 2), (3, 4), (5, 6)]
+    c4_edge_point = [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5)]
+    extra = [
+        Graph.from_edges(8, k3k3k2),
+        Graph.from_edges(7, p3p2p2),
+        Graph.from_edges(7, c4_edge_point),
+    ]
+    masks = 0
+    for g in [g for v in range(1, 7) for g in all_graphs(v)] + extra:
+        induced = _InducedComplexes(g)
+        for mask in range(1 << g.n_vertices):
+            family = anticliques(g, mask)
+            cx = augmented_cochain_complex(family)
+            ref = augmented_complex_by_bits(family)
+            assert (cx.labels, cx.columns) == (ref.labels, ref.columns)
+            assert induced.dims(mask) == ref.cohomology_dims(), (sorted(g.edges), mask)
+            masks += 1
+        # a complex only for each connected nonempty mask whose dims were asked
+        assert all(len(g.components(mask)) == 1 for mask in induced._complexes)
+    assert masks == sum(len(all_graphs(v)) << v for v in range(1, 7)) + 256 + 128 + 128
 
 
 def test_components_of_an_induced_subgraph():
