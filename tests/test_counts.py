@@ -325,7 +325,7 @@ def test_consistency_suite_computes_one_rank_class(monkeypatch):
 
 def test_consistency_suite_takes_each_anticlique_subgroup_once(monkeypatch):
     # the table's Moebius counts and the point count share one group and its
-    # subgroups: on Z_6 with frozen block 2I, one subgroup call per each of
+    # subgroups: on Z_6 with frozen block 2I, one subgroup call for each of
     # the 33 anticliques, and the same report as when the point count takes
     # its own subgroups
     import clusterhodge.counts as counts
