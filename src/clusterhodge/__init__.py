@@ -41,6 +41,7 @@ from .gysin import (
 )
 from .filtration import (
     FilteredComplexQ,
+    SparseMatrix,
     build_filtered,
     e1_page,
     graded_pieces,

@@ -214,9 +214,8 @@ def cmd_ss(args: argparse.Namespace) -> int:
                                 "f": f,
                                 "triplets": [
                                     [i, j, str(val)]
-                                    for i, row in enumerate(mat)
-                                    for j, val in enumerate(row)
-                                    if val
+                                    for i in sorted(mat.nonzeros)
+                                    for j, val in sorted(mat.nonzeros[i].items())
                                 ],
                             }
                             for (e, f), mat in sorted(page.differentials.items())

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -64,12 +64,6 @@ class FilteredComplexQ:
                         raise ConsistencyError("differential lowers the level")
 
 
-def level_of_label(matrix: ExtendedExchangeMatrix, label) -> int:
-    i_mask, a_mask = label
-    mutable = (1 << matrix.n) - 1
-    return (a_mask & mutable).bit_count() + i_mask.bit_count()
-
-
 def build_filtered(
     matrix: ExtendedExchangeMatrix, s: int, builder: GysinBuilder | None = None
 ) -> FilteredComplexQ:
@@ -82,7 +76,11 @@ def build_filtered(
         raise NotAcyclic("the quiver has an oriented cycle")
     builder = builder or GysinBuilder(matrix)
     cx = builder.complex_for_s(s)
-    levels = [[level_of_label(matrix, lab) for lab in pos] for pos in cx.labels]
+    mutable = (1 << matrix.n) - 1
+    levels = [
+        [(a_mask & mutable).bit_count() + i_mask.bit_count() for i_mask, a_mask in pos]
+        for pos in cx.labels
+    ]
     fc = FilteredComplexQ(cx, levels)
     fc.verify_levels()
     return fc
@@ -167,12 +165,71 @@ def graded_pieces(matrix: ExtendedExchangeMatrix, s: int) -> list[GradedPiece]:
 # the spectral sequence from one filtered reduction
 
 
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
+class SparseMatrix(Sequence):
+    """A read-only matrix stored as its nonzeros and read as dense rows.
+
+    ``shape`` is (rows, columns) and ``nonzeros`` is {row: {column: value}},
+    with no zero stored.  Indexing (negative and slices too) and iteration
+    build each row afresh as a list, zeros as Fraction(0), so the matrix
+    reads as the list of lists it stands for and compares equal to it;
+    sparse readers walk ``nonzeros`` instead.
+    """
+
+    __slots__ = ("_shape", "_nonzeros")
+
+    def __init__(self, shape: tuple[int, int], nonzeros: dict[int, dict[int, Fraction]]):
+        self._shape = shape
+        self._nonzeros = nonzeros
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self._shape
+
+    @property
+    def nonzeros(self) -> dict[int, dict[int, Fraction]]:
+        return self._nonzeros
+
+    def __len__(self) -> int:
+        return self._shape[0]
+
+    def _row(self, i: int) -> list[Fraction]:
+        row = [_ZERO] * self._shape[1]
+        for j, v in self._nonzeros.get(i, {}).items():
+            row[j] = v
+        return row
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self._row(j) for j in range(*i.indices(self._shape[0]))]
+        if -self._shape[0] <= i < 0:
+            i += self._shape[0]
+        elif not 0 <= i < self._shape[0]:
+            raise IndexError("matrix row index out of range")
+        return self._row(i)
+
+    def __iter__(self):
+        return map(self._row, range(self._shape[0]))
+
+    def __eq__(self, other):
+        if isinstance(other, SparseMatrix):
+            return self._shape == other._shape and self._nonzeros == other._nonzeros
+        if isinstance(other, list):
+            return len(other) == self._shape[0] and all(a == b for a, b in zip(self, other))
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"SparseMatrix({self._shape!r}, {self._nonzeros!r})"
+
+
 @dataclass
 class SpectralSequencePage:
     r: int
     entries: dict[tuple[int, int], int]
     # d_r at each source (e, f); only nonzero matrices are stored
-    differentials: dict[tuple[int, int], list[list[Fraction]]]
+    differentials: dict[tuple[int, int], SparseMatrix]
 
     def entry(self, e: int, f: int) -> int:
         return self.entries.get((e, f), 0)
@@ -218,36 +275,76 @@ def _pairs(fc: FilteredComplexQ) -> list[tuple[int, int, int, int]]:
     return pairs
 
 
-def _page(
-    fc: FilteredComplexQ,
-    gaps: list[list[int | None]],
-    pairs: list[tuple[int, int, int, int]],
-    r: int,
-) -> SpectralSequencePage:
-    """E_r: the cells unpaired or paired across a gap of at least r.
+def _reduction_pairs(fc: FilteredComplexQ) -> list[tuple[int, int, int, int]]:
+    """(k, c, t, gap) for every pair of the reduction of ``fc`` along its
+    matching: the pivots of the Morse complex as cells of ``fc``, then every
+    matched pair with gap 0 (see ``spectral_sequence``)."""
+    morse, kept = morse_reduce(fc.complex)
+    reduced = FilteredComplexQ(
+        morse, [[lv[c] for c in cells] for lv, cells in zip(fc.levels, kept)]
+    )
+    reduced.verify_levels()
+    pairs = [(k, kept[k][c], kept[k + 1][t], gap) for k, c, t, gap in _pairs(reduced)]
+    for k, matched in enumerate(fc.complex.matching):
+        for c, t in matched.items():
+            if fc.levels[k + 1][t] != fc.levels[k][c]:
+                raise ConsistencyError("a matched pair changes the level")
+            pairs.append((k, c, t, 0))
+    return pairs
 
-    Each entry's basis is its surviving cells in index order, and d_r is
-    the partial identity on the pairs whose gap is exactly r.
+
+def _pages(
+    fc: FilteredComplexQ, pairs: list[tuple[int, int, int, int]], last: int
+) -> list[SpectralSequencePage]:
+    """E_0, ..., E_last from one bucketing of the pairs by gap.
+
+    E_r is spanned by the cells unpaired or paired across a gap of at least
+    r, each entry's basis its surviving cells in index order, and d_r is the
+    partial identity on the pairs whose gap is exactly r.  Every spot (e, k),
+    the cells of level e at position k, keeps the list of its survivors,
+    whose length is the entry; the pairs of gap r leave it after page r.
+    The places of survivors are made only for the spots that d_r touches.
     """
-    basis: dict[tuple[int, int], dict[int, int]] = {}
-    for k, cells in enumerate(fc.levels):
-        for cell, (e, gap) in enumerate(zip(cells, gaps[k])):
-            if gap is None or gap >= r:
-                spot = basis.setdefault((e, k), {})
-                spot[cell] = len(spot)
-    entries = {(e, k - e): len(spot) for (e, k), spot in basis.items()}
-    diffs: dict[tuple[int, int], list[list[Fraction]]] = {}
-    zero, one = Fraction(0), Fraction(1)
+    levels = fc.levels
+    alive: list[dict[int, list[int]]] = []  # position k: level e -> survivors
+    for cells in levels:
+        order = sorted(range(len(cells)), key=cells.__getitem__)  # stable: index order
+        alive.append(
+            {e: list(spot) for e, spot in itertools.groupby(order, cells.__getitem__)}
+        )
+    by_gap: dict[int, list[tuple[int, int, int]]] = {}
     for k, c, t, gap in pairs:
-        if gap != r:
-            continue
-        e = fc.levels[k][c]
-        source, target = basis[(e, k)], basis[(e + r, k + 1)]
-        mat = diffs.get((e, k - e))
-        if mat is None:
-            mat = diffs[(e, k - e)] = [[zero] * len(source) for _ in target]
-        mat[target[t]][source[c]] = one
-    return SpectralSequencePage(r, entries, diffs)
+        by_gap.setdefault(gap, []).append((k, c, t))
+    pages = []
+    for r in range(last + 1):
+        entries = {
+            (e, k - e): len(spot)
+            for k, spots in enumerate(alive)
+            for e, spot in spots.items()
+            if spot
+        }
+        places: dict[tuple[int, int], dict[int, int]] = {}
+        nonzeros: dict[tuple[int, int], dict[int, dict[int, Fraction]]] = {}
+        for k, c, t in by_gap.get(r, ()):
+            e = levels[k][c]
+            source = places.get((e, k))
+            if source is None:
+                source = places[(e, k)] = dict(zip(alive[k][e], itertools.count()))
+            target = places.get((e + r, k + 1))
+            if target is None:
+                target = places[(e + r, k + 1)] = dict(
+                    zip(alive[k + 1][e + r], itertools.count())
+                )
+            nonzeros.setdefault((e, k), {})[target.pop(t)] = {source.pop(c): _ONE}
+        diffs = {
+            (e, k - e): SparseMatrix((len(alive[k + 1][e + r]), len(alive[k][e])), rows)
+            for (e, k), rows in nonzeros.items()
+        }
+        # what is left of each place map is the spot's survivors past page r
+        for (e, k), left in places.items():
+            alive[k][e] = list(left)
+        pages.append(SpectralSequencePage(r, entries, diffs))
+    return pages
 
 
 def spectral_sequence(
@@ -267,27 +364,14 @@ def spectral_sequence(
     complex's cells, and every matched pair joins them with gap 0, so E_0
     counts every cell and d_0 holds the matched pairs too.  An empty
     matching leaves every cell critical.  Every page is read off the same
-    pairs, as partial identities in the basis of that reduction.  Raises
-    ConsistencyError when d^2 != 0, a pair lowers the level or a matched
-    pair changes it.
+    pairs, as partial identities in the basis of that reduction, each d_r
+    a ``SparseMatrix``.  Raises ConsistencyError when d^2 != 0, a pair
+    lowers the level or a matched pair changes it.
     """
-    morse, kept = morse_reduce(fc.complex)
-    reduced = FilteredComplexQ(
-        morse, [[lv[c] for c in cells] for lv, cells in zip(fc.levels, kept)]
-    )
-    reduced.verify_levels()
-    pairs = [(k, kept[k][c], kept[k + 1][t], gap) for k, c, t, gap in _pairs(reduced)]
-    for k, matched in enumerate(fc.complex.matching):
-        for c, t in matched.items():
-            if fc.levels[k + 1][t] != fc.levels[k][c]:
-                raise ConsistencyError("a matched pair changes the level")
-            pairs.append((k, c, t, 0))
-    gaps: list[list[int | None]] = [[None] * len(cells) for cells in fc.levels]
-    for k, c, t, gap in pairs:
-        gaps[k][c] = gaps[k + 1][t] = gap
+    pairs = _reduction_pairs(fc)
     lo, hi = fc.level_range()
     last = hi - lo + 1 if max_page is None else min(max_page, hi - lo + 1)
-    return [_page(fc, gaps, pairs, r) for r in range(last + 1)]
+    return _pages(fc, pairs, last)
 
 
 def observed_collapse_page(pages: list[SpectralSequencePage]) -> int:
@@ -325,7 +409,8 @@ class E1Page:
     """E_1 of the filtration at one weight, built from graph cohomology."""
 
     entries: dict[tuple[int, int], int]
-    differentials: dict[tuple[int, int], list[list[Fraction]]]
+    # d_1 at each source (e, f); only nonzero matrices are stored
+    differentials: dict[tuple[int, int], SparseMatrix]
 
 
 def _e1_summands(
@@ -406,15 +491,16 @@ def e1_page(matrix: ExtendedExchangeMatrix, s: int) -> E1Page:
     block that needs its classes, and a disconnected one gets its dims by
     the join rule.  Each block's nonzeros are scaled once per scalar (a
     scalar of +-1 by sign: v or -v; only a multiple arrow multiplies) and
-    written by assignment into every pair of summands that shares it;
-    nothing is kept between calls.  Past E1_SUMMAND_GUARD summands, C(2n, s)
+    written by assignment into the nonzeros of every pair of summands that
+    shares it, and each d_1 is a ``SparseMatrix``; nothing is kept between
+    calls.  Past E1_SUMMAND_GUARD summands, C(2n, s)
     of them, the page is refused with TooLarge before anything is built.
     """
     induced, entries, positions = _e1_summands(matrix, s)
     graph = induced.graph
-    zero = Fraction(0)
     unseen = object()
-    diffs: dict[tuple[int, int], list[list[Fraction]]] = {}
+    # (e, f) -> the nonzeros {row: {column: value}} of its d_1
+    diffs: dict[tuple[int, int], dict[int, dict[int, Fraction]]] = {}
     deltas: dict[tuple[int, int, int], dict[int, list[list[Fraction]]]] = {}
     # (X, a, b, r, scale) -> the block's nonzeros (i, j, scale * v), or None
     scaled: dict[tuple[int, int, int, int, int], list | None] = {}
@@ -462,12 +548,19 @@ def e1_page(matrix: ExtendedExchangeMatrix, s: int) -> E1Page:
                 if nonzeros is None:
                     continue
                 if mat is None:
-                    mat = diffs[(e, f)] = [
-                        [zero] * entries[(e, f)] for _ in range(entries[target_pos])
-                    ]
+                    mat = diffs[(e, f)] = {}
                 # a = D - D2 and b = E2 - E, so each pair of summands has
                 # exactly one block, and assignment saves a Fraction sum
                 offset2 = place[0]
                 for i, jj, v in nonzeros:
-                    mat[offset2 + i][offset + jj] = v
-    return E1Page(entries, diffs)
+                    row = mat.get(offset2 + i)
+                    if row is None:
+                        row = mat[offset2 + i] = {}
+                    row[offset + jj] = v
+    return E1Page(
+        entries,
+        {
+            (e, f): SparseMatrix((entries[(e + 1, f)], entries[(e, f)]), mat)
+            for (e, f), mat in diffs.items()
+        },
+    )

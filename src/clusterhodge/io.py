@@ -17,7 +17,7 @@ import sys
 from itertools import chain
 from math import comb
 
-from .errors import ECHO_CHARS, ShapeMismatch, TooLarge
+from .errors import ECHO_CHARS, ShapeMismatch, TooLarge, echo_int
 from .exchange import ExtendedExchangeMatrix, validate
 from .graphs import ANTICLIQUE_GUARD, Graph
 
@@ -124,7 +124,7 @@ def parse_graph_text(text: str) -> Graph:
         raise ShapeMismatch("first line must be the vertex count")
     v = head[0]
     if v < 0:
-        raise ShapeMismatch(f"negative vertex count {v}")
+        raise ShapeMismatch(f"negative vertex count {echo_int(v)}")
     edges = set()
     for line in lines[1:]:
         toks = _ints(line)
@@ -132,11 +132,15 @@ def parse_graph_text(text: str) -> Graph:
             raise ShapeMismatch(f"bad edge line: {_echo(line)}")
         a, b = toks
         if not (1 <= a <= v and 1 <= b <= v) or a == b:
-            raise ShapeMismatch(f"edge ({a}, {b}) outside 1..{v}")
+            raise ShapeMismatch(
+                f"edge ({echo_int(a)}, {echo_int(b)}) outside 1..{echo_int(v)}"
+            )
         edges.add((min(a, b) - 1, max(a, b) - 1))
     # the empty set, the vertices and the non-edges are independent sets
     if 1 + v + comb(v, 2) - len(edges) > ANTICLIQUE_GUARD:
-        raise TooLarge(f"more than {ANTICLIQUE_GUARD} independent sets in a {v}-vertex graph")
+        raise TooLarge(
+            f"more than {ANTICLIQUE_GUARD} independent sets in a {echo_int(v)}-vertex graph"
+        )
     return Graph.from_edges(v, edges)
 
 

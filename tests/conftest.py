@@ -266,6 +266,51 @@ def e1_summands_full_walk(matrix: ExtendedExchangeMatrix, s: int) -> tuple[dict,
     return entries, positions
 
 
+def pages_by_full_scan(fc, pairs: list[tuple[int, int, int, int]], last: int) -> list:
+    """(r, entries, differentials) of pages E_0, ..., E_last of
+    ``filtration.spectral_sequence`` by scanning every cell afresh for each
+    page, d_r a dense zero-filled Fraction matrix: the reference for the
+    pages made from one bucketing of the pairs.  A cell survives to E_r when
+    it is unpaired or paired across a gap of at least r; each entry's basis
+    is its survivors in index order, and d_r is the partial identity on the
+    pairs of gap exactly r."""
+    gaps: list[list[int | None]] = [[None] * len(cells) for cells in fc.levels]
+    for k, c, t, gap in pairs:
+        gaps[k][c] = gaps[k + 1][t] = gap
+    pages = []
+    for r in range(last + 1):
+        basis: dict[tuple[int, int], dict[int, int]] = {}
+        for k, cells in enumerate(fc.levels):
+            for cell, (e, gap) in enumerate(zip(cells, gaps[k])):
+                if gap is None or gap >= r:
+                    spot = basis.setdefault((e, k), {})
+                    spot[cell] = len(spot)
+        entries = {(e, k - e): len(spot) for (e, k), spot in basis.items()}
+        diffs: dict[tuple[int, int], list[list[Fraction]]] = {}
+        for k, c, t, gap in pairs:
+            if gap != r:
+                continue
+            e = fc.levels[k][c]
+            source, target = basis[(e, k)], basis[(e + r, k + 1)]
+            mat = diffs.get((e, k - e))
+            if mat is None:
+                mat = diffs[(e, k - e)] = [[Fraction(0)] * len(source) for _ in target]
+            mat[target[t]][source[c]] = Fraction(1)
+        pages.append((r, entries, diffs))
+    return pages
+
+
+def dense_from_nonzeros(mat) -> list[list[Fraction]]:
+    """The dense rows of a ``filtration.SparseMatrix``, filled from its
+    ``nonzeros`` alone."""
+    rows, cols = mat.shape
+    dense = [[Fraction(0)] * cols for _ in range(rows)]
+    for i, row in mat.nonzeros.items():
+        for j, v in row.items():
+            dense[i][j] = v
+    return dense
+
+
 def mv_delta_by_face_scan(graph: Graph, x_mask: int, a: int, b: int) -> dict:
     """``graphs.mv_delta`` by scanning every face of I(X u {a, b}) for those
     that contain a, each looked up in a face index of I(X) made per call:

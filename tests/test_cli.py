@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from clusterhodge.cli import main
-from clusterhodge.errors import ConsistencyError
+from clusterhodge.errors import ConsistencyError, echo_int
 from clusterhodge.exchange import principal_from_graph
 from clusterhodge.filtration import e1_page
 from clusterhodge.graphs import complete_graph, path_graph
@@ -233,8 +233,33 @@ def test_cmd_indcomplex_refuses_a_huge_vertex_count_before_building_the_graph(
     assert captured.out == ""
     assert json.loads(captured.err) == {
         "error": "TooLarge",
-        "detail": f"more than 262144 independent sets in a {v}-vertex graph",
+        "detail": f"more than 262144 independent sets in a {echo_int(v)}-vertex graph",
     }
+
+
+NINES = "9" * 4300
+CUT_NINES = "9" * 60 + "... (4300 digits)"
+
+
+@pytest.mark.parametrize(
+    "text, detail",
+    [
+        (f"3\n1 {NINES}\n", f"edge (1, {CUT_NINES}) outside 1..3"),
+        (f"{NINES}\n1 0\n", f"edge (1, 0) outside 1..{CUT_NINES}"),
+        (f"-{NINES}\n", f"negative vertex count -{CUT_NINES}"),
+    ],
+    ids=["edge-outside", "long-count-in-edge-line", "negative-count"],
+)
+def test_graph_diagnostics_cut_long_numbers(tmp_path, capsys, text, detail):
+    # a graph file's integers reach its diagnostics through echo_int: the
+    # first 60 digits and the length, not all 4,300
+    path = tmp_path / "long.g"
+    path.write_text(text)
+    assert main(["indcomplex", "--graph", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": "ShapeMismatch", "detail": detail}
+    assert len(captured.err) < 300
 
 
 def test_cmd_e1_guard_on_principal_p30(tmp_path, capsys):

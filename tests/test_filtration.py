@@ -1,5 +1,6 @@
 import json
 import random
+from collections.abc import Sequence
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,8 +19,10 @@ from clusterhodge.exchange import (
 )
 from clusterhodge.filtration import (
     FilteredComplexQ,
+    SparseMatrix,
     SpectralSequencePage,
     _e1_summands,
+    _reduction_pairs,
     build_filtered,
     e1_page,
     graded_pieces,
@@ -43,8 +46,10 @@ from conftest import (
     CohomologyClasses,
     Quotient,
     corpus,
+    dense_from_nonzeros,
     e1_summands_full_walk,
     mat_mul,
+    pages_by_full_scan,
     rank_relative,
     rows_at,
     seeded_orientation,
@@ -993,3 +998,117 @@ def test_reduction_refuses_a_matched_pair_across_levels():
     cx = CochainComplexQ([["x"], ["t"]], [[{0: 1}]], [{0: 0}])
     with pytest.raises(ConsistencyError, match="matched pair changes the level"):
         spectral_sequence(FilteredComplexQ(cx, [[0], [1]]))
+
+
+# ---------------------------------------------------------------------------
+# pages from one bucketing of the pairs, and their sparse matrices
+
+
+def _assert_pages_equal(got, want, where):
+    assert [(p.r, p.entries) for p in got] == [(r, entries) for r, entries, _ in want], where
+    for page, (r, _, diffs) in zip(got, want):
+        assert list(page.differentials) == list(diffs), (where, r)
+        for spot, dense in diffs.items():
+            mat = page.differentials[spot]
+            assert mat == dense and dense == mat, (where, r, spot)
+            assert list(mat) == dense and mat.shape == (len(dense), len(dense[0]))
+            assert all(type(v) is Fraction for row in mat for v in row)
+
+
+def test_pages_equal_the_per_page_full_scan():
+    # every page of every weight of the principal quivers of the connected
+    # graphs on at most four vertices and of the principal corpus matrices,
+    # whole and cut by max_page, and of the one-term filtration: the same
+    # entries and every d_r, read densely, as a fresh scan of all cells per
+    # page over the same pairs
+    inputs = [principal_from_graph(g) for v in range(1, 5) for g in connected_graphs(v)]
+    inputs += [m for m in corpus() if is_principal(m)]
+    weights = 0
+    for m in inputs:
+        builder = GysinBuilder(m)
+        for s in range(m.d + 1):
+            fc = build_filtered(m, s, builder)
+            cx = fc.complex
+            flat = FilteredComplexQ(cx, [[0] * cx.dim(p) for p in range(cx.positions)])
+            for filtered in (fc, flat):
+                pairs = _reduction_pairs(filtered)
+                lo, hi = filtered.level_range()
+                for max_page in (None, 0, 1, 2):
+                    last = hi - lo + 1 if max_page is None else min(max_page, hi - lo + 1)
+                    _assert_pages_equal(
+                        spectral_sequence(filtered, max_page),
+                        pages_by_full_scan(filtered, pairs, last),
+                        (m.rows, s, filtered is flat, max_page),
+                    )
+            weights += 1
+    assert weights == 76 + 22
+
+
+def test_sparse_matrix_reads_as_its_dense_rows():
+    third = Fraction(-2, 3)
+    mat = SparseMatrix((3, 2), {0: {1: Fraction(1)}, 2: {0: third}})
+    dense = [[0, 1], [0, 0], [third, 0]]
+    assert isinstance(mat, Sequence)
+    assert len(mat) == 3 and mat.shape == (3, 2)
+    assert mat[0] == [0, 1] and mat[-1] == [third, 0] and mat[-3] == mat[0]
+    assert mat[1:] == dense[1:] and mat[::-2] == dense[::-2] and mat[5:] == []
+    for bad in (3, -4):
+        with pytest.raises(IndexError):
+            mat[bad]
+    assert mat == dense and dense == mat and not mat != dense
+    assert list(mat) == dense and [row for row in mat] == dense
+    assert all(type(v) is Fraction for row in mat for v in row)
+    assert mat != dense[:2] and mat != [[0, 1], [0, 0], [0, 0]] and mat != "abc"
+    assert mat == SparseMatrix((3, 2), {2: {0: third}, 0: {1: 1}})
+    assert mat != SparseMatrix((3, 3), {0: {1: Fraction(1)}, 2: {0: third}})
+    # a row is built afresh on each read: writing to it leaves the matrix
+    mat[0][1] = 5
+    assert mat[0] == [0, 1]
+    assert eval(repr(mat), {"SparseMatrix": SparseMatrix, "Fraction": Fraction}) == mat
+
+
+def test_page_matrices_store_their_nonzeros_only():
+    # every d_r of ss and every d_1 of e1_page, at every weight of a few
+    # principal quivers: rows equal to a dense copy made from ``nonzeros``,
+    # and no zero, empty row or place outside the shape stored
+    mats = []
+    for graph in (path_graph(4), TRIANGLE, star_graph(4), cycle_graph(4)):
+        m = principal_from_graph(graph)
+        for s in range(m.d + 1):
+            mats += e1_page(m, s).differentials.values()
+            for page in spectral_sequence(build_filtered(m, s)):
+                mats += page.differentials.values()
+    assert len(mats) > 100
+    for mat in mats:
+        assert list(mat) == dense_from_nonzeros(mat)
+        rows, cols = mat.shape
+        for i, row in mat.nonzeros.items():
+            assert 0 <= i < rows and row
+            assert all(0 <= j < cols and v for j, v in row.items())
+
+
+def test_each_page_stores_one_nonzero_per_pair_of_its_gap():
+    # principal P_6 at s = 6: d_r is the partial identity on the pairs of
+    # gap r, so it stores one 1 per such pair, at most one per row and
+    # column, and the page after it has two cells fewer per pair
+    fc = build_filtered(principal_from_graph(path_graph(6)), 6)
+    pairs = _reduction_pairs(fc)
+    pages = spectral_sequence(fc)
+    assert pages[1].r == 1 and len(pages) == 8
+    for page, nxt in zip(pages, pages[1:] + [None]):
+        gapped = sum(1 for *_, gap in pairs if gap == page.r)
+        stored = [
+            (spot, i, j, v)
+            for spot, mat in page.differentials.items()
+            for i, row in mat.nonzeros.items()
+            for j, v in row.items()
+        ]
+        assert len(stored) == gapped, page.r
+        assert all(type(v) is Fraction and v == 1 for *_, v in stored)
+        assert len({(spot, j) for spot, _, j, _ in stored}) == gapped
+        assert all(
+            len(row) == 1 for mat in page.differentials.values() for row in mat.nonzeros.values()
+        )
+        if nxt is not None:
+            assert sum(page.entries.values()) - sum(nxt.entries.values()) == 2 * gapped
+    assert sum(1 for *_, gap in pairs if gap == 0) > 0 and not pages[-1].differentials
