@@ -138,7 +138,8 @@ def brute_force_count(matrix: ExtendedExchangeMatrix, q: int) -> int:
     x'_j are determined, so only the equations j in Z constrain a point, and
     for j in Z the x'_j are free (q choices each) exactly when the right
     side vanishes.  Those equations read only the coordinates i with
-    B~_ij nonzero, so for each Z the nonzero values of the read coordinates
+    B~_ij nonzero, listed with their exponents once per call, column by
+    column, so for each Z the nonzero values of the read coordinates
     outside Z are enumerated, Z held at 0, every equation in Z is evaluated
     literally (an exponent e > 0 acts on F_q as (e - 1) % (q - 1) + 1), and
     each solution counts q^|Z| (q-1)^u, u being the number of nonzero
@@ -152,21 +153,26 @@ def brute_force_count(matrix: ExtendedExchangeMatrix, q: int) -> int:
     if _over_guard(matrix, q):
         raise TooLarge(f"q={q} exceeds the {ENUMERATION_GUARD} tuple guard")
     n, d = matrix.n, matrix.d
-    rows = [[v and (1 if v > 0 else -1) * ((abs(v) - 1) % (q - 1) + 1) for v in r]
-            for r in matrix.rows]
+    # each equation j's nonzero (row i, exponent of B~_ij on F_q), i ascending
+    entries = [
+        [
+            (i, (1 if v > 0 else -1) * ((abs(v) - 1) % (q - 1) + 1))
+            for i, row in enumerate(matrix.rows)
+            if (v := row[j])
+        ]
+        for j in range(n)
+    ]
     total = 0
     for z_mask in range(1 << n):
         zeros = bits(z_mask)
-        read = sorted(
-            {i for j in zeros for i in range(d) if rows[i][j] and not z_mask >> i & 1}
-        )
+        read = sorted({i for j in zeros for i, _ in entries[j] if not z_mask >> i & 1})
         # slot 0 holds the value 0 of every coordinate in Z, slot 1 + t the
         # value of read[t]
         slot = {i: 1 + t for t, i in enumerate(read)}
         equations = [
             (
-                [(slot.get(i, 0), rows[i][j]) for i in range(d) if rows[i][j] > 0],
-                [(slot.get(i, 0), -rows[i][j]) for i in range(d) if rows[i][j] < 0],
+                [(slot.get(i, 0), e) for i, e in entries[j] if e > 0],
+                [(slot.get(i, 0), -e) for i, e in entries[j] if e < 0],
             )
             for j in zeros
         ]

@@ -36,7 +36,7 @@ from .exchange import (
 )
 from .exterior import bits, mask_of
 from .graphs import _InducedComplexes, mv_delta
-from .gysin import GysinBuilder
+from .gysin import GysinBuilder, require_weight
 from .linalg import CochainComplexQ, Echelon, morse_reduce
 
 
@@ -69,11 +69,14 @@ def build_filtered(
 ) -> FilteredComplexQ:
     """Weight-s complex with level |A cap mutable| + |I|; principal only.
     It checks the levels; d^2 = 0 is left to the callers that read the
-    complex: ``spectral_sequence`` (``morse_reduce``) and ``graded_pieces``."""
+    complex: ``spectral_sequence`` (``morse_reduce``) and ``graded_pieces``.
+    A weight outside [0, d] is refused with ValueError before anything is
+    built."""
     if not is_principal(matrix):
         raise NotPrincipal("the filtration needs principal coefficients")
     if not is_acyclic(matrix):
         raise NotAcyclic("the quiver has an oriented cycle")
+    require_weight(matrix, s)
     builder = builder or GysinBuilder(matrix)
     cx = builder.complex_for_s(s)
     mutable = (1 << matrix.n) - 1
@@ -429,13 +432,15 @@ def _e1_summands(
     (ascending masks), and E by E (lexicographic) within a D, but only the
     E whose X = E minus D has nonzero cohomology are visited: X has at most
     min(s, 2n - s) vertices, and every such X occurs, so one table of their
-    dims is made first.  Past E1_SUMMAND_GUARD summands, C(2n, s) of them,
-    the weight is refused with TooLarge before anything is built.
+    dims is made first.  A weight outside [0, d] is refused with
+    ValueError, and past E1_SUMMAND_GUARD summands, C(2n, s) of them, with
+    TooLarge, before anything is built.
     """
     if not is_principal(matrix):
         raise NotPrincipal("the filtration needs principal coefficients")
     if not is_acyclic(matrix):
         raise NotAcyclic("the quiver has an oriented cycle")
+    require_weight(matrix, s)
     n = matrix.n
     require_e1_summands(n, [s])
     if induced is None:
@@ -493,8 +498,9 @@ def e1_page(matrix: ExtendedExchangeMatrix, s: int) -> E1Page:
     scalar of +-1 by sign: v or -v; only a multiple arrow multiplies) and
     written by assignment into the nonzeros of every pair of summands that
     shares it, and each d_1 is a ``SparseMatrix``; nothing is kept between
-    calls.  Past E1_SUMMAND_GUARD summands, C(2n, s)
-    of them, the page is refused with TooLarge before anything is built.
+    calls.  A weight outside [0, d] is refused with ValueError, and past
+    E1_SUMMAND_GUARD summands, C(2n, s) of them, with TooLarge, before
+    anything is built.
     """
     induced, entries, positions = _e1_summands(matrix, s)
     graph = induced.graph

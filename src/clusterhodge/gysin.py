@@ -146,6 +146,11 @@ class PositionLabels(Sequence):
         return self.size
 
     def __getitem__(self, c: int) -> Label:
+        """The label of cell c; a negative c counts from the end, as in a list."""
+        if c < 0:
+            c += self.size
+            if c < 0:
+                raise IndexError("position label index out of range")
         k = bisect_right(self.starts, c) - 1
         return self.members[k], self.masks[k][c - self.starts[k]]
 
@@ -491,11 +496,19 @@ def alpha(matrix: ExtendedExchangeMatrix, j: int) -> ExteriorForm:
     return ExteriorForm({1 << r: matrix.rows[r][j] for r in range(matrix.d)})
 
 
+def require_weight(matrix: ExtendedExchangeMatrix, s: int) -> None:
+    """Refuse with ValueError a weight s outside [0, d]."""
+    if not 0 <= s <= matrix.d:
+        raise ValueError(f"weight s={s} outside [0, {matrix.d}]")
+
+
 def build_gysin_complex(matrix: ExtendedExchangeMatrix, s: int) -> CochainComplexQ:
     """Weight-s Gysin complex of a really-full-rank acyclic matrix, checked
-    to square to zero."""
+    to square to zero.  A weight outside [0, d] is refused with ValueError
+    before anything is built."""
     if not is_acyclic(matrix):
         raise NotAcyclic("the quiver has an oriented cycle")
+    require_weight(matrix, s)
     builder = GysinBuilder(matrix)
     builder.require_cells([s])  # before the Smith normal form of rank_class
     rc = rank_class(matrix)
@@ -505,8 +518,6 @@ def build_gysin_complex(matrix: ExtendedExchangeMatrix, s: int) -> CochainComple
         raise NotReallyFullRank(
             "matrix has nontrivial characters; use hodge_table"
         )
-    if not 0 <= s <= matrix.d:
-        raise ValueError(f"weight s={s} outside [0, {matrix.d}]")
     cx = builder.complex_for_s(s)
     cx.verify_d2()
     return cx
@@ -546,12 +557,27 @@ class HodgeTable:
         return IntPolynomial.from_coeffs(coeffs)
 
     def check_lefschetz(self) -> None:
-        for k in range(0, 2 * self.d + 2):
-            for s in range(0, self.d + 1):
-                if self.dim(k, s) != self.dim(k + self.d - 2 * s, self.d - s):
-                    raise ConsistencyError(
-                        f"curious Lefschetz fails at (k,s)=({k},{s})"
-                    )
+        """dims(k, s) = dims(k + d - 2s, d - s) over 0 <= k <= 2d + 1 and
+        0 <= s <= d; ConsistencyError names the first failing (k, s), k
+        first, then s.
+
+        (k, s) -> (k + d - 2s, d - s) is an involution, so a spot fails only
+        where it or its partner holds a nonzero entry: only the entries and
+        their partners are visited, not the whole grid, and the least
+        failing spot among them is the grid scan's first.
+        """
+        d = self.d
+        failing = [
+            (k, s)
+            for k0, s0 in self.dims
+            for k, s in ((k0, s0), (k0 + d - 2 * s0, d - s0))
+            if 0 <= k <= 2 * d + 1
+            and 0 <= s <= d
+            and self.dim(k, s) != self.dim(k + d - 2 * s, d - s)
+        ]
+        if failing:
+            k, s = min(failing)
+            raise ConsistencyError(f"curious Lefschetz fails at (k,s)=({k},{s})")
 
     def check_weak_support(self) -> None:
         """Smooth-affine bounds: 0 <= k <= d and k/2 <= s <= k."""

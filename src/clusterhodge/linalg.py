@@ -27,9 +27,16 @@ matching of unit entries to its critical cells, checking d^2 = 0 on both
 sides: it takes the complex one position at a time and holds two positions
 of columns, checking and finishing each position as the next one arrives.
 ``morse_reduce`` feeds it the positions of a stored complex.
-The Smith normal form keeps all four transformation matrices
-(S = P*A*Q together with the inverses of P and Q) because character lifts
-need explicit saturation bases, not just invariant factors.
+Cells that carry no work get their outcome without arithmetic, the same
+verdicts and pivots as with it: ``_check_square`` decides a column of at
+most one entry by whether that entry's next column is empty, the Morse
+reducer reads its critical cells off a mark per cell and gives an empty
+critical column the empty image, ``clearing`` offers no empty column to
+``Echelon``, and ``Echelon.reduce`` returns a row whose content is known
+to be 1 without another gcd.
+The Smith normal form keeps three transformation matrices (S = P*A*Q
+together with the inverse of P) because character lifts need explicit
+saturation bases, not just invariant factors.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
 
 from .errors import ConsistencyError
@@ -88,14 +96,20 @@ class Echelon:
     def reduce(self, row: Row) -> dict[int, int]:
         """Primitive multiple of row minus pivot rows, with no pivot at its lead.
 
-        Empty when the row lies in the span of the pivot rows.
+        Empty when the row lies in the span of the pivot rows.  A row that
+        took no step is returned as ``_primitive`` left it, and a row whose
+        last step scaled it had its content divided right then: both are
+        primitive already, and take no second gcd.
         """
         out = _primitive(row)
         pivots = self.pivots
+        primitive = True  # out's content is 1: no step yet, or its content divided
         while out:
             c = min(out)
             piv = pivots.get(c)
             if piv is None:
+                if primitive:
+                    return out
                 g = gcd(*out.values())
                 return {k: v // g for k, v in out.items()} if g > 1 else out
             a, b = piv[c], out[c]
@@ -114,6 +128,7 @@ class Echelon:
                 g = gcd(*out.values())
                 if g > 1:
                     out = {k: v // g for k, v in out.items()}
+            primitive = a != 1
         return out
 
     def add(self, row: Row) -> dict[int, int] | None:
@@ -236,14 +251,16 @@ class CochainComplexQ:
         and is skipped.  The columns left are the h^p dependent ones plus one
         per pivot of d_p.  That is exact only when d_p d_{p-1} = 0; callers
         whose differentials are not square-zero by construction verify it
-        first.
+        first.  An empty column is not offered to the ``Echelon``: it would
+        reduce to nothing, add no pivot and leave the pivots and their order
+        as they are.
         """
         out = []
         cleared: dict[int, dict[int, int]] = {}
         for cols in self.columns:
             ech = Echelon()
             for c, col in enumerate(cols):
-                if c not in cleared:
+                if col and c not in cleared:
                     ech.add(col)
             cleared = ech.pivots
             out.append(cleared)
@@ -276,8 +293,19 @@ Position = tuple[Sequence, list[Row] | None, dict[int, int]]
 
 def _check_square(cols: list[Row], nxt: list[Row]) -> None:
     """Raise ConsistencyError unless every column of cols, pushed through
-    nxt (the differential out of the position it lands in), is zero."""
+    nxt (the differential out of the position it lands in), is zero.
+
+    A column of at most one entry is decided without arithmetic: the
+    accumulation stores every product it meets first, a stored zero's too,
+    and one entry's products land on distinct rows, so the push is nonzero
+    exactly when that entry's next column is nonempty.
+    """
     for col in cols:
+        if len(col) < 2:
+            for mid in col:
+                if nxt[mid]:
+                    raise ConsistencyError("differential does not square to zero")
+            continue
         acc: Row = {}
         for mid, coeff in col.items():
             for row, c2 in nxt[mid].items():
@@ -331,7 +359,10 @@ def morse_reduce_positions(
     and each matched entry a unit; every matched target of p walked for
     cycles and the flows computed (``_flows``); then the Morse columns of
     p - 1 are emitted and its columns dropped, so at most two positions of
-    columns are held.  A pair whose entry is not +-1, a cell matched twice
+    columns are held.  The critical cells of p are read off a bytearray
+    with a mark per cell, cleared for the matched ones, and a critical
+    column that is empty has the empty Morse image, made without
+    ``_morse_image``.  A pair whose entry is not +-1, a cell matched twice
     or a cycle raises ConsistencyError, as d^2 != 0 does.  The Morse complex
     has the same cohomology as the input.  Last, d^2 = 0 is checked on the
     Morse complex (clearing ranks exactly only then), and its Euler
@@ -352,12 +383,23 @@ def morse_reduce_positions(
         partner = {t: c for c, t in up_below.items()}  # matched target -> partner
         if len(partner) != len(up_below) or not partner.keys().isdisjoint(up):
             raise ConsistencyError("a cell is matched twice")
-        cells = sorted(set(range(len(pos_labels))).difference(up, partner))
+        unmatched = bytearray(b"\x01") * len(pos_labels)
+        for c in up:
+            unmatched[c] = 0
+        try:
+            for t in partner:
+                unmatched[t] = 0
+        except IndexError:  # a target past the position: its column has no entry there
+            raise ConsistencyError("a matched entry is not a unit") from None
+        cells = list(compress(range(len(pos_labels)), unmatched))
         critical = {c: k for k, c in enumerate(cells)}
         if cols_below is not None:
             flows = _flows(cols_below, partner, critical, critical_below)
             columns.append(
-                [_morse_image(cols_below[c], None, critical, flows, 1) for c in critical_below]
+                [
+                    _morse_image(col, None, critical, flows, 1) if (col := cols_below[c]) else {}
+                    for c in critical_below
+                ]
             )
         labels.append([pos_labels[c] for c in cells])
         kept.append(cells)
@@ -512,7 +554,7 @@ def identity(k: int) -> list[list[int]]:
 
 @dataclass(frozen=True)
 class SmithNormalForm:
-    """S = P @ A @ Q with P, Q unimodular; A = Pinv @ S @ Qinv.
+    """S = P @ A @ Q with P, Q unimodular, and Pinv the inverse of P.
 
     ``diag`` lists the invariant factors d_1 | d_2 | ... (nonzero ones only),
     so ``len(diag)`` is the rank of A.
@@ -522,7 +564,6 @@ class SmithNormalForm:
     p: list[list[int]]
     pinv: list[list[int]]
     q: list[list[int]]
-    qinv: list[list[int]]
     nrows: int
     ncols: int
 
@@ -547,7 +588,7 @@ def smith_normal_form(matrix: list[list[int]]) -> SmithNormalForm:
     ncols = len(matrix[0]) if nrows else 0
     a = [list(map(_integer, row)) for row in matrix]
     p, pinv = identity(nrows), identity(nrows)
-    q, qinv = identity(ncols), identity(ncols)
+    q = identity(ncols)
 
     def row_add(i, j, k):  # row i += k * row j
         a[i] = [x + k * y for x, y in zip(a[i], a[j])]
@@ -572,14 +613,12 @@ def smith_normal_form(matrix: list[list[int]]) -> SmithNormalForm:
             r[j] += k * r[i]
         for r in q:
             r[j] += k * r[i]
-        qinv[i] = [x - k * y for x, y in zip(qinv[i], qinv[j])]
 
     def col_swap(i, j):
         for r in a:
             r[i], r[j] = r[j], r[i]
         for r in q:
             r[i], r[j] = r[j], r[i]
-        qinv[i], qinv[j] = qinv[j], qinv[i]
 
     t = 0
     limit = min(nrows, ncols)
@@ -633,4 +672,4 @@ def smith_normal_form(matrix: list[list[int]]) -> SmithNormalForm:
         t += 1
 
     diag = tuple(a[i][i] for i in range(limit) if i < limit and a[i][i])
-    return SmithNormalForm(diag, p, pinv, q, qinv, nrows, ncols)
+    return SmithNormalForm(diag, p, pinv, q, nrows, ncols)

@@ -6,7 +6,7 @@ from math import gcd, lcm
 import pytest
 
 from clusterhodge.counts import _is_prime, brute_force_count
-from clusterhodge.errors import ColumnsDependent
+from clusterhodge.errors import ColumnsDependent, ConsistencyError
 from clusterhodge.exchange import ExtendedExchangeMatrix, underlying_graph, validate
 from clusterhodge.exterior import ExteriorForm, bits, mask_of
 from clusterhodge.graphs import AnticliqueFamily, Graph, _InducedComplexes, anticliques
@@ -397,6 +397,91 @@ class ReferenceEchelon:
             red = {k: -v for k, v in red.items()}
         self.pivots[c] = red
         return red
+
+
+def check_square_by_accumulation(cols: list[Row], nxt: list[Row]) -> None:
+    """``linalg._check_square`` with every column pushed through nxt by the
+    full accumulation, columns of at most one entry too: the reference for
+    the columns it decides without arithmetic."""
+    for col in cols:
+        acc: Row = {}
+        for mid, coeff in col.items():
+            for row, c2 in nxt[mid].items():
+                if row in acc:
+                    w = acc[row] + coeff * c2
+                    if w:
+                        acc[row] = w
+                    else:
+                        del acc[row]
+                else:
+                    acc[row] = coeff * c2
+        if acc:
+            raise ConsistencyError("differential does not square to zero")
+
+
+def clearing_offering_every_column(cx: CochainComplexQ) -> list[dict[int, dict[int, int]]]:
+    """``CochainComplexQ.clearing`` with every column that is not cleared
+    offered to the ``Echelon``, empty ones included."""
+    out = []
+    cleared: dict[int, dict[int, int]] = {}
+    for cols in cx.columns:
+        ech = Echelon()
+        for c, col in enumerate(cols):
+            if c not in cleared:
+                ech.add(col)
+        cleared = ech.pivots
+        out.append(cleared)
+    return out
+
+
+def lefschetz_by_grid_scan(table) -> None:
+    """``HodgeTable.check_lefschetz`` by a scan of the whole grid
+    0 <= k <= 2d + 1, 0 <= s <= d, k first: the reference for the check
+    that visits only the entries and their partners."""
+    d = table.d
+    for k in range(0, 2 * d + 2):
+        for s in range(0, d + 1):
+            if table.dim(k, s) != table.dim(k + d - 2 * s, d - s):
+                raise ConsistencyError(f"curious Lefschetz fails at (k,s)=({k},{s})")
+
+
+def brute_force_by_row_scan(matrix: ExtendedExchangeMatrix, q: int) -> int:
+    """``brute_force_count`` with every equation of every zero set read by a
+    scan of all d rows, in the same enumeration order and arithmetic: the
+    reference for the count that lists each column's entries once."""
+    n, d = matrix.n, matrix.d
+    rows = [[v and (1 if v > 0 else -1) * ((abs(v) - 1) % (q - 1) + 1) for v in r]
+            for r in matrix.rows]
+    total = 0
+    for z_mask in range(1 << n):
+        zeros = bits(z_mask)
+        read = sorted(
+            {i for j in zeros for i in range(d) if rows[i][j] and not z_mask >> i & 1}
+        )
+        slot = {i: 1 + t for t, i in enumerate(read)}
+        equations = [
+            (
+                [(slot.get(i, 0), rows[i][j]) for i in range(d) if rows[i][j] > 0],
+                [(slot.get(i, 0), -rows[i][j]) for i in range(d) if rows[i][j] < 0],
+            )
+            for j in zeros
+        ]
+        solutions = 0
+        for values in itertools.product(range(1, q), repeat=len(read)):
+            coords = (0,) + values
+            for pos, neg in equations:
+                a = b = 1
+                for t, e in pos:
+                    a = a * pow(coords[t], e, q)
+                for t, e in neg:
+                    b = b * pow(coords[t], e, q)
+                if (a + b) % q:
+                    break
+            else:
+                solutions += 1
+        unread = d - len(zeros) - len(read)
+        total += q ** len(zeros) * (q - 1) ** unread * solutions
+    return total
 
 
 def rows_at(cx: CochainComplexQ, p: int) -> list[Row]:

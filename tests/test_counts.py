@@ -28,7 +28,9 @@ from clusterhodge.poly import IntPolynomial
 from conftest import (
     CYCLIC_12,
     ISOLATED_2_6,
+    brute_force_by_row_scan,
     corpus,
+    full_rank_corpus,
     interpolate_point_count,
     random_acyclic_matrix,
 )
@@ -154,6 +156,20 @@ def test_brute_force_matches_literal_enumeration():
     for q in (5, 13):
         assert brute_force_count(M22, q) == _literal_count(M22, q)
     assert compared > 200
+
+
+def test_brute_force_equals_the_row_scanning_count():
+    # each equation's entries listed once per call, against the reference
+    # that scans all d rows for every equation of every zero set
+    compared = 0
+    for matrix in [*full_rank_corpus(), M22, ISOLATED_2_6, CYCLIC_12]:
+        for q in (3, 5, 7):
+            assert brute_force_count(matrix, q) == brute_force_by_row_scan(matrix, q), (
+                matrix.rows,
+                q,
+            )
+            compared += 1
+    assert compared == 3 * (len(full_rank_corpus()) + 3)
 
 
 def test_brute_force_weighted_congruence():

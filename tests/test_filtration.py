@@ -38,7 +38,7 @@ from clusterhodge.graphs import (
     path_graph,
     star_graph,
 )
-from clusterhodge.gysin import CochainComplexQ, GysinBuilder, hodge_table
+from clusterhodge.gysin import CochainComplexQ, GysinBuilder, build_gysin_complex, hodge_table
 from clusterhodge.io import load_matrix
 from clusterhodge.linalg import Echelon, nullspace, rank, solve_in_span
 
@@ -56,6 +56,26 @@ from conftest import (
 )
 
 TRIANGLE = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
+
+
+@pytest.mark.parametrize("build", [build_gysin_complex, build_filtered, graded_pieces, e1_page])
+def test_weighted_entry_points_refuse_a_weight_outside_0_d(build, monkeypatch):
+    # the same check and message, before a builder or an induced complex
+    # is made
+    import clusterhodge.filtration as filtration
+    import clusterhodge.gysin as gysin
+
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("built before the weight was checked")
+
+    for owner, name in ((gysin, "GysinBuilder"), (filtration, "GysinBuilder"),
+                        (filtration, "_InducedComplexes")):
+        monkeypatch.setattr(owner, name, unbuilt)
+    m = principal_from_graph(path_graph(3))
+    for s in (-1, m.d + 1):
+        with pytest.raises(ValueError) as caught:
+            build(m, s)
+        assert str(caught.value) == f"weight s={s} outside [0, {m.d}]"
 
 
 def test_levels_and_monotonicity():

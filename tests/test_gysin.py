@@ -47,6 +47,7 @@ from clusterhodge.graphs import (
 from clusterhodge.gysin import (
     GYSIN_CELL_GUARD,
     GysinBuilder,
+    HodgeTable,
     alpha,
     build_gysin_complex,
     edge_class_cochain,
@@ -76,6 +77,7 @@ from conftest import (
     full_rank_corpus,
     greedy_record,
     j_major_matching,
+    lefschetz_by_grid_scan,
     mat_mul,
     matching_is_acyclic,
     random_acyclic_matrix,
@@ -775,6 +777,58 @@ def test_hodge_validations_run():
     table.check_lefschetz()
     table.check_support_bounds()
     table.check_top_class()
+
+
+def _lefschetz_verdict(check, table):
+    try:
+        check(table)
+    except ConsistencyError as exc:
+        return str(exc)
+    return None
+
+
+def test_check_lefschetz_names_the_grid_scans_first_failure():
+    # each table whole, then with one entry changed, zeroed or added, at its
+    # entries and at seeded spots in and around the grid: the same pass, or
+    # the same first failing (k, s), as the scan of the whole grid
+    rng = random.Random(2911)
+    tables = [hodge_table(m) for m in full_rank_corpus()]
+    tables += [hodge_table(principal_from_graph(g)) for g in (path_graph(4), cycle_graph(4))]
+    verdicts = {True: 0, False: 0}
+    for table in tables:
+        d = table.d
+        spots = list(table.dims)
+        spots += [(rng.randint(-2, 2 * d + 3), rng.randint(-1, d + 1)) for _ in range(24)]
+        for spot in [None, *spots]:
+            dims = dict(table.dims)
+            if spot is not None:
+                v = dims.get(spot, 0)
+                dims[spot] = rng.choice((0, v + 1)) if v else rng.randint(1, 3)
+            corrupted = HodgeTable(table.n, table.m, dims)
+            want = _lefschetz_verdict(lefschetz_by_grid_scan, corrupted)
+            assert _lefschetz_verdict(HodgeTable.check_lefschetz, corrupted) == want, (dims, spot)
+            verdicts[want is None] += 1
+    assert verdicts[True] > 150 and verdicts[False] > 200, verdicts
+
+
+def test_position_labels_read_negative_indices_as_a_list_does():
+    # principal P_3 at weight 2: position 1 holds 12 labels, the last (4, 16)
+    builder = GysinBuilder(principal_from_graph(path_graph(3)))
+    labels = [pos for pos, _, _ in builder.stream_for_s(2)][1]
+    assert len(labels) == 12 and labels[-1] == (4, 16) and labels[-12] == labels[0]
+    positions = 0
+    for m in [*full_rank_corpus(), principal_from_graph(path_graph(3))]:
+        builder = GysinBuilder(m)
+        for s in range(m.d + 1):
+            for labels, _, _ in builder.stream_for_s(s):
+                listed = list(labels)
+                size = len(listed)
+                assert [labels[c] for c in range(-size, size)] == listed + listed
+                for c in (-size - 1, size):
+                    with pytest.raises(IndexError):
+                        labels[c]
+                positions += 1
+    assert positions > 100
 
 
 def test_hodge_rejects_bad_input():

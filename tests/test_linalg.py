@@ -26,7 +26,10 @@ from clusterhodge.linalg import (
 from conftest import (
     Quotient,
     ReferenceEchelon,
+    _inverse,
     assembly_corpus,
+    check_square_by_accumulation,
+    clearing_offering_every_column,
     mat_mul,
     matching_is_acyclic,
     rank_relative,
@@ -71,7 +74,8 @@ def _cleared(row):
 def test_snf_reconstructs_and_is_unimodular(mat):
     snf = smith_normal_form(mat)
     assert mat_mul(snf.p, snf.pinv) == identity(len(mat))
-    assert mat_mul(snf.q, snf.qinv) == identity(len(mat[0]))
+    # Q is unimodular: its inverse over Q is integral
+    assert all(v == int(v) for row in _inverse(snf.q) for v in row)
     s = mat_mul(mat_mul(snf.p, mat), snf.q)
     for i, row in enumerate(s):
         for j, v in enumerate(row):
@@ -441,6 +445,146 @@ def test_verify_d2_checks_replaced_columns_again():
         cx.verify_d2()
 
 
+def _verdict(check, cols, nxt):
+    try:
+        check(cols, nxt)
+    except ConsistencyError as exc:
+        return str(exc)
+    return None
+
+
+def _square_cases(rng):
+    """A seeded differential nxt and columns pushed through it, each drawn
+    as one kind: empty, one entry on an empty or a nonempty next column,
+    one stored zero, a pair of paths that cancel, a pair of Fraction paths
+    that cancel, and a random column (ints, Fractions and stored zeros)."""
+    width = rng.randint(1, 5)
+
+    def value():
+        return rng.choice((1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)))
+
+    nxt = []
+    for _ in range(rng.randint(2, 7)):
+        kind = rng.randrange(4)
+        if kind == 0 or not nxt:
+            nxt.append({} if kind == 0 else {rng.randrange(width): value()})
+        elif kind == 1:  # another column scaled: its paths can cancel
+            other = rng.choice(nxt)
+            scale = value()
+            nxt.append({r: scale * v for r, v in other.items()})
+        else:
+            nxt.append({r: value() for r in rng.sample(range(width), rng.randint(1, width))})
+    empty = [m for m, col in enumerate(nxt) if not col]
+    full = [m for m, col in enumerate(nxt) if col]
+    cases = []
+    for _ in range(12):
+        kind = rng.randrange(7)
+        if kind == 0:
+            col, kind_name = {}, "empty"
+        elif kind == 1 and empty:
+            col, kind_name = {rng.choice(empty): value()}, "one on empty"
+        elif kind == 2 and full:
+            col, kind_name = {rng.choice(full): value()}, "one on nonempty"
+        elif kind == 3:
+            col, kind_name = {rng.randrange(len(nxt)): 0}, "stored zero"
+        elif kind in (4, 5) and len(full) > 1:
+            # m1 and m2 with proportional next columns, weighted to cancel
+            m1 = rng.choice(full)
+            rows = list(nxt[m1])
+            pairs = [
+                m2 for m2 in full
+                if m2 != m1 and list(nxt[m2]) == rows
+                and len({Fraction(nxt[m2][r]) / nxt[m1][r] for r in rows}) == 1
+            ]
+            if not pairs:
+                continue
+            m2 = rng.choice(pairs)
+            ratio = Fraction(nxt[m2][rows[0]]) / nxt[m1][rows[0]]
+            w = Fraction(1, 3) if kind == 5 else rng.choice((1, -2))
+            col, kind_name = {m1: w * ratio, m2: -w}, "cancelling pair"
+            if kind == 5:
+                kind_name = "cancelling Fraction pair"
+        else:
+            col = {
+                m: rng.choice((0, 1, -1, 3, Fraction(3, 4)))
+                for m in rng.sample(range(len(nxt)), rng.randint(1, len(nxt)))
+            }
+            kind_name = "random"
+        cases.append((kind_name, col))
+    return nxt, cases
+
+
+def test_check_square_equals_the_full_accumulation():
+    # each column alone, then all of them together: the same verdict and
+    # message as the reference that accumulates every column
+    rng = random.Random(2929)
+    seen: dict = {}
+    for _ in range(400):
+        nxt, cases = _square_cases(rng)
+        for kind, col in cases:
+            want = _verdict(check_square_by_accumulation, [col], nxt)
+            assert _verdict(linalg._check_square, [col], nxt) == want, (col, nxt)
+            seen.setdefault(kind, set()).add(want is None)
+        cols = [col for _, col in cases]
+        want = _verdict(check_square_by_accumulation, cols, nxt)
+        assert _verdict(linalg._check_square, cols, nxt) == want
+    # each kind was met, with the verdicts it must have; stored zeros and
+    # random columns both raised and passed
+    assert seen["empty"] == {True}
+    assert seen["one on empty"] == {True}
+    assert seen["one on nonempty"] == {False}
+    assert seen["stored zero"] == {True, False}
+    assert seen["cancelling pair"] == {True}
+    assert seen["cancelling Fraction pair"] == {True}
+    assert seen["random"] == {True, False}
+
+
+def test_check_square_reads_a_stored_zero_as_the_accumulation_does():
+    # the accumulation stores the product 0 * 1 and finds the push nonzero
+    nxt = [{0: 1}, {}]
+    for col, raises in (({0: 0}, True), ({1: 0}, False), ({0: 0, 1: 5}, True)):
+        assert (_verdict(check_square_by_accumulation, [col], nxt) is not None) == raises
+        assert (_verdict(linalg._check_square, [col], nxt) is not None) == raises
+    with pytest.raises(IndexError):
+        linalg._check_square([{2: 1}], nxt)
+
+
+def test_clearing_offers_no_empty_column_and_keeps_the_pivots():
+    # Gysin slices and their Morse complexes, which hold many empty columns:
+    # the same pivots, key order included, as offering every column
+    empty = 0
+    for m in assembly_corpus()[::3]:
+        builder = GysinBuilder(m)
+        for s in range(m.d + 1):
+            cx = builder.complex_for_s(s)
+            for complex_ in (cx, morse_reduce(cx)[0]):
+                got = complex_.clearing()
+                want = clearing_offering_every_column(complex_)
+                assert [_ordered(p) for p in got] == [_ordered(p) for p in want]
+                empty += sum(not col for cols in complex_.columns for col in cols)
+    assert empty > 1000
+
+
+def test_echelon_takes_no_gcd_for_a_row_that_no_pivot_leads(monkeypatch):
+    # a row that leads past every pivot is the primitive row as it entered
+    calls = []
+    real_gcd = linalg.gcd
+
+    def counting(*args):
+        calls.append(args)
+        return real_gcd(*args)
+
+    ech = Echelon()
+    ech.add({0: 2, 3: 4})
+    monkeypatch.setattr(linalg, "gcd", counting)
+    assert list(ech.reduce({1: 6, 2: -9}).items()) == [(1, 2), (2, -3)]
+    assert calls == [(6, -9)]
+    # a step on a pivot that leads with 1 leaves the content to be taken again
+    calls.clear()
+    assert list(ech.reduce({0: 1, 1: 3, 3: 2}).items()) == [(1, 1)]
+    assert calls == [(1, 3, 2), (3,)]
+
+
 # ---------------------------------------------------------------------------
 # Morse reduction
 
@@ -501,6 +645,10 @@ def test_morse_reduce_rejects_what_is_not_a_unit_matching():
     # d(t) = 0, so d^2 = 0 holds and only the matching is at fault
     cx = CochainComplexQ([["x"], ["t"], ["u"]], [[{0: 1}], [{}]], [{0: 0}, {0: 0}])
     with pytest.raises(ConsistencyError, match="twice"):
+        morse_reduce(cx)
+    # a target past the position it lands in has no entry in its column
+    cx = CochainComplexQ([["x"], ["t"]], [[{0: 1}]], [{0: 1}])
+    with pytest.raises(ConsistencyError, match="unit"):
         morse_reduce(cx)
 
 
