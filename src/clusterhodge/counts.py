@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import comb, gcd
+from math import comb, lcm
 
 from .errors import InputError, NotAcyclic, NotFullRank, NotPrincipal, TooLarge
 from .exchange import (
@@ -62,7 +62,9 @@ def _point_count(
     subgroups: dict[int, CharacterSubgroup] | None = None,
 ) -> PointCountResult:
     """``point_count_poly`` of an acyclic matrix whose rank class is rc;
-    ``subgroups`` gives X*(I) by anticlique mask when a caller already has it."""
+    ``subgroups`` gives X*(I) by anticlique mask when a caller already has it.
+    Level k adds q^k (q-1)^(d-2k) times the sum of its |X*(I)|, and the
+    modulus is the lcm of their exponents, both in one pass."""
     if rc is RankClass.NOT_FULL_RANK:
         raise NotFullRank("point counts need a full-rank matrix")
     graph = underlying_graph(matrix)
@@ -72,23 +74,19 @@ def _point_count(
     qm1 = IntPolynomial.from_coeffs([-1, 1])
     total = IntPolynomial.zero()
     modulus = 1
-    weights_by_size: list[list[int]] = []
-    if rc is RankClass.REALLY_FULL_RANK:
-        weights_by_size = [[1] * len(level) for level in family.by_cardinality]
-    else:
-        if subgroups is None:
-            subgroups = _anticlique_subgroups(matrix, family.all_masks(), graph)
-        for level in family.by_cardinality:
-            ws = []
+    really = rc is RankClass.REALLY_FULL_RANK
+    if not really and subgroups is None:
+        subgroups = _anticlique_subgroups(matrix, family.all_masks(), graph)
+    for k, level in enumerate(family.by_cardinality):
+        if really:  # every |X*(I)| is 1
+            weight = len(level)
+        else:
+            weight = 0
             for i_mask in level:
                 sub = subgroups[i_mask]
-                ws.append(sub.order)
-                modulus = modulus * sub.exponent // gcd(modulus, sub.exponent)
-            weights_by_size.append(ws)
-    for k, level in enumerate(family.by_cardinality):
-        weight = sum(weights_by_size[k])
-        if weight:
-            total = total + (q**k) * (qm1 ** (d - 2 * k)) * IntPolynomial.from_coeffs([weight])
+                weight += sub.order
+                modulus = lcm(modulus, sub.exponent)
+        total = total + (q**k) * (qm1 ** (d - 2 * k)) * IntPolynomial.from_coeffs([weight])
     return PointCountResult(total, modulus)
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,7 +37,7 @@ from .exchange import (
 from .exterior import bits, mask_of
 from .graphs import _InducedComplexes, mv_delta
 from .gysin import GysinBuilder, require_weight
-from .linalg import CochainComplexQ, Echelon, morse_reduce
+from .linalg import CochainComplexQ, Echelon, SparseMatrix, morse_reduce
 
 
 # ---------------------------------------------------------------------------
@@ -168,63 +168,7 @@ def graded_pieces(matrix: ExtendedExchangeMatrix, s: int) -> list[GradedPiece]:
 # the spectral sequence from one filtered reduction
 
 
-_ZERO, _ONE = Fraction(0), Fraction(1)
-
-
-class SparseMatrix(Sequence):
-    """A read-only matrix stored as its nonzeros and read as dense rows.
-
-    ``shape`` is (rows, columns) and ``nonzeros`` is {row: {column: value}},
-    with no zero stored.  Indexing (negative and slices too) and iteration
-    build each row afresh as a list, zeros as Fraction(0), so the matrix
-    reads as the list of lists it stands for and compares equal to it;
-    sparse readers walk ``nonzeros`` instead.
-    """
-
-    __slots__ = ("_shape", "_nonzeros")
-
-    def __init__(self, shape: tuple[int, int], nonzeros: dict[int, dict[int, Fraction]]):
-        self._shape = shape
-        self._nonzeros = nonzeros
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self._shape
-
-    @property
-    def nonzeros(self) -> dict[int, dict[int, Fraction]]:
-        return self._nonzeros
-
-    def __len__(self) -> int:
-        return self._shape[0]
-
-    def _row(self, i: int) -> list[Fraction]:
-        row = [_ZERO] * self._shape[1]
-        for j, v in self._nonzeros.get(i, {}).items():
-            row[j] = v
-        return row
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self._row(j) for j in range(*i.indices(self._shape[0]))]
-        if -self._shape[0] <= i < 0:
-            i += self._shape[0]
-        elif not 0 <= i < self._shape[0]:
-            raise IndexError("matrix row index out of range")
-        return self._row(i)
-
-    def __iter__(self):
-        return map(self._row, range(self._shape[0]))
-
-    def __eq__(self, other):
-        if isinstance(other, SparseMatrix):
-            return self._shape == other._shape and self._nonzeros == other._nonzeros
-        if isinstance(other, list):
-            return len(other) == self._shape[0] and all(a == b for a, b in zip(self, other))
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"SparseMatrix({self._shape!r}, {self._nonzeros!r})"
+_ONE = Fraction(1)
 
 
 @dataclass
@@ -494,25 +438,23 @@ def e1_page(matrix: ExtendedExchangeMatrix, s: int) -> E1Page:
     ``_InducedComplexes`` serves the call: each independence complex of an
     induced subgraph is built once, for its dims and for every ``mv_delta``
     block that needs its classes, and a disconnected one gets its dims by
-    the join rule.  Each block's nonzeros are scaled once per scalar (a
-    scalar of +-1 by sign: v or -v; only a multiple arrow multiplies) and
-    written by assignment into the nonzeros of every pair of summands that
-    shares it, and each d_1 is a ``SparseMatrix``; nothing is kept between
-    calls.  A weight outside [0, d] is refused with ValueError, and past
-    E1_SUMMAND_GUARD summands, C(2n, s) of them, with TooLarge, before
-    anything is built.
+    the join rule.  The nonzeros of each ``mv_delta`` block, a
+    ``SparseMatrix``, are scaled once per scalar (a scalar of +-1 by sign:
+    v or -v; only a multiple arrow multiplies) and written by assignment
+    into the nonzeros of every pair of summands that shares it, and each
+    d_1 is a ``SparseMatrix``; nothing is kept between calls.  A weight
+    outside [0, d] is refused with ValueError, and past E1_SUMMAND_GUARD
+    summands, C(2n, s) of them, with TooLarge, before anything is built.
     """
     induced, entries, positions = _e1_summands(matrix, s)
     graph = induced.graph
-    unseen = object()
     # (e, f) -> the nonzeros {row: {column: value}} of its d_1
     diffs: dict[tuple[int, int], dict[int, dict[int, Fraction]]] = {}
-    deltas: dict[tuple[int, int, int], dict[int, list[list[Fraction]]]] = {}
-    # (X, a, b, r, scale) -> the block's nonzeros (i, j, scale * v), or None
-    scaled: dict[tuple[int, int, int, int, int], list | None] = {}
+    deltas: dict[tuple[int, int, int], dict[int, SparseMatrix]] = {}
+    # (X, a, b, r, scale) -> the block's nonzeros (i, j, scale * v)
+    scaled: dict[tuple[int, int, int, int, int], list] = {}
     for (d_mask, e_mask, e, f), (offset, _) in positions.items():
-        target_pos = (e + 1, f)
-        if target_pos not in entries:
+        if (e + 1, f) not in entries:
             continue
         x_mask = e_mask & ~d_mask
         outside = ~(d_mask | e_mask)
@@ -539,20 +481,17 @@ def e1_page(matrix: ExtendedExchangeMatrix, s: int) -> E1Page:
                 flips = flips_a + (b > a) + (e_rest >> (b + 1)).bit_count()
                 scale = -matrix.rows[b][a] if flips & 1 else matrix.rows[b][a]
                 key = (x_mask, a, b, r, scale)
-                nonzeros = scaled.get(key, unseen)
-                if nonzeros is unseen:
+                nonzeros = scaled.get(key)
+                if nonzeros is None:
                     if (x_mask, a, b) not in deltas:
                         deltas[(x_mask, a, b)] = mv_delta(graph, x_mask, a, b, memo=induced)
-                    block = deltas[(x_mask, a, b)].get(r)
-                    # a unit scalar by sign; only a multiple arrow multiplies
-                    nonzeros = scaled[key] = None if block is None else [
+                    # X has H~^r, so mv_delta has its block at r; a unit
+                    # scalar by sign, only a multiple arrow multiplies
+                    nonzeros = scaled[key] = [
                         (i, jj, v if scale == 1 else -v if scale == -1 else scale * v)
-                        for i, row in enumerate(block)
-                        for jj, v in enumerate(row)
-                        if v
+                        for i, row in deltas[(x_mask, a, b)][r].nonzeros.items()
+                        for jj, v in row.items()
                     ]
-                if nonzeros is None:
-                    continue
                 if mat is None:
                     mat = diffs[(e, f)] = {}
                 # a = D - D2 and b = E2 - E, so each pair of summands has

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .errors import CycleTooSmall, NotAForest, NotAnEdge, TooLarge, VertexInX
 from .exterior import bits
-from .linalg import CochainComplexQ, CohomologyBasis
+from .linalg import CochainComplexQ, CohomologyBasis, SparseMatrix
 
 
 @dataclass(frozen=True)
@@ -436,7 +436,7 @@ def mv_delta(
     b: int,
     *,
     memo: _InducedComplexes | None = None,
-) -> dict[int, list[list[Fraction]]]:
+) -> dict[int, SparseMatrix]:
     """Connecting maps H~^r(I(X)) -> H~^{r+1}(I(X u {a,b})) for all r.
 
     (a, b) must be an edge of the ambient graph and a, b must lie outside X;
@@ -446,14 +446,15 @@ def mv_delta(
     representative psi: a face g of I(X) with psi(g) != 0 that avoids the
     neighbours of a gives the face g u {a} of the larger complex, found in
     the memo's face index, and no other face of it is visited.  Returns
-    {r: matrix}, columns indexed by the basis of H~^r of I(X) and rows by
-    the basis of H~^{r+1} of the larger complex.  Both bases are
-    ``linalg.CohomologyBasis``, read off the clearing reduction that ranks
-    each complex, and eta's coordinates are taken modulo the coboundaries
-    that reduction pivoted.  Both complexes, their bases and the face index
-    come from ``memo``, the induced complexes of ``graph`` (a fresh one if
-    None), so callers that share one build each once; a memo of another
-    graph raises ValueError.
+    {r: block}, each block a ``linalg.SparseMatrix`` with columns indexed by
+    the basis of H~^r of I(X) and rows by that of H~^{r+1} of the larger
+    complex, its nonzeros in ascending row and column order.  Both bases
+    are ``linalg.CohomologyBasis``, read off the clearing reduction that
+    ranks each complex, and eta's coordinates are taken modulo the
+    coboundaries that reduction pivoted.  Both complexes, their bases and
+    the face index come from ``memo``, the induced complexes of ``graph``
+    (a fresh one if None), so callers that share one build each once; a
+    memo of another graph raises ValueError.
     """
     if not graph.has_edge(a, b):
         raise NotAnEdge(f"({a}, {b}) is not an edge")
@@ -465,22 +466,24 @@ def mv_delta(
         raise ValueError("memo holds the induced complexes of another graph")
     big_mask = x_mask | 1 << a | 1 << b
     a_bit, blocked = 1 << a, graph.adjacency[a]
-    out: dict[int, list[list[Fraction]]] = {}
+    out: dict[int, SparseMatrix] = {}
     for p in memo.dims(x_mask):
         faces = memo.complex(x_mask).labels[p]
         src = memo.classes(x_mask, p)
         dst = memo.classes(big_mask, p + 1)
         big_faces = memo.face_index(big_mask, p + 1)
-        cols = []
-        for rep in src.representatives:
+        nonzeros: dict[int, dict[int, Fraction]] = {}
+        for j, rep in enumerate(src.representatives):
             eta: dict[int, Fraction] = {}
-            for j, v in rep.items():
-                g = faces[j]
+            for c, v in rep.items():
+                g = faces[c]
                 if v and not g & blocked:
                     sign = (g >> (a + 1)).bit_count() & 1
                     eta[big_faces[g | a_bit]] = -v if sign else v
-            cols.append(dst.coordinates(eta))
-        out[p - 1] = [[cols[j][i] for j in range(len(cols))] for i in range(dst.dim)]
+            for i, v in enumerate(dst.coordinates(eta)):
+                if v:
+                    nonzeros.setdefault(i, {})[j] = v
+        out[p - 1] = SparseMatrix((dst.dim, src.dim), dict(sorted(nonzeros.items())))
     return out
 
 

@@ -145,12 +145,12 @@ class PositionLabels(Sequence):
     def __len__(self) -> int:
         return self.size
 
-    def __getitem__(self, c: int) -> Label:
-        """The label of cell c; a negative c counts from the end, as in a list."""
-        if c < 0:
-            c += self.size
-            if c < 0:
-                raise IndexError("position label index out of range")
+    def __getitem__(self, c):
+        """The label of cell c, or the list of those of a slice, c read as a
+        list reads it: a negative c counts from the end."""
+        c = range(self.size)[c]
+        if isinstance(c, range):
+            return [self[k] for k in c]
         k = bisect_right(self.starts, c) - 1
         return self.members[k], self.masks[k][c - self.starts[k]]
 
@@ -750,20 +750,16 @@ def edge_class_cochain(
     matrix: ExtendedExchangeMatrix, a: int, b: int, builder: GysinBuilder | None = None
 ) -> dict[int, Fraction | int]:
     """The cocycle theta({a}, {b}) at position 1 of the weight-2 complex, as
-    its coordinates there."""
+    its coordinates there: I = {b}'s first cell and A masks are read off
+    the position's ``PositionLabels``, made as ``stream_for_s`` makes them."""
     graph = underlying_graph(matrix)
     if not graph.has_edge(a, b):
         raise NotAnEdge(f"({a}, {b}) is not an edge of the quiver graph")
     builder = builder or GysinBuilder(matrix)
-    i_mask = 1 << b
-    basis = builder.basis(i_mask)
-    index = {m: i for i, m in enumerate(basis.masks_of_degree(2))}
+    level = builder.family.by_cardinality[1]
+    labels = PositionLabels(level, [builder.basis(i).masks_of_degree(2) for i in level])
+    k = level.index(1 << b)
+    cell = {mask: labels.starts[k] + i for i, mask in enumerate(labels.masks[k])}
     # dlog x_a with a in N(I) is replaced by its substitution
-    terms = basis.substitution.get(a, {1 << a: 1})
-    vector = {index[mask]: coeff for mask, coeff in terms.items()}
-    offset = 0
-    for m in sorted(builder.family.by_cardinality[1]):
-        if m == i_mask:
-            break
-        offset += len(builder.basis(m).masks_of_degree(2))
-    return {offset + i: v for i, v in vector.items()}
+    terms = builder.basis(1 << b).substitution.get(a, {1 << a: 1})
+    return {cell[mask]: coeff for mask, coeff in terms.items()}

@@ -1,11 +1,14 @@
 """Exact linear algebra over Q and Z.
 
-Matrices come in two flavours here:
+Matrices come in three formats here:
 
 * sparse: a list of rows, each row a ``dict`` mapping column index to a
   nonzero ``int`` or ``Fraction`` (the map sends x to ``rows @ x``);
 * dense: a list of lists of ints (used by the Smith normal form, where the
-  unimodular transforms are dense anyway).
+  unimodular transforms are dense anyway);
+* ``SparseMatrix``: a shape and the nonzeros {row: {column: value}}, read
+  as dense ``Fraction`` rows (the Mayer-Vietoris blocks of ``graphs`` and
+  the E_1 and spectral-sequence differentials of ``filtration``).
 
 All sparse elimination is ``Echelon``'s, fraction-free over the integers;
 ``rank``, ``nullspace`` and ``solve_in_span`` drive it and read answers
@@ -201,6 +204,60 @@ def solve_in_span(vectors: list[Row], target: Row) -> list[Fraction] | None:
     return coeffs
 
 
+_ZERO = Fraction(0)
+
+
+class SparseMatrix(Sequence):
+    """A read-only matrix stored as its nonzeros and read as dense rows.
+
+    ``shape`` is (rows, columns) and ``nonzeros`` is {row: {column: value}},
+    with no zero stored.  Indexing (negative and slices too) and iteration
+    build each row afresh as a list, zeros as Fraction(0), so the matrix
+    reads as the list of lists it stands for and compares equal to it;
+    sparse readers walk ``nonzeros`` instead.
+    """
+
+    __slots__ = ("_shape", "_nonzeros")
+
+    def __init__(self, shape: tuple[int, int], nonzeros: dict[int, dict[int, Fraction]]):
+        self._shape = shape
+        self._nonzeros = nonzeros
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self._shape
+
+    @property
+    def nonzeros(self) -> dict[int, dict[int, Fraction]]:
+        return self._nonzeros
+
+    def __len__(self) -> int:
+        return self._shape[0]
+
+    def _row(self, i: int) -> list[Fraction]:
+        row = [_ZERO] * self._shape[1]
+        for j, v in self._nonzeros.get(i, {}).items():
+            row[j] = v
+        return row
+
+    def __getitem__(self, i):
+        rows = range(self._shape[0])[i]  # i read as a list reads it
+        return list(map(self._row, rows)) if isinstance(rows, range) else self._row(rows)
+
+    def __iter__(self):
+        return map(self._row, range(self._shape[0]))
+
+    def __eq__(self, other):
+        if isinstance(other, SparseMatrix):
+            return self._shape == other._shape and self._nonzeros == other._nonzeros
+        if isinstance(other, list):
+            return len(other) == self._shape[0] and all(a == b for a, b in zip(self, other))
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"SparseMatrix({self._shape!r}, {self._nonzeros!r})"
+
+
 # ---------------------------------------------------------------------------
 # cochain complexes of based rational vector spaces
 
@@ -362,8 +419,9 @@ def morse_reduce_positions(
     columns are held.  The critical cells of p are read off a bytearray
     with a mark per cell, cleared for the matched ones, and a critical
     column that is empty has the empty Morse image, made without
-    ``_morse_image``.  A pair whose entry is not +-1, a cell matched twice
-    or a cycle raises ConsistencyError, as d^2 != 0 does.  The Morse complex
+    ``_morse_image``.  A pair whose entry is not +-1 (a matched cell or
+    target outside its position too), a cell matched twice or a cycle
+    raises ConsistencyError, as d^2 != 0 does.  The Morse complex
     has the same cohomology as the input.  Last, d^2 = 0 is checked on the
     Morse complex (clearing ranks exactly only then), and its Euler
     characteristic against the input's cell counts.
@@ -384,13 +442,12 @@ def morse_reduce_positions(
         if len(partner) != len(up_below) or not partner.keys().isdisjoint(up):
             raise ConsistencyError("a cell is matched twice")
         unmatched = bytearray(b"\x01") * len(pos_labels)
-        for c in up:
-            unmatched[c] = 0
-        try:
-            for t in partner:
-                unmatched[t] = 0
-        except IndexError:  # a target past the position: its column has no entry there
-            raise ConsistencyError("a matched entry is not a unit") from None
+        for matched in (up, partner):  # its cells matched up, then its targets
+            # a matched cell outside the position has no unit entry
+            if matched and (min(matched) < 0 or max(matched) >= len(pos_labels)):
+                raise ConsistencyError("a matched entry is not a unit")
+            for c in matched:
+                unmatched[c] = 0
         cells = list(compress(range(len(pos_labels)), unmatched))
         critical = {c: k for k, c in enumerate(cells)}
         if cols_below is not None:

@@ -1,4 +1,6 @@
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -690,3 +692,60 @@ def test_cli_output_is_pinned(capsys, name):
         assert captured.out == Path(f"{stem}.out").read_text(), stem.name
         if got:
             assert captured.err == Path(f"{stem}.err").read_text(), stem.name
+
+
+PRINCIPAL_3_CYCLE = "3 3\n0 1 -1\n-1 0 1\n1 -1 0\n1 0 0\n0 1 0\n0 0 1\n"
+
+
+@pytest.mark.parametrize(
+    "command, flag, text, error, detail",
+    [
+        ("hodge", "--input", "1 2 3\n0\n", "ShapeMismatch", "first line must be 'n m'"),
+        ("indcomplex", "--graph", "3\n1 2 3\n", "ShapeMismatch", "bad edge line: '1 2 3'"),
+        ("ss", "--input", PRINCIPAL_3_CYCLE, "NotAcyclic", "the quiver has an oriented cycle"),
+        ("e1", "--input", PRINCIPAL_3_CYCLE, "NotAcyclic", "the quiver has an oriented cycle"),
+    ],
+    ids=["three-int-matrix-header", "three-int-edge-line", "ss-cyclic", "e1-cyclic"],
+)
+def test_refused_input_gives_its_diagnostic(tmp_path, capsys, command, flag, text, error, detail):
+    # the matrix and graph headers, an edge line, and the principal oriented
+    # 3-cycle, which reaches the acyclicity check of build_filtered (ss) and
+    # of the E_1 summands (e1) past the principal check
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    assert main([command, flag, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": error, "detail": detail}
+
+
+def test_a_missing_input_file_is_exit_2(tmp_path, capsys):
+    path = tmp_path / "absent.mat"
+    assert main(["hodge", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "OSError",
+        "detail": f"[Errno 2] No such file or directory: '{path}'",
+    }
+
+
+@pytest.mark.parametrize(
+    "command, name", [("check", "p2"), ("hodge", "cyclic")], ids=["exit-0", "exit-2"]
+)
+def test_python_m_clusterhodge_runs_the_cli(capsys, command, name):
+    # `python -m clusterhodge` in a fresh process prints what cli.main does
+    import clusterhodge
+
+    argv = [command, "--input", str(CLI_PIN / f"{name}.mat")]
+    src = str(Path(clusterhodge.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    ran = subprocess.run(
+        [sys.executable, "-m", "clusterhodge", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (ran.returncode, ran.stdout, ran.stderr) == (code, captured.out, captured.err)
+    assert code == (0 if command == "check" else 2)

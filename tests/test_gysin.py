@@ -831,6 +831,20 @@ def test_position_labels_read_negative_indices_as_a_list_does():
     assert positions > 100
 
 
+def test_position_labels_slice_as_a_list_does():
+    # principal P_3 at weight 2, position 1: 12 labels
+    builder = GysinBuilder(principal_from_graph(path_graph(3)))
+    labels = [pos for pos, _, _ in builder.stream_for_s(2)][1]
+    listed = list(labels)
+    assert labels[0:2] == listed[:2] == [(1, 2), (1, 4)]
+    for cut in [
+        slice(None), slice(3, 9), slice(-5, None), slice(None, -7), slice(-9, -2),
+        slice(1, None, 3), slice(None, None, -1), slice(-2, 1, -4), slice(8, 3),
+        slice(-100, 100, 5), slice(20, None),
+    ]:
+        assert labels[cut] == listed[cut], cut
+
+
 def test_hodge_rejects_bad_input():
     with pytest.raises(NotFullRank):
         hodge_table(validate([[0]], 1, 0))

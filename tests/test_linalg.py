@@ -652,6 +652,19 @@ def test_morse_reduce_rejects_what_is_not_a_unit_matching():
         morse_reduce(cx)
 
 
+@pytest.mark.parametrize(
+    "matching",
+    [{-1: 0}, {-2: 0}, {5: 0}, {0: 5}, {0: -1}],
+    ids=["cell-minus-1", "cell-minus-2", "cell-past", "target-past", "target-minus-1"],
+)
+def test_morse_reduce_refuses_a_matched_cell_outside_its_position(matching):
+    # a negative cell is not read from the end, and a cell past the
+    # position raises no bare IndexError
+    cx = CochainComplexQ([["x", "y"], ["t"]], [[{0: 1}, {0: 1}]], [matching])
+    with pytest.raises(ConsistencyError, match="a matched entry is not a unit"):
+        morse_reduce(cx)
+
+
 def test_morse_reduce_on_random_matchings_of_independence_complexes():
     # a random greedy matching of the +-1 entries: acyclic ones (by the
     # test's own search) keep the cohomology, cyclic ones are refused
