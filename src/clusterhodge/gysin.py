@@ -148,9 +148,12 @@ class PositionLabels(Sequence):
     def __getitem__(self, c):
         """The label of cell c, or the list of those of a slice, c read as a
         list reads it: a negative c counts from the end."""
-        c = range(self.size)[c]
-        if isinstance(c, range):
-            return [self[k] for k in c]
+        if isinstance(c, slice):
+            return [self[k] for k in range(*c.indices(self.size))]
+        if c < 0:
+            c += self.size
+            if c < 0:
+                raise IndexError("position label index out of range")
         k = bisect_right(self.starts, c) - 1
         return self.members[k], self.masks[k][c - self.starts[k]]
 
