@@ -373,7 +373,9 @@ def _reduce_support(
     matrix: ExtendedExchangeMatrix, support: frozenset[int]
 ) -> ReducedCharacter | ZeroComplex:
     """``reduce_character`` for every character whose support J(chi) is
-    ``support``: the reduction reads nothing of chi but its support."""
+    ``support``: the reduction reads nothing of chi but its support.  The
+    identity completion is of full rank by construction; the row completion
+    has the rank of the ``Echelon`` that holds every row it keeps."""
     j_set = sorted(support)
     if not underlying_graph(matrix).is_independent(mask_of(j_set)):
         return ZERO_COMPLEX
@@ -407,12 +409,11 @@ def _reduce_support(
                 break
             if ech.add(dict(enumerate(cand))) is not None:
                 rows.append(cand)
+        if ech.rank < nk:
+            raise NotFullRank("could not complete the reduced matrix to full rank")
     while len(rows) < total_rows:
         rows.append([0] * nk)
-    reduced = validate(rows, nk, total_rows - nk)
-    if nk and rank_class(reduced) is RankClass.NOT_FULL_RANK:
-        raise NotFullRank("could not complete the reduced matrix to full rank")
-    return ReducedCharacter(kappa, reduced)
+    return ReducedCharacter(kappa, validate(rows, nk, total_rows - nk))
 
 
 # ---------------------------------------------------------------------------

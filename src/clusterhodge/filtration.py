@@ -16,7 +16,9 @@ form) the entry E_r^{e,k-e} is spanned by the cells of level e at position
 k that are unpaired or paired across a gap of at least r, and d_r is the
 partial identity on the pairs whose gap is exactly r (Basu-Parida,
 Expositiones Math. 2017).  ``spectral_sequence`` returns every page from
-E_0 to stabilization, each with its d_r.
+E_0 to stabilization, each with its d_r; ``e1_page`` builds E_1 alone, as a
+page of the same type.  The input is checked once, by ``_admit``, the gate
+of ``build_filtered`` and ``_e1_summands``.
 """
 
 from __future__ import annotations
@@ -64,19 +66,24 @@ class FilteredComplexQ:
                         raise ConsistencyError("differential lowers the level")
 
 
+def _admit(matrix: ExtendedExchangeMatrix, s: int) -> None:
+    """Refuse, in order and before anything is built: NotPrincipal,
+    NotAcyclic, then a weight s outside [0, d] (ValueError)."""
+    if not is_principal(matrix):
+        raise NotPrincipal("the filtration needs principal coefficients")
+    if not is_acyclic(matrix):
+        raise NotAcyclic("the quiver has an oriented cycle")
+    require_weight(matrix, s)
+
+
 def build_filtered(
     matrix: ExtendedExchangeMatrix, s: int, builder: GysinBuilder | None = None
 ) -> FilteredComplexQ:
     """Weight-s complex with level |A cap mutable| + |I|; principal only.
     It checks the levels; d^2 = 0 is left to the callers that read the
     complex: ``spectral_sequence`` (``morse_reduce``) and ``graded_pieces``.
-    A weight outside [0, d] is refused with ValueError before anything is
-    built."""
-    if not is_principal(matrix):
-        raise NotPrincipal("the filtration needs principal coefficients")
-    if not is_acyclic(matrix):
-        raise NotAcyclic("the quiver has an oriented cycle")
-    require_weight(matrix, s)
+    The input passes ``_admit`` before anything is built."""
+    _admit(matrix, s)
     builder = builder or GysinBuilder(matrix)
     cx = builder.complex_for_s(s)
     mutable = (1 << matrix.n) - 1
@@ -351,15 +358,6 @@ def require_e1_summands(n: int, weights: Iterable[int]) -> None:
             )
 
 
-@dataclass
-class E1Page:
-    """E_1 of the filtration at one weight, built from graph cohomology."""
-
-    entries: dict[tuple[int, int], int]
-    # d_1 at each source (e, f); only nonzero matrices are stored
-    differentials: dict[tuple[int, int], SparseMatrix]
-
-
 def _e1_summands(
     matrix: ExtendedExchangeMatrix, s: int, induced: _InducedComplexes | None = None
 ) -> tuple[_InducedComplexes, dict, dict]:
@@ -376,15 +374,11 @@ def _e1_summands(
     (ascending masks), and E by E (lexicographic) within a D, but only the
     E whose X = E minus D has nonzero cohomology are visited: X has at most
     min(s, 2n - s) vertices, and every such X occurs, so one table of their
-    dims is made first.  A weight outside [0, d] is refused with
-    ValueError, and past E1_SUMMAND_GUARD summands, C(2n, s) of them, with
-    TooLarge, before anything is built.
+    dims is made first.  The input passes ``_admit``, and past
+    E1_SUMMAND_GUARD summands, C(2n, s) of them, is refused with TooLarge,
+    before anything is built.
     """
-    if not is_principal(matrix):
-        raise NotPrincipal("the filtration needs principal coefficients")
-    if not is_acyclic(matrix):
-        raise NotAcyclic("the quiver has an oriented cycle")
-    require_weight(matrix, s)
+    _admit(matrix, s)
     n = matrix.n
     require_e1_summands(n, [s])
     if induced is None:
@@ -420,8 +414,9 @@ def _e1_summands(
     return induced, entries, positions
 
 
-def e1_page(matrix: ExtendedExchangeMatrix, s: int) -> E1Page:
-    """Assemble E_1^{e,f;s} from reduced cohomology of induced subgraphs.
+def e1_page(matrix: ExtendedExchangeMatrix, s: int) -> SpectralSequencePage:
+    """Assemble E_1^{e,f;s} from reduced cohomology of induced subgraphs, as
+    the page ``SpectralSequencePage(1, entries, differentials)``.
 
     The (D, E) summand contributes H~^{e+f-1} of the independence complex of
     E minus D; the differential adds a vertex b outside D u E to E and
@@ -442,9 +437,8 @@ def e1_page(matrix: ExtendedExchangeMatrix, s: int) -> E1Page:
     ``SparseMatrix``, are scaled once per scalar (a scalar of +-1 by sign:
     v or -v; only a multiple arrow multiplies) and written by assignment
     into the nonzeros of every pair of summands that shares it, and each
-    d_1 is a ``SparseMatrix``; nothing is kept between calls.  A weight
-    outside [0, d] is refused with ValueError, and past E1_SUMMAND_GUARD
-    summands, C(2n, s) of them, with TooLarge, before anything is built.
+    d_1 is a ``SparseMatrix``; nothing is kept between calls.  The input is
+    checked by ``_e1_summands``: ``_admit``, then E1_SUMMAND_GUARD.
     """
     induced, entries, positions = _e1_summands(matrix, s)
     graph = induced.graph
@@ -502,10 +496,8 @@ def e1_page(matrix: ExtendedExchangeMatrix, s: int) -> E1Page:
                     if row is None:
                         row = mat[offset2 + i] = {}
                     row[offset + jj] = v
-    return E1Page(
-        entries,
-        {
-            (e, f): SparseMatrix((entries[(e + 1, f)], entries[(e, f)]), mat)
-            for (e, f), mat in diffs.items()
-        },
-    )
+    d1 = {
+        (e, f): SparseMatrix((entries[(e + 1, f)], entries[(e, f)]), mat)
+        for (e, f), mat in diffs.items()
+    }
+    return SpectralSequencePage(1, entries, d1)

@@ -36,7 +36,8 @@ the slice itself.  ``complex_for_s`` stores every position of the same
 writer, and ``filtration.spectral_sequence`` reduces that complex with
 ``linalg.morse_reduce`` in filtration order.  The writer checks nothing:
 d^2 = 0 is checked once, by the reducer or, on a complex handed out
-unreduced, by ``CochainComplexQ.verify_d2``.
+unreduced, by ``CochainComplexQ.verify_d2``.  The input is checked once,
+by ``_admit``, the gate of ``build_gysin_complex`` and ``hodge_table``.
 """
 
 from __future__ import annotations
@@ -505,22 +506,31 @@ def require_weight(matrix: ExtendedExchangeMatrix, s: int) -> None:
         raise ValueError(f"weight s={s} outside [0, {matrix.d}]")
 
 
-def build_gysin_complex(matrix: ExtendedExchangeMatrix, s: int) -> CochainComplexQ:
-    """Weight-s Gysin complex of a really-full-rank acyclic matrix, checked
-    to square to zero.  A weight outside [0, d] is refused with ValueError
-    before anything is built."""
+def _admit(
+    matrix: ExtendedExchangeMatrix, weights: Sequence[int]
+) -> tuple[GysinBuilder, RankClass]:
+    """The builder and the rank class of an input that passes, in order:
+    NotAcyclic, a weight outside [0, d] (ValueError), TooLarge at each weight
+    (before the Smith normal form of the rank class), then NotFullRank."""
     if not is_acyclic(matrix):
         raise NotAcyclic("the quiver has an oriented cycle")
-    require_weight(matrix, s)
+    for s in weights:
+        require_weight(matrix, s)
     builder = GysinBuilder(matrix)
-    builder.require_cells([s])  # before the Smith normal form of rank_class
+    builder.require_cells(weights)
     rc = rank_class(matrix)
     if rc is RankClass.NOT_FULL_RANK:
         raise NotFullRank("matrix is not of full rank")
+    return builder, rc
+
+
+def build_gysin_complex(matrix: ExtendedExchangeMatrix, s: int) -> CochainComplexQ:
+    """Weight-s Gysin complex of a really-full-rank acyclic matrix, checked
+    to square to zero.  The input passes ``_admit`` at weight s, then a
+    matrix with nontrivial characters is refused with NotReallyFullRank."""
+    builder, rc = _admit(matrix, [s])
     if rc is not RankClass.REALLY_FULL_RANK:
-        raise NotReallyFullRank(
-            "matrix has nontrivial characters; use hodge_table"
-        )
+        raise NotReallyFullRank("matrix has nontrivial characters; use hodge_table")
     cx = builder.complex_for_s(s)
     cx.verify_d2()
     return cx
@@ -650,10 +660,10 @@ def hodge_table(matrix: ExtendedExchangeMatrix) -> HodgeTable:
     complex of about E_1 size with the same cohomology, which is ranked.
     The finished table is checked for the weak support bounds and curious
     Lefschetz, and when the matrix is of really full rank for the sharper
-    bounds and the top class; a failure raises ConsistencyError.  Every
-    weight is sized before the rank class (a Smith normal form) is computed
-    and before the first complex is built, and TooLarge refuses the table
-    when one would pass GYSIN_CELL_GUARD cells.
+    bounds and the top class; a failure raises ConsistencyError.  ``_admit``
+    sizes every weight before the rank class (a Smith normal form) and the
+    first complex, and TooLarge refuses the table when one would pass
+    GYSIN_CELL_GUARD cells.
     """
     return _table_rank_class_and_subgroups(matrix)[0]
 
@@ -661,18 +671,12 @@ def hodge_table(matrix: ExtendedExchangeMatrix) -> HodgeTable:
 def _table_rank_class_and_subgroups(
     matrix: ExtendedExchangeMatrix,
 ) -> tuple[HodgeTable, RankClass, dict[int, CharacterSubgroup]]:
-    """``hodge_table``, with the rank class it computed after the size guard
-    and X*(I) for every anticlique mask I (none when really full rank)."""
-    if not is_acyclic(matrix):
-        raise NotAcyclic("the quiver has an oriented cycle")
-    builder = GysinBuilder(matrix)
+    """``hodge_table``, with the rank class that ``_admit`` computed and X*(I)
+    for every anticlique mask I (none when really full rank)."""
     # the reduction of a support J sends I' to J u I' and has d' = d - 2 kappa,
     # so its slice at weight s - kappa has as many cells as the anticliques
     # containing J have at weight s: the full family bounds every complex
-    builder.require_cells(range(matrix.d + 1))
-    rc = rank_class(matrix)
-    if rc is RankClass.NOT_FULL_RANK:
-        raise NotFullRank("matrix is not of full rank")
+    builder, rc = _admit(matrix, range(matrix.d + 1))
     parts = {(0, matrix): 1}  # (kappa, matrix) -> number of characters
     subgroups = {}
     if rc is not RankClass.REALLY_FULL_RANK:

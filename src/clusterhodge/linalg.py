@@ -420,8 +420,8 @@ def morse_reduce_positions(
     with a mark per cell, cleared for the matched ones, and a critical
     column that is empty has the empty Morse image, made without
     ``_morse_image``.  A pair whose entry is not +-1 (a matched cell or
-    target outside its position too), a cell matched twice or a cycle
-    raises ConsistencyError, as d^2 != 0 does.  The Morse complex
+    target outside its position, or any at the top, too), a cell matched
+    twice or a cycle raises ConsistencyError, as d^2 != 0 does.  The Morse complex
     has the same cohomology as the input.  Last, d^2 = 0 is checked on the
     Morse complex (clearing ranks exactly only then), and its Euler
     characteristic against the input's cell counts.
@@ -441,6 +441,8 @@ def morse_reduce_positions(
         partner = {t: c for c, t in up_below.items()}  # matched target -> partner
         if len(partner) != len(up_below) or not partner.keys().isdisjoint(up):
             raise ConsistencyError("a cell is matched twice")
+        if up and cols is None:  # the top position: its targets lie in no position
+            raise ConsistencyError("a matched entry is not a unit")
         unmatched = bytearray(b"\x01") * len(pos_labels)
         for matched in (up, partner):  # its cells matched up, then its targets
             # a matched cell outside the position has no unit entry

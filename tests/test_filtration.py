@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clusterhodge.counts import small_weight_entries
-from clusterhodge.errors import ConsistencyError, NotPrincipal
+from clusterhodge.counts import consistency_suite, point_count_poly, small_weight_entries
+from clusterhodge.errors import ConsistencyError, NotAcyclic, NotPrincipal
 from clusterhodge.exchange import (
     is_principal,
     principal_from_graph,
@@ -76,6 +76,59 @@ def test_weighted_entry_points_refuse_a_weight_outside_0_d(build, monkeypatch):
         with pytest.raises(ValueError) as caught:
             build(m, s)
         assert str(caught.value) == f"weight s={s} outside [0, {m.d}]"
+
+
+# the Markov quiver (2, 2, 2): an oriented 3-cycle that no mutation makes
+# acyclic, of rank 2, so with m = 0 it is neither principal nor full rank
+MARKOV = [[0, 2, -2], [-2, 0, 2], [2, -2, 0]]
+BARE = validate(MARKOV, 3, 0)
+PRINCIPAL = principal_matrix(MARKOV)
+NEEDS_PRINCIPAL = "the filtration needs principal coefficients"
+CYCLE = "the quiver has an oriented cycle"
+
+
+@pytest.mark.parametrize(
+    "call, args, error, message",
+    [
+        (build_filtered, (BARE, 1), NotPrincipal, NEEDS_PRINCIPAL),
+        (graded_pieces, (BARE, 1), NotPrincipal, NEEDS_PRINCIPAL),
+        (e1_page, (BARE, 1), NotPrincipal, NEEDS_PRINCIPAL),
+        (hodge_table, (BARE,), NotAcyclic, CYCLE),
+        (consistency_suite, (BARE,), NotAcyclic, CYCLE),
+        (build_gysin_complex, (BARE, 1), NotAcyclic, CYCLE),
+        (build_gysin_complex, (BARE, BARE.d + 1), NotAcyclic, CYCLE),
+        (point_count_poly, (BARE,), NotAcyclic, "point counts need an acyclic quiver"),
+        (build_filtered, (PRINCIPAL, -1), NotAcyclic, CYCLE),
+        (graded_pieces, (PRINCIPAL, -1), NotAcyclic, CYCLE),
+        (e1_page, (PRINCIPAL, -1), NotAcyclic, CYCLE),
+        (build_filtered, (PRINCIPAL, PRINCIPAL.d + 1), NotAcyclic, CYCLE),
+        (graded_pieces, (PRINCIPAL, PRINCIPAL.d + 1), NotAcyclic, CYCLE),
+        (e1_page, (PRINCIPAL, PRINCIPAL.d + 1), NotAcyclic, CYCLE),
+    ],
+    ids=[
+        "build_filtered-bare",
+        "graded_pieces-bare",
+        "e1_page-bare",
+        "hodge_table-bare",
+        "consistency_suite-bare",
+        "build_gysin_complex-bare",
+        "build_gysin_complex-bare-d+1",
+        "point_count_poly-bare",
+        "build_filtered-principal--1",
+        "graded_pieces-principal--1",
+        "e1_page-principal--1",
+        "build_filtered-principal-d+1",
+        "graded_pieces-principal-d+1",
+        "e1_page-principal-d+1",
+    ],
+)
+def test_entry_points_refuse_in_their_order(call, args, error, message):
+    # inputs that fail two checks at once: each entry point names the
+    # first check of its family's order, with its own message
+    with pytest.raises(error) as caught:
+        call(*args)
+    assert type(caught.value) is error
+    assert str(caught.value) == message
 
 
 def test_levels_and_monotonicity():

@@ -653,14 +653,23 @@ def test_morse_reduce_rejects_what_is_not_a_unit_matching():
 
 
 @pytest.mark.parametrize(
-    "matching",
-    [{-1: 0}, {-2: 0}, {5: 0}, {0: 5}, {0: -1}],
-    ids=["cell-minus-1", "cell-minus-2", "cell-past", "target-past", "target-minus-1"],
+    "matchings",
+    [[{-1: 0}], [{-2: 0}], [{5: 0}], [{0: 5}], [{0: -1}], [{}, {0: 0}], [{}, {0: 5}]],
+    ids=[
+        "cell-minus-1",
+        "cell-minus-2",
+        "cell-past",
+        "target-past",
+        "target-minus-1",
+        "top-target-0",
+        "top-target-5",
+    ],
 )
-def test_morse_reduce_refuses_a_matched_cell_outside_its_position(matching):
-    # a negative cell is not read from the end, and a cell past the
-    # position raises no bare IndexError
-    cx = CochainComplexQ([["x", "y"], ["t"]], [[{0: 1}, {0: 1}]], [matching])
+def test_morse_reduce_refuses_a_matched_cell_outside_its_position(matchings):
+    # a negative cell is not read from the end, a cell past the position
+    # raises no bare IndexError, and a matching given at the top position,
+    # whose targets lie in no position, is refused by the same message
+    cx = CochainComplexQ([["x", "y"], ["t"]], [[{0: 1}, {0: 1}]], matchings)
     with pytest.raises(ConsistencyError, match="a matched entry is not a unit"):
         morse_reduce(cx)
 
