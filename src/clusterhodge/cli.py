@@ -24,6 +24,7 @@ from .counts import _is_prime, consistency_suite, point_count_poly
 from .errors import ConsistencyError, InputError
 from .exchange import ExtendedExchangeMatrix, underlying_graph
 from .filtration import (
+    _admit,
     _e1_summands,
     build_filtered,
     observed_collapse_page,
@@ -147,6 +148,8 @@ def cmd_pointcount(args: argparse.Namespace) -> int:
 def cmd_e1(args: argparse.Namespace) -> int:
     matrix = load_matrix(args.input)
     weights = _weights(args, matrix)
+    for s in weights:  # the library's refusals first, then the size of every weight
+        _admit(matrix, s)
     require_e1_summands(matrix.n, weights)  # every weight before the first page
     induced = _InducedComplexes(underlying_graph(matrix))  # one memo for all weights
     rows = []
@@ -187,8 +190,9 @@ def cmd_ss(args: argparse.Namespace) -> int:
         raise InputError(f"--max-page {args.max_page} is negative")
     matrix = load_matrix(args.input)
     weights = _weights(args, matrix)
-    # size every weight before building the first
-    builder = GysinBuilder(matrix)
+    for s in weights:  # the library's refusals first, then the size of every weight
+        _admit(matrix, s)
+    builder = GysinBuilder(matrix)  # every weight is sized before the first is built
     builder.require_cells(weights)
     records = []
     collapses = []

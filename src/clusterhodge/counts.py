@@ -42,6 +42,8 @@ ENUMERATION_GUARD = 10**8
 
 @dataclass(frozen=True)
 class PointCountResult:
+    """#A(F_q) as a polynomial in q, valid for primes q = 1 mod 2*modulus."""
+
     polynomial: IntPolynomial
     modulus: int  # the count is proven for primes q = 1 mod 2*modulus
 
@@ -198,6 +200,8 @@ def brute_force_count(matrix: ExtendedExchangeMatrix, q: int) -> int:
 
 @dataclass(frozen=True)
 class GraphStats:
+    """Invariants of a graph that the small-weight E_1 formulas read."""
+
     components: int  # number of connected components
     isolated: int  # components that are isolated vertices
     degrees: tuple[int, ...]
@@ -274,6 +278,8 @@ def closed_form_s_le_3(matrix: ExtendedExchangeMatrix) -> dict[tuple[int, int], 
 
 @dataclass
 class CheckResult:
+    """One consistency check: its name, PASS / FAIL / SKIP and a detail."""
+
     name: str
     status: str  # PASS / FAIL / SKIP
     detail: str = ""
@@ -281,6 +287,8 @@ class CheckResult:
 
 @dataclass
 class SuiteReport:
+    """The results of ``consistency_suite``, in the order the checks ran."""
+
     checks: list[CheckResult]
 
     @property

@@ -34,6 +34,8 @@ from .linalg import Echelon, SmithNormalForm, smith_normal_form
 
 @dataclass(frozen=True)
 class ExtendedExchangeMatrix:
+    """An (n+m) x n integer matrix: a skew-symmetric top block over m frozen rows."""
+
     n: int
     m: int
     rows: tuple[tuple[int, ...], ...]
@@ -113,6 +115,8 @@ def mutate(matrix: ExtendedExchangeMatrix, k: int) -> ExtendedExchangeMatrix:
 
 @dataclass(frozen=True)
 class Quiver:
+    """The mutable vertices and the arcs (i, j), one per pair with b_ij > 0."""
+
     vertex_count: int
     arcs: frozenset[tuple[int, int]]
 

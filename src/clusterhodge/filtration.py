@@ -48,6 +48,8 @@ from .linalg import CochainComplexQ, Echelon, SparseMatrix, morse_reduce
 
 @dataclass
 class FilteredComplexQ:
+    """A cochain complex with a filtration level per cell, by position."""
+
     complex: CochainComplexQ
     levels: list[list[int]]
 
@@ -102,6 +104,8 @@ def build_filtered(
 
 @dataclass
 class GradedPiece:
+    """The level-preserving part of a filtered Gysin complex at one (D, E)."""
+
     d_set: tuple[int, ...]
     e_set: tuple[int, ...]
     complex: CochainComplexQ  # position p: the Gysin labels (I, A) with |I| = p
@@ -180,6 +184,8 @@ _ONE = Fraction(1)
 
 @dataclass
 class SpectralSequencePage:
+    """Page E_r: the dims at each (e, f) and the nonzero differentials d_r."""
+
     r: int
     entries: dict[tuple[int, int], int]
     # d_r at each source (e, f); only nonzero matrices are stored

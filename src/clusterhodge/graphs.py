@@ -185,6 +185,8 @@ def anticliques(graph: Graph, vertex_mask: int | None = None) -> AnticliqueFamil
 
 @dataclass(frozen=True)
 class ReducedCohomology:
+    """dim H~^r of an independence complex, for every r where it is nonzero."""
+
     dims: dict[int, int]
 
     def dim(self, r: int) -> int:

@@ -36,8 +36,12 @@ the slice itself.  ``complex_for_s`` stores every position of the same
 writer, and ``filtration.spectral_sequence`` reduces that complex with
 ``linalg.morse_reduce`` in filtration order.  The writer checks nothing:
 d^2 = 0 is checked once, by the reducer or, on a complex handed out
-unreduced, by ``CochainComplexQ.verify_d2``.  The input is checked once,
-by ``_admit``, the gate of ``build_gysin_complex`` and ``hodge_table``.
+unreduced, by ``CochainComplexQ.verify_d2``.  ``verify_d2`` pushes every
+column; the reducer leaves out the matched targets, whose pushes are
+combinations of the pushes it checks once the matching below has passed
+its unit and cycle checks, so its verdict is every column's.  The input is
+checked once, by ``_admit``, the gate of ``build_gysin_complex`` and
+``hodge_table``.
 """
 
 from __future__ import annotations
@@ -654,10 +658,12 @@ def hodge_table(matrix: ExtendedExchangeMatrix) -> HodgeTable:
 
     Each weight is written position by position (``stream_for_s``) and
     reduced along its element matching as it is written
-    (``linalg.morse_reduce_positions``: d^2 = 0 on every column, the
-    matching's units and cycles, d^2 = 0 on the Morse complex and the Euler
-    characteristic), holding at most two positions of columns, to a
-    complex of about E_1 size with the same cohomology, which is ranked.
+    (``linalg.morse_reduce_positions``: d^2 = 0, pushed on every column
+    but the matched targets, whose verdict follows from the others once the
+    matching's units and cycles are checked; those checks; d^2 = 0 on the
+    Morse complex and the Euler characteristic), holding at most two
+    positions of columns, to a complex of about E_1 size with the same
+    cohomology, which is ranked.
     The finished table is checked for the weak support bounds and curious
     Lefschetz, and when the matrix is of really full rank for the sharper
     bounds and the top class; a failure raises ConsistencyError.  ``_admit``

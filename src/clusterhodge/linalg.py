@@ -29,7 +29,11 @@ reducer, ``morse_reduce_positions``, collapses a complex along an acyclic
 matching of unit entries to its critical cells, checking d^2 = 0 on both
 sides: it takes the complex one position at a time and holds two positions
 of columns, checking and finishing each position as the next one arrives.
-``morse_reduce`` feeds it the positions of a stored complex.
+On the input it pushes d^2 on every column but the matched targets: a
+target's push is a combination of pushes already checked zero, since the
+matching below it passed the unit and cycle checks, so the verdict is that
+of every column.  ``morse_reduce`` feeds it the positions of a stored
+complex; ``verify_d2`` pushes every column.
 Cells that carry no work get their outcome without arithmetic, the same
 verdicts and pivots as with it: ``_check_square`` decides a column of at
 most one entry by whether that entry's next column is empty, the Morse
@@ -348,16 +352,21 @@ _CHECKED = object()  # marks a matched target that no critical cell reaches
 Position = tuple[Sequence, list[Row] | None, dict[int, int]]
 
 
-def _check_square(cols: list[Row], nxt: list[Row]) -> None:
+def _check_square(cols: list[Row], nxt: list[Row], pushed: bytes | None = None) -> None:
     """Raise ConsistencyError unless every column of cols, pushed through
     nxt (the differential out of the position it lands in), is zero.
+
+    ``pushed``, where given, has a byte per column and only the columns
+    whose byte is nonzero are pushed; the Morse reducer leaves out the
+    matched targets, whose push is a combination of pushes it has checked
+    (``morse_reduce_positions``).  ``verify_d2`` pushes every column.
 
     A column of at most one entry is decided without arithmetic: the
     accumulation stores every product it meets first, a stored zero's too,
     and one entry's products land on distinct rows, so the push is nonzero
     exactly when that entry's next column is nonempty.
     """
-    for col in cols:
+    for col in cols if pushed is None else compress(cols, pushed):
         if len(col) < 2:
             for mid in col:
                 if nxt[mid]:
@@ -411,45 +420,66 @@ def morse_reduce_positions(
     Kozlov, Combinatorial Algebraic Topology, ch. 11).  The matched entries
     are +-1, so nothing is divided and integer complexes stay integral.
 
-    When position p arrives, position p - 1 is finished in turn: d^2 = 0 on
-    every column of p - 1 against those of p; each cell matched at most once
-    and each matched entry a unit; every matched target of p walked for
-    cycles and the flows computed (``_flows``); then the Morse columns of
-    p - 1 are emitted and its columns dropped, so at most two positions of
-    columns are held.  The critical cells of p are read off a bytearray
-    with a mark per cell, cleared for the matched ones, and a critical
-    column that is empty has the empty Morse image, made without
-    ``_morse_image``.  A pair whose entry is not +-1 (a matched cell or
-    target outside its position, or any at the top, too), a cell matched
-    twice or a cycle raises ConsistencyError, as d^2 != 0 does.  The Morse complex
-    has the same cohomology as the input.  Last, d^2 = 0 is checked on the
-    Morse complex (clearing ranks exactly only then), and its Euler
-    characteristic against the input's cell counts.
+    When position p arrives, position p - 1 is finished in turn: d^2 = 0
+    against the columns of p on every column of p - 1 but its matched
+    targets; each cell matched at most once and each matched entry a unit;
+    every matched target of p walked for cycles and the flows computed
+    (``_flows``); then the Morse columns of p - 1 are emitted and its
+    columns dropped, so at most two positions of columns are held.
+
+    Leaving out the matched targets changes no verdict (Skoldberg 2006).
+    C^{p-1} has the basis of its critical cells, its cells matched up and
+    d(s) for each s matched into p - 1: the matching into p - 1 passed its
+    unit and cycle checks when p - 1 arrived, so the targets are
+    unit-triangular in the images of their partners.  Each partner s is
+    matched up, so not a target, and its column was pushed when p - 1
+    arrived: d^2(d(s)) = d(d^2(s)) = 0.  So d^2 vanishes on every column of
+    p - 1 exactly when it vanishes on the columns pushed, and an input fails
+    at the same position with the same message as when every column is
+    pushed.  Every cell is still written and every column read: a target's
+    column is the next column its partner is pushed through.  The marks (a
+    byte per cell, 0 on a matched target) are set in the walk over the
+    matching that clears the critical marks.
+
+    The critical cells of p are read off a bytearray with a mark per cell,
+    cleared for the matched ones, and a critical column that is empty has
+    the empty Morse image, made without ``_morse_image``.  A pair whose
+    entry is not +-1 (a matched cell or target outside its position, or any
+    at the top, too), a cell matched twice or a cycle raises
+    ConsistencyError, as d^2 != 0 does.  The Morse complex has the same
+    cohomology as the input.  Last, d^2 = 0 is checked on the Morse complex
+    (clearing ranks exactly only then), and its Euler characteristic against
+    the input's cell counts.
     """
     labels: list[list] = []
     columns: list[list[Row]] = []
     kept: list[list[int]] = []
     euler = 0
-    # position p - 1: its columns, its matching and its critical cells' places
+    # position p - 1: its columns, its matching, its critical cells' places
+    # and a byte per cell, 0 on its matched targets
     cols_below: list[Row] | None = None
     up_below: dict[int, int] = {}
     critical_below: dict[int, int] = {}
+    pushed_below = b""
     for p, (pos_labels, cols, up) in enumerate(positions):
         euler += -len(pos_labels) if p & 1 else len(pos_labels)
         if cols_below is not None and cols is not None:
-            _check_square(cols_below, cols)
+            _check_square(cols_below, cols, pushed_below)
         partner = {t: c for c, t in up_below.items()}  # matched target -> partner
         if len(partner) != len(up_below) or not partner.keys().isdisjoint(up):
             raise ConsistencyError("a cell is matched twice")
         if up and cols is None:  # the top position: its targets lie in no position
             raise ConsistencyError("a matched entry is not a unit")
-        unmatched = bytearray(b"\x01") * len(pos_labels)
         for matched in (up, partner):  # its cells matched up, then its targets
             # a matched cell outside the position has no unit entry
             if matched and (min(matched) < 0 or max(matched) >= len(pos_labels)):
                 raise ConsistencyError("a matched entry is not a unit")
-            for c in matched:
-                unmatched[c] = 0
+        pushed = bytearray(b"\x01") * len(pos_labels)
+        for t in partner:
+            pushed[t] = 0
+        unmatched = pushed.copy()
+        for c in up:
+            unmatched[c] = 0
         cells = list(compress(range(len(pos_labels)), unmatched))
         critical = {c: k for k, c in enumerate(cells)}
         if cols_below is not None:
@@ -462,7 +492,7 @@ def morse_reduce_positions(
             )
         labels.append([pos_labels[c] for c in cells])
         kept.append(cells)
-        cols_below, up_below, critical_below = cols, up, critical
+        cols_below, up_below, critical_below, pushed_below = cols, up, critical, pushed
     morse = CochainComplexQ(labels, columns)
     morse.verify_d2()
     if morse.euler_characteristic != euler:

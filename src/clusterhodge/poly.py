@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class IntPolynomial:
+    """A polynomial in one variable with integer coefficients, constant first."""
+
     coefficients: tuple[int, ...]  # no trailing zeros
 
     def __post_init__(self):

@@ -419,6 +419,21 @@ def check_square_by_accumulation(cols: list[Row], nxt: list[Row]) -> None:
             raise ConsistencyError("differential does not square to zero")
 
 
+def morse_reduce_pushing_every_column(cx: CochainComplexQ):
+    """``linalg.morse_reduce`` with d^2 = 0 pushed on every column of cx,
+    matched targets too, as ``verify_d2`` pushes them: the reference for the
+    reducer, which leaves the matched targets out of that check."""
+    from unittest import mock
+
+    from clusterhodge import linalg
+
+    check = linalg._check_square
+    with mock.patch.object(
+        linalg, "_check_square", lambda cols, nxt, pushed=None: check(cols, nxt)
+    ):
+        return linalg.morse_reduce(cx)
+
+
 def clearing_offering_every_column(cx: CochainComplexQ) -> list[dict[int, dict[int, int]]]:
     """``CochainComplexQ.clearing`` with every column that is not cleared
     offered to the ``Echelon``, empty ones included."""

@@ -9,9 +9,9 @@ import pytest
 
 from clusterhodge.cli import main
 from clusterhodge.errors import ConsistencyError, echo_int
-from clusterhodge.exchange import principal_from_graph
+from clusterhodge.exchange import principal_from_graph, validate
 from clusterhodge.filtration import e1_page
-from clusterhodge.graphs import complete_graph, path_graph
+from clusterhodge.graphs import complete_graph, cycle_graph, path_graph
 from clusterhodge.io import (
     parse_graph_text,
     parse_matrix,
@@ -341,6 +341,38 @@ def test_gysin_guard_on_principal_p14(tmp_path, capsys, monkeypatch, command):
         "error": "TooLarge",
         "detail": "the weight-6 Gysin complex would have 2532608 cells, more than 2097152",
     }
+
+
+def _p14_frozen_2i():
+    top = principal_from_graph(path_graph(14)).top_block()
+    return validate(top + [[2 * (i == j) for j in range(14)] for i in range(14)], 14, 14)
+
+
+@pytest.mark.parametrize("command", ["ss", "e1"])
+@pytest.mark.parametrize(
+    "make, error, detail",
+    [
+        (_p14_frozen_2i, "NotPrincipal", "the filtration needs principal coefficients"),
+        (
+            lambda: principal_from_graph(cycle_graph(14), orientation={(0, 13): -1}),
+            "NotAcyclic",
+            "the quiver has an oriented cycle",
+        ),
+    ],
+    ids=["p14-frozen-2i", "c14-one-cycle"],
+)
+def test_filtration_commands_refuse_as_the_library_before_sizing(
+    tmp_path, capsys, command, make, error, detail
+):
+    # both inputs are past the size guards (any rank-14 quiver has C(28, 6)
+    # summands at weight 6), but ss and e1 name the first check that
+    # build_filtered and e1_page fail, as those functions do
+    path = tmp_path / "input.mat"
+    path.write_text(render_matrix_text(make()))
+    assert main([command, "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": error, "detail": detail}
 
 
 @pytest.mark.parametrize("command", ["hodge", "check"])

@@ -998,9 +998,9 @@ def test_spectral_sequence_walks_d2_once_after_build_filtered(monkeypatch):
     squared = []
     check_square = linalg._check_square
 
-    def counting(cols, nxt):
+    def counting(cols, nxt, pushed=None):
         squared.append((id(cols), id(nxt)))
-        check_square(cols, nxt)
+        check_square(cols, nxt, pushed)
 
     reduced = []
     reduce = filtration.morse_reduce
