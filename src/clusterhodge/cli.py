@@ -1,6 +1,8 @@
 """Command-line interface.
 
-Subcommands and the flags each one takes:
+Subcommands and the flags each one takes, from the one table
+``_SUBCOMMANDS`` that the parser and ``main`` both read (a subcommand's
+help is its handler's docstring):
 
     hodge      --input M [--format F] [--s S]
     pointcount --input M [--format F] [--q PRIME]
@@ -43,15 +45,6 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-_SUBCOMMANDS = [
-    ("hodge", "mixed Hodge table of the cluster variety", ["--input", "--s"]),
-    ("pointcount", "counting polynomial over finite fields", ["--input", "--q"]),
-    ("e1", "first page of the filtration spectral sequence", ["--input", "--s"]),
-    ("ss", "pages of the filtration spectral sequence", ["--input", "--s", "--max-page"]),
-    ("indcomplex", "reduced cohomology of a graph's independence complex", ["--graph"]),
-    ("check", "run the consistency suite", ["--input"]),
-]
-
 _FLAGS = {
     "--input": dict(required=True, help="path to an exchange-matrix file"),
     "--graph": dict(required=True, help="path to a graph file"),
@@ -73,8 +66,8 @@ def _parser() -> argparse.ArgumentParser:
         description="Mixed Hodge numbers and point counts of acyclic cluster varieties",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext, flags in _SUBCOMMANDS:
-        p = sub.add_parser(name, help=helptext)
+    for name, (handler, flags) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=handler.__doc__)
         p.add_argument("--format", choices=["text", "json", "tsv"], default="text")
         for flag in flags:
             p.add_argument(flag, **_FLAGS[flag])
@@ -91,6 +84,7 @@ def _weights(args: argparse.Namespace, matrix: ExtendedExchangeMatrix) -> list[i
 
 
 def cmd_hodge(args: argparse.Namespace) -> int:
+    """mixed Hodge table of the cluster variety"""
     matrix = load_matrix(args.input)
     weights = _weights(args, matrix)
     # every weight is computed: the checks pair weight s with d - s and need d
@@ -119,6 +113,7 @@ def _xy_polynomial(table: HodgeTable) -> str:
 
 
 def cmd_pointcount(args: argparse.Namespace) -> int:
+    """counting polynomial over finite fields"""
     if args.q is not None and not _is_prime(args.q):
         raise InputError(f"--q {args.q} is not prime")
     matrix = load_matrix(args.input)
@@ -146,10 +141,10 @@ def cmd_pointcount(args: argparse.Namespace) -> int:
 
 
 def cmd_e1(args: argparse.Namespace) -> int:
+    """first page of the filtration spectral sequence"""
     matrix = load_matrix(args.input)
     weights = _weights(args, matrix)
-    for s in weights:  # the library's refusals first, then the size of every weight
-        _admit(matrix, s)
+    _admit(matrix, weights)  # the library's refusals first, then the size of every weight
     require_e1_summands(matrix.n, weights)  # every weight before the first page
     induced = _InducedComplexes(underlying_graph(matrix))  # one memo for all weights
     rows = []
@@ -186,12 +181,12 @@ def cmd_e1(args: argparse.Namespace) -> int:
 
 
 def cmd_ss(args: argparse.Namespace) -> int:
+    """pages of the filtration spectral sequence"""
     if args.max_page is not None and args.max_page < 0:
         raise InputError(f"--max-page {args.max_page} is negative")
     matrix = load_matrix(args.input)
     weights = _weights(args, matrix)
-    for s in weights:  # the library's refusals first, then the size of every weight
-        _admit(matrix, s)
+    _admit(matrix, weights)  # the library's refusals first, then the size of every weight
     builder = GysinBuilder(matrix)  # every weight is sized before the first is built
     builder.require_cells(weights)
     records = []
@@ -240,6 +235,7 @@ def cmd_ss(args: argparse.Namespace) -> int:
 
 
 def cmd_indcomplex(args: argparse.Namespace) -> int:
+    """reduced cohomology of a graph's independence complex"""
     graph = load_graph(args.graph)
     cohom = reduced_cohomology(anticliques(graph))
     if args.format == "json":
@@ -250,6 +246,7 @@ def cmd_indcomplex(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    """run the consistency suite"""
     matrix = load_matrix(args.input)
     report = consistency_suite(matrix)
     if args.format == "json":
@@ -266,13 +263,14 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 1 if report.failed else 0
 
 
-_COMMANDS = {
-    "hodge": cmd_hodge,
-    "pointcount": cmd_pointcount,
-    "e1": cmd_e1,
-    "ss": cmd_ss,
-    "indcomplex": cmd_indcomplex,
-    "check": cmd_check,
+# each subcommand once: its handler (whose docstring is its help), its flags but --format
+_SUBCOMMANDS = {
+    "hodge": (cmd_hodge, ["--input", "--s"]),
+    "pointcount": (cmd_pointcount, ["--input", "--q"]),
+    "e1": (cmd_e1, ["--input", "--s"]),
+    "ss": (cmd_ss, ["--input", "--s", "--max-page"]),
+    "indcomplex": (cmd_indcomplex, ["--graph"]),
+    "check": (cmd_check, ["--input"]),
 }
 
 
@@ -282,7 +280,7 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
         # results may have more digits than the parsers read (io.MAX_DIGITS)
         sys.set_int_max_str_digits(0)
-        return _COMMANDS[args.command](args)
+        return _SUBCOMMANDS[args.command][0](args)
     except InputError as exc:
         print(
             json.dumps({"error": type(exc).__name__, "detail": str(exc)}),

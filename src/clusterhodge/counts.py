@@ -69,8 +69,7 @@ def _point_count(
     modulus is the lcm of their exponents, both in one pass."""
     if rc is RankClass.NOT_FULL_RANK:
         raise NotFullRank("point counts need a full-rank matrix")
-    graph = underlying_graph(matrix)
-    family = anticliques(graph)
+    family = anticliques(underlying_graph(matrix))
     d = matrix.d
     q = IntPolynomial.x()
     qm1 = IntPolynomial.from_coeffs([-1, 1])
@@ -78,7 +77,7 @@ def _point_count(
     modulus = 1
     really = rc is RankClass.REALLY_FULL_RANK
     if not really and subgroups is None:
-        subgroups = _anticlique_subgroups(matrix, family.all_masks(), graph)
+        subgroups = _anticlique_subgroups(matrix, family.all_masks())
     for k, level in enumerate(family.by_cardinality):
         if really:  # every |X*(I)| is 1
             weight = len(level)

@@ -29,7 +29,7 @@ from .errors import (
 )
 from .exterior import bits, mask_of
 from .graphs import Graph
-from .linalg import Echelon, SmithNormalForm, smith_normal_form
+from .linalg import Echelon, SmithNormalForm, smith_normal_form, solve_in_span
 
 
 @dataclass(frozen=True)
@@ -237,6 +237,7 @@ class CharacterGroup:
 
     def __init__(self, matrix: ExtendedExchangeMatrix):
         self.matrix = matrix
+        self._graph = underlying_graph(matrix)
         snf = _snf(matrix)
         if snf.rank < matrix.n:
             raise NotFullRank("X* requires a full-rank exchange matrix")
@@ -283,23 +284,16 @@ class CharacterGroup:
         for coords in itertools.product(*ranges):
             yield self.character_from_coords(coords)
 
-    def solve_lift(self, chi: Character) -> list[Fraction]:
-        """The unique rational u with B~ u = z for the stored lift z."""
-        p, q = self._snf.p, self._snf.q
-        d = self.matrix.d
-        t = [sum(p[i][j] * chi.lift[j] for j in range(d)) for i in range(d)]
-        y = [Fraction(t[i], self.diag[i]) for i in range(self.matrix.n)]
-        return [
-            sum(q[i][k] * y[k] for k in range(self.matrix.n))
-            for i in range(self.matrix.n)
-        ]
-
     def support(self, chi: Character) -> frozenset[int]:
-        """J(chi): the mutable indices where the solution of z = B~ u is not integral."""
-        u = self.solve_lift(chi)
+        """J(chi): the mutable indices where the solution of z = B~ u is not
+        integral, solved by ``solve_in_span`` over the columns of B~."""
+        columns = [{r: v for r, v in enumerate(col) if v} for col in zip(*self.matrix.rows)]
+        u = solve_in_span(columns, {r: v for r, v in enumerate(chi.lift) if v})
+        if u is None:
+            raise ValueError("lift does not lie in the rational column span")
         return frozenset(i for i, v in enumerate(u) if v.denominator != 1)
 
-    def subgroup(self, anticlique, graph: Graph | None = None) -> CharacterSubgroup:
+    def subgroup(self, anticlique) -> CharacterSubgroup:
         """X*(I) as a subgroup of X*; I must be an anticlique of the quiver graph.
 
         X*(I) and lifts of its generators come from the Smith normal form of
@@ -307,8 +301,7 @@ class CharacterGroup:
         must span a lattice of index |X*| / |X*(I)|: no element is listed.
         """
         idx = tuple(sorted(int(i) for i in anticlique))
-        g = graph if graph is not None else underlying_graph(self.matrix)
-        if not g.is_independent(mask_of(idx)):
+        if not self._graph.is_independent(mask_of(idx)):
             raise NotAnticlique(f"{idx} is not an anticlique")
         sub_snf = smith_normal_form([[row[j] for j in idx] for row in self.matrix.rows])
         gens = tuple(self.character_from_lift([row[t] for row in sub_snf.pinv]).coords
@@ -326,13 +319,11 @@ class CharacterGroup:
         return sub
 
 
-def _anticlique_subgroups(
-    matrix: ExtendedExchangeMatrix, masks, graph: Graph
-) -> dict[int, CharacterSubgroup]:
+def _anticlique_subgroups(matrix: ExtendedExchangeMatrix, masks) -> dict[int, CharacterSubgroup]:
     """X*(I) for each anticlique mask I in masks of the quiver graph, from
     one CharacterGroup."""
     group = CharacterGroup(matrix)
-    return {i_mask: group.subgroup(bits(i_mask), graph) for i_mask in masks}
+    return {i_mask: group.subgroup(bits(i_mask)) for i_mask in masks}
 
 
 # ---------------------------------------------------------------------------

@@ -68,14 +68,15 @@ class FilteredComplexQ:
                         raise ConsistencyError("differential lowers the level")
 
 
-def _admit(matrix: ExtendedExchangeMatrix, s: int) -> None:
+def _admit(matrix: ExtendedExchangeMatrix, weights: Iterable[int]) -> None:
     """Refuse, in order and before anything is built: NotPrincipal,
-    NotAcyclic, then a weight s outside [0, d] (ValueError)."""
+    NotAcyclic, then a weight outside [0, d] (ValueError)."""
     if not is_principal(matrix):
         raise NotPrincipal("the filtration needs principal coefficients")
     if not is_acyclic(matrix):
         raise NotAcyclic("the quiver has an oriented cycle")
-    require_weight(matrix, s)
+    for s in weights:
+        require_weight(matrix, s)
 
 
 def build_filtered(
@@ -85,7 +86,7 @@ def build_filtered(
     It checks the levels; d^2 = 0 is left to the callers that read the
     complex: ``spectral_sequence`` (``morse_reduce``) and ``graded_pieces``.
     The input passes ``_admit`` before anything is built."""
-    _admit(matrix, s)
+    _admit(matrix, [s])
     builder = builder or GysinBuilder(matrix)
     cx = builder.complex_for_s(s)
     mutable = (1 << matrix.n) - 1
@@ -384,7 +385,7 @@ def _e1_summands(
     E1_SUMMAND_GUARD summands, C(2n, s) of them, is refused with TooLarge,
     before anything is built.
     """
-    _admit(matrix, s)
+    _admit(matrix, [s])
     n = matrix.n
     require_e1_summands(n, [s])
     if induced is None:

@@ -687,7 +687,7 @@ def _table_rank_class_and_subgroups(
     subgroups = {}
     if rc is not RankClass.REALLY_FULL_RANK:
         masks = builder.family.all_masks()
-        subgroups = _anticlique_subgroups(matrix, masks, builder.graph)
+        subgroups = _anticlique_subgroups(matrix, masks)
         # |X*(S)| characters have J(chi) in S; leave those with J(chi) = S
         exact = {s: subgroups[s].order for s in masks}
         for v, s in product(range(matrix.n), masks):  # one pass per vertex v

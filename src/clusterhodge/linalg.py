@@ -299,7 +299,12 @@ class CochainComplexQ:
         return sum((-1) ** p * len(pos) for p, pos in enumerate(self.labels))
 
     def verify_d2(self) -> None:
-        """Raise ConsistencyError unless d^2 = 0."""
+        """Raise ConsistencyError unless every key of each differential d_p,
+        the top one included, lies in [0, dim C^{p+1}) and d^2 = 0."""
+        for p, cols in enumerate(self.columns):
+            keyed = list(filter(None, cols))
+            if keyed and (min(map(min, keyed)) < 0 or max(map(max, keyed)) >= self.dim(p + 1)):
+                raise ConsistencyError(f"d_{p} has an entry outside position {p + 1}")
         for cols, nxt in zip(self.columns, self.columns[1:]):
             _check_square(cols, nxt)
 
@@ -330,7 +335,8 @@ class CochainComplexQ:
     def cohomology_dims(self, clearing: list | None = None) -> dict[int, int]:
         """dim H^p for every p with nonzero cohomology, which is dim C^p less
         the ranks of d_p and d_{p-1}, read off ``clearing`` (this complex's
-        ``clearing()``, computed here when not given); needs d^2 = 0."""
+        ``clearing()``, computed here when not given); needs d^2 = 0, and a
+        malformed complex's negative dimension raises ConsistencyError."""
         if clearing is None:
             clearing = self.clearing()
         out = {}
@@ -339,6 +345,8 @@ class CochainComplexQ:
             rank = len(clearing[p]) if p < len(clearing) else 0
             h = self.dim(p) - rank - below
             if h:
+                if h < 0:
+                    raise ConsistencyError(f"dim H^{p} = {h} is negative")
                 out[p] = h
             below = rank
         return out

@@ -664,7 +664,7 @@ def _differential_ranks(page) -> dict[tuple[int, int], int]:
 @pytest.mark.parametrize("name", ["p3", "z4"], ids=["path-3", "star-4"])
 def test_ss_output_is_pinned(capsys, name):
     # principal P_3 and the 4-star, all weights, every format byte for byte
-    # (scripts/make_cli_pins.py); the json d_r depend on the basis, so their
+    # (scripts/make_pins.py); the json d_r depend on the basis, so their
     # entries and ranks are compared first, to tell a changed basis apart
     matrix = str(SS_PIN / f"{name}.mat")
     for fmt in ("text", "tsv"):
@@ -692,7 +692,7 @@ E1_PIN = Path(__file__).parent / "data" / "e1_pin"
 )
 def test_e1_output_is_pinned(capsys, monkeypatch, matrix):
     # principal P_3, the 4-star and C_5, all weights: `e1` prints only dims,
-    # so every format is compared byte for byte (scripts/make_e1_pins.py),
+    # so every format is compared byte for byte (scripts/make_pins.py),
     # and it makes no Mayer-Vietoris block
     import clusterhodge.filtration as filtration
 
@@ -713,7 +713,7 @@ CLI_RUNS = [line.split("\t") for line in (CLI_PIN / "runs.tsv").read_text().spli
 def test_cli_output_is_pinned(capsys, name):
     # hodge, check, pointcount --q 5 and the e1/ss runs the other pins lack,
     # every format, byte for byte: stdout, the exit code, and stderr when
-    # that is nonzero (scripts/make_cli_pins.py cross-checks every table)
+    # that is nonzero (scripts/make_pins.py cross-checks every table)
     matrix = str(CLI_PIN / f"{name}.mat")
     for _, command, fmt, code in (run for run in CLI_RUNS if run[0] == name):
         extra = ["--q", "5"] if command == "pointcount" else []

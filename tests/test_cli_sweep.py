@@ -18,7 +18,7 @@ from pathlib import Path
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from clusterhodge.cli import main
+from clusterhodge.cli import _SUBCOMMANDS, main
 
 NEAR_LIMIT = [10**4299, -(10**4299) - 7, int("9" * 4300), 2**14281, 3**9000]
 ENTRIES = st.one_of(
@@ -96,6 +96,16 @@ FLAG_VALUES = {
     "--q": st.sampled_from([2, 3, 5, 7, 13, 73, 4, -5, 10**30, 3_317_044_064_679_887_385_961_981]),
     "--max-page": st.integers(-1, 3),
 }
+
+
+def test_sweep_has_every_subcommand_and_flag_of_the_cli():
+    # the CLI's one table, less the input flags; every subcommand takes --format
+    flags = {
+        name: [f for f in table_flags if f not in ("--input", "--graph")]
+        for name, (_, table_flags) in _SUBCOMMANDS.items()
+    }
+    assert COMMANDS == flags
+    assert set(FLAG_VALUES) == {f for fs in flags.values() for f in fs}
 
 
 @st.composite

@@ -13,6 +13,7 @@ from clusterhodge.errors import (
     ShapeMismatch,
 )
 from clusterhodge.exchange import (
+    Character,
     CharacterGroup,
     RankClass,
     ZeroComplex,
@@ -135,7 +136,7 @@ def test_character_subgroup_monotone_on_corpus():
             for mask in range(1 << m.n)
             if graph.is_independent(mask)
         ]
-        subs = {mask: group.subgroup([i for i in range(m.n) if mask >> i & 1], graph)
+        subs = {mask: group.subgroup([i for i in range(m.n) if mask >> i & 1])
                 for mask in masks}
         for small in masks:
             for big in masks:
@@ -160,6 +161,14 @@ def test_support_examples():
     assert group.support(chi) == frozenset({0})
     chi11 = group.character_from_lift((1, 1))
     assert group.support(chi11) == frozenset({0, 1})
+
+
+def test_support_refuses_a_lift_outside_the_column_span():
+    # B~ = (0, 1)^T spans the second coordinate only
+    group = CharacterGroup(validate([[0], [1]], 1, 1))
+    assert group.support(Character((), (0, 3))) == frozenset()
+    with pytest.raises(ValueError, match="rational column span"):
+        group.support(Character((), (1, 0)))
 
 
 def test_support_is_representative_independent():

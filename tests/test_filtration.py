@@ -971,7 +971,7 @@ def test_e1_differentials_change_with_the_bases_only(monkeypatch):
 def test_e1_differentials_are_pinned():
     # every Fraction of the E_1 differentials, at every weight, as the
     # summing write made them before blocks were written by assignment
-    # (scripts/make_e1_pins.py); a second block for one pair of summands
+    # (scripts/make_pins.py); a second block for one pair of summands
     # would be overwritten, not added, and change an entry here
     pinned = json.loads((E1_PIN / "differentials.json").read_text())
     for name, rel in E1_PIN_MATRICES.items():

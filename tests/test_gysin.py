@@ -344,7 +344,7 @@ def test_subgroup_order_counts_the_characters_supported_in_it():
         graph = underlying_graph(m)
         supports = {chi.coords: mask_of(group.support(chi)) for chi in group.elements()}
         for s in anticliques(graph).all_masks():
-            sub = group.subgroup(bits(s), graph)
+            sub = group.subgroup(bits(s))
             inside = {c for c, j in supports.items() if j & s == j}
             assert sub.elements == inside and sub.order == len(inside), (m.rows, s)
 
@@ -1289,7 +1289,7 @@ DIGEST = Path(__file__).parent / "data" / "table_digest.tsv"
 
 
 def test_hodge_tables_match_the_digest():
-    """Every table in tests/data/table_digest.tsv (scripts/make_table_digest.py:
+    """Every table in tests/data/table_digest.tsv (scripts/make_pins.py:
     principal matrices of the 112 connected 6-vertex graphs and 40 random
     acyclic matrices, each line cross-checked when written) is recomputed."""
     lines = DIGEST.read_text().splitlines()

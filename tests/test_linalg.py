@@ -446,6 +446,28 @@ def test_verify_d2_checks_replaced_columns_again():
         cx.verify_d2()
 
 
+@pytest.mark.parametrize(
+    "labels, columns",
+    [
+        ([["x"], ["y"], ["z"]], [[{5: 1}], [{0: 1}]]),  # past the next position
+        ([["x"], ["y"]], [[{3: 1}]]),  # in the top differential
+        ([["x"], ["y"], ["z"]], [[{-1: 1}], [{0: 1}]]),  # negative
+        ([["x"], ["y"]], [[{0: 1}], [{0: 1}]]),  # out of the top position
+    ],
+    ids=["past-next", "top-differential", "negative", "past-top"],
+)
+def test_verify_d2_refuses_a_key_outside_the_next_position(labels, columns):
+    with pytest.raises(ConsistencyError, match="has an entry outside position"):
+        CochainComplexQ(labels, columns).verify_d2()
+
+
+def test_cohomology_dims_refuses_a_negative_dimension():
+    # d_0 hits a cell past position 1, so the ranks outgrow dim C^1
+    cx = CochainComplexQ([["x"], ["y"], ["z"]], [[{5: 1}], [{0: 1}]])
+    with pytest.raises(ConsistencyError, match=r"dim H\^1 = -1 is negative"):
+        cx.cohomology_dims()
+
+
 def _verdict(check, cols, nxt):
     try:
         check(cols, nxt)
