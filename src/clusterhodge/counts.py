@@ -12,7 +12,11 @@ coordinates: only the equations j in Z constrain a point with that zero set,
 so it enumerates just the nonzero coordinates those equations read,
 evaluates each equation literally on them, and counts every other
 coordinate by its number of values (q for x'_j with j in Z, q-1 for an
-unread nonzero coordinate).
+unread nonzero coordinate).  Equations that share no read coordinate are
+enumerated apart and their solution counts multiplied: the solutions for Z
+are the product of the groups' solution sets, so this is still a literal
+count of tuples, and the groups come from the matrix entries alone, not
+from the quiver's anticliques.
 """
 
 from __future__ import annotations
@@ -65,15 +69,16 @@ def _point_count(
 ) -> PointCountResult:
     """``point_count_poly`` of an acyclic matrix whose rank class is rc;
     ``subgroups`` gives X*(I) by anticlique mask when a caller already has it.
-    Level k adds q^k (q-1)^(d-2k) times the sum of its |X*(I)|, and the
-    modulus is the lcm of their exponents, both in one pass."""
+    Level k adds w_k q^k (q-1)^(d-2k), w_k the sum of its |X*(I)|, and the
+    modulus is the lcm of their exponents, both in one pass.  The binomial
+    theorem expands (q-1)^(d-2k) in place, so level k adds
+    w_k C(d-2k, i) (-1)^(d-2k-i) to the coefficient of q^(k+i) in one list;
+    full rank keeps d - 2k >= 0."""
     if rc is RankClass.NOT_FULL_RANK:
         raise NotFullRank("point counts need a full-rank matrix")
     family = anticliques(underlying_graph(matrix))
     d = matrix.d
-    q = IntPolynomial.x()
-    qm1 = IntPolynomial.from_coeffs([-1, 1])
-    total = IntPolynomial.zero()
+    coeffs = [0] * (d + 1)
     modulus = 1
     really = rc is RankClass.REALLY_FULL_RANK
     if not really and subgroups is None:
@@ -87,8 +92,10 @@ def _point_count(
                 sub = subgroups[i_mask]
                 weight += sub.order
                 modulus = lcm(modulus, sub.exponent)
-        total = total + (q**k) * (qm1 ** (d - 2 * k)) * IntPolynomial.from_coeffs([weight])
-    return PointCountResult(total, modulus)
+        r = d - 2 * k
+        for i in range(r + 1):
+            coeffs[k + i] += (-1) ** (r - i) * comb(r, i) * weight
+    return PointCountResult(IntPolynomial(tuple(coeffs)), modulus)
 
 
 # Miller-Rabin with the prime bases up to 41 is exact below psi_13 (Sorenson
@@ -138,12 +145,18 @@ def brute_force_count(matrix: ExtendedExchangeMatrix, q: int) -> int:
     for j in Z the x'_j are free (q choices each) exactly when the right
     side vanishes.  Those equations read only the coordinates i with
     B~_ij nonzero, listed with their exponents once per call, column by
-    column, so for each Z the nonzero values of the read coordinates
-    outside Z are enumerated, Z held at 0, every equation in Z is evaluated
-    literally (an exponent e > 0 acts on F_q as (e - 1) % (q - 1) + 1), and
-    each solution counts q^|Z| (q-1)^u, u being the number of nonzero
-    coordinates no equation in Z reads.  Nothing here uses anticliques or
-    characters.
+    column.  For each Z the equations in Z are split into groups that read
+    no common coordinate outside Z (two equations join one group when their
+    read coordinates outside Z meet).  Each group's read coordinates are
+    enumerated over their nonzero values on their own, Z held at 0, and
+    every equation of the group is evaluated literally on every tuple (an
+    exponent e > 0 acts on F_q as (e - 1) % (q - 1) + 1, and x^e is read
+    from a table of powers made once per call).  A solution for Z is one
+    solution of each group, so the count for Z is q^|Z| (q-1)^u times the
+    product of the groups' counts, u being the number of nonzero
+    coordinates no equation in Z reads; the first group with no solution
+    ends Z.  The groups come from the matrix entries alone: nothing here
+    uses anticliques or characters.
     """
     if not is_acyclic(matrix):
         raise NotAcyclic("the exchange-equation model needs an acyclic seed")
@@ -161,35 +174,57 @@ def brute_force_count(matrix: ExtendedExchangeMatrix, q: int) -> int:
         ]
         for j in range(n)
     ]
+    # power[e][x] = x^e in F_q, for the exponents e that occur
+    exponents = {abs(e) for es in entries for _, e in es}
+    power = {e: [pow(x, e, q) for x in range(q)] for e in exponents}
+    # the rows each equation reads, as a bit mask
+    reads = [sum(1 << i for i, _ in es) for es in entries]
     total = 0
     for z_mask in range(1 << n):
         zeros = bits(z_mask)
-        read = sorted({i for j in zeros for i, _ in entries[j] if not z_mask >> i & 1})
-        # slot 0 holds the value 0 of every coordinate in Z, slot 1 + t the
-        # value of read[t]
-        slot = {i: 1 + t for t, i in enumerate(read)}
-        equations = [
-            (
-                [(slot.get(i, 0), e) for i, e in entries[j] if e > 0],
-                [(slot.get(i, 0), -e) for i, e in entries[j] if e < 0],
-            )
-            for j in zeros
-        ]
-        solutions = 0
-        for values in product(range(1, q), repeat=len(read)):
-            coords = (0,) + values
-            for pos, neg in equations:
-                a = b = 1
-                for t, e in pos:
-                    a = a * pow(coords[t], e, q)
-                for t, e in neg:
-                    b = b * pow(coords[t], e, q)
-                if (a + b) % q:
-                    break
-            else:
-                solutions += 1
-        unread = d - len(zeros) - len(read)
-        total += q ** len(zeros) * (q - 1) ** unread * solutions
+        # the equations in Z as (coordinates read outside Z, equations),
+        # grouped so that no two groups read a common coordinate
+        groups: list[tuple[int, list[int]]] = []
+        for j in zeros:
+            read, joined, apart = reads[j] & ~z_mask, [j], []
+            for group in groups:
+                if group[0] & read:
+                    read |= group[0]
+                    joined += group[1]
+                else:
+                    apart.append(group)
+            groups = apart + [(read, joined)]
+        unread = d - len(zeros) - sum(read.bit_count() for read, _ in groups)
+        count = q ** len(zeros) * (q - 1) ** unread
+        for read, joined in groups:
+            # slot 0 holds the value 0 of every coordinate in Z, slot 1 + t
+            # the value of the group's t-th read coordinate
+            slot = {i: 1 + t for t, i in enumerate(bits(read))}
+            equations = [
+                (
+                    [(power[e], slot.get(i, 0)) for i, e in entries[j] if e > 0],
+                    [(power[-e], slot.get(i, 0)) for i, e in entries[j] if e < 0],
+                )
+                for j in joined
+            ]
+            solutions = 0
+            for values in product(range(1, q), repeat=read.bit_count()):
+                coords = (0,) + values
+                for pos, neg in equations:
+                    a = b = 1
+                    for row, t in pos:
+                        a *= row[coords[t]]
+                    for row, t in neg:
+                        b *= row[coords[t]]
+                    if (a + b) % q:
+                        break
+                else:
+                    solutions += 1
+            if not solutions:
+                break
+            count *= solutions
+        else:
+            total += count
     return total
 
 

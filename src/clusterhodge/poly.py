@@ -5,6 +5,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
+def _integer(c) -> int:
+    if c % 1:  # also true of inf and nan
+        raise ValueError(f"polynomial coefficients must be integers, got {c}")
+    return int(c)
+
+
 @dataclass(frozen=True)
 class IntPolynomial:
     """A polynomial in one variable with integer coefficients, constant first."""
@@ -12,14 +18,15 @@ class IntPolynomial:
     coefficients: tuple[int, ...]  # no trailing zeros
 
     def __post_init__(self):
-        cs = tuple(int(c) for c in self.coefficients)
+        """Raises ValueError on a coefficient that is not an integer."""
+        cs = tuple(map(_integer, self.coefficients))
         while cs and cs[-1] == 0:
             cs = cs[:-1]
         object.__setattr__(self, "coefficients", cs)
 
     @classmethod
     def from_coeffs(cls, coeffs) -> "IntPolynomial":
-        return cls(tuple(int(c) for c in coeffs))
+        return cls(tuple(coeffs))
 
     @classmethod
     def zero(cls) -> "IntPolynomial":
@@ -62,6 +69,8 @@ class IntPolynomial:
         return IntPolynomial(tuple(out))
 
     def __pow__(self, k: int) -> "IntPolynomial":
+        if k < 0:
+            raise ValueError(f"a polynomial has no power {k} < 0")
         out = IntPolynomial.one()
         for _ in range(k):
             out = out * self

@@ -499,6 +499,26 @@ def brute_force_by_row_scan(matrix: ExtendedExchangeMatrix, q: int) -> int:
     return total
 
 
+def point_count_by_level_products(matrix: ExtendedExchangeMatrix) -> tuple[IntPolynomial, int]:
+    """``point_count_poly``'s polynomial and modulus of a full-rank acyclic
+    matrix as the sum over anticlique levels k of q^k (q-1)^(d-2k) w_k, built
+    from ``IntPolynomial`` powers and products, w_k the sum of |X*(I)| over
+    the level and the modulus the lcm of their exponents: the reference for
+    the count that expands each level by the binomial theorem."""
+    from clusterhodge.exchange import _anticlique_subgroups
+
+    family = anticliques(underlying_graph(matrix))
+    subgroups = _anticlique_subgroups(matrix, family.all_masks())
+    q, qm1 = IntPolynomial.x(), IntPolynomial.from_coeffs([-1, 1])
+    total, modulus = IntPolynomial.zero(), 1
+    for k, level in enumerate(family.by_cardinality):
+        weight = sum(subgroups[i_mask].order for i_mask in level)
+        modulus = lcm(modulus, *(subgroups[i_mask].exponent for i_mask in level))
+        level_poly = (q**k) * (qm1 ** (matrix.d - 2 * k)) * IntPolynomial.from_coeffs([weight])
+        total = total + level_poly
+    return total, modulus
+
+
 def rows_at(cx: CochainComplexQ, p: int) -> list[Row]:
     """The differential of cx out of position p, as rows over its basis."""
     rows: list[Row] = [dict() for _ in range(cx.dim(p + 1))]

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -32,6 +33,7 @@ from conftest import (
     corpus,
     full_rank_corpus,
     interpolate_point_count,
+    point_count_by_level_products,
     random_acyclic_matrix,
 )
 
@@ -170,6 +172,112 @@ def test_brute_force_equals_the_row_scanning_count():
             )
             compared += 1
     assert compared == 3 * (len(full_rank_corpus()) + 3)
+
+
+def _exchange_sides_cancel(rows, j, x, q) -> bool:
+    """prod x_i^{[B~_ij]+} + prod x_i^{[-B~_ij]+} = 0 in F_q."""
+    pos = neg = 1
+    for i, row in enumerate(rows):
+        if row[j] > 0:
+            pos *= pow(x[i], row[j], q)
+        elif row[j] < 0:
+            neg *= pow(x[i], -row[j], q)
+    return (pos + neg) % q == 0
+
+
+def _factoring_cases(matrix, q) -> set[str]:
+    """The cases of a count factored over independent equations that
+    (matrix, q) reaches, read off the matrix entries: for each zero set Z,
+    the equations j in Z, each reading the rows i outside Z with B~_ij
+    nonzero, joined into groups while their read rows meet, and a group
+    with no solution found by evaluating its equations on every tuple of
+    nonzero values of its read rows, Z held at 0."""
+    n, d, rows = matrix.n, matrix.d, matrix.rows
+    cases = {"q = 2"} if q == 2 else set()
+    for z_mask in range(1 << n):
+        zeros = [j for j in range(n) if z_mask >> j & 1]
+        outside = {j: {i for i in range(d) if rows[i][j] and not z_mask >> i & 1} for j in zeros}
+        if any(not read for read in outside.values()):
+            cases.add("an equation reads no coordinate outside Z")
+        if any(abs(rows[i][j]) >= q for j in zeros for i in range(d)):
+            cases.add("an exponent |b| >= q")
+        if any(sum(1 for j in zeros if rows[i][j]) >= 2 for i in range(n, d)):
+            cases.add("a frozen row read by two equations")
+        groups: list[tuple[list[int], set[int]]] = []
+        for j in zeros:
+            joined, read = [j], set(outside[j])
+            meeting = [g for g in groups if g[1] & read]
+            if len(meeting) >= 2:
+                cases.add("an equation joins two groups")
+            for group in meeting:
+                groups.remove(group)
+                joined += group[0]
+                read |= group[1]
+            groups.append((joined, read))
+        if len(groups) >= 2:
+            cases.add("Z splits into two or more groups")
+        for joined, read in groups:
+            order = sorted(read)
+            solved = False
+            for values in itertools.product(range(1, q), repeat=len(order)):
+                x = [0] * d
+                for i, v in zip(order, values):
+                    x[i] = v
+                if all(_exchange_sides_cancel(rows, j, x, q) for j in joined):
+                    solved = True
+                    break
+            if not solved:
+                cases.add("a group with no solution")
+    return cases
+
+
+FACTORING_CASES = {
+    "q = 2",
+    "an equation reads no coordinate outside Z",
+    "an exponent |b| >= q",
+    "a frozen row read by two equations",
+    "Z splits into two or more groups",
+    "a group with no solution",
+    "an equation joins two groups",
+}
+
+# edgeless, with frozen rows read by equations 0 and 2 and by 1 and 2: at
+# Z = {0, 1, 2} equation 2 joins the groups of equations 0 and 1
+BRIDGED = validate([[0, 0, 0], [0, 0, 0], [0, 0, 0], [1, 0, 1], [0, 1, 1]], 3, 2)
+
+
+def test_brute_force_factored_matches_the_unfactored_count():
+    # the count multiplies the solution counts of equations that share no
+    # read coordinate; the row-scanning reference enumerates every read
+    # coordinate of Z at once
+    rng = random.Random(34)
+    matrices = [random_acyclic_matrix(rng, 4, 3, 4, full_rank=False) for _ in range(40)]
+    matrices += [M22, ISOLATED_2_6, BRIDGED]
+    matrices.append(_scaled_frozen(principal_from_graph(star_graph(3)), 2))
+    seen: set[str] = set()
+    compared = 0
+    for matrix in matrices:
+        for q in (2, 3, 5, 7):
+            if q**matrix.n * (q - 1) ** matrix.m > 20_000:
+                continue
+            assert brute_force_count(matrix, q) == brute_force_by_row_scan(matrix, q), (
+                matrix.rows,
+                q,
+            )
+            seen |= _factoring_cases(matrix, q)
+            compared += 1
+    assert seen == FACTORING_CASES
+    assert compared > 100
+
+
+def test_point_count_equals_the_level_products():
+    # one coefficient list by the binomial theorem, against the sum of
+    # IntPolynomial powers and products level by level
+    matrices = [*full_rank_corpus(), M22, ISOLATED_2_6, CYCLIC_12]
+    assert any(matrix.m == 0 for matrix in matrices)
+    for matrix in matrices:
+        pc = point_count_poly(matrix)
+        assert (pc.polynomial, pc.modulus) == point_count_by_level_products(matrix), matrix.rows
 
 
 def test_brute_force_weighted_congruence():
