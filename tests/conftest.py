@@ -7,7 +7,12 @@ import pytest
 
 from clusterhodge.counts import _is_prime, brute_force_count
 from clusterhodge.errors import ColumnsDependent, ConsistencyError
-from clusterhodge.exchange import ExtendedExchangeMatrix, underlying_graph, validate
+from clusterhodge.exchange import (
+    ExtendedExchangeMatrix,
+    _anticlique_subgroups,
+    underlying_graph,
+    validate,
+)
 from clusterhodge.exterior import ExteriorForm, bits, mask_of
 from clusterhodge.graphs import AnticliqueFamily, Graph, _InducedComplexes, anticliques
 from clusterhodge.gysin import GModuleBasis, PositionLabels
@@ -505,8 +510,6 @@ def point_count_by_level_products(matrix: ExtendedExchangeMatrix) -> tuple[IntPo
     from ``IntPolynomial`` powers and products, w_k the sum of |X*(I)| over
     the level and the modulus the lcm of their exponents: the reference for
     the count that expands each level by the binomial theorem."""
-    from clusterhodge.exchange import _anticlique_subgroups
-
     family = anticliques(underlying_graph(matrix))
     subgroups = _anticlique_subgroups(matrix, family.all_masks())
     q, qm1 = IntPolynomial.x(), IntPolynomial.from_coeffs([-1, 1])
