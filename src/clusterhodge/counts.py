@@ -21,7 +21,6 @@ from the quiver's anticliques.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from math import comb, lcm
 
@@ -44,12 +43,22 @@ from .poly import IntPolynomial
 ENUMERATION_GUARD = 10**8
 
 
-@dataclass(frozen=True)
 class PointCountResult:
     """#A(F_q) as a polynomial in q, valid for primes q = 1 mod 2*modulus."""
 
-    polynomial: IntPolynomial
-    modulus: int  # the count is proven for primes q = 1 mod 2*modulus
+    __slots__ = ("polynomial", "modulus")
+
+    def __init__(self, polynomial: IntPolynomial, modulus: int):
+        self.polynomial = polynomial
+        self.modulus = modulus  # the count is proven for primes q = 1 mod 2*modulus
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.polynomial == other.polynomial and self.modulus == other.modulus
+
+    def __hash__(self):
+        return hash((self.polynomial, self.modulus))
 
     def __call__(self, q: int) -> int:
         return self.polynomial(q)
@@ -232,16 +241,26 @@ def brute_force_count(matrix: ExtendedExchangeMatrix, q: int) -> int:
 # graph statistics
 
 
-@dataclass(frozen=True)
 class GraphStats:
     """Invariants of a graph that the small-weight E_1 formulas read."""
 
-    components: int  # number of connected components
-    isolated: int  # components that are isolated vertices
-    degrees: tuple[int, ...]
-    e_increments: tuple[int, ...]  # components gained when deleting a vertex
-    triangles: int
-    h1: int  # dim H^1 = |E| - |V| + components
+    __slots__ = ("components", "isolated", "degrees", "e_increments", "triangles", "h1")
+
+    def __init__(
+        self,
+        components: int,
+        isolated: int,
+        degrees: tuple[int, ...],
+        e_increments: tuple[int, ...],
+        triangles: int,
+        h1: int,
+    ):
+        self.components = components  # number of connected components
+        self.isolated = isolated  # components that are isolated vertices
+        self.degrees = degrees
+        self.e_increments = e_increments  # components gained when deleting a vertex
+        self.triangles = triangles
+        self.h1 = h1  # dim H^1 = |E| - |V| + components
 
 
 def graph_stats(graph: Graph) -> GraphStats:
@@ -310,20 +329,38 @@ def closed_form_s_le_3(matrix: ExtendedExchangeMatrix) -> dict[tuple[int, int], 
 # the consistency suite
 
 
-@dataclass
 class CheckResult:
     """One consistency check: its name, PASS / FAIL / SKIP and a detail."""
 
-    name: str
-    status: str  # PASS / FAIL / SKIP
-    detail: str = ""
+    __slots__ = ("name", "status", "detail")
+
+    def __init__(self, name: str, status: str, detail: str = ""):
+        self.name = name
+        self.status = status  # PASS / FAIL / SKIP
+        self.detail = detail
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.name == other.name
+            and self.status == other.status
+            and self.detail == other.detail
+        )
 
 
-@dataclass
 class SuiteReport:
     """The results of ``consistency_suite``, in the order the checks ran."""
 
-    checks: list[CheckResult]
+    __slots__ = ("checks",)
+
+    def __init__(self, checks: list[CheckResult]):
+        self.checks = checks
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.checks == other.checks
 
     @property
     def failed(self) -> bool:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from graphlib import CycleError, TopologicalSorter
@@ -32,13 +31,24 @@ from .graphs import Graph
 from .linalg import Echelon, SmithNormalForm, smith_normal_form, solve_in_span
 
 
-@dataclass(frozen=True)
 class ExtendedExchangeMatrix:
-    """An (n+m) x n integer matrix: a skew-symmetric top block over m frozen rows."""
+    """An (n+m) x n integer matrix: a skew-symmetric top block over m frozen
+    rows; immutable by convention."""
 
-    n: int
-    m: int
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ("n", "m", "rows")
+
+    def __init__(self, n: int, m: int, rows: tuple[tuple[int, ...], ...]):
+        self.n = n
+        self.m = m
+        self.rows = rows
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.m == other.m and self.rows == other.rows
+
+    def __hash__(self):
+        return hash((self.n, self.m, self.rows))
 
     @property
     def d(self) -> int:
@@ -72,7 +82,6 @@ def validate(matrix, n: int, m: int) -> ExtendedExchangeMatrix:
     return ExtendedExchangeMatrix(n, m, tuple(tuple(r) for r in rows))
 
 
-@dataclass(frozen=True)
 class RationalExchangeMatrix:
     """Same shape contract as the integer matrix, but rational entries.
 
@@ -80,9 +89,12 @@ class RationalExchangeMatrix:
     the complex machinery accepts them interchangeably.
     """
 
-    n: int
-    m: int
-    rows: tuple[tuple[Fraction, ...], ...]
+    __slots__ = ("n", "m", "rows")
+
+    def __init__(self, n: int, m: int, rows: tuple[tuple[Fraction, ...], ...]):
+        self.n = n
+        self.m = m
+        self.rows = rows
 
     @property
     def d(self) -> int:
@@ -113,12 +125,14 @@ def mutate(matrix: ExtendedExchangeMatrix, k: int) -> ExtendedExchangeMatrix:
     return ExtendedExchangeMatrix(matrix.n, matrix.m, tuple(new))
 
 
-@dataclass(frozen=True)
 class Quiver:
     """The mutable vertices and the arcs (i, j), one per pair with b_ij > 0."""
 
-    vertex_count: int
-    arcs: frozenset[tuple[int, int]]
+    __slots__ = ("vertex_count", "arcs")
+
+    def __init__(self, vertex_count: int, arcs: frozenset[tuple[int, int]]):
+        self.vertex_count = vertex_count
+        self.arcs = arcs
 
 
 def quiver(matrix: ExtendedExchangeMatrix) -> Quiver:
@@ -168,18 +182,18 @@ def rank_class(matrix: ExtendedExchangeMatrix) -> RankClass:
     return RankClass.FULL_RANK
 
 
-@dataclass(frozen=True)
 class FiniteAbelianGroup:
     """Invariant-factor presentation d_1 | d_2 | ... with every d_i >= 2."""
 
-    invariant_factors: tuple[int, ...]
+    __slots__ = ("invariant_factors",)
 
-    def __post_init__(self):
-        fs = self.invariant_factors
+    def __init__(self, invariant_factors: tuple[int, ...]):
+        fs = invariant_factors
         if any(d < 2 for d in fs):
             raise ValueError("invariant factors must be >= 2")
         if any(fs[i + 1] % fs[i] for i in range(len(fs) - 1)):
             raise ValueError("each invariant factor must divide the next")
+        self.invariant_factors = fs
 
     @property
     def order(self) -> int:
@@ -194,22 +208,34 @@ class FiniteAbelianGroup:
 # characters
 
 
-@dataclass(frozen=True)
 class Character:
     """An element of X*, as canonical residues plus an integer lift."""
 
-    coords: tuple[int, ...]  # residue per invariant factor > 1
-    lift: tuple[int, ...]  # a representative z in B~ Q^n cap Z^{n+m}
+    __slots__ = ("coords", "lift")
+
+    def __init__(self, coords: tuple[int, ...], lift: tuple[int, ...]):
+        self.coords = coords  # residue per invariant factor > 1
+        self.lift = lift  # a representative z in B~ Q^n cap Z^{n+m}
 
 
-@dataclass(frozen=True)
 class CharacterSubgroup(FiniteAbelianGroup):
     """X*(I) with one generator per invariant factor, as X* coordinates
-    modulo X*'s own factors ``moduli``."""
+    modulo X*'s own factors ``moduli``.  A ``__dict__`` holds ``elements``
+    once it is read."""
 
-    anticlique: tuple[int, ...]
-    generators: tuple[tuple[int, ...], ...]
-    moduli: tuple[int, ...]
+    __slots__ = ("anticlique", "generators", "moduli", "__dict__")
+
+    def __init__(
+        self,
+        invariant_factors: tuple[int, ...],
+        anticlique: tuple[int, ...],
+        generators: tuple[tuple[int, ...], ...],
+        moduli: tuple[int, ...],
+    ):
+        super().__init__(invariant_factors)
+        self.anticlique = anticlique
+        self.generators = generators
+        self.moduli = moduli
 
     @cached_property
     def elements(self) -> frozenset[tuple[int, ...]]:
@@ -330,20 +356,23 @@ def _anticlique_subgroups(matrix: ExtendedExchangeMatrix, masks) -> dict[int, Ch
 # reduction of a character component to a smaller plain complex
 
 
-@dataclass(frozen=True)
 class ZeroComplex:
     """Sentinel: the character component vanishes identically."""
+
+    __slots__ = ()
 
 
 ZERO_COMPLEX = ZeroComplex()
 
 
-@dataclass(frozen=True)
 class ReducedCharacter:
     """G~[chi] is the plain complex of `matrix`, shifted by (kappa, kappa)."""
 
-    kappa: int
-    matrix: ExtendedExchangeMatrix
+    __slots__ = ("kappa", "matrix")
+
+    def __init__(self, kappa: int, matrix: ExtendedExchangeMatrix):
+        self.kappa = kappa
+        self.matrix = matrix
 
 
 def reduce_character(

@@ -26,7 +26,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConsistencyError, NotAcyclic, NotPrincipal, TooLarge
@@ -46,12 +45,14 @@ from .linalg import CochainComplexQ, Echelon, SparseMatrix, morse_reduce
 # filtered complexes
 
 
-@dataclass
 class FilteredComplexQ:
     """A cochain complex with a filtration level per cell, by position."""
 
-    complex: CochainComplexQ
-    levels: list[list[int]]
+    __slots__ = ("complex", "levels")
+
+    def __init__(self, complex: CochainComplexQ, levels: list[list[int]]):
+        self.complex = complex
+        self.levels = levels
 
     def level_range(self) -> tuple[int, int]:
         flat = [l for pos in self.levels for l in pos]
@@ -103,13 +104,17 @@ def build_filtered(
 # graded pieces
 
 
-@dataclass
 class GradedPiece:
     """The level-preserving part of a filtered Gysin complex at one (D, E)."""
 
-    d_set: tuple[int, ...]
-    e_set: tuple[int, ...]
-    complex: CochainComplexQ  # position p: the Gysin labels (I, A) with |I| = p
+    __slots__ = ("d_set", "e_set", "complex")
+
+    def __init__(
+        self, d_set: tuple[int, ...], e_set: tuple[int, ...], complex: CochainComplexQ
+    ):
+        self.d_set = d_set
+        self.e_set = e_set
+        self.complex = complex  # position p: the Gysin labels (I, A) with |I| = p
 
     def cohomology_dims(self) -> dict[int, int]:
         return self.complex.cohomology_dims()
@@ -183,14 +188,30 @@ def graded_pieces(matrix: ExtendedExchangeMatrix, s: int) -> list[GradedPiece]:
 _ONE = Fraction(1)
 
 
-@dataclass
 class SpectralSequencePage:
     """Page E_r: the dims at each (e, f) and the nonzero differentials d_r."""
 
-    r: int
-    entries: dict[tuple[int, int], int]
-    # d_r at each source (e, f); only nonzero matrices are stored
-    differentials: dict[tuple[int, int], SparseMatrix]
+    __slots__ = ("r", "entries", "differentials")
+
+    def __init__(
+        self,
+        r: int,
+        entries: dict[tuple[int, int], int],
+        differentials: dict[tuple[int, int], SparseMatrix],
+    ):
+        self.r = r
+        self.entries = entries
+        # d_r at each source (e, f); only nonzero matrices are stored
+        self.differentials = differentials
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.r == other.r
+            and self.entries == other.entries
+            and self.differentials == other.differentials
+        )
 
     def entry(self, e: int, f: int) -> int:
         return self.entries.get((e, f), 0)

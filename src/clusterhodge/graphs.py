@@ -21,7 +21,6 @@ without a complex of its own.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import CycleTooSmall, NotAForest, NotAnEdge, TooLarge, VertexInX
@@ -29,22 +28,31 @@ from .exterior import bits
 from .linalg import CochainComplexQ, CohomologyBasis, SparseMatrix
 
 
-@dataclass(frozen=True)
 class Graph:
-    """A simple undirected graph on vertices 0..n_vertices-1."""
+    """A simple undirected graph on vertices 0..n_vertices-1; immutable by
+    convention.  ``adjacency[v]`` is the mask of v's neighbours, made from
+    the edges and left out of equality."""
 
-    n_vertices: int
-    edges: frozenset[tuple[int, int]]  # pairs (u, v) with u < v
-    adjacency: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    __slots__ = ("n_vertices", "edges", "adjacency")
 
-    def __post_init__(self):
-        adj = [0] * self.n_vertices
-        for u, v in self.edges:
-            if not (0 <= u < v < self.n_vertices):
+    def __init__(self, n_vertices: int, edges: frozenset[tuple[int, int]]):
+        adj = [0] * n_vertices
+        for u, v in edges:
+            if not (0 <= u < v < n_vertices):
                 raise ValueError(f"bad edge ({u}, {v})")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        object.__setattr__(self, "adjacency", tuple(adj))
+        self.n_vertices = n_vertices
+        self.edges = edges  # pairs (u, v) with u < v
+        self.adjacency = tuple(adj)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n_vertices == other.n_vertices and self.edges == other.edges
+
+    def __hash__(self):
+        return hash((self.n_vertices, self.edges))
 
     @classmethod
     def from_edges(cls, n: int, pairs) -> "Graph":
@@ -126,11 +134,13 @@ def complete_graph(v: int) -> Graph:
 # anticliques
 
 
-@dataclass(frozen=True)
 class AnticliqueFamily:
     """All independent sets of a graph, grouped by cardinality."""
 
-    by_cardinality: tuple[tuple[int, ...], ...]  # masks, sorted within a size
+    __slots__ = ("by_cardinality",)
+
+    def __init__(self, by_cardinality: tuple[tuple[int, ...], ...]):
+        self.by_cardinality = by_cardinality  # masks, sorted within a size
 
     def sizes(self) -> list[int]:
         return [len(level) for level in self.by_cardinality]
@@ -183,11 +193,13 @@ def anticliques(graph: Graph, vertex_mask: int | None = None) -> AnticliqueFamil
 # reduced cohomology
 
 
-@dataclass(frozen=True)
 class ReducedCohomology:
     """dim H~^r of an independence complex, for every r where it is nonzero."""
 
-    dims: dict[int, int]
+    __slots__ = ("dims",)
+
+    def __init__(self, dims: dict[int, int]):
+        self.dims = dims
 
     def dim(self, r: int) -> int:
         return self.dims.get(r, 0)
@@ -310,12 +322,22 @@ class _InducedComplexes:
 # closed forms: paths, cycles, forests
 
 
-@dataclass(frozen=True)
 class HomotopyType:
     """Contractible, or a sphere; Sphere(-1) is the complex {empty set}."""
 
-    contractible: bool
-    sphere_dim: int | None = None
+    __slots__ = ("contractible", "sphere_dim")
+
+    def __init__(self, contractible: bool, sphere_dim: int | None = None):
+        self.contractible = contractible
+        self.sphere_dim = sphere_dim
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.contractible == other.contractible and self.sphere_dim == other.sphere_dim
+
+    def __hash__(self):
+        return hash((self.contractible, self.sphere_dim))
 
     def __repr__(self):
         return "Contractible" if self.contractible else f"Sphere({self.sphere_dim})"

@@ -48,7 +48,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, product, repeat
 from math import comb
@@ -92,7 +91,6 @@ GYSIN_CELL_GUARD = 2**21
 # theta bases
 
 
-@dataclass(frozen=True)
 class GModuleBasis:
     """Everything one anticlique I contributes: the row set N(I), the theta
     basis over the allowed dlog's, and the substitution table.
@@ -104,12 +102,37 @@ class GModuleBasis:
     read, and share the rows that the step leaves alone.
     """
 
-    anticlique: tuple[int, ...]
-    row_selection: tuple[int, ...]  # N(I)
-    row_mask: int  # N(I) as a row mask
-    allowed: int  # the dlog's an A mask may hold: those outside I and N(I)
-    top_down: tuple[int, ...]  # the allowed dlog's as one-bit masks, highest first
-    substitution: dict[int, dict[int, Fraction | int]]
+    __slots__ = (
+        "anticlique", "row_selection", "row_mask", "allowed", "top_down", "substitution"
+    )
+
+    def __init__(
+        self,
+        anticlique: tuple[int, ...],
+        row_selection: tuple[int, ...],
+        row_mask: int,
+        allowed: int,
+        top_down: tuple[int, ...],
+        substitution: dict[int, dict[int, Fraction | int]],
+    ):
+        self.anticlique = anticlique
+        self.row_selection = row_selection  # N(I)
+        self.row_mask = row_mask  # N(I) as a row mask
+        self.allowed = allowed  # the dlog's an A mask may hold: those outside I and N(I)
+        self.top_down = top_down  # the allowed dlog's as one-bit masks, highest first
+        self.substitution = substitution
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.anticlique == other.anticlique
+            and self.row_selection == other.row_selection
+            and self.row_mask == other.row_mask
+            and self.allowed == other.allowed
+            and self.top_down == other.top_down
+            and self.substitution == other.substitution
+        )
 
     @property
     def dimension(self) -> int:
@@ -540,13 +563,20 @@ def build_gysin_complex(matrix: ExtendedExchangeMatrix, s: int) -> CochainComple
     return cx
 
 
-@dataclass(frozen=True)
 class HodgeTable:
     """dim H^{k,(s,s)} for an acyclic full-rank cluster variety."""
 
-    n: int
-    m: int
-    dims: dict[tuple[int, int], int]
+    __slots__ = ("n", "m", "dims")
+
+    def __init__(self, n: int, m: int, dims: dict[tuple[int, int], int]):
+        self.n = n
+        self.m = m
+        self.dims = dims
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.m == other.m and self.dims == other.dims
 
     @property
     def d(self) -> int:

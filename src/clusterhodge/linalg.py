@@ -49,7 +49,6 @@ saturation bases, not just invariant factors.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress
 from math import gcd, lcm
@@ -266,7 +265,6 @@ class SparseMatrix(Sequence):
 # cochain complexes of based rational vector spaces
 
 
-@dataclass
 class CochainComplexQ:
     """Positions 0..P with labeled bases; differentials stored column-wise.
 
@@ -275,15 +273,22 @@ class CochainComplexQ:
     linear algebra: Gysin complexes label by (anticlique, A) mask pairs,
     simplicial cochain complexes by faces.  ``matching[p]``, where present,
     pairs cells c of position p with cells t of position p+1 joined by a unit
-    entry columns[p][c][t] = +-1, for ``morse_reduce``.  Building a complex
-    checks nothing: ``verify_d2``, or the Morse reducer, checks d^2 = 0.
+    entry columns[p][c][t] = +-1, for ``morse_reduce``; it defaults to a
+    fresh empty list.  Building a complex checks nothing: ``verify_d2``, or
+    the Morse reducer, checks d^2 = 0.
     """
 
-    labels: list[list]
-    columns: list[list[Row]]
-    matching: list[dict[int, int]] = field(
-        default_factory=list, compare=False, repr=False
-    )
+    __slots__ = ("labels", "columns", "matching")
+
+    def __init__(
+        self,
+        labels: list[list],
+        columns: list[list[Row]],
+        matching: list[dict[int, int]] | None = None,
+    ):
+        self.labels = labels
+        self.columns = columns
+        self.matching = [] if matching is None else matching
 
     def dim(self, p: int) -> int:
         if 0 <= p < len(self.labels):
@@ -454,10 +459,13 @@ def morse_reduce_positions(
     the empty Morse image, made without ``_morse_image``.  A pair whose
     entry is not +-1 (a matched cell or target outside its position, or any
     at the top, too), a cell matched twice or a cycle raises
-    ConsistencyError, as d^2 != 0 does.  The Morse complex has the same
-    cohomology as the input.  Last, d^2 = 0 is checked on the Morse complex
-    (clearing ranks exactly only then), and its Euler characteristic against
-    the input's cell counts.
+    ConsistencyError, as d^2 != 0 does, and so does a key outside the next
+    position that the d^2 push reads past its end or a Morse image would
+    drop; neither check reads a key that a well-formed complex would not
+    read anyway.  The Morse complex has the same cohomology as the input.
+    Last, d^2 = 0 is checked on the Morse complex (clearing ranks exactly
+    only then), and its Euler characteristic against the input's cell
+    counts.
     """
     labels: list[list] = []
     columns: list[list[Row]] = []
@@ -472,7 +480,10 @@ def morse_reduce_positions(
     for p, (pos_labels, cols, up) in enumerate(positions):
         euler += -len(pos_labels) if p & 1 else len(pos_labels)
         if cols_below is not None and cols is not None:
-            _check_square(cols_below, cols, pushed_below)
+            try:
+                _check_square(cols_below, cols, pushed_below)
+            except IndexError:  # a pushed key past position p
+                raise ConsistencyError(f"d_{p - 1} has an entry outside position {p}") from None
         partner = {t: c for c, t in up_below.items()}  # matched target -> partner
         if len(partner) != len(up_below) or not partner.keys().isdisjoint(up):
             raise ConsistencyError("a cell is matched twice")
@@ -491,10 +502,13 @@ def morse_reduce_positions(
         cells = list(compress(range(len(pos_labels)), unmatched))
         critical = {c: k for k, c in enumerate(cells)}
         if cols_below is not None:
-            flows = _flows(cols_below, partner, critical, critical_below)
+            size = len(pos_labels)
+            flows = _flows(cols_below, partner, critical, critical_below, size)
             columns.append(
                 [
-                    _morse_image(col, None, critical, flows, 1) if (col := cols_below[c]) else {}
+                    _morse_image(col, None, critical, flows, 1, size)
+                    if (col := cols_below[c])
+                    else {}
                     for c in critical_below
                 ]
             )
@@ -509,11 +523,17 @@ def morse_reduce_positions(
 
 
 def _morse_image(
-    col: Row, t: int | None, critical: dict[int, int], flows: dict[int, Row], scale: int
+    col: Row,
+    t: int | None,
+    critical: dict[int, int],
+    flows: dict[int, Row],
+    scale: int,
+    size: int,
 ) -> Row:
     """scale * col, less its entry at t, over the critical places: a critical
     cell goes to its place, a matched target is replaced by its flow, and a
-    cell matched upward is dropped."""
+    cell matched upward is dropped, as is a target whose flow is zero.  A key
+    dropped must be a cell of the position, in [0, size), or ConsistencyError."""
     acc: Row = {}
     for z, v in col.items():
         k = critical.get(z)
@@ -523,6 +543,8 @@ def _morse_image(
             v *= scale
             for k, f in flow.items():
                 acc[k] = acc.get(k, 0) + v * f
+        elif not 0 <= z < size:
+            raise ConsistencyError("a differential has an entry outside the next position")
     return {k: v for k, v in acc.items() if v} if 0 in acc.values() else acc
 
 
@@ -531,8 +553,10 @@ def _flows(
     partner: dict[int, int],
     critical: dict[int, int],
     sources: dict[int, int],
+    size: int,
 ) -> dict[int, Row]:
-    """The flows of the matched targets that the columns ``sources`` reach.
+    """The flows of the matched targets that the columns ``sources`` reach;
+    ``size`` is the number of cells the columns' keys index.
 
     A flow is kept for each matched target t that a source column reaches:
     the combination of critical cells that t stands for, -d(c)[t] times the
@@ -579,7 +603,7 @@ def _flows(
                     stack.pop()
                     # the step back along (partner, t) weighs -1/u = -u for a unit u
                     flows[t] = (
-                        _morse_image(col, t, critical, flows, -col[t]) if keep else _CHECKED
+                        _morse_image(col, t, critical, flows, -col[t], size) if keep else _CHECKED
                     )
     return flows
 
@@ -649,7 +673,6 @@ def identity(k: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(k)] for i in range(k)]
 
 
-@dataclass(frozen=True)
 class SmithNormalForm:
     """S = P @ A @ Q with P, Q unimodular, and Pinv the inverse of P.
 
@@ -657,12 +680,23 @@ class SmithNormalForm:
     so ``len(diag)`` is the rank of A.
     """
 
-    diag: tuple[int, ...]
-    p: list[list[int]]
-    pinv: list[list[int]]
-    q: list[list[int]]
-    nrows: int
-    ncols: int
+    __slots__ = ("diag", "p", "pinv", "q", "nrows", "ncols")
+
+    def __init__(
+        self,
+        diag: tuple[int, ...],
+        p: list[list[int]],
+        pinv: list[list[int]],
+        q: list[list[int]],
+        nrows: int,
+        ncols: int,
+    ):
+        self.diag = diag
+        self.p = p
+        self.pinv = pinv
+        self.q = q
+        self.nrows = nrows
+        self.ncols = ncols
 
     @property
     def rank(self) -> int:

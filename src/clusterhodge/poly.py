@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 
 def _integer(c) -> int:
     if c % 1:  # also true of inf and nan
@@ -11,18 +9,26 @@ def _integer(c) -> int:
     return int(c)
 
 
-@dataclass(frozen=True)
 class IntPolynomial:
-    """A polynomial in one variable with integer coefficients, constant first."""
+    """A polynomial in one variable with integer coefficients, constant first;
+    immutable by convention."""
 
-    coefficients: tuple[int, ...]  # no trailing zeros
+    __slots__ = ("coefficients",)
 
-    def __post_init__(self):
+    def __init__(self, coefficients: tuple[int, ...]):
         """Raises ValueError on a coefficient that is not an integer."""
-        cs = tuple(map(_integer, self.coefficients))
+        cs = tuple(map(_integer, coefficients))
         while cs and cs[-1] == 0:
             cs = cs[:-1]
-        object.__setattr__(self, "coefficients", cs)
+        self.coefficients = cs  # no trailing zeros
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coefficients == other.coefficients
+
+    def __hash__(self):
+        return hash((self.coefficients,))
 
     @classmethod
     def from_coeffs(cls, coeffs) -> "IntPolynomial":

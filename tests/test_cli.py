@@ -580,15 +580,17 @@ def test_check_exits_1_when_d_squared_fails(tmp_path, capsys, monkeypatch):
 def test_check_exits_1_when_a_row_set_grows_by_other_than_one_row(tmp_path, capsys, monkeypatch):
     # N(I u j) must be N(I) plus one row; with the rows of each vertex's
     # record dropped, the block {} -> {j} finds none
-    from dataclasses import replace
-
-    from clusterhodge.gysin import GysinBuilder, hodge_table
+    from clusterhodge.gysin import GModuleBasis, GysinBuilder, hodge_table
 
     original = GysinBuilder.basis
 
     def rowless(self, i_mask):
-        record = original(self, i_mask)
-        return replace(record, row_mask=0) if i_mask.bit_count() == 1 else record
+        r = original(self, i_mask)
+        if i_mask.bit_count() != 1:
+            return r
+        return GModuleBasis(
+            r.anticlique, r.row_selection, 0, r.allowed, r.top_down, r.substitution
+        )
 
     monkeypatch.setattr(GysinBuilder, "basis", rowless)
     with pytest.raises(ConsistencyError, match="plus one row"):

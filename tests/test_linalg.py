@@ -446,19 +446,29 @@ def test_verify_d2_checks_replaced_columns_again():
         cx.verify_d2()
 
 
-@pytest.mark.parametrize(
-    "labels, columns",
-    [
-        ([["x"], ["y"], ["z"]], [[{5: 1}], [{0: 1}]]),  # past the next position
-        ([["x"], ["y"]], [[{3: 1}]]),  # in the top differential
-        ([["x"], ["y"], ["z"]], [[{-1: 1}], [{0: 1}]]),  # negative
-        ([["x"], ["y"]], [[{0: 1}], [{0: 1}]]),  # out of the top position
-    ],
-    ids=["past-next", "top-differential", "negative", "past-top"],
-)
+KEYS_OUTSIDE = {
+    "past-next": ([["x"], ["y"], ["z"]], [[{5: 1}], [{0: 1}]]),
+    "top-differential": ([["x"], ["y"]], [[{3: 1}]]),
+    "negative": ([["x"], ["y"], ["z"]], [[{-1: 1}], [{0: 1}]]),
+    "past-top": ([["x"], ["y"]], [[{0: 1}], [{0: 1}]]),  # out of the top position
+}
+
+
+@pytest.mark.parametrize("labels, columns", KEYS_OUTSIDE.values(), ids=KEYS_OUTSIDE)
 def test_verify_d2_refuses_a_key_outside_the_next_position(labels, columns):
     with pytest.raises(ConsistencyError, match="has an entry outside position"):
         CochainComplexQ(labels, columns).verify_d2()
+
+
+@pytest.mark.parametrize(
+    "labels, columns",
+    # the last key, read from the end, would be w, whose column is empty
+    [*KEYS_OUTSIDE.values(), ([["x"], ["y", "w"], ["z"]], [[{-1: 1}], [{0: 1}, {}]])],
+    ids=[*KEYS_OUTSIDE, "negative-onto-an-empty-column"],
+)
+def test_morse_reduce_refuses_a_key_outside_the_next_position(labels, columns):
+    with pytest.raises(ConsistencyError):
+        morse_reduce(CochainComplexQ(labels, columns))
 
 
 def test_cohomology_dims_refuses_a_negative_dimension():
