@@ -12,7 +12,8 @@ import time
 
 from clusterhodge.exchange import principal_from_graph
 from clusterhodge.graphs import star_graph
-from clusterhodge.gysin import hodge_table, standard_poincare
+from clusterhodge.gysin import hodge_table
+from clusterhodge.reference import standard_poincare
 
 
 def main():

@@ -35,7 +35,7 @@ from .exchange import (
     is_principal,
     underlying_graph,
 )
-from .exterior import bits, mask_of
+from .exterior import mask_of
 from .graphs import _InducedComplexes, mv_delta
 from .gysin import GysinBuilder, require_weight
 from .linalg import CochainComplexQ, Echelon, SparseMatrix, morse_reduce
@@ -85,8 +85,9 @@ def build_filtered(
 ) -> FilteredComplexQ:
     """Weight-s complex with level |A cap mutable| + |I|; principal only.
     It checks the levels; d^2 = 0 is left to the callers that read the
-    complex: ``spectral_sequence`` (``morse_reduce``) and ``graded_pieces``.
-    The input passes ``_admit`` before anything is built."""
+    complex: ``spectral_sequence`` (``morse_reduce``) and
+    ``reference.graded_pieces``.  The input passes ``_admit`` before
+    anything is built."""
     _admit(matrix, [s])
     builder = builder or GysinBuilder(matrix)
     cx = builder.complex_for_s(s)
@@ -98,87 +99,6 @@ def build_filtered(
     fc = FilteredComplexQ(cx, levels)
     fc.verify_levels()
     return fc
-
-
-# ---------------------------------------------------------------------------
-# graded pieces
-
-
-class GradedPiece:
-    """The level-preserving part of a filtered Gysin complex at one (D, E)."""
-
-    __slots__ = ("d_set", "e_set", "complex")
-
-    def __init__(
-        self, d_set: tuple[int, ...], e_set: tuple[int, ...], complex: CochainComplexQ
-    ):
-        self.d_set = d_set
-        self.e_set = e_set
-        self.complex = complex  # position p: the Gysin labels (I, A) with |I| = p
-
-    def cohomology_dims(self) -> dict[int, int]:
-        return self.complex.cohomology_dims()
-
-
-def graded_pieces(matrix: ExtendedExchangeMatrix, s: int) -> list[GradedPiece]:
-    """The direct summands gr G(D, E) of the associated graded at weight s.
-
-    Read off the filtered Gysin complex: the label (I, A) lies in the piece
-    with D = the frozen part of A as mutable indices and E = (A cap mutable)
-    u I, whose level |E| is the label's, and a piece keeps the entries that
-    preserve the level (the single +-1 entries from (I, A) to (I u j, A - j),
-    j not in D).  A piece must be the augmented cochain complex of the
-    anticliques of E minus D: the anticliques I at position p are the family's
-    level p, and the cohomology agrees, or ConsistencyError.  Pieces of one
-    weight share their vertex masks, so one ``_InducedComplexes`` builds each
-    independence complex once.  The filtered complex is checked for d^2 = 0
-    first, so its associated graded, the pieces, squares to zero too.
-    """
-    fc = build_filtered(matrix, s)
-    cx, n = fc.complex, matrix.n
-    cx.verify_d2()
-    labels: dict[tuple[int, int], list[list[tuple[int, int]]]] = {}
-    where = {}  # Gysin label -> (piece key, index at its position)
-    for p, position in enumerate(cx.labels):
-        for i_mask, a_mask in position:
-            key = (a_mask >> n, (a_mask & ((1 << n) - 1)) | i_mask)
-            piece = labels.setdefault(key, [])
-            piece += [[] for _ in range(p + 1 - len(piece))]
-            where[(i_mask, a_mask)] = key, len(piece[p])
-            piece[p].append((i_mask, a_mask))
-    columns = {
-        key: [[{} for _ in position] for position in piece[:-1]]
-        for key, piece in labels.items()
-    }
-    for p, cols in enumerate(cx.columns):
-        for c, col in enumerate(cols):
-            key, cc = where[cx.labels[p][c]]
-            for r, v in col.items():
-                if fc.levels[p + 1][r] == fc.levels[p][c]:
-                    key2, rr = where[cx.labels[p + 1][r]]
-                    if key2 != key:
-                        raise ConsistencyError("level-preserving entry between pieces")
-                    columns[key][p][cc][rr] = v
-    induced = _InducedComplexes(underlying_graph(matrix))
-    pieces = []
-    for d_mask, e_mask in sorted(labels, key=lambda k: (k[0], bits(k[1]))):
-        key = (d_mask, e_mask)
-        piece = GradedPiece(
-            tuple(bits(d_mask)),
-            tuple(bits(e_mask)),
-            CochainComplexQ(labels[key], columns[key]),
-        )
-        x_mask = e_mask & ~d_mask
-        anticlique_labels = [[i for i, _ in pos] for pos in labels[key]]
-        if anticlique_labels != induced.complex(x_mask).labels or (
-            piece.cohomology_dims() != induced.dims(x_mask)
-        ):
-            raise ConsistencyError(
-                f"graded piece ({piece.d_set}, {piece.e_set}) "
-                "disagrees with the independence complex"
-            )
-        pieces.append(piece)
-    return pieces
 
 
 # ---------------------------------------------------------------------------

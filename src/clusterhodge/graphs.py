@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .errors import CycleTooSmall, NotAForest, NotAnEdge, TooLarge, VertexInX
+from .errors import NotAnEdge, TooLarge, VertexInX
 from .exterior import bits
 from .linalg import CochainComplexQ, CohomologyBasis, SparseMatrix
 
@@ -319,137 +319,6 @@ class _InducedComplexes:
 
 
 # ---------------------------------------------------------------------------
-# closed forms: paths, cycles, forests
-
-
-class HomotopyType:
-    """Contractible, or a sphere; Sphere(-1) is the complex {empty set}."""
-
-    __slots__ = ("contractible", "sphere_dim")
-
-    def __init__(self, contractible: bool, sphere_dim: int | None = None):
-        self.contractible = contractible
-        self.sphere_dim = sphere_dim
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.contractible == other.contractible and self.sphere_dim == other.sphere_dim
-
-    def __hash__(self):
-        return hash((self.contractible, self.sphere_dim))
-
-    def __repr__(self):
-        return "Contractible" if self.contractible else f"Sphere({self.sphere_dim})"
-
-    def cohomology(self) -> ReducedCohomology:
-        if self.contractible:
-            return ReducedCohomology({})
-        return ReducedCohomology({self.sphere_dim: 1})
-
-
-CONTRACTIBLE = HomotopyType(True)
-
-
-def Sphere(k: int) -> HomotopyType:
-    return HomotopyType(False, k)
-
-
-def join(a: HomotopyType, b: HomotopyType) -> HomotopyType:
-    """Join rule: spheres add dimensions plus one; contractible absorbs."""
-    if a.contractible or b.contractible:
-        return CONTRACTIBLE
-    return Sphere(a.sphere_dim + b.sphere_dim + 1)
-
-
-def suspend(a: HomotopyType) -> HomotopyType:
-    return join(a, Sphere(0))
-
-
-def closed_form_path(n: int) -> HomotopyType:
-    """Homotopy type of the independence complex of the path of length n.
-
-    Length counts edges, matching the n = 3k / 3k+1 / 3k+2 trichotomy; the
-    degenerate n = 0 is fixed to the empty path, whose complex is {empty set}.
-    """
-    if n < 0:
-        raise ValueError("path length must be nonnegative")
-    if n == 0:
-        return Sphere(-1)
-    if n % 3 == 0:
-        return CONTRACTIBLE
-    return Sphere(n // 3)
-
-
-def closed_form_cycle(m: int) -> ReducedCohomology:
-    if m < 3:
-        raise CycleTooSmall(f"cycles need at least 3 vertices, got {m}")
-    k, rem = divmod(m, 3)
-    if rem == 0:
-        return ReducedCohomology({k - 1: 2})
-    return ReducedCohomology({k: 1}) if rem == 2 else ReducedCohomology({k - 1: 1})
-
-
-def forest_homotopy(forest: Graph) -> HomotopyType:
-    """Homotopy type of the independence complex of a forest.
-
-    Components are combined by the join rule; within a tree the pendant-path
-    reductions are applied at the parent/grandparent of a deepest leaf:
-    duplicate leaf siblings collapse, a pendant 2-path next to a pendant leaf
-    forces contractibility, twin pendant 2-paths and pendant 3-paths suspend.
-    """
-    if not forest.is_forest():
-        raise NotAForest("graph contains a cycle")
-    result = Sphere(-1)
-    for comp in forest.components():
-        result = join(result, _tree_homotopy(forest.induced(comp)))
-        if result.contractible:
-            return CONTRACTIBLE
-    return result
-
-
-def _tree_homotopy(tree: Graph) -> HomotopyType:
-    v = tree.n_vertices
-    if v == 1:
-        return CONTRACTIBLE
-    if v == 2:
-        return Sphere(0)
-    full = (1 << v) - 1
-
-    # duplicate pendant leaves collapse (rule for twin 1-paths)
-    for x in range(v):
-        leaf_nbrs = [w for w in bits(tree.adjacency[x]) if tree.degree(w) == 1]
-        if len(leaf_nbrs) >= 2:
-            return _tree_homotopy(tree.induced(full & ~(1 << leaf_nbrs[1])))
-
-    # BFS from vertex 0: the last vertex discovered is a deepest leaf.  Its
-    # parent p then has no other child, and every sibling subtree at the
-    # grandparent g is a pendant leaf or a pendant 2-path.
-    parent: dict[int, int | None] = {0: None}
-    order = [0]
-    for u in order:
-        for w in bits(tree.adjacency[u]):
-            if w not in parent:
-                parent[w] = u
-                order.append(w)
-    leaf = order[-1]
-    p = parent[leaf]
-    g = parent[p]
-    assert g is not None, "depth >= 2 after the leaf collapse above"
-    others = [w for w in bits(tree.adjacency[g]) if w not in (parent[g], p)]
-    if any(tree.degree(w) == 1 for w in others):
-        # pendant 2-path plus pendant leaf at g: contractible
-        return CONTRACTIBLE
-    if others:
-        # twin pendant 2-paths at g: remove one and suspend
-        w = others[0]
-        tip = next(x for x in bits(tree.adjacency[w]) if x != g)
-        return suspend(_tree_homotopy(tree.induced(full & ~(1 << w | 1 << tip))))
-    # pendant 3-path at parent(g): remove it and suspend
-    return suspend(_tree_homotopy(tree.induced(full & ~(1 << leaf | 1 << p | 1 << g))))
-
-
-# ---------------------------------------------------------------------------
 # the Mayer-Vietoris connecting map
 
 
@@ -542,79 +411,3 @@ def all_graphs(v: int) -> list[Graph]:
 
 def connected_graphs(v: int) -> list[Graph]:
     return [g for g in all_graphs(v) if g.is_connected()]
-
-
-def _tree_canon(graph: Graph) -> str:
-    """AHU canonical form of a free tree, rooted at its centroid(s)."""
-    verts = list(range(graph.n_vertices))
-    adj = {u: bits(graph.adjacency[u]) for u in verts}
-    if len(verts) == 1:
-        return "()"
-    # strip leaves until one or two centroids remain
-    deg = {u: len(adj[u]) for u in verts}
-    layer = [u for u in verts if deg[u] <= 1]
-    removed: set[int] = set()
-    remaining = len(verts)
-    while remaining > 2:
-        nxt = []
-        for u in layer:
-            removed.add(u)
-            remaining -= 1
-            for w in adj[u]:
-                if w not in removed:
-                    deg[w] -= 1
-                    if deg[w] == 1:
-                        nxt.append(w)
-        layer = nxt
-    centers = [u for u in verts if u not in removed]
-
-    def encode(u, par):
-        subs = sorted(encode(w, u) for w in adj[u] if w != par)
-        return "(" + "".join(subs) + ")"
-
-    if len(centers) == 1:
-        return encode(centers[0], None)
-    c1, c2 = centers
-    return "[" + "".join(sorted([encode(c1, c2), encode(c2, c1)])) + "]"
-
-
-def trees(v: int) -> list[Graph]:
-    """All free trees on v vertices, one per isomorphism class."""
-    if v < 1:
-        return []
-    current = [Graph.from_edges(1, [])]
-    for _ in range(2, v + 1):
-        seen: dict[str, Graph] = {}
-        for tree in current:
-            for attach in range(tree.n_vertices):
-                pairs = list(tree.edges) + [(attach, tree.n_vertices)]
-                cand = Graph.from_edges(tree.n_vertices + 1, pairs)
-                seen.setdefault(_tree_canon(cand), cand)
-        current = list(seen.values())
-    return current
-
-
-def forests(max_vertices: int) -> list[Graph]:
-    """All forests with at most max_vertices vertices, one per iso class."""
-    tree_lists = {k: trees(k) for k in range(1, max_vertices + 1)}
-    out = [Graph.from_edges(0, [])]
-
-    def build(parts: list[Graph]) -> Graph:
-        total = sum(t.n_vertices for t in parts)
-        pairs = []
-        offset = 0
-        for t in parts:
-            pairs += [(u + offset, w + offset) for u, w in t.edges]
-            offset += t.n_vertices
-        return Graph.from_edges(total, pairs)
-
-    def extend(parts, min_size, min_index, budget):
-        if parts:
-            out.append(build(parts))
-        for size in range(min_size, budget + 1):
-            start = min_index if size == min_size else 0
-            for idx in range(start, len(tree_lists[size])):
-                extend(parts + [tree_lists[size][idx]], size, idx, budget - size)
-
-    extend([], 1, 0, max_vertices)
-    return out

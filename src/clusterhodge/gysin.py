@@ -56,11 +56,8 @@ from .errors import (
     ColumnsDependent,
     ConsistencyError,
     NotAcyclic,
-    NotAnEdge,
     NotAnticlique,
-    NotConnected,
     NotFullRank,
-    NotPrincipal,
     NotReallyFullRank,
     TooLarge,
 )
@@ -71,11 +68,10 @@ from .exchange import (
     _anticlique_subgroups,
     _reduce_support,
     is_acyclic,
-    is_principal,
     rank_class,
     underlying_graph,
 )
-from .exterior import ExteriorForm, bits, mask_of
+from .exterior import bits
 from .graphs import anticliques
 from .linalg import CochainComplexQ, Position, morse_reduce_positions
 from .poly import IntPolynomial
@@ -221,6 +217,11 @@ class GysinBuilder:
     # -- one record per anticlique -------------------------------------------
 
     def require_anticlique(self, i_mask: int) -> None:
+        """Refuse with NotAnticlique a mask outside [0, 2^n) or one whose
+        vertices are not independent."""
+        n = self.graph.n_vertices
+        if not 0 <= i_mask < 1 << n:
+            raise NotAnticlique(f"mask {i_mask} is outside [0, 2^{n})")
         if not self.graph.is_independent(i_mask):
             raise NotAnticlique(f"{sorted(bits(i_mask))} is not an anticlique")
 
@@ -522,11 +523,6 @@ class GysinBuilder:
 # public operations
 
 
-def alpha(matrix: ExtendedExchangeMatrix, j: int) -> ExteriorForm:
-    """The one-form sum_r B~_{rj} dlog x_r attached to a mutable index."""
-    return ExteriorForm({1 << r: matrix.rows[r][j] for r in range(matrix.d)})
-
-
 def require_weight(matrix: ExtendedExchangeMatrix, s: int) -> None:
     """Refuse with ValueError a weight s outside [0, d]."""
     if not 0 <= s <= matrix.d:
@@ -745,64 +741,3 @@ def _table_rank_class_and_subgroups(
         table.check_support_bounds()
         table.check_top_class()
     return table, rc, subgroups
-
-
-def standard_poincare(matrix: ExtendedExchangeMatrix) -> IntPolynomial:
-    """Diagonal Poincare polynomial of a connected principal-coefficients case.
-
-    Counts the basis gamma^j ^ (wedge of dlog y_k over k in K) with
-    j + |K| <= n, living in degree 2j + |K|.
-    """
-    if not is_principal(matrix):
-        raise NotPrincipal("standard basis needs principal coefficients")
-    if not underlying_graph(matrix).is_connected():
-        raise NotConnected("standard basis formula needs a connected quiver")
-    n = matrix.n
-    coeffs = [0] * (2 * n + 1)
-    for j in range(n + 1):
-        for ksize in range(n - j + 1):
-            coeffs[2 * j + ksize] += comb(n, ksize)
-    return IntPolynomial.from_coeffs(coeffs)
-
-
-def gsv_form(matrix: ExtendedExchangeMatrix, component) -> ExteriorForm:
-    """GSV two-form of a connected component, skew-completed by zeros.
-
-    Uses the completion B^ with first n columns equal to the exchange matrix
-    and zeros in the frozen-by-frozen corner, restricted to the component's
-    mutable indices and all frozen indices.
-    """
-    graph = underlying_graph(matrix)
-    comp_mask = mask_of(component)
-    if comp_mask not in graph.components():
-        raise NotConnected(f"{sorted(bits(comp_mask))} is not a connected component")
-    verts = bits(comp_mask)
-    terms: dict[int, int] = {}
-    for i in verts:
-        for jv in verts:
-            if i < jv and matrix.rows[i][jv]:
-                terms[(1 << i) | (1 << jv)] = matrix.rows[i][jv]
-        for r in range(matrix.n, matrix.d):
-            if matrix.rows[r][i]:
-                key = (1 << i) | (1 << r)
-                terms[key] = terms.get(key, 0) - matrix.rows[r][i]
-    return ExteriorForm(terms)
-
-
-def edge_class_cochain(
-    matrix: ExtendedExchangeMatrix, a: int, b: int, builder: GysinBuilder | None = None
-) -> dict[int, Fraction | int]:
-    """The cocycle theta({a}, {b}) at position 1 of the weight-2 complex, as
-    its coordinates there: I = {b}'s first cell and A masks are read off
-    the position's ``PositionLabels``, made as ``stream_for_s`` makes them."""
-    graph = underlying_graph(matrix)
-    if not graph.has_edge(a, b):
-        raise NotAnEdge(f"({a}, {b}) is not an edge of the quiver graph")
-    builder = builder or GysinBuilder(matrix)
-    level = builder.family.by_cardinality[1]
-    labels = PositionLabels(level, [builder.basis(i).masks_of_degree(2) for i in level])
-    k = level.index(1 << b)
-    cell = {mask: labels.starts[k] + i for i, mask in enumerate(labels.masks[k])}
-    # dlog x_a with a in N(I) is replaced by its substitution
-    terms = builder.basis(1 << b).substitution.get(a, {1 << a: 1})
-    return {cell[mask]: coeff for mask, coeff in terms.items()}

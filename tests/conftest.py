@@ -13,11 +13,12 @@ from clusterhodge.exchange import (
     underlying_graph,
     validate,
 )
-from clusterhodge.exterior import ExteriorForm, bits, mask_of
+from clusterhodge.exterior import bits, mask_of
 from clusterhodge.graphs import AnticliqueFamily, Graph, _InducedComplexes, anticliques
 from clusterhodge.gysin import GModuleBasis, PositionLabels
 from clusterhodge.linalg import CochainComplexQ, Echelon, Row, nullspace
 from clusterhodge.poly import IntPolynomial
+from clusterhodge.reference import ExteriorForm
 
 
 def random_acyclic_matrix(

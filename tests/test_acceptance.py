@@ -25,16 +25,19 @@ from clusterhodge.graphs import (
     anticliques,
     connected_graphs,
     cycle_graph,
-    forests,
-    closed_form_cycle,
-    closed_form_path,
-    forest_homotopy,
     path_graph,
     reduced_cohomology,
     star_graph,
 )
-from clusterhodge.gysin import GysinBuilder, hodge_table, standard_poincare
+from clusterhodge.gysin import GysinBuilder, hodge_table
 from clusterhodge.poly import IntPolynomial
+from clusterhodge.reference import (
+    closed_form_cycle,
+    closed_form_path,
+    forest_homotopy,
+    forests,
+    standard_poincare,
+)
 
 from conftest import corpus, full_rank_corpus, seeded_orientation
 

@@ -1,12 +1,8 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clusterhodge.exterior import (
-    ExteriorForm,
-    bits,
-    mask_of,
-    wedge_sign,
-)
+from clusterhodge.exterior import bits, mask_of
+from clusterhodge.reference import ExteriorForm, wedge_sign
 
 from conftest import submasks, wedge_all
 

@@ -25,7 +25,6 @@ from clusterhodge.filtration import (
     _reduction_pairs,
     build_filtered,
     e1_page,
-    graded_pieces,
     observed_collapse_page,
     spectral_sequence,
 )
@@ -41,6 +40,7 @@ from clusterhodge.graphs import (
 from clusterhodge.gysin import CochainComplexQ, GysinBuilder, build_gysin_complex, hodge_table
 from clusterhodge.io import load_matrix
 from clusterhodge.linalg import Echelon, nullspace, rank, solve_in_span
+from clusterhodge.reference import graded_pieces
 
 from conftest import (
     CohomologyClasses,

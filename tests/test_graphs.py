@@ -14,27 +14,29 @@ from clusterhodge.errors import CycleTooSmall, NotAForest, NotAnEdge, TooLarge, 
 from clusterhodge.graphs import (
     ANTICLIQUE_GUARD,
     _InducedComplexes,
-    CONTRACTIBLE,
     Graph,
-    Sphere,
     all_graphs,
     anticliques,
     augmented_cochain_complex,
-    closed_form_cycle,
-    closed_form_path,
     complete_graph,
     connected_graphs,
     cycle_graph,
-    forest_homotopy,
-    forests,
-    join,
     mv_delta,
     path_graph,
     reduced_cohomology,
     star_graph,
-    trees,
 )
 from clusterhodge.linalg import CohomologyBasis, rank
+from clusterhodge.reference import (
+    CONTRACTIBLE,
+    Sphere,
+    closed_form_cycle,
+    closed_form_path,
+    forest_homotopy,
+    forests,
+    join,
+    trees,
+)
 
 
 def test_anticliques_examples():

@@ -1,12 +1,16 @@
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb
 from pathlib import Path
 
 import pytest
 
+import clusterhodge
 from clusterhodge.cli import main
 from clusterhodge.counts import consistency_suite, point_count_poly
 from clusterhodge.errors import (
@@ -33,8 +37,8 @@ from clusterhodge.exchange import (
     underlying_graph,
     validate,
 )
-from clusterhodge.exterior import ExteriorForm, bits, mask_of, wedge_sign
-from clusterhodge.filtration import build_filtered, e1_page, graded_pieces, spectral_sequence
+from clusterhodge.exterior import bits, mask_of
+from clusterhodge.filtration import build_filtered, e1_page, spectral_sequence
 from clusterhodge.graphs import (
     Graph,
     anticliques,
@@ -48,12 +52,8 @@ from clusterhodge.gysin import (
     GYSIN_CELL_GUARD,
     GysinBuilder,
     HodgeTable,
-    alpha,
     build_gysin_complex,
-    edge_class_cochain,
-    gsv_form,
     hodge_table,
-    standard_poincare,
 )
 from clusterhodge.io import render_matrix_text
 from clusterhodge.linalg import (
@@ -65,6 +65,15 @@ from clusterhodge.linalg import (
     rank,
 )
 from clusterhodge.poly import IntPolynomial
+from clusterhodge.reference import (
+    ExteriorForm,
+    alpha,
+    edge_class_cochain,
+    graded_pieces,
+    gsv_form,
+    standard_poincare,
+    wedge_sign,
+)
 
 from conftest import (
     CYCLIC_12,
@@ -103,6 +112,50 @@ def test_alpha_examples():
     # ... and basing G^I on the zero column fails downstream
     with pytest.raises(ColumnsDependent):
         GysinBuilder(zero_col).basis(0b10)
+
+
+@pytest.mark.parametrize("j", [-1, 3])
+def test_alpha_refuses_an_index_outside_the_mutable_range(j):
+    with pytest.raises(ValueError, match=rf"j={j} outside \[0, 3\)"):
+        alpha(principal_from_graph(path_graph(3)), j)
+
+
+P3_BUILDER = "GysinBuilder(principal_from_graph(path_graph(3)))"
+
+
+@pytest.mark.parametrize(
+    "call, refusal",
+    [
+        ("bits(-1)", "ValueError: negative mask -1"),
+        ("path_graph(3).is_independent(-1)", "ValueError: negative mask -1"),
+        ("path_graph(3).induced(-1)", "ValueError: negative mask -1"),
+        (f"{P3_BUILDER}.basis(-1)", "NotAnticlique: mask -1 is outside [0, 2^3)"),
+        (f"{P3_BUILDER}.rho_columns(-1, 0, 1)", "NotAnticlique: mask -1 is outside [0, 2^3)"),
+        (f"{P3_BUILDER}.basis(8)", "NotAnticlique: mask 8 is outside [0, 2^3)"),
+    ],
+    ids=["bits", "is_independent", "induced", "basis", "rho_columns", "basis-past-n"],
+)
+def test_a_mask_outside_the_vertex_set_is_refused(call, refusal):
+    # the lowest-bit walk over a negative mask never ends, so each call runs
+    # in a fresh interpreter that the timeout stops if it does not return
+    src = str(Path(clusterhodge.__file__).parents[1])
+    code = (
+        "from clusterhodge import GysinBuilder, principal_from_graph\n"
+        "from clusterhodge.exterior import bits\n"
+        "from clusterhodge.graphs import path_graph\n"
+        "try:\n"
+        f"    {call}\n"
+        "except Exception as exc:\n"
+        "    print(f'{type(exc).__name__}: {exc}')\n"
+    )
+    ran = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=20,
+    )
+    assert (ran.returncode, ran.stdout, ran.stderr) == (0, refusal + "\n", "")
 
 
 def test_choose_n_principal_is_identity_rows():

@@ -1,6 +1,8 @@
-"""The package's record classes: constructors, fields, equality, import cost."""
+"""The package's record classes: constructors, fields, equality, import cost
+and what the import loads."""
 
 import copy
+import json
 import os
 import subprocess
 import sys
@@ -21,11 +23,12 @@ from clusterhodge.exchange import (
     ReducedCharacter,
     ZeroComplex,
 )
-from clusterhodge.filtration import FilteredComplexQ, GradedPiece, SpectralSequencePage
-from clusterhodge.graphs import AnticliqueFamily, Graph, HomotopyType, ReducedCohomology
+from clusterhodge.filtration import FilteredComplexQ, SpectralSequencePage
+from clusterhodge.graphs import AnticliqueFamily, Graph, ReducedCohomology
 from clusterhodge.gysin import GModuleBasis, HodgeTable
 from clusterhodge.linalg import CochainComplexQ, SmithNormalForm, SparseMatrix
 from clusterhodge.poly import IntPolynomial
+from clusterhodge.reference import GradedPiece, HomotopyType
 
 
 def _complex():
@@ -191,3 +194,45 @@ def test_the_import_generates_no_code():
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, timeout=60
     )
     assert (ran.returncode, ran.stdout, ran.stderr) == (0, "[]\n", "")
+
+
+# read from the package, each loads clusterhodge.reference on first use
+LAZY = (
+    "ExteriorForm",
+    "alpha",
+    "closed_form_cycle",
+    "closed_form_path",
+    "edge_class_cochain",
+    "forest_homotopy",
+    "graded_pieces",
+    "gsv_form",
+    "standard_poincare",
+)
+
+
+def test_the_import_leaves_the_reference_code_out():
+    # a fresh interpreter without site-packages imports the package and the
+    # six modules the benchmark imports, then reads the lazy names
+    src = str(Path(clusterhodge.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = f"""
+import importlib, json, sys
+import clusterhodge
+for name in ("exchange", "linalg", "graphs", "gysin", "filtration", "counts"):
+    importlib.import_module("clusterhodge." + name)
+loaded = sorted({{"clusterhodge.reference", "clusterhodge.cli", "clusterhodge.io"}} & sys.modules.keys())
+import clusterhodge.reference as reference
+same = [name for name in {LAZY!r} if getattr(clusterhodge, name) is getattr(reference, name)]
+star = {{}}
+exec("from clusterhodge import *", star)
+del star["__builtins__"]
+print(json.dumps([loaded, same, sorted(star), sorted(clusterhodge.__all__)]))
+"""
+    ran = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (ran.returncode, ran.stderr) == (0, "")
+    loaded, same, star, exported = json.loads(ran.stdout)
+    assert loaded == []
+    assert same == list(LAZY)
+    assert star == exported and len(exported) == 46 and set(LAZY) <= set(exported)
