@@ -14,7 +14,6 @@ import itertools
 import math
 from fractions import Fraction
 from functools import cached_property
-from graphlib import CycleError, TopologicalSorter
 
 from .errors import (
     ConsistencyError,
@@ -150,15 +149,27 @@ def underlying_graph(matrix: ExtendedExchangeMatrix) -> Graph:
 
 
 def is_acyclic(matrix: ExtendedExchangeMatrix) -> bool:
-    """True iff the quiver admits a topological order."""
-    order = TopologicalSorter()
-    for i, j in quiver(matrix).arcs:
-        order.add(j, i)
-    try:
-        order.prepare()
-    except CycleError:
-        return False
-    return True
+    """True iff the quiver admits a topological order.
+
+    A Kahn walk on the top block: the arcs i -> j are the entries B_ij > 0,
+    each vertex waits for its arcs in, and the quiver is acyclic exactly
+    when every vertex is reached.
+    """
+    n = matrix.n
+    heads = [[j for j, b in enumerate(matrix.rows[i]) if b > 0] for i in range(n)]
+    waiting = [0] * n
+    for out in heads:
+        for j in out:
+            waiting[j] += 1
+    ready = [v for v in range(n) if not waiting[v]]
+    reached = 0
+    while ready:
+        reached += 1
+        for j in heads[ready.pop()]:
+            waiting[j] -= 1
+            if not waiting[j]:
+                ready.append(j)
+    return reached == n
 
 
 class RankClass(enum.Enum):

@@ -64,7 +64,16 @@ class Graph:
     def degree(self, v: int) -> int:
         return self.adjacency[v].bit_count()
 
+    def require_mask(self, mask: int) -> None:
+        """Refuse with ValueError a mask that is negative or has a bit past
+        the vertex set."""
+        if mask < 0:
+            raise ValueError(f"negative mask {mask}")
+        if mask >> self.n_vertices:
+            raise ValueError(f"mask {mask} has a bit past the {self.n_vertices} vertices")
+
     def is_independent(self, mask: int) -> bool:
+        self.require_mask(mask)
         for v in bits(mask):
             if self.adjacency[v] & mask:
                 return False
@@ -72,6 +81,7 @@ class Graph:
 
     def induced(self, mask: int) -> "Graph":
         """Induced subgraph, relabeled to 0..k-1 in mask order."""
+        self.require_mask(mask)
         verts = bits(mask)
         index = {v: i for i, v in enumerate(verts)}
         pairs = [
@@ -85,6 +95,7 @@ class Graph:
         Vertex masks keep the ambient labels, sorted by lowest vertex.
         """
         rest = (1 << self.n_vertices) - 1 if vertex_mask is None else vertex_mask
+        self.require_mask(rest)
         comps = []
         while rest:
             comp = self.component_of_lowest(rest)
@@ -162,10 +173,13 @@ def anticliques(graph: Graph, vertex_mask: int | None = None) -> AnticliqueFamil
     Masks keep the ambient labels.  Each set of size p + 1 is a set of size p
     grown by one vertex above its highest and adjacent to none of its
     members, so the cost follows the number of sets; past ANTICLIQUE_GUARD
-    sets the enumeration stops with TooLarge.
+    sets the enumeration stops with TooLarge.  A vertex_mask that is
+    negative or has a bit past the vertex set is refused with ValueError.
     """
     if vertex_mask is None:
         vertex_mask = (1 << graph.n_vertices) - 1
+    else:
+        graph.require_mask(vertex_mask)
     levels = [(0,)]
     frontier = [(0, vertex_mask)]  # (set, the vertices that may extend it)
     produced = 1

@@ -28,7 +28,11 @@ ascending) is acyclic on every graded piece by Jonsson's Cluster Lemma when
 the coefficients are principal, and the Morse reducer of ``linalg`` checks
 acyclicity on every input.  One writer, ``GysinBuilder.stream_for_s``,
 makes a weight slice one position at a time, its columns and its matching
-together.  ``hodge_table`` feeds it to ``linalg.morse_reduce_positions``,
+together.  An A mask of G^I at weight s has s - |I| of the d - 2|I| free
+dlog's, so only the anticliques with |I| <= min(s, d - s) carry cells:
+the writer makes records and blocks for those alone and yields the
+positions above them empty, and the reducer passes an empty position
+straight through.  ``hodge_table`` feeds it to ``linalg.morse_reduce_positions``,
 which checks and reduces each position as the next one arrives, so no more
 than two positions of columns are held, and ranks the Morse complex
 (algebraic Morse theory, Skoldberg 2006), of about E_1 size, in place of
@@ -195,15 +199,19 @@ def _exact(v: Fraction | int) -> Fraction | int:
 class GysinBuilder:
     """One ``GModuleBasis`` per anticlique, made on first use, for one matrix.
 
-    The records are the builder's only cache: every table that depends on
-    the weight (A masks, offsets, column indices) is made by the call that
+    The builder keeps what depends on the matrix alone: the records, each
+    column's nonzeros (read by ``_record``) and each anticlique level's
+    block list (``_blocks_out_of``).  Every table that depends on the
+    weight (A masks, offsets, column indices) is made by the call that
     needs it and dropped with it.  The residue map has one writer,
     ``_rho_into``: ``stream_for_s`` has it fill each position's columns
     block by block, and ``rho_columns`` returns one block on its own.
     Construction does not insist on full rank; a rank-deficient matrix
     surfaces as ColumnsDependent the moment some anticlique needs a row
-    selection that does not exist.  The complex-level entry points enforce
-    their own rank preconditions.
+    selection that does not exist: from ``basis``, or from
+    ``stream_for_s`` at exactly the weights s where an anticlique with
+    dependent columns would have cells (|I| <= min(s, d - s)).  The
+    complex-level entry points enforce their own rank preconditions.
     """
 
     def __init__(self, matrix: ExtendedExchangeMatrix):
@@ -213,6 +221,11 @@ class GysinBuilder:
         top_down = tuple(1 << r for r in range(matrix.d - 1, -1, -1))
         # each record made, None where the columns of its anticlique are dependent
         self._basis = {0: GModuleBasis((), (), 0, sum(top_down), top_down, {})}
+        # column j's nonzeros (r, B~_{rj}), rows ascending
+        self._column = [
+            [(r, row[j]) for r, row in enumerate(matrix.rows) if row[j]] for j in range(matrix.n)
+        ]
+        self._blocks: dict[int, list[tuple[int, int, int, bool]]] = {}  # per level p
 
     # -- one record per anticlique -------------------------------------------
 
@@ -268,13 +281,13 @@ class GysinBuilder:
         parent = self._record(i_mask ^ (1 << j))
         if parent is None:
             return None
-        table, abar = parent.substitution, {}
-        for r, row in enumerate(self.matrix.rows):
-            if row[j] and parent.row_mask >> r & 1:
+        table, abar, held = parent.substitution, {}, parent.row_mask
+        for r, v in self._column[j]:
+            if held >> r & 1:
                 for b, c in table[r].items():
-                    abar[b] = abar.get(b, 0) + row[j] * c
-            elif row[j]:
-                abar[1 << r] = abar.get(1 << r, 0) + row[j]
+                    abar[b] = abar.get(b, 0) + v * c
+            else:
+                abar[1 << r] = abar.get(1 << r, 0) + v
         support = sum(b for b, v in abar.items() if v)
         offered = support >> self.matrix.n << self.matrix.n or support  # frozen first
         if not offered:
@@ -283,18 +296,24 @@ class GysinBuilder:
         lead = abar.pop(t_bit)
         scale = -lead if lead in (1, -1) else -1 / Fraction(lead)
         new = {b: _exact(scale * abar[b]) for b in sorted(abar) if abar[b]}
-        row_mask = parent.row_mask | t_bit
+        rows, t = parent.row_selection, t_bit.bit_length() - 1
+        k = bisect_right(rows, t)
+        row_selection = rows[:k] + (t,) + rows[k:]  # N(P) u {t}, ascending
         substitution = {}
-        for t in bits(row_mask):
-            old = table.get(t, new)  # the new row, at t_bit, has no t_bit term
+        for r in row_selection:
+            old = table.get(r, new)  # the new row, at t_bit, has no t_bit term
             if (c := old.get(t_bit)) is not None:
                 keys = sorted((old.keys() | new.keys()) - {t_bit})
                 old = {b: _exact(v) for b in keys if (v := old.get(b, 0) + c * new.get(b, 0))}
-            substitution[t] = old
+            substitution[r] = old
         allowed = parent.allowed & ~(1 << j | t_bit)
-        top_down = tuple(b for b in parent.top_down if b & allowed)
         record = self._basis[i_mask] = GModuleBasis(
-            tuple(bits(i_mask)), tuple(bits(row_mask)), row_mask, allowed, top_down, substitution
+            parent.anticlique + (j,),  # j is the highest vertex of I
+            row_selection,
+            held | t_bit,
+            allowed,
+            tuple(filter(allowed.__and__, parent.top_down)),
+            substitution,
         )
         return record
 
@@ -418,6 +437,26 @@ class GysinBuilder:
 
     # -- full complexes ------------------------------------------------------
 
+    def _blocks_out_of(self, p: int) -> list[tuple[int, int, int, bool]]:
+        """The blocks out of anticlique level p, made once per builder: (j,
+        I, I u {j}, last) for each mutable j ascending and each I of size p
+        ascending within one j, where I u {j} is an anticlique; ``last``
+        marks I's last block, the one of its highest j."""
+        blocks = self._blocks.get(p)
+        if blocks is None:
+            above = set(self.family.by_cardinality[p + 1])
+            pairs = [
+                (j, i_mask, i_mask | 1 << j)
+                for j in range(self.matrix.n)
+                for i_mask in self.family.by_cardinality[p]
+                if i_mask | 1 << j in above
+            ]
+            last = {i_mask: j for j, i_mask, _ in pairs}  # j ascending: the highest wins
+            blocks = self._blocks[p] = [
+                (j, i_mask, new_mask, last[i_mask] == j) for j, i_mask, new_mask in pairs
+            ]
+        return blocks
+
     def stream_for_s(self, s: int) -> Iterator[Position]:
         """The weight-s slice, written one position at a time.
 
@@ -425,11 +464,17 @@ class GysinBuilder:
         ascending.  It is yielded as (labels, columns, matching) once every
         block out of it is written: its ``PositionLabels``, the images of
         its cells in position p + 1 (None at the top) and its matched pairs.
-        The blocks I -> I u {j} out of position p are written for each
-        mutable j ascending, and for each I of size p, ascending, within
-        one j; a block whose source or target has no cell at the weight
-        writes nothing and is skipped.  The block from I to I u {j} fills the
-        rows of I u {j}, so blocks for different j never overlap, and a
+        An A mask of G^I at weight s has s - |I| of the d - 2|I| dlog's
+        allowed for I, so only positions up to min(s, d - s) hold cells:
+        the writer indexes those, and yields every later position empty,
+        without asking for its records.  So a rank-deficient matrix raises
+        ColumnsDependent exactly at the weights where an anticlique with
+        dependent columns would have cells.
+
+        The blocks I -> I u {j} out of position p are written in the order
+        of ``_blocks_out_of``: for each mutable j ascending, for each I of
+        size p, ascending, within one j.  The block from I to I u {j} fills
+        the rows of I u {j}, so blocks for different j never overlap, and a
         column takes its blocks in ascending j.  ``_rho_into`` writes a
         block target by target: each target cell (I u j, B) gets one unit
         entry, from the source B u j, and the substituted terms from
@@ -437,8 +482,8 @@ class GysinBuilder:
         ``substitution[t]`` that B holds, so no visit is spent on a source
         that maps to zero.  It finds the sources through an index of each
         member I's A masks to their columns, made on I's first block and
-        dropped once position p is yielded; the writer keeps nothing of p
-        after that.
+        dropped after its last; the writer keeps nothing of p once it is
+        yielded.
 
         The matching is the sequential element matching of the unit
         entries, made as the blocks are written: a unit entry from (I, A)
@@ -455,49 +500,49 @@ class GysinBuilder:
         """
         self.require_cells([s])
         levels = self.family.by_cardinality  # each level ascending
+        top = min(s, self.matrix.d - s)  # the last position that can hold cells
         masks: dict[int, list[int]] = {}  # A masks of weight s, levels p and p + 1
         offset: dict[int, int] = {}  # each member's first cell in its position
 
-        def index(level: list[int]) -> PositionLabels:
+        def index(p: int) -> PositionLabels:
+            if p > top:  # no anticlique of size p has a cell at weight s
+                return PositionLabels([], [])
+            level = levels[p]
             labels = PositionLabels(level, [self.basis(i).masks_of_degree(s) for i in level])
             for i_mask, off, a_masks in zip(level, labels.starts, labels.masks):
                 offset[i_mask], masks[i_mask] = off, a_masks
             return labels
 
-        labels = index(levels[0])
+        labels = index(0)
         taken = bytearray(len(labels))  # cells of position p matched from below
-        for p, level in enumerate(levels[:-1]):
-            next_labels = index(levels[p + 1])
+        for p in range(len(levels) - 1):
+            next_labels = index(p + 1)
             next_taken = bytearray(len(next_labels))
             cols: list[dict[int, Fraction | int]] = [{} for _ in range(len(labels))]
             up: dict[int, int] = {}
             columns: dict[int, dict[int, int]] = {}  # each source's column per A mask
-            for j in range(self.matrix.n):
-                for i_mask in level:
-                    new_mask = i_mask | (1 << j)
-                    if new_mask == i_mask or not (masks[i_mask] and masks.get(new_mask)):
-                        continue  # j in I, I u j no anticlique, or no cell to write
-                    src_cols = columns.get(i_mask)
-                    if src_cols is None:
-                        off = offset[i_mask]
-                        a_masks = masks[i_mask]
-                        src_cols = columns[i_mask] = dict(
-                            zip(a_masks, range(off, off + len(a_masks)))
-                        )
-                    self._rho_into(
-                        cols,
-                        i_mask,
-                        j,
-                        src_cols,
-                        masks[new_mask],
-                        offset[new_mask],
-                        1,
-                        taken,
-                        next_taken,
-                        up,
-                    )
-            del columns  # the column indices of position p, not needed past p
-            for i_mask in level:
+            blocks = self._blocks_out_of(p) if p < top else ()
+            for j, i_mask, new_mask, last_block in blocks:
+                src_cols = columns.get(i_mask)
+                if src_cols is None:
+                    off = offset[i_mask]
+                    a_masks = masks[i_mask]
+                    src_cols = columns[i_mask] = dict(zip(a_masks, range(off, off + len(a_masks))))
+                self._rho_into(
+                    cols,
+                    i_mask,
+                    j,
+                    src_cols,
+                    masks[new_mask],
+                    offset[new_mask],
+                    1,
+                    taken,
+                    next_taken,
+                    up,
+                )
+                if last_block:
+                    del columns[i_mask]
+            for i_mask in labels.members:
                 del masks[i_mask], offset[i_mask]
             yield labels, cols, up
             labels, taken = next_labels, next_taken

@@ -456,7 +456,14 @@ def morse_reduce_positions(
 
     The critical cells of p are read off a bytearray with a mark per cell,
     cleared for the matched ones, and a critical column that is empty has
-    the empty Morse image, made without ``_morse_image``.  A pair whose
+    the empty Morse image, made without ``_morse_image``; no flow is walked
+    when no matched pair lands in p.  A position with no cell and no
+    matched pair, into which no critical column of p - 1 has an entry, is
+    passed straight through: its d^2 push, unit, range and cycle checks
+    would read nothing, and each critical cell of p - 1 gets the empty
+    Morse image.  A nonempty column below it takes the path above and
+    meets the same refusal there; a matched target's column is read only
+    by its partner's push, when p - 1 arrives.  A pair whose
     entry is not +-1 (a matched cell or target outside its position, or any
     at the top, too), a cell matched twice or a cycle raises
     ConsistencyError, as d^2 != 0 does, and so does a key outside the next
@@ -478,6 +485,15 @@ def morse_reduce_positions(
     critical_below: dict[int, int] = {}
     pushed_below = b""
     for p, (pos_labels, cols, up) in enumerate(positions):
+        if not (pos_labels or up or up_below) and (
+            cols_below is None or not any(map(cols_below.__getitem__, critical_below))
+        ):  # nothing to check or reduce: see the docstring
+            if cols_below is not None:
+                columns.append([{} for _ in critical_below])
+            labels.append([])
+            kept.append([])
+            cols_below, up_below, critical_below, pushed_below = cols, up, {}, b""
+            continue
         euler += -len(pos_labels) if p & 1 else len(pos_labels)
         if cols_below is not None and cols is not None:
             try:
@@ -503,7 +519,7 @@ def morse_reduce_positions(
         critical = {c: k for k, c in enumerate(cells)}
         if cols_below is not None:
             size = len(pos_labels)
-            flows = _flows(cols_below, partner, critical, critical_below, size)
+            flows = _flows(cols_below, partner, critical, critical_below, size) if partner else {}
             columns.append(
                 [
                     _morse_image(col, None, critical, flows, 1, size)

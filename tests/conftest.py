@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from graphlib import CycleError, TopologicalSorter
 from math import gcd, lcm
 
 import pytest
@@ -10,6 +11,7 @@ from clusterhodge.errors import ColumnsDependent, ConsistencyError
 from clusterhodge.exchange import (
     ExtendedExchangeMatrix,
     _anticlique_subgroups,
+    quiver,
     underlying_graph,
     validate,
 )
@@ -100,6 +102,19 @@ def matching_is_acyclic(cx) -> bool:
                 stack.pop()
                 on_path.discard(node)
                 done.add(node)
+    return True
+
+
+def is_acyclic_by_graphlib(matrix: ExtendedExchangeMatrix) -> bool:
+    """``exchange.is_acyclic`` by graphlib's topological sort of the
+    quiver's arcs, as the package did before its Kahn walk: the reference."""
+    order = TopologicalSorter()
+    for i, j in quiver(matrix).arcs:
+        order.add(j, i)
+    try:
+        order.prepare()
+    except CycleError:
+        return False
     return True
 
 
@@ -211,6 +226,56 @@ def source_major_stream(builder, s: int):
                 src = masks[i_mask], offset[i_mask]
                 source_major_rho_into(
                     builder, cols, i_mask, j, *src, rows[new_mask], 1, taken, next_taken, up
+                )
+        yield labels, cols, up
+        labels, taken = next_labels, next_taken
+    yield labels, None, {}
+
+
+def stream_indexing_every_level(builder, s: int):
+    """``GysinBuilder.stream_for_s`` as the package wrote it before it
+    stopped at position min(s, d - s): every anticlique level indexed and
+    its records made, every (j, I) pair walked for each mutable j
+    ascending, then each I ascending, and a block skipped when j is in I,
+    I u {j} is no anticlique, or either side has no cell at the weight.
+    The reference for the writer that leaves the empty positions alone."""
+    levels = builder.family.by_cardinality
+    masks: dict[int, list[int]] = {}
+    offset: dict[int, int] = {}
+
+    def index(level):
+        labels = PositionLabels(level, [builder.basis(i).masks_of_degree(s) for i in level])
+        for i_mask, off, a_masks in zip(level, labels.starts, labels.masks):
+            offset[i_mask], masks[i_mask] = off, a_masks
+        return labels
+
+    labels = index(levels[0])
+    taken = bytearray(len(labels))
+    for p, level in enumerate(levels[:-1]):
+        next_labels = index(levels[p + 1])
+        next_taken = bytearray(len(next_labels))
+        cols: list[dict] = [{} for _ in range(len(labels))]
+        up: dict[int, int] = {}
+        columns: dict[int, dict[int, int]] = {}
+        for j in range(builder.matrix.n):
+            for i_mask in level:
+                new_mask = i_mask | (1 << j)
+                if new_mask == i_mask or not (masks[i_mask] and masks.get(new_mask)):
+                    continue
+                if i_mask not in columns:
+                    off = offset[i_mask]
+                    columns[i_mask] = {a: off + c for c, a in enumerate(masks[i_mask])}
+                builder._rho_into(
+                    cols,
+                    i_mask,
+                    j,
+                    columns[i_mask],
+                    masks[new_mask],
+                    offset[new_mask],
+                    1,
+                    taken,
+                    next_taken,
+                    up,
                 )
         yield labels, cols, up
         labels, taken = next_labels, next_taken

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -20,14 +21,16 @@ from clusterhodge.exchange import (
     _reduce_support,
     is_acyclic,
     mutate,
+    principal_from_graph,
     quiver,
     rank_class,
     reduce_character,
     underlying_graph,
     validate,
 )
+from clusterhodge.graphs import all_graphs
 
-from conftest import full_rank_corpus, random_acyclic_matrix
+from conftest import full_rank_corpus, is_acyclic_by_graphlib, random_acyclic_matrix
 
 
 def test_validate_examples():
@@ -75,6 +78,26 @@ def test_is_acyclic():
     cyc = validate([[0, 1, -1], [-1, 0, 1], [1, -1, 0]], 3, 0)
     assert not is_acyclic(cyc)
     assert is_acyclic(validate([[0, 0], [0, 0]], 2, 0))
+
+
+def test_is_acyclic_matches_graphlib():
+    # every orientation of every graph with at most 4 vertices, one arc of
+    # each doubled, and the Markov quiver: the Kahn walk agrees with a
+    # topological sort by graphlib
+    seen = {True: 0, False: 0}
+    for v in range(1, 5):
+        for graph in all_graphs(v):
+            edges = sorted(graph.edges)
+            for signs in itertools.product((1, -1), repeat=len(edges)):
+                orientation = dict(zip(edges, signs))
+                for weights in ({}, {edges[0]: 2} if edges else {}):
+                    m = principal_from_graph(graph, orientation, weights)
+                    got = is_acyclic(m)
+                    assert got == is_acyclic_by_graphlib(m), (m.rows, got)
+                    seen[got] += 1
+    markov = validate([[0, 2, -2], [-2, 0, 2], [2, -2, 0]], 3, 0)
+    assert not is_acyclic(markov) and not is_acyclic_by_graphlib(markov)
+    assert seen[True] > 100 and seen[False] > 10, seen
 
 
 def test_rank_class_examples():

@@ -234,6 +234,27 @@ def test_components_of_an_induced_subgraph():
     assert p6.components(0) == []
 
 
+MASK_ENTRY_POINTS = {
+    "induced": lambda graph, mask: graph.induced(mask),
+    "is_independent": lambda graph, mask: graph.is_independent(mask),
+    "components": lambda graph, mask: graph.components(mask),
+    "anticliques": anticliques,
+}
+
+
+@pytest.mark.parametrize("call", MASK_ENTRY_POINTS.values(), ids=MASK_ENTRY_POINTS)
+def test_a_mask_with_a_bit_past_the_vertex_set_is_refused(call):
+    # a mask past the vertex set used to give phantom isolated vertices
+    # (induced) or a bare IndexError from the adjacency lookup
+    graph = path_graph(3)
+    for mask in (8, 0b1101, 1 << 40):
+        with pytest.raises(ValueError, match=rf"^mask {mask} has a bit past the 3 vertices$"):
+            call(graph, mask)
+    with pytest.raises(ValueError, match=r"^negative mask -2$"):
+        call(graph, -2)
+    call(graph, 0b111)  # the whole vertex set is a mask like any other
+
+
 def test_euler_characteristic():
     for g in all_graphs(5)[:12] + [cycle_graph(6), star_graph(5)]:
         cx = anticliques(g)

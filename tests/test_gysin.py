@@ -92,6 +92,7 @@ from conftest import (
     random_acyclic_matrix,
     source_major_rho_columns,
     source_major_stream,
+    stream_indexing_every_level,
     submasks,
 )
 
@@ -1064,7 +1065,8 @@ def test_assembly_matches_exterior_form_reference():
 def test_weight_order_does_not_change_a_complex():
     # one builder builds every weight ascending, then descending; each
     # complex must equal a fresh builder's, and the builder keeps nothing
-    # but its per-anticlique records
+    # but its per-anticlique records and two tables of the matrix alone:
+    # each column's nonzeros and each level's block list
     for m in [mm for m in assembly_corpus() + full_rank_corpus() for mm in _built_matrices(m)]:
         builder = GysinBuilder(m)
         weights = list(range(m.d + 1))
@@ -1074,7 +1076,7 @@ def test_weight_order_does_not_change_a_complex():
             assert got.labels == want.labels, (m.rows, s)
             assert _typed(got.columns) == _typed(want.columns), (m.rows, s)
             assert got.matching == want.matching, (m.rows, s)
-        assert set(vars(builder)) == {"matrix", "graph", "family", "_basis"}
+        assert set(vars(builder)) == {"matrix", "graph", "family", "_basis", "_column", "_blocks"}
 
 
 def _ordered(columns):
@@ -1142,6 +1144,67 @@ def test_target_major_writer_equals_the_source_major_one():
                     assert got_block[:2] == want_block[:2], where
                     assert _ordered([got_block[2]]) == _ordered([want_block[2]]), where
     assert fractions > 0
+
+
+def test_the_writer_leaves_the_positions_without_cells_alone():
+    # at every weight of the assembly corpus the writer gives the complex
+    # of the one that indexes every level, entries, types, key order and
+    # matching included, and a fresh builder holds records only for the
+    # anticliques that carry cells, |I| <= min(s, d - s)
+    for m in assembly_corpus():
+        for s in range(m.d + 1):
+            builder = GysinBuilder(m)
+            got = list(builder.stream_for_s(s))
+            want = list(stream_indexing_every_level(GysinBuilder(m), s))
+            assert [list(pos[0]) for pos in got] == [list(pos[0]) for pos in want], (m.rows, s)
+            assert got[-1][1] is None and want[-1][1] is None, (m.rows, s)
+            assert _ordered([pos[1] for pos in got[:-1]]) == _ordered(
+                [pos[1] for pos in want[:-1]]
+            ), (m.rows, s)
+            assert [list(pos[2].items()) for pos in got] == [
+                list(pos[2].items()) for pos in want
+            ], (m.rows, s)
+            top = min(s, m.d - s)
+            assert set(builder._basis) == {
+                i for i in builder.family.all_masks() if i.bit_count() <= top
+            }, (m.rows, s)
+            cx = builder.complex_for_s(s)
+            assert cx.labels == [list(labels) for labels, _, _ in want], (m.rows, s)
+            assert _ordered(cx.columns) == _ordered([c for _, c, _ in want[:-1]]), (m.rows, s)
+            assert cx.matching == [up for _, _, up in want[:-1]], (m.rows, s)
+
+
+RANK_DEFICIENT = [
+    ([[0, 0], [0, 0], [1, 0]], 2, 1),  # column 1 is zero
+    ([[0, 0], [0, 0], [1, 1]], 2, 1),  # {0, 1} is dependent but has no cell
+    ([[0, 0], [0, 0], [1, 2], [2, 4]], 2, 2),  # {0, 1} is dependent
+    ([[0, 0, 0], [0, 0, 0], [0, 0, 0], [1, 1, 0]], 3, 1),
+    ([[0, 0, 0], [0, 0, 0], [0, 0, 0], [1, 0, 1], [0, 1, 1]], 3, 2),  # only {0, 1, 2}
+]
+
+
+def test_a_rank_deficient_builder_raises_where_a_dependent_anticlique_has_cells():
+    # an anticlique I with dependent columns has no record; its cells would
+    # lie at the weights |I| <= s <= d - |I|, and exactly there the writer
+    # raises ColumnsDependent
+    proper = 0
+    for rows, n, m_ in RANK_DEFICIENT:
+        m = validate(rows, n, m_)
+        family = GysinBuilder(m).family.all_masks()
+        columns = [{r: row[v] for r, row in enumerate(m.rows) if row[v]} for v in range(n)]
+        dependent = [i for i in family if rank([columns[v] for v in bits(i)]) < i.bit_count()]
+        want = {
+            s for i in dependent for s in range(m.d + 1) if i.bit_count() <= s <= m.d - i.bit_count()
+        }
+        got = set()
+        for s in range(m.d + 1):
+            try:
+                GysinBuilder(m).complex_for_s(s)
+            except ColumnsDependent:
+                got.add(s)
+        assert dependent and got == want, (rows, got, want)
+        proper += 0 < len(want) < m.d + 1
+    assert proper >= 3
 
 
 def _morse_corpus():

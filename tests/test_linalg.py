@@ -707,6 +707,72 @@ def test_morse_reduce_refuses_a_matched_cell_outside_its_position(matchings):
         morse_reduce(cx)
 
 
+# an entry into a position without cells, and the refusal it met before the
+# reducer passed such positions straight through
+EMPTY_POSITION_ENTRIES = {
+    "inner-critical": (
+        [["x"], [], ["z"]], [[{0: 1}], []], [], "d_0 has an entry outside position 1"
+    ),
+    "inner-pushed": (
+        [["x", "y"], [], ["z"]], [[{0: 1}, {}], []], [{0: 0}],
+        "d_0 has an entry outside position 1",
+    ),
+    "inner-target": (
+        [["s"], ["t"], [], ["z"]], [[{0: 1}], [{0: 1}], []], [{0: 0}],
+        "differential does not square to zero",
+    ),
+    "inner-after-a-gap": (
+        [["w"], [], ["x"], [], ["z"]], [[{}], [], [{0: 1}], []], [],
+        "d_2 has an entry outside position 3",
+    ),
+    "top-critical": (
+        [["x"], []], [[{0: 1}]], [], "a differential has an entry outside the next position"
+    ),
+    "top-pushed": ([["x"], []], [[{0: 1}]], [{0: 0}], "a matched entry is not a unit"),
+    "top-target": (
+        [["s"], ["t"], []], [[{0: 1}], [{0: 1}]], [{0: 0}],
+        "differential does not square to zero",
+    ),
+    "top-target-cancelled": (
+        [["s"], ["t", "u"], []], [[{0: 1, 1: 1}], [{0: 1}, {0: -1}]], [{0: 0}],
+        "a differential has an entry outside the next position",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "labels, columns, matching, message",
+    EMPTY_POSITION_ENTRIES.values(),
+    ids=EMPTY_POSITION_ENTRIES,
+)
+def test_morse_reduce_refuses_an_entry_into_a_position_without_cells(
+    labels, columns, matching, message
+):
+    # a critical column, a column matched up (pushed, no Morse image) and a
+    # matched target's column (read by its partner's push), each with an
+    # entry into an empty inner or top position: a nonempty column below an
+    # empty position takes the path that checks it
+    with pytest.raises(ConsistencyError, match=f"^{message}$"):
+        morse_reduce(CochainComplexQ(labels, columns, matching))
+    with pytest.raises(ConsistencyError, match=f"^{message}$"):
+        morse_reduce_pushing_every_column(CochainComplexQ(labels, columns, matching))
+
+
+def test_morse_reduce_passes_positions_without_cells_through():
+    # empty positions between and above cells: each critical cell below
+    # one gets the empty Morse image, and the cells past it are reduced as
+    # the complex without the gap reduces them
+    cx = CochainComplexQ([["x"], [], ["y", "w"], ["z"], [], []], [[{}], [], [{0: 2}, {}], [{}], []])
+    morse, kept = morse_reduce(cx)
+    assert morse.labels == [["x"], [], ["y", "w"], ["z"], [], []]
+    assert morse.columns == [[{}], [], [{0: 2}, {}], [{}], []]
+    assert kept == [[0], [], [0, 1], [0], [], []]
+    assert morse.cohomology_dims() == cx.cohomology_dims() == {0: 1, 2: 1}
+    matched = CochainComplexQ([["x"], ["y"], [], []], [[{0: 1}], [{}], []], [{0: 0}])
+    morse, kept = morse_reduce(matched)
+    assert (morse.labels, morse.columns, kept) == ([[], [], [], []], [[], [], []], [[], [], [], []])
+
+
 def test_morse_reduce_on_random_matchings_of_independence_complexes():
     # a random greedy matching of the +-1 entries: acyclic ones (by the
     # test's own search) keep the cohomology, cyclic ones are refused
